@@ -23,7 +23,6 @@ from .engine import (
     verify_contraction,
 )
 from .fedrep import (
-    LearningState,
     fedrep_round,
     head_update,
     method_of_moments_init,
@@ -54,7 +53,6 @@ __all__ = [
     "ALGO_SRPFL",
     "Batch",
     "GroundTruthModel",
-    "LearningState",
     "RunConfig",
     "RunTrace",
     "SpeedModel",

@@ -6,6 +6,8 @@ rejected.  Times are abstract time units, rates are per time unit.
 engine derive them with oracle access to the ground truth.
 """
 
+from dataclasses import MISSING, fields
+
 from .engine import RunConfig
 from .errors import ConfigError
 
@@ -36,34 +38,16 @@ def _as_str(key, text):
     return text
 
 
-# key -> (parser, required)
-_SCHEMA = {
-    "d": (_as_int, True),
-    "k": (_as_int, True),
-    "N": (_as_int, True),
-    "n0": (_as_int, True),
-    "m": (_as_int, True),
-    "sigma": (_as_float, True),
-    "M": (_as_int, False),
-    "eta": (_as_optional_float, False),
-    "a": (_as_optional_float, False),
-    "epsilon": (_as_optional_float, False),
-    "c_hat": (_as_float, False),
-    "algorithm": (_as_str, False),
-    "plan_mode": (_as_str, False),
-    "fixed_rounds": (_as_int, False),
-    "init_mode": (_as_str, False),
-    "speed_kind": (_as_str, False),
-    "lam": (_as_float, False),
-    "comm_cost": (_as_float, False),
-    "resample_scope": (_as_str, False),
-    "seed": (_as_int, False),
-    "sweep_seeds": (_as_int, False),
-    "max_rounds": (_as_int, False),
-}
+_PARSERS = {int: _as_int, float: _as_float, float | None: _as_optional_float, str: _as_str}
 
-# config-file key -> RunConfig field, where the names differ
-_FIELD_NAME = {"N": "n_total", "M": "n_clients"}
+# config-file keys that differ from their RunConfig field
+_FILE_KEY = {"n_total": "N", "n_clients": "M"}
+
+# config-file key -> (RunConfig field, parser, required)
+_SCHEMA = {
+    _FILE_KEY.get(f.name, f.name): (f.name, _PARSERS[f.type], f.default is MISSING)
+    for f in fields(RunConfig)
+}
 
 
 def parse_pairs(lines, source="<config>"):
@@ -87,13 +71,13 @@ def parse_pairs(lines, source="<config>"):
 
 def build_config(pairs):
     """Typed, validated RunConfig from raw key -> string pairs."""
-    missing = [k for k, (_, required) in _SCHEMA.items() if required and k not in pairs]
+    missing = [k for k, (_, _, required) in _SCHEMA.items() if required and k not in pairs]
     if missing:
         raise ConfigError(f"missing required field(s): {', '.join(missing)}")
     kwargs = {}
     for key, text in pairs.items():
-        parser, _ = _SCHEMA[key]
-        kwargs[_FIELD_NAME.get(key, key)] = parser(key, text)
+        name, parser, _ = _SCHEMA[key]
+        kwargs[name] = parser(key, text)
     config = RunConfig(**kwargs)
     config.validate()
     return config

@@ -45,7 +45,11 @@ class ZeroGap(SrpflError):
     """Order-statistic gap in a schedule formula underflowed to zero."""
 
 
-class CHatOutOfRange(SrpflError):
+class ConfigError(SrpflError):
+    """Invalid or unreadable run configuration."""
+
+
+class CHatOutOfRange(ConfigError):
     """Accuracy knob must lie strictly between 1 and sqrt(2)."""
 
 
@@ -55,10 +59,6 @@ class NonConvergence(SrpflError):
 
 class TargetNotReached(SrpflError):
     """A trace never crosses the requested accuracy level."""
-
-
-class ConfigError(SrpflError):
-    """Invalid or unreadable run configuration."""
 
 
 class EigenGapDegenerateWarning(UserWarning):

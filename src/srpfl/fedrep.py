@@ -13,8 +13,6 @@ second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
 top-k eigenspace.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -27,20 +25,6 @@ from .linalg import rank_k_eig, thin_qr
 from .synthesis import sample_batch
 
 GRAM_TOL = 1e-10
-
-
-@dataclass
-class LearningState:
-    """Current global representation plus per-client heads.
-
-    ``heads`` has one row per client in the full population; rows of
-    clients that did not participate in the latest round are stale.
-    ``round_index`` counts completed rounds.
-    """
-
-    b: np.ndarray
-    heads: np.ndarray
-    round_index: int = 0
 
 
 def head_update(b, batch):
@@ -118,27 +102,24 @@ def method_of_moments_init(gt, participants, m, seed):
     return rank_k_eig(p_bar / len(parts), gt.k)
 
 
-def fedrep_round(state, gt, participants, m, eta, seed):
-    """Run one communication round and return the new learning state.
+def fedrep_round(b, gt, participants, m, eta, seed, round_index):
+    """Run one communication round from representation ``b``; return the new one.
 
-    Participants draw fresh batches (substream index ``round_index + 1``;
-    index 0 is reserved for the warm start), refresh their head rows,
-    and contribute one representation step each; non-participants keep
-    their stale heads.  Raises with the offending client id when a local
-    solve fails.
+    ``round_index`` is the 1-based round number and doubles as the batch
+    substream index (index 0 is reserved for the warm start).  Each
+    participant draws a fresh batch, solves its head and contributes one
+    representation step; heads are not kept between rounds.  Raises with
+    the offending client id when a local solve fails.
     """
     parts = list(participants)
     if not parts:
         raise EmptyParticipants("a round needs at least one participant")
-    batch_index = state.round_index + 1
-    heads = state.heads.copy()
     contributions = []
     for cid in parts:
         if not 0 <= cid < gt.n_clients:
             raise ClientOutOfRange(f"participant {cid} outside 0..{gt.n_clients - 1}")
-        batch = sample_batch(gt, cid, m, batch_index, seed)
-        w = head_update(state.b, batch)
-        heads[cid] = w
-        contributions.append(rep_gradient_step(state.b, w, batch, eta))
+        batch = sample_batch(gt, cid, m, round_index, seed)
+        w = head_update(b, batch)
+        contributions.append(rep_gradient_step(b, w, batch, eta))
     b_new, _ = server_aggregate(contributions, len(parts))
-    return LearningState(b=b_new, heads=heads, round_index=state.round_index + 1)
+    return b_new

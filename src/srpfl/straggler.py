@@ -32,6 +32,9 @@ MODE_THRESHOLD = "distance_threshold"
 MODE_FIXED = "fixed"
 PLAN_MODES = (MODE_ANALYTIC, MODE_THRESHOLD, MODE_FIXED)
 
+# largest contraction factor the schedule formulas accept
+A_MAX = 0.25
+
 
 @dataclass(frozen=True)
 class SpeedModel:
@@ -76,16 +79,22 @@ class SpeedModel:
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Doubling schedule: per stage, the participant count and round budget.
+    """Doubling schedule: per stage, the participant count, round budget
+    and exit threshold.
 
     ``stages[r] = (n_r, tau_r)`` with ``n_r = min(N, n0 * 2^r)``; a
     ``None`` budget means the stage is open-ended (distance-threshold
     mode, or a final stage that runs until the target accuracy).
+    ``thresholds[r]`` is the doubling point X_{r+1} that ends stage r once
+    the measured distance falls to it, or ``None`` where the stage has no
+    distance exit (every stage outside distance-threshold mode, and the
+    last stage in it).
     """
 
     n0: int
     stages: tuple
     mode: str
+    thresholds: tuple
 
 
 def draw_round_times(model, round_index, n):
@@ -135,9 +144,16 @@ def expected_order_stat(n, j, lam):
     return sum(1.0 / i for i in range(n - j + 1, n + 1)) / lam
 
 
-def _check_contraction_factor(a):
-    if not 0.0 < a <= 0.25:
+def check_contraction_factor(a):
+    """Raise :class:`ConfigError` unless 0 < a <= 1/4."""
+    if not 0.0 < a <= A_MAX:
         raise ConfigError(f"contraction factor a must lie in (0, 1/4], got {a}")
+
+
+def check_c_hat(c_hat):
+    """Raise :class:`CHatOutOfRange` unless 1 < c_hat < sqrt(2)."""
+    if not 1.0 < c_hat < math.sqrt(2.0):
+        raise CHatOutOfRange(f"c_hat must lie strictly between 1 and sqrt(2), got {c_hat}")
 
 
 def _gap(t_hi, t_lo):
@@ -148,25 +164,28 @@ def _gap(t_hi, t_lo):
 
 
 def optimal_doubling_point(r, a, n0, model, n_total):
-    """Distance threshold X_r below which n0 * 2^r participants pay off.
+    """Distance threshold X_r below which stage r (n0 * 2^r participants,
+    capped at N) pays off.
 
     ``X_0`` is +inf by convention; for r >= 1,
 
         X_r = a / (sqrt(2^(r-1) (1-a)) (1 - sqrt(1-a)))
-              * (1 + (E[T_{n0 2^(r-1)}] + C) (1 - 1/sqrt(2))
-                     / (E[T_{n0 2^r}] - E[T_{n0 2^(r-1)}]))
+              * (1 + (E[T_lo] + C) (1 - 1/sqrt(2)) / (E[T_hi] - E[T_lo]))
 
-    where E[T_j] is the expected j-th order statistic of the n_total
-    exponential times and C the communication cost.
+    with lo = n0 2^(r-1), hi = min(N, n0 2^r), E[T_j] the expected j-th
+    order statistic of the n_total exponential times and C the
+    communication cost.  Raises :class:`IndexOutOfRange` when stage r
+    does not exist, i.e. n0 2^(r-1) >= N.
     """
-    _check_contraction_factor(a)
+    check_contraction_factor(a)
     if r < 0:
         raise IndexOutOfRange(f"stage index must be >= 0, got {r}")
     if r == 0:
         return math.inf
-    lo, hi = n0 * 2 ** (r - 1), n0 * 2**r
-    if hi > n_total:
-        raise IndexOutOfRange(f"stage {r} needs {hi} participants but only {n_total} exist")
+    lo = n0 * 2 ** (r - 1)
+    if lo >= n_total:
+        raise IndexOutOfRange(f"stage {r} does not exist: n0 * 2^{r - 1} = {lo} >= N = {n_total}")
+    hi = min(n0 * 2**r, n_total)
     t_lo = expected_order_stat(n_total, lo, model.lam)
     t_hi = expected_order_stat(n_total, hi, model.lam)
     base = a / (math.sqrt(2 ** (r - 1) * (1.0 - a)) * (1.0 - math.sqrt(1.0 - a)))
@@ -189,7 +208,7 @@ def rounds_per_stage(r, a, n0, model, n_total):
 
     floored at one round.
     """
-    _check_contraction_factor(a)
+    check_contraction_factor(a)
     if r < 1:
         raise IndexOutOfRange(f"stage budgets are defined for r >= 1, got {r}")
     if n0 * 2 ** (r + 1) > n_total:
@@ -202,15 +221,10 @@ def rounds_per_stage(r, a, n0, model, n_total):
 
 def final_stage_rounds(a, c_hat):
     """Rounds needed at full participation to finish: 2 log(1/(c_hat-1)) / log(1/(1-a))."""
-    _check_c_hat(c_hat)
-    _check_contraction_factor(a)
+    check_c_hat(c_hat)
+    check_contraction_factor(a)
     t = 2.0 * math.log(1.0 / (c_hat - 1.0)) / math.log(1.0 / (1.0 - a))
     return max(1, math.ceil(t))
-
-
-def _check_c_hat(c_hat):
-    if not 1.0 < c_hat < math.sqrt(2.0):
-        raise CHatOutOfRange(f"c_hat must lie strictly between 1 and sqrt(2), got {c_hat}")
 
 
 def target_accuracy(a, n_total, n0, c_hat):
@@ -220,8 +234,8 @@ def target_accuracy(a, n_total, n0, c_hat):
     contraction recursion, so reaching it requires the final doubling
     stage; doubling N/n0 scales eps by 1/sqrt(2).
     """
-    _check_c_hat(c_hat)
-    _check_contraction_factor(a)
+    check_c_hat(c_hat)
+    check_contraction_factor(a)
     ratio = n_total / n0
     return c_hat * a / (math.sqrt(ratio * (1.0 - a)) * (1.0 - math.sqrt(1.0 - a)))
 
@@ -247,25 +261,30 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
     :func:`final_stage_rounds`, and the first stage copies the second
     (the analytic formula needs a predecessor stage the first one lacks;
     the first gap is also the cheapest).  Fixed mode uses a constant
-    budget; distance-threshold mode leaves budgets open-ended and stages
-    end when the measured distance falls below the next doubling point.
+    budget.  Distance-threshold mode leaves budgets open-ended; every
+    stage but the last ends once the measured distance falls to the next
+    doubling point, :func:`optimal_doubling_point`.  The
+    full-participation baseline is the plan with ``n0 = n_total``, a
+    single stage.
     """
     ladder = participant_ladder(n_total, n0)
     last = len(ladder) - 1
+    budgets = [None] * len(ladder)
+    thresholds = [None] * len(ladder)
     if mode == MODE_THRESHOLD:
-        budgets = [None] * len(ladder)
+        for r in range(last):
+            thresholds[r] = optimal_doubling_point(r + 1, a, n0, model, n_total)
     elif mode == MODE_FIXED:
         if fixed_rounds is None or fixed_rounds < 1:
             raise ConfigError(f"fixed plan mode needs a positive round budget, got {fixed_rounds}")
         budgets = [int(fixed_rounds)] * len(ladder)
     elif mode == MODE_ANALYTIC:
         t = [expected_order_stat(n_total, n_r, model.lam) for n_r in ladder]
-        budgets = [None] * len(ladder)
         budgets[last] = final_stage_rounds(a, c_hat)
         for r in range(1, last):
             budgets[r] = _budget_from_gaps(_gap(t[r], t[r - 1]), _gap(t[r + 1], t[r]), a)
-        budgets[0] = budgets[1] if last >= 1 else budgets[0]
+        if last >= 1:
+            budgets[0] = budgets[1]
     else:
         raise ConfigError(f"unknown plan mode {mode!r}")
-    stages = tuple((n_r, tau) for n_r, tau in zip(ladder, budgets))
-    return StagePlan(n0=n0, stages=stages, mode=mode)
+    return StagePlan(n0=n0, stages=tuple(zip(ladder, budgets)), mode=mode, thresholds=tuple(thresholds))

@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import srpfl
 from srpfl import cli
 from srpfl.config import build_config, load_config, parse_pairs
 from srpfl.errors import ConfigError
@@ -183,7 +185,8 @@ class TestCompareVerifyGen:
 
 
 def test_module_entry_point(config_path, tmp_path):
-    env = dict(os.environ, PYTHONPATH="")
+    # the child must import the same package as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(srpfl.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "srpfl", "run", "--config", str(config_path),
          "--out", str(tmp_path / "cli_out")],

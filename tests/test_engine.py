@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from srpfl import engine
+from srpfl import cli, engine
 from srpfl.engine import RunConfig
 from srpfl.errors import CHatOutOfRange, ConfigError, NonConvergence, TargetNotReached
 from srpfl.synthesis import gen_ground_truth
@@ -132,6 +133,41 @@ class TestRun:
         assert trace.reached_target
         assert trace.records[-1].n >= 2
 
+    def test_threshold_mode_ladder_not_a_power_of_two(self):
+        # N/n0 = 6: the last doubling point caps the ladder at N
+        cfg = RunConfig(
+            d=10, k=2, n_total=12, n0=2, m=60, sigma=0.1, seed=3,
+            plan_mode="distance_threshold", a=0.05, epsilon=0.1, comm_cost=1.0,
+            init_mode="random",
+        )
+        trace = engine.run(cfg)
+        assert trace.reached_target
+        assert trace.records[-1].n == 12
+
+
+# sha256 of cli.trace_to_csv for every algorithm x plan_mode on one small
+# config, recorded before the round loop was last refactored.  A change
+# that moves one of them changes what a run computes and must say why.
+GUARD_CONFIG = dict(
+    d=8, k=2, n_total=16, n0=2, m=40, sigma=0.1, seed=5, comm_cost=1.0,
+    fixed_rounds=10, init_mode="random", a=0.1, epsilon=0.1,
+)
+TRACE_SHA256 = {
+    ("srpfl", "analytic"): "7ee132f1711322f2f49189ab3e514c28b7e1900e8aefe0e73abd0fe259db00f6",
+    ("srpfl", "distance_threshold"): "1f109fcba6e1b102c409a32878e9e96c70e2dbe4561c2418b11336e417dc8bc3",
+    ("srpfl", "fixed"): "f1a89cbbe35439b85145b5a4dca16efc181f6087856f03e2f69e9f066ec08eb8",
+    ("fedrep_full", "analytic"): "364918353008c40f22f69065262c076f8a9e7a2d244c8fc2b4d3289642937dcb",
+    ("fedrep_full", "distance_threshold"): "364918353008c40f22f69065262c076f8a9e7a2d244c8fc2b4d3289642937dcb",
+    ("fedrep_full", "fixed"): "73300ff7b71af2b136430bb8448df3cf1b8cbd53b92f2a1fd8f7e3efdf26c4a4",
+}
+
+
+@pytest.mark.parametrize("algorithm, plan_mode", list(TRACE_SHA256))
+def test_trace_fingerprint(algorithm, plan_mode):
+    trace = engine.run(RunConfig(**GUARD_CONFIG, algorithm=algorithm, plan_mode=plan_mode))
+    digest = hashlib.sha256(cli.trace_to_csv(trace).encode()).hexdigest()
+    assert digest == TRACE_SHA256[algorithm, plan_mode]
+
 
 class TestVerifyContraction:
     def test_noiseless_regime_satisfied(self):
@@ -248,3 +284,24 @@ class TestMeasureContraction:
         )
         a = engine.measure_contraction_rate(trace)
         assert a == pytest.approx(1 - rho**2, rel=1e-6)
+
+
+def test_pooled_sweep_uses_replaced_run(monkeypatch):
+    # pool workers look engine.run up by name, so a replacement that is a
+    # local closure (which pickle refuses) still runs in every worker
+    cfg = small_config(sigma=0.1, plan_mode="fixed", fixed_rounds=4, epsilon=0.0)
+    monkeypatch.setenv("SRPFL_THREADS", "1")
+    serial = engine.run_sweep(cfg, [1, 2])
+    original = engine.run
+
+    def wrapped(config):
+        trace = original(config)
+        trace.wrapped = True
+        return trace
+
+    monkeypatch.setattr(engine, "run", wrapped)
+    monkeypatch.setenv("SRPFL_THREADS", "2")
+    pooled = engine.run_sweep(cfg, [1, 2])
+    for alg, traces in serial.items():
+        assert [t.records for t in pooled[alg]] == [t.records for t in traces]
+        assert all(getattr(t, "wrapped", False) for t in pooled[alg])

@@ -170,6 +170,16 @@ class TestDoublingPoint:
         with pytest.raises(IndexOutOfRange):
             straggler.optimal_doubling_point(4, 0.2, 2, model, 16)
 
+    def test_last_stage_capped_at_n(self):
+        # N=12, n0=2: stage 3 has 12 participants, not 16
+        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        value = straggler.optimal_doubling_point(3, 0.2, 2, model, 12)
+        t8 = straggler.expected_order_stat(12, 8, 1.0)
+        t12 = straggler.expected_order_stat(12, 12, 1.0)
+        base = 0.2 / (math.sqrt(4 * 0.8) * (1 - math.sqrt(0.8)))
+        boost = (t8 + 1.0) * (1 - 1 / math.sqrt(2)) / (t12 - t8)
+        assert value == pytest.approx(base * (1 + boost), rel=1e-12)
+
 
 class TestRoundsPerStage:
     def test_floor_at_one(self):
@@ -225,6 +235,14 @@ class TestStagePlan:
         plan = straggler.build_stage_plan(8, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)
         assert [n for n, _ in plan.stages] == [2, 4, 8]
         assert all(tau is None for _, tau in plan.stages)
+
+    def test_threshold_plan_carries_exit_points(self):
+        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)
+        expected = [straggler.optimal_doubling_point(r, 0.2, 2, model, 12) for r in (1, 2, 3)]
+        assert plan.thresholds == (*expected, None)
+        fixed = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=5)
+        assert fixed.thresholds == (None,) * 4
 
     def test_ladder_clamps_at_n(self):
         model = SpeedModel.fixed(lam=1.0)
