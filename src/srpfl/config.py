@@ -83,27 +83,14 @@ def build_config(pairs):
     return config
 
 
-def apply_overrides(pairs, overrides):
-    """Merge --override key=value pairs (and validate the keys)."""
-    merged = dict(pairs)
-    for item in overrides:
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        if key not in _SCHEMA:
-            raise ConfigError(f"override names unknown field {key!r}")
-        merged[key] = value.strip()
-    return merged
-
-
 def load_config(path, overrides=(), seed=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             pairs = parse_pairs(fh, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    pairs = apply_overrides(pairs, overrides)
+    for item in overrides:
+        pairs.update(parse_pairs([item], source="--override"))
     if seed is not None:
         pairs["seed"] = str(seed)
     return build_config(pairs)

@@ -16,7 +16,7 @@ import hashlib
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,14 +25,15 @@ from .fedrep import fedrep_round, method_of_moments_init
 from .linalg import principal_angle_dist, thin_qr
 from .straggler import (
     A_MAX,
+    A_MIN,
     MODE_ANALYTIC,
     MODE_FIXED,
-    MODE_THRESHOLD,
     PLAN_MODES,
     SpeedModel,
     build_stage_plan,
     check_c_hat,
     check_contraction_factor,
+    contraction_factor,
     draw_round_times,
     participant_ladder,
     round_time,
@@ -59,9 +60,6 @@ RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
 
 SPEED_KINDS = ("fixed", "dynamic")
 
-# floor for the automatically measured contraction factor; A_MAX caps it
-_A_MIN = 1e-6
-
 
 @dataclass
 class RunConfig:
@@ -69,10 +67,11 @@ class RunConfig:
 
     ``eta``, ``a`` and ``epsilon`` may be None, in which case they are
     derived from the ground truth with oracle access: eta as
-    1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2 (clamped into
-    [1e-6, 1/4]), epsilon from the target-accuracy formula.  The sigma
-    extremes are measured over sampled participant subsets of every
-    ladder size, see :func:`measure_singular_extremes`.
+    1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2 clamped into
+    [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from the
+    target-accuracy formula.  The sigma extremes are measured over
+    sampled participant subsets of every ladder size, see
+    :func:`measure_singular_extremes`.  Every float must be finite.
     """
 
     d: int
@@ -103,6 +102,10 @@ class RunConfig:
             self.n_clients = self.n_total
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         checks = [
             (1 <= self.k <= self.d, f"need 1 <= k <= d, got k={self.k}, d={self.d}"),
             (1 <= self.n0 <= self.n_total, f"need 1 <= n0 <= N, got n0={self.n0}, N={self.n_total}"),
@@ -219,12 +222,13 @@ def run(config):
     Stages follow :func:`build_stage_plan`; the full-participation
     baseline is the plan with n0 = N, a single stage.  Each round: draw
     slot times, keep the fastest n, run one communication round,
-    accumulate wall-clock, measure the oracle distance.  The run stops
-    as soon as the measured distance reaches epsilon; budgeted stages
-    also stop at their budget, threshold stages at their exit threshold.
-    The final stage of a non-fixed plan keeps running until epsilon is
-    crossed, bounded by ``max_rounds`` in total, and raises
-    :class:`NonConvergence` when the cap is hit first.
+    accumulate wall-clock, measure the oracle distance.  A stage ends at
+    its exit threshold or after its round budget, whichever comes first;
+    the run ends as soon as the distance reaches epsilon.  Outside fixed
+    mode the plan is open-ended: its last stage ignores its budget and
+    runs until epsilon, and hitting ``max_rounds`` raises
+    :class:`NonConvergence` naming the stage it was hit in.  A fixed plan
+    cut short by ``max_rounds`` returns the unreached trace.
     """
     config.validate()
     gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
@@ -239,12 +243,7 @@ def run(config):
     else:
         b0 = _random_basis(config, gt)
     init_dist = principal_angle_dist(b0, gt.b_star)
-    e0 = 1.0 - init_dist**2
-
-    if config.a is not None:
-        a = config.a
-    else:
-        a = min(max(0.5 * eta * e0 * s_min**2, _A_MIN), A_MAX)
+    a = config.a if config.a is not None else contraction_factor(eta, 1.0 - init_dist**2, s_min)
     epsilon = (
         config.epsilon
         if config.epsilon is not None
@@ -255,69 +254,59 @@ def run(config):
     plan = build_stage_plan(
         config.n_total, n0, a, speed, config.c_hat, config.plan_mode, config.fixed_rounds,
     )
+    open_ended = plan.mode != MODE_FIXED
+    last = len(plan.stages) - 1
 
-    b = b0
+    b, dist, cumulative = b0, init_dist, 0.0
     records, participants = [], []
-    cumulative = 0.0
-    global_round = 0
-    reached = False
-    last_stage = len(plan.stages) - 1
-
     for stage, ((n_r, tau_r), threshold) in enumerate(zip(plan.stages, plan.thresholds)):
-        if reached:
+        if records and dist <= epsilon:
             break
         if config.resample_scope == RESAMPLE_PER_STAGE and stage > 0:
             active = _sample_active(config, stage)
-        # a final budgeted-or-open stage of a non-fixed plan pursues epsilon
-        pursue = stage == last_stage and plan.mode != MODE_FIXED
-        rounds_in_stage = 0
-        while True:
-            current = records[-1].dist if records else init_dist
-            if threshold is not None and current <= threshold:
-                break
-            if tau_r is not None and rounds_in_stage >= tau_r and not pursue:
-                break
-            if global_round >= config.max_rounds:
-                if pursue or plan.mode == MODE_THRESHOLD:
+        if tau_r is None or (open_ended and stage == last):
+            tau_r = math.inf  # the last stage of an open-ended plan pursues epsilon
+        first = len(records)
+        while (threshold is None or dist > threshold) and len(records) - first < tau_r:
+            if len(records) == config.max_rounds:
+                if open_ended:
                     raise NonConvergence(
                         f"round cap {config.max_rounds} hit at stage {stage} "
-                        f"with dist {current:.6g} > epsilon {epsilon:.6g}"
+                        f"with dist {dist:.6g} > epsilon {epsilon:.6g}"
                     )
                 break
-            global_round += 1
+            round_index = len(records) + 1
             if config.resample_scope == RESAMPLE_PER_ROUND:
-                active = _sample_active(config, global_round)
-            times = draw_round_times(speed, global_round, config.n_total)
+                active = _sample_active(config, round_index)
+            times = draw_round_times(speed, round_index, config.n_total)
             chosen = select_fastest(times, n_r)
             ids = active[chosen]
             try:
-                b = fedrep_round(b, gt, ids, config.m, eta, config.seed, global_round)
+                b = fedrep_round(b, gt, ids, config.m, eta, config.seed, round_index)
             except SrpflError as exc:
-                raise type(exc)(f"stage {stage}, round {global_round}: {exc}") from exc
+                raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
             elapsed = round_time(times[chosen], speed.comm_cost)
             cumulative += elapsed
             dist = principal_angle_dist(b, gt.b_star)
             records.append(RoundRecord(
-                stage=stage, round_index=global_round, n=int(n_r),
+                stage=stage, round_index=round_index, n=int(n_r),
                 round_time=elapsed, cumulative_time=cumulative, dist=dist,
             ))
             participants.append(ids)
-            rounds_in_stage += 1
             if dist <= epsilon:
-                reached = True
                 break
 
     return RunTrace(
         records=records,
         config_digest=config.digest(),
-        final_dist=records[-1].dist if records else init_dist,
+        final_dist=dist,
         init_dist=init_dist,
         epsilon=epsilon,
         eta=eta,
         a=a,
         sigma_min_star=s_min,
         sigma_max_star=s_max,
-        reached_target=reached,
+        reached_target=bool(records) and dist <= epsilon,
         participants=participants,
     )
 
@@ -350,10 +339,9 @@ def verify_contraction(trace, gt, eta, n0):
     for record, ids in zip(trace.records, trace.participants):
         w = gt.w_star[ids] / math.sqrt(len(ids))
         s_min = float(np.linalg.svd(w, compute_uv=False)[-1])
-        a_t = 0.5 * eta * e0 * s_min**2
-        a_t = min(max(a_t, 0.0), A_MAX)
+        a_t = contraction_factor(eta, e0, s_min)
         shrink = math.sqrt(1.0 - a_t)
-        floor = a_t / math.sqrt((record.n / n0) * (1.0 - a_t)) if a_t > 0 else 0.0
+        floor = a_t / math.sqrt((record.n / n0) * (1.0 - a_t))
         rhs = dist_before * shrink + floor
         margins.append(record.dist - rhs)
         a_values.append(a_t)
@@ -422,7 +410,7 @@ def measure_contraction_rate(trace, upper=0.85, lower_mult=1.3):
     Least-squares slope of log dist over the mid-trajectory window
     (below ``upper * init_dist``, above ``lower_mult * epsilon``), so the
     slow early rounds and the noise plateau are excluded.  Returns the
-    ``a`` with per-round factor sqrt(1-a), clamped into (0, 1/4].
+    ``a`` with per-round factor sqrt(1-a), clamped into [A_MIN, A_MAX].
     """
     d = trace.dists()
     t = np.arange(1, len(d) + 1, dtype=float)
@@ -435,7 +423,7 @@ def measure_contraction_rate(trace, upper=0.85, lower_mult=1.3):
         raise ConfigError("trace too short to measure a contraction rate")
     slope = np.polyfit(t[mask], np.log(d[mask]), 1)[0]
     a = 1.0 - math.exp(2.0 * slope)
-    return min(max(a, _A_MIN), A_MAX)
+    return min(max(a, A_MIN), A_MAX)
 
 
 def _sweep_worker(config):

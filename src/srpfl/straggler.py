@@ -32,7 +32,9 @@ MODE_THRESHOLD = "distance_threshold"
 MODE_FIXED = "fixed"
 PLAN_MODES = (MODE_ANALYTIC, MODE_THRESHOLD, MODE_FIXED)
 
-# largest contraction factor the schedule formulas accept
+# range of the contraction factor: A_MAX is the largest the schedule
+# formulas accept, A_MIN the floor for a measured factor
+A_MIN = 1e-6
 A_MAX = 0.25
 
 
@@ -83,15 +85,15 @@ class StagePlan:
     and exit threshold.
 
     ``stages[r] = (n_r, tau_r)`` with ``n_r = min(N, n0 * 2^r)``; a
-    ``None`` budget means the stage is open-ended (distance-threshold
-    mode, or a final stage that runs until the target accuracy).
-    ``thresholds[r]`` is the doubling point X_{r+1} that ends stage r once
-    the measured distance falls to it, or ``None`` where the stage has no
-    distance exit (every stage outside distance-threshold mode, and the
-    last stage in it).
+    ``None`` budget means the stage has no round budget
+    (distance-threshold mode).  ``thresholds[r]`` is the doubling point
+    X_{r+1} that ends stage r once the measured distance falls to it, or
+    ``None`` where the stage has no distance exit (every stage outside
+    distance-threshold mode, and the last stage in it).  Outside fixed
+    mode the run ignores the last stage's budget and pursues the target
+    accuracy there instead.
     """
 
-    n0: int
     stages: tuple
     mode: str
     thresholds: tuple
@@ -142,6 +144,11 @@ def expected_order_stat(n, j, lam):
     if lam <= 0:
         raise ConfigError(f"exponential rate must be positive, got {lam}")
     return sum(1.0 / i for i in range(n - j + 1, n + 1)) / lam
+
+
+def contraction_factor(eta, e0, s_min):
+    """(1/2) eta E0 sigma_min^2, clamped into [A_MIN, A_MAX]."""
+    return min(max(0.5 * eta * e0 * s_min**2, A_MIN), A_MAX)
 
 
 def check_contraction_factor(a):
@@ -201,21 +208,20 @@ def _budget_from_gaps(gap_prev, gap_next, a):
 def rounds_per_stage(r, a, n0, model, n_total):
     """Round budget for stage r >= 1 of the doubling schedule.
 
-    Smallest integer at least
+    With ladder sizes n_i = min(N, n0 2^i), the smallest integer at least
 
-        2 log( sqrt(2) (E[T_{n0 2^(r+1)}] - E[T_{n0 2^r}])
-               / (E[T_{n0 2^r}] - E[T_{n0 2^(r-1)}]) ) / log(1/(1-a)),
+        2 log( sqrt(2) (E[T_{n_(r+1)}] - E[T_{n_r}])
+               / (E[T_{n_r}] - E[T_{n_(r-1)}]) ) / log(1/(1-a)),
 
-    floored at one round.
+    floored at one round.  Raises :class:`IndexOutOfRange` when stage r
+    has no successor, i.e. n0 2^r >= N.
     """
     check_contraction_factor(a)
     if r < 1:
         raise IndexOutOfRange(f"stage budgets are defined for r >= 1, got {r}")
-    if n0 * 2 ** (r + 1) > n_total:
-        raise IndexOutOfRange(
-            f"stage {r} budget needs {n0 * 2 ** (r + 1)} participants but only {n_total} exist"
-        )
-    t = [expected_order_stat(n_total, n0 * 2**i, model.lam) for i in (r - 1, r, r + 1)]
+    if n0 * 2**r >= n_total:
+        raise IndexOutOfRange(f"stage {r} has no successor: n0 * 2^{r} = {n0 * 2**r} >= N = {n_total}")
+    t = [expected_order_stat(n_total, min(n_total, n0 * 2**i), model.lam) for i in (r - 1, r, r + 1)]
     return _budget_from_gaps(_gap(t[1], t[0]), _gap(t[2], t[1]), a)
 
 
@@ -256,15 +262,14 @@ def participant_ladder(n_total, n0):
 def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
     """Assemble the doubling schedule for one run.
 
-    Analytic mode fills middle-stage budgets from :func:`rounds_per_stage`
-    (with ladder sizes capped at N), the final stage from
-    :func:`final_stage_rounds`, and the first stage copies the second
-    (the analytic formula needs a predecessor stage the first one lacks;
-    the first gap is also the cheapest).  Fixed mode uses a constant
-    budget.  Distance-threshold mode leaves budgets open-ended; every
-    stage but the last ends once the measured distance falls to the next
-    doubling point, :func:`optimal_doubling_point`.  The
-    full-participation baseline is the plan with ``n0 = n_total``, a
+    Analytic mode fills middle-stage budgets from :func:`rounds_per_stage`,
+    the final stage from :func:`final_stage_rounds`, and the first stage
+    copies the second (the analytic formula needs a predecessor stage the
+    first one lacks; the first gap is also the cheapest).  Fixed mode
+    uses a constant budget.  Distance-threshold mode leaves budgets
+    open-ended; every stage but the last ends once the measured distance
+    falls to the next doubling point, :func:`optimal_doubling_point`.
+    The full-participation baseline is the plan with ``n0 = n_total``, a
     single stage.
     """
     ladder = participant_ladder(n_total, n0)
@@ -279,12 +284,11 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
             raise ConfigError(f"fixed plan mode needs a positive round budget, got {fixed_rounds}")
         budgets = [int(fixed_rounds)] * len(ladder)
     elif mode == MODE_ANALYTIC:
-        t = [expected_order_stat(n_total, n_r, model.lam) for n_r in ladder]
         budgets[last] = final_stage_rounds(a, c_hat)
         for r in range(1, last):
-            budgets[r] = _budget_from_gaps(_gap(t[r], t[r - 1]), _gap(t[r + 1], t[r]), a)
+            budgets[r] = rounds_per_stage(r, a, n0, model, n_total)
         if last >= 1:
             budgets[0] = budgets[1]
     else:
         raise ConfigError(f"unknown plan mode {mode!r}")
-    return StagePlan(n0=n0, stages=tuple(zip(ladder, budgets)), mode=mode, thresholds=tuple(thresholds))
+    return StagePlan(stages=tuple(zip(ladder, budgets)), mode=mode, thresholds=tuple(thresholds))

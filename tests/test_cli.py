@@ -68,6 +68,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="override"):
             load_config(config_path, overrides=["m"])
 
+    def test_later_override_wins(self, config_path):
+        cfg = load_config(config_path, overrides=["m=50", "m = 60"])
+        assert cfg.m == 60
+        with pytest.raises(ConfigError, match=r"--override:1: unknown field 'bogus'"):
+            load_config(config_path, overrides=["bogus=1"])
+
 
 class TestExitCodes:
     def test_missing_config_names_path(self, tmp_path, capsys):
@@ -80,6 +86,21 @@ class TestExitCodes:
         rc = cli.main(["run", "--config", str(config_path), "--override", "c_hat=5"])
         assert rc == cli.EXIT_CONFIG
         assert "c_hat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", ["sigma", "eta", "a", "epsilon", "c_hat", "lam", "comm_cost"])
+    def test_non_finite_float_exit_one(self, config_path, tmp_path, capsys, field, value):
+        pairs = parse_pairs(GOOD_CONFIG.splitlines())
+        pairs[field] = value
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            build_config(pairs)
+        rc = cli.main([
+            "run", "--config", str(config_path), "--out", str(tmp_path / "o"),
+            "--override", f"{field}={value}",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_nonconvergence_exit_two(self, config_path, tmp_path, capsys):
         rc = cli.main([

@@ -169,6 +169,20 @@ def test_trace_fingerprint(algorithm, plan_mode):
     assert digest == TRACE_SHA256[algorithm, plan_mode]
 
 
+def test_fixed_plan_cap_returns_unreached_trace():
+    trace = engine.run(RunConfig(**GUARD_CONFIG, plan_mode="fixed", max_rounds=25))
+    assert len(trace.records) == 25
+    assert not trace.reached_target
+    assert trace.final_dist == trace.records[-1].dist > trace.epsilon
+
+
+def test_analytic_plan_cap_names_the_stage_it_is_hit_in():
+    # the cap falls inside stage 0's budget, so the error names stage 0
+    # rather than the last stage
+    with pytest.raises(NonConvergence, match=r"round cap 5 hit at stage 0 "):
+        engine.run(RunConfig(**GUARD_CONFIG, plan_mode="analytic", max_rounds=5))
+
+
 class TestVerifyContraction:
     def test_noiseless_regime_satisfied(self):
         cfg = RunConfig(

@@ -199,6 +199,14 @@ class TestRoundsPerStage:
         with pytest.raises(IndexOutOfRange):
             straggler.rounds_per_stage(4, 0.2, 2, model, 32)
 
+    def test_capped_ladder_matches_plan(self):
+        # N=12, n0=2: stage 2 (8 participants) leads into the capped stage of 12
+        model = SpeedModel.fixed(lam=1.0)
+        plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
+        assert straggler.rounds_per_stage(2, 0.2, 2, model, 12) == plan.stages[2][1] == 14
+        with pytest.raises(IndexOutOfRange):
+            straggler.rounds_per_stage(3, 0.2, 2, model, 12)
+
 
 class TestTargetAccuracy:
     def test_plug_in_value(self):
