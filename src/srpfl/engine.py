@@ -177,22 +177,22 @@ def measure_singular_extremes(w_active, n0, seed, subsets_per_size=64):
 
     Scans every ladder size from n0 up to the full active set; the full
     set is evaluated exactly, smaller sizes over ``subsets_per_size``
-    random subsets.  The exact extremes range over all subsets, which is
-    combinatorially out of reach; the sampled values are what the
-    automatic step size and contraction factor use.
+    random subsets, stacked into one SVD call per size.  The exact
+    extremes range over all subsets, which is combinatorially out of
+    reach; the sampled values are what the automatic step size and
+    contraction factor use.
     """
     n_active = w_active.shape[0]
     rng = substream(seed, _TAG_SUBSET_PROBE)
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(n_active, n0):
         if n == n_active:
-            subsets = [np.arange(n_active)]
+            subsets = np.arange(n_active)[None]
         else:
-            subsets = [rng.choice(n_active, size=n, replace=False) for _ in range(subsets_per_size)]
-        for idx in subsets:
-            sv = np.linalg.svd(w_active[idx] / math.sqrt(n), compute_uv=False)
-            s_min = min(s_min, float(sv[-1]))
-            s_max = max(s_max, float(sv[0]))
+            subsets = np.stack([rng.choice(n_active, size=n, replace=False) for _ in range(subsets_per_size)])
+        sv = np.linalg.svd(w_active[subsets] / math.sqrt(n), compute_uv=False)
+        s_min = min(s_min, float(sv[:, -1].min()))
+        s_max = max(s_max, float(sv[:, 0].max()))
     return s_min, s_max
 
 

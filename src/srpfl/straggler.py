@@ -8,6 +8,7 @@ fixed exponential model.  Logarithms in the budget and bound formulas
 are natural logs.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,18 +100,24 @@ class StagePlan:
     thresholds: tuple
 
 
+@functools.lru_cache(maxsize=32)
+def _fixed_times(seed, lam, n):
+    times = substream(seed, _TAG_FIXED_TIMES).exponential(1.0 / lam, size=n)
+    times.setflags(write=False)  # every round of every caller shares this array
+    return times
+
+
 def draw_round_times(model, round_index, n):
     """Per-slot computation times for one round.
 
-    Fixed model: the same Exp(lam) vector every round (drawn once from
-    the model seed).  Dynamic model: fresh Exp(rate_i) draws,
-    deterministic in ``(seed, round_index)``.
+    Fixed model: the same Exp(lam) vector every round, drawn once per
+    ``(seed, lam, n)`` and returned read-only.  Dynamic model: fresh
+    Exp(rate_i) draws, deterministic in ``(seed, round_index)``.
     """
     if n < 1:
         raise EmptyParticipants("need at least one timed client")
     if model.kind == "fixed":
-        rng = substream(model.seed, _TAG_FIXED_TIMES)
-        return rng.exponential(1.0 / model.lam, size=n)
+        return _fixed_times(model.seed, model.lam, n)
     rates = model.per_client_rates
     if rates is None or len(rates) < n:
         raise ConfigError(f"dynamic model has rates for {0 if rates is None else len(rates)} slots, need {n}")

@@ -43,11 +43,15 @@ class GroundTruthModel:
 
 @dataclass(frozen=True)
 class Batch:
-    """One fresh batch for one client: rows of ``x`` are samples."""
+    """One fresh batch for one client: rows of ``x`` are samples.
+
+    A stacked batch of B clients has ``x`` of shape (B, m, d), ``y`` of
+    shape (B, m) and ``client_id`` an array of the B ids.
+    """
 
     x: np.ndarray
     y: np.ndarray
-    client_id: int
+    client_id: int | np.ndarray
     round_index: int
 
 

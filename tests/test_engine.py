@@ -8,7 +8,8 @@ import pytest
 from srpfl import cli, engine
 from srpfl.engine import RunConfig
 from srpfl.errors import CHatOutOfRange, ConfigError, NonConvergence, TargetNotReached
-from srpfl.synthesis import gen_ground_truth
+from srpfl.straggler import participant_ladder
+from srpfl.synthesis import gen_ground_truth, substream
 
 
 def small_config(**kw):
@@ -319,3 +320,16 @@ def test_pooled_sweep_uses_replaced_run(monkeypatch):
     for alg, traces in serial.items():
         assert [t.records for t in pooled[alg]] == [t.records for t in traces]
         assert all(getattr(t, "wrapped", False) for t in pooled[alg])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_singular_extremes_match_per_subset_loop(seed):
+    w = gen_ground_truth(6, 3, 40, 0.0, seed).w_star
+    rng = substream(seed, engine._TAG_SUBSET_PROBE)
+    s_min, s_max = math.inf, 0.0
+    for n in participant_ladder(40, 3):
+        subsets = [np.arange(40)] if n == 40 else [rng.choice(40, size=n, replace=False) for _ in range(64)]
+        for idx in subsets:
+            sv = np.linalg.svd(w[idx] / math.sqrt(n), compute_uv=False)
+            s_min, s_max = min(s_min, float(sv[-1])), max(s_max, float(sv[0]))
+    assert engine.measure_singular_extremes(w, 3, seed) == (s_min, s_max)

@@ -199,3 +199,65 @@ class TestFedrepRound:
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=15)
         with pytest.raises(SingularGram, match="client"):
             fedrep.fedrep_round(gt.b_star, gt, [0, 1], m=1, eta=0.1, seed=15, round_index=1)
+
+
+def reference_round(b, gt, ids, m, eta, seed, round_index):
+    """Per-client loop: single batches, a sequential sum, then the QR."""
+    total = np.zeros_like(b)
+    for cid in ids:
+        batch = synthesis.sample_batch(gt, cid, m, round_index, seed)
+        w = fedrep.head_update(b, batch)
+        total += fedrep.rep_gradient_step(b, w, batch, eta)
+    return linalg.thin_qr(total / len(ids))[0]
+
+
+class TestBlockedRound:
+    @pytest.mark.parametrize("n", [
+        1, 2, fedrep.BLOCK - 1, fedrep.BLOCK, fedrep.BLOCK + 1, 2 * fedrep.BLOCK + 3,
+    ])
+    @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8)])
+    @pytest.mark.parametrize("sigma", [0.0, 0.4])
+    def test_matches_per_client_loop(self, n, d, k, m, sigma):
+        gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
+        b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
+        ids = np.random.default_rng(n + 1).permutation(50)[:n]
+        for t in (1, 2):
+            expected = reference_round(b, gt, ids, m, 0.2, 21, t)
+            b = fedrep.fedrep_round(b, gt, ids, m, eta=0.2, seed=21, round_index=t)
+            assert np.array_equal(b, expected)
+
+    def test_stacked_singular_gram_names_its_client(self):
+        rng = np.random.default_rng(22)
+        b = np.array([[1.0], [0.0]])
+        x = rng.standard_normal((3, 4, 2))
+        x[2, :, 0] = 0.0  # only the last client's samples are orthogonal to span(b)
+        batch = synthesis.Batch(
+            x=x, y=rng.standard_normal((3, 4)), client_id=np.array([7, 3, 9]), round_index=1,
+        )
+        with pytest.raises(SingularGram, match="client 9"):
+            fedrep.head_update(b, batch)
+
+    def test_bad_participant_raises_before_any_draw(self, monkeypatch):
+        gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
+        drawn = []
+
+        def recording(gt, client, *args):
+            drawn.append(client)
+            return synthesis.sample_batch(gt, client, *args)
+
+        monkeypatch.setattr(fedrep, "sample_batch", recording)
+        with pytest.raises(ClientOutOfRange, match="participant 9"):
+            fedrep.fedrep_round(gt.b_star, gt, [0, 1, 9], m=20, eta=0.1, seed=14, round_index=1)
+        assert drawn == []
+
+
+def test_warm_start_matches_per_client_loop():
+    # m < d, and more participants than one block
+    gt = synthesis.gen_ground_truth(12, 3, 40, 0.3, seed=23)
+    ids = list(range(2 * fedrep.BLOCK + 3))
+    p_bar = np.zeros((12, 12))
+    for cid in ids:
+        batch = synthesis.sample_batch(gt, cid, 8, round_index=0, seed=23)
+        p_bar += (batch.x.T * batch.y**2) @ batch.x / 8
+    expected = linalg.rank_k_eig(p_bar / len(ids), 3)
+    assert np.array_equal(fedrep.method_of_moments_init(gt, ids, 8, seed=23), expected)

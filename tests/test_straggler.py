@@ -13,6 +13,7 @@ from srpfl.errors import (
     NTooLarge,
 )
 from srpfl.straggler import SpeedModel
+from srpfl.synthesis import substream
 
 
 def order_stat_oracle(n, j, lam):
@@ -27,6 +28,15 @@ class TestDrawRoundTimes:
         t7 = straggler.draw_round_times(model, 7, 10)
         np.testing.assert_array_equal(t3, t7)
         assert np.all(t3 > 0)
+
+    def test_fixed_drawn_once_read_only(self):
+        model = SpeedModel.fixed(lam=2.0, comm_cost=0.5, seed=4)
+        times = straggler.draw_round_times(model, 3, 10)
+        fresh = substream(4, straggler._TAG_FIXED_TIMES).exponential(0.5, size=10)
+        np.testing.assert_array_equal(times, fresh)
+        assert straggler.draw_round_times(model, 7, 10) is times
+        with pytest.raises(ValueError):
+            times[0] = 1.0
 
     def test_dynamic_fresh_every_round(self):
         model = SpeedModel.dynamic(10, comm_cost=0.0, seed=4)
