@@ -12,10 +12,8 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import engine, linalg, straggler, synthesis
-from .config import load_config
+from . import checks, engine, synthesis
+from .config import load_config, save_model
 from .engine import RoundRecord
 from .errors import ConfigError, NonConvergence, SrpflError
 
@@ -78,18 +76,15 @@ def summary_block(trace):
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(args):
-    config = load_config(args.config, args.override, args.seed)
+def cmd_run(config, out):
     trace = engine.run(config)
-    out = Path(args.out)
     _write(out / "trace.csv", trace_to_csv(trace))
     _write(out / "summary.txt", summary_block(trace))
     sys.stdout.write(summary_block(trace))
     return EXIT_OK
 
 
-def cmd_compare(args):
-    config = load_config(args.config, args.override, args.seed)
+def cmd_compare(config, out):
     seeds = [config.seed + i for i in range(config.sweep_seeds)]
     results = engine.run_sweep(config, seeds)
     rows = ["seed,algorithm,rounds,completion_time,final_dist,epsilon,a"]
@@ -125,73 +120,21 @@ def cmd_compare(args):
         f"analytic_lower_fedrep = {_fmt(lower / config.lam)}",
         f"analytic_ratio_bound  = {_fmt(ratio_bound)}",
     ]
-    out = Path(args.out)
     _write(out / "compare.csv", "\n".join(rows) + "\n")
     _write(out / "compare_summary.txt", "\n".join(block) + "\n")
     sys.stdout.write("\n".join(block) + "\n")
     return EXIT_OK
 
 
-def _check_order_stat_mc(trials=100_000, n=64, j=32, lam=1.0, tol=0.02, seed=123):
-    rng = np.random.default_rng(seed)
-    draws = rng.exponential(1.0 / lam, size=(trials, n))
-    observed = float(np.mean(np.partition(draws, j - 1, axis=1)[:, j - 1]))
-    expected = straggler.expected_order_stat(n, j, lam)
-    err = abs(observed - expected) / expected
-    return err <= tol, f"order statistic ({n},{j}): relative error {err:.4f} (tol {tol})"
-
-
-def _check_kernel_invariants(seed=321):
-    rng = np.random.default_rng(seed)
-    for _ in range(25):
-        d = int(rng.integers(2, 9))
-        k = int(rng.integers(1, d + 1))
-        a = rng.standard_normal((d, k))
-        q, r = linalg.thin_qr(a)
-        if np.linalg.norm(q @ r - a) > 1e-9 * max(1.0, np.linalg.norm(a)):
-            return False, "QR reconstruction exceeded tolerance"
-        if np.linalg.norm(q.T @ q - np.eye(k)) > 1e-10:
-            return False, "QR output not orthonormal"
-        if np.any(np.diag(r) <= 0):
-            return False, "QR sign convention violated"
-        b2, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-        dist = linalg.principal_angle_dist(q, b2)
-        if not 0.0 <= dist <= 1.0:
-            return False, "principal-angle distance left [0, 1]"
-        if linalg.principal_angle_dist(q, q) > 1e-12:
-            return False, "self distance not zero"
-        if k > 1:
-            qq, _ = linalg.thin_qr(rng.standard_normal((k, k)))
-        else:
-            qq = np.array([[-1.0]])
-        if abs(linalg.principal_angle_dist(q @ qq, b2) - dist) > 1e-10:
-            return False, "rotation invariance violated"
-    return True, "QR + subspace invariants hold on 25 random instances"
-
-
-def _check_contraction(config):
-    trace = engine.run(config)
-    gt = synthesis.gen_ground_truth(
-        config.d, config.k, config.n_clients, config.sigma, config.seed
-    )
-    report = engine.verify_contraction(trace, gt, trace.eta, config.n0)
-    ok = report.fraction_satisfied >= 0.95 and report.worst_violation <= 0.05
-    return ok, (
-        f"contraction: {report.n_satisfied}/{report.n_rounds} rounds satisfied "
-        f"({report.fraction_satisfied:.3f}), worst violation {report.worst_violation:.4f}"
-    )
-
-
-def cmd_verify(args):
-    config = load_config(args.config, args.override, args.seed)
-    checks = [
-        ("order_statistics_monte_carlo", lambda: _check_order_stat_mc()),
-        ("kernel_invariants", lambda: _check_kernel_invariants()),
-        ("contraction_inequality", lambda: _check_contraction(config)),
+def cmd_verify(config, out):
+    named = [
+        ("order_statistics_monte_carlo", checks.order_statistics),
+        ("kernel_invariants", checks.kernel_invariants),
+        ("contraction_inequality", lambda: checks.contraction(config)),
     ]
     failed = None
-    for name, fn in checks:
-        ok, detail = fn()
+    for name, check in named:
+        ok, detail = check()
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
         if not ok and failed is None:
             failed = name
@@ -201,15 +144,13 @@ def cmd_verify(args):
     return EXIT_OK
 
 
-def cmd_gen(args):
-    config = load_config(args.config, args.override, args.seed)
+def cmd_gen(config, out):
     gt = synthesis.gen_ground_truth(
         config.d, config.k, config.n_clients, config.sigma, config.seed
     )
-    out = Path(args.out)
     path = out / "model.txt" if out.suffix == "" else out
     path.parent.mkdir(parents=True, exist_ok=True)
-    synthesis.save_model(path, gt)
+    save_model(path, gt)
     sys.stdout.write(f"wrote ground-truth model to {path}\n")
     return EXIT_OK
 
@@ -238,7 +179,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        config = load_config(args.config, args.override, args.seed)
+        return args.handler(config, Path(args.out))
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

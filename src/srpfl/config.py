@@ -1,7 +1,7 @@
-"""Flat key=value run configuration files.
+"""Flat key=value files: run configurations and saved ground-truth models.
 
-One ``key = value`` pair per line, ``#`` comments, unknown keys
-rejected.  Times are abstract time units, rates are per time unit.
+One ``key = value`` pair per line, ``#`` comments, unknown and duplicate
+keys rejected.  Times are abstract time units, rates are per time unit.
 ``eta``, ``a`` and ``epsilon`` accept the literal ``auto`` to let the
 engine derive them with oracle access to the ground truth.
 """
@@ -10,6 +10,7 @@ from dataclasses import MISSING, fields
 
 from .engine import RunConfig
 from .errors import ConfigError
+from .synthesis import gen_ground_truth
 
 _AUTO = ("auto", "none", "")
 
@@ -50,8 +51,8 @@ _SCHEMA = {
 }
 
 
-def parse_pairs(lines, source="<config>"):
-    """Raw key -> string-value mapping from config-file lines."""
+def parse_pairs(lines, source="<config>", keys=_SCHEMA):
+    """Raw key -> string-value mapping from lines whose keys lie in ``keys``."""
     pairs = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -61,7 +62,7 @@ def parse_pairs(lines, source="<config>"):
         if not sep:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key = key.strip()
-        if key not in _SCHEMA:
+        if key not in keys:
             raise ConfigError(f"{source}:{lineno}: unknown field {key!r}")
         if key in pairs:
             raise ConfigError(f"{source}:{lineno}: duplicate field {key!r}")
@@ -94,3 +95,30 @@ def load_config(path, overrides=(), seed=None):
     if seed is not None:
         pairs["seed"] = str(seed)
     return build_config(pairs)
+
+
+# model-file key -> parser, in file order
+_MODEL_KEYS = {"d": _as_int, "k": _as_int, "clients": _as_int, "sigma": _as_float, "seed": _as_int}
+
+
+def save_model(path, gt):
+    """Write the five scalars that fully determine a ground-truth model."""
+    values = (gt.d, gt.k, gt.n_clients, repr(gt.sigma), gt.seed)
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("".join(f"{key} = {value}\n" for key, value in zip(_MODEL_KEYS, values)))
+
+
+def load_model(path):
+    """Rebuild a ground-truth model saved by :func:`save_model`."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            pairs = parse_pairs(fh, source=str(path), keys=_MODEL_KEYS)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+    missing = [key for key in _MODEL_KEYS if key not in pairs]
+    if missing:
+        raise ConfigError(f"model file {path} is missing field(s): {', '.join(missing)}")
+    try:
+        return gen_ground_truth(*(parse(key, pairs[key]) for key, parse in _MODEL_KEYS.items()))
+    except ConfigError as exc:
+        raise ConfigError(f"model file {path}: {exc}") from exc

@@ -110,7 +110,7 @@ class RunConfig:
             (1 <= self.k <= self.d, f"need 1 <= k <= d, got k={self.k}, d={self.d}"),
             (1 <= self.n0 <= self.n_total, f"need 1 <= n0 <= N, got n0={self.n0}, N={self.n_total}"),
             (self.n_total <= self.n_clients, f"need N <= M, got N={self.n_total}, M={self.n_clients}"),
-            (self.m >= 1, f"batch size m must be >= 1, got {self.m}"),
+            (self.m >= self.k, f"need m >= k, got m={self.m}, k={self.k}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epsilon is None or self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}"),
@@ -323,13 +323,14 @@ class ContractionReport:
     margins: np.ndarray  # lhs - rhs per round; negative = satisfied
 
 
-def verify_contraction(trace, gt, eta, n0):
+def verify_contraction(trace, gt, n0):
     """Check the per-round contraction inequality on a finished trace.
 
     For each round the factor ``a_t = (1/2) eta E0 sigma_min^2`` is
-    computed on the realized participant set (E0 from the realized
-    initial distance), and the inequality is evaluated against the
-    recorded distances.  Returns a report, never raises on violations.
+    computed with the run's own ``trace.eta`` on the realized
+    participant set (E0 from the realized initial distance), and the
+    inequality is evaluated against the recorded distances.  Returns a
+    report, never raises on violations.
     """
     if len(trace.participants) != len(trace.records):
         raise ConfigError("trace does not carry realized participant sets")
@@ -339,7 +340,7 @@ def verify_contraction(trace, gt, eta, n0):
     for record, ids in zip(trace.records, trace.participants):
         w = gt.w_star[ids] / math.sqrt(len(ids))
         s_min = float(np.linalg.svd(w, compute_uv=False)[-1])
-        a_t = contraction_factor(eta, e0, s_min)
+        a_t = contraction_factor(trace.eta, e0, s_min)
         shrink = math.sqrt(1.0 - a_t)
         floor = a_t / math.sqrt((record.n / n0) * (1.0 - a_t))
         rhs = dist_before * shrink + floor

@@ -7,6 +7,7 @@ round)`` so that batches are reproducible regardless of execution order
 and distinct rounds are statistically independent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,10 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
         raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
     if n_clients < 1:
         raise ConfigError(f"need at least one client, got {n_clients}")
-    if sigma < 0:
-        raise ConfigError(f"noise std must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ConfigError(f"noise std must be finite and >= 0, got {sigma}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = substream(seed, _TAG_GROUND_TRUTH)
     b_star, _ = thin_qr(rng.standard_normal((d, k)))
     heads = rng.standard_normal((n_clients, k))
@@ -102,37 +105,3 @@ def sample_batch(gt, client, m, round_index, seed):
         y = y + gt.sigma * rng.standard_normal(m)
     return Batch(x=x, y=y, client_id=client, round_index=round_index)
 
-
-def save_model(path, gt):
-    """Write the five scalars that fully determine a ground-truth model."""
-    lines = [
-        f"d = {gt.d}",
-        f"k = {gt.k}",
-        f"clients = {gt.n_clients}",
-        f"sigma = {gt.sigma!r}",
-        f"seed = {gt.seed}",
-    ]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path):
-    """Rebuild a ground-truth model saved by :func:`save_model`."""
-    fields = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
-    try:
-        return gen_ground_truth(
-            d=int(fields["d"]),
-            k=int(fields["k"]),
-            n_clients=int(fields["clients"]),
-            sigma=float(fields["sigma"]),
-            seed=int(fields["seed"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"model file {path} is missing field {exc}") from exc

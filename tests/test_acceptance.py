@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from srpfl import cli, engine, fedrep, linalg, straggler, synthesis
+from srpfl import checks, cli, engine, fedrep, linalg, synthesis
 from srpfl.engine import RunConfig
 
 
@@ -31,15 +31,8 @@ def test_criterion_1_contraction():
         d=20, k=2, n_total=64, n0=4, m=100, sigma=0.1, seed=11,
         plan_mode="fixed", fixed_rounds=40, epsilon=0.0, comm_cost=1.0,
     )
-    trace = engine.run(cfg)  # eta = 1/(8 sigma_max^2) measured from W*
-    gt = synthesis.gen_ground_truth(cfg.d, cfg.k, cfg.n_clients, cfg.sigma, cfg.seed)
-    rep = engine.verify_contraction(trace, gt, trace.eta, cfg.n0)
-    ok = rep.fraction_satisfied >= 0.95 and rep.worst_violation <= 0.05
-    report(
-        "criterion 1 (contraction inequality)", ok,
-        f"{rep.n_satisfied}/{rep.n_rounds} rounds satisfied, worst violation {rep.worst_violation:.4f}",
-        30, time.perf_counter() - start,
-    )
+    ok, detail = checks.contraction(cfg)  # eta = 1/(8 sigma_max^2) measured from W*
+    report("criterion 1 (contraction inequality)", ok, detail, 30, time.perf_counter() - start)
 
 
 def test_criterion_2_noiseless_exact_recovery():
@@ -67,25 +60,8 @@ def test_criterion_2_noiseless_exact_recovery():
 
 def test_criterion_3_order_statistics():
     start = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    worst_rel = 0.0
-    for n, j, lam in ((8, 4, 1.0), (64, 32, 1.0), (256, 256, 2.0)):
-        draws = rng.exponential(1.0 / lam, size=(100_000, n))
-        observed = float(np.partition(draws, j - 1, axis=1)[:, j - 1].mean())
-        expected = straggler.expected_order_stat(n, j, lam)
-        worst_rel = max(worst_rel, abs(observed - expected) / expected)
-    worst_tel = 0.0
-    for n in (8, 64, 256):
-        for lam in (1.0, 2.0):
-            lhs = straggler.expected_order_stat(n, n, lam) - straggler.expected_order_stat(n, n // 2, lam)
-            rhs = sum(1.0 / i for i in range(1, n // 2 + 1)) / lam
-            worst_tel = max(worst_tel, abs(lhs - rhs))
-    ok = worst_rel <= 0.02 and worst_tel <= 1e-12
-    report(
-        "criterion 3 (exponential order statistics)", ok,
-        f"Monte Carlo rel err {worst_rel:.4f}, telescoping err {worst_tel:.1e}",
-        5, time.perf_counter() - start,
-    )
+    ok, detail = checks.order_statistics()
+    report("criterion 3 (exponential order statistics)", ok, detail, 5, time.perf_counter() - start)
 
 
 def _speedup_ratios(n_total, seeds):
@@ -198,73 +174,8 @@ def test_criterion_6_method_of_moments():
 
 def test_criterion_7_kernel_invariants():
     start = time.perf_counter()
-    rng = np.random.default_rng(7777)
-    failures = []
-
-    for i in range(100):
-        d = int(rng.integers(2, 12))
-        k = int(rng.integers(1, min(d, 5) + 1))
-        a = rng.standard_normal((d, k))
-        q, r = linalg.thin_qr(a)
-        if np.linalg.norm(q @ r - a) > 1e-9 * max(1.0, np.linalg.norm(a)):
-            failures.append(f"QR reconstruction #{i}")
-        if np.linalg.norm(q.T @ q - np.eye(k)) > 1e-10:
-            failures.append(f"QR orthonormality #{i}")
-        b2, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-        dist = linalg.principal_angle_dist(q, b2)
-        if not 0.0 <= dist <= 1.0:
-            failures.append(f"distance range #{i}")
-        rot = np.array([[-1.0]]) if k == 1 else linalg.thin_qr(rng.standard_normal((k, k)))[0]
-        if abs(linalg.principal_angle_dist(q @ rot, b2) - dist) > 1e-10:
-            failures.append(f"rotation invariance #{i}")
-
-    worst_grad = 0.0
-    for i in range(100):
-        d = int(rng.integers(2, 7))
-        k = int(rng.integers(1, min(d, 4) + 1))
-        m = int(rng.integers(k + 1, 12))
-        b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-        w = rng.standard_normal(k)
-        batch = synthesis.Batch(
-            x=rng.standard_normal((m, d)), y=rng.standard_normal(m),
-            client_id=0, round_index=1,
-        )
-        grad = b - fedrep.rep_gradient_step(b, w, batch, eta=1.0)
-        h = 1e-6
-        fd = np.zeros_like(grad)
-
-        def loss(mat):
-            resid = batch.y - batch.x @ (mat @ w)
-            return 0.5 * float(resid @ resid) / m
-
-        for r_ in range(d):
-            for c_ in range(k):
-                e = np.zeros_like(b)
-                e[r_, c_] = h
-                fd[r_, c_] = (loss(b + e) - loss(b - e)) / (2 * h)
-        worst_grad = max(worst_grad, np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad)))
-    if worst_grad > 1e-5:
-        failures.append(f"finite differences ({worst_grad:.2e})")
-
-    worst_resid = 0.0
-    for i in range(50):
-        gt = synthesis.gen_ground_truth(8, 3, 2, 0.6, seed=600 + i)
-        b, _ = linalg.thin_qr(np.random.default_rng(700 + i).standard_normal((8, 3)))
-        batch = synthesis.sample_batch(gt, 0, 40, 1, seed=600 + i)
-        w = fedrep.head_update(b, batch)
-        grad = b.T @ batch.x.T @ (batch.x @ (b @ w) - batch.y)
-        scale = batch.x.shape[0] * (1.0 + np.linalg.norm(batch.y))
-        worst_resid = max(worst_resid, float(np.linalg.norm(grad)) / scale)
-    if worst_resid > 1e-8:
-        failures.append(f"head optimality residual ({worst_resid:.2e})")
-
-    ok = not failures
-    report(
-        "criterion 7 (kernel invariant suite)", ok,
-        f"worst gradient err {worst_grad:.2e}, worst head residual {worst_resid:.2e}"
-        + (f", failures: {failures}" if failures else ""),
-        60, time.perf_counter() - start,
-    )
+    ok, detail = checks.kernel_invariants()
+    report("criterion 7 (kernel invariant suite)", ok, detail, 60, time.perf_counter() - start)
 
 
 def test_criterion_8_determinism(tmp_path, monkeypatch):

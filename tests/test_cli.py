@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import srpfl
-from srpfl import cli
-from srpfl.config import build_config, load_config, parse_pairs
+from srpfl import checks, cli
+from srpfl.config import build_config, load_config, load_model, parse_pairs
 from srpfl.errors import ConfigError
 
 GOOD_CONFIG = """\
@@ -102,6 +102,19 @@ class TestExitCodes:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_batch_smaller_than_rank_exit_one(self, config_path, tmp_path, capsys):
+        pairs = parse_pairs(GOOD_CONFIG.splitlines())
+        pairs.update(k="3", m="2")
+        with pytest.raises(ConfigError, match=r"need m >= k, got m=2, k=3"):
+            build_config(pairs)
+        rc = cli.main([
+            "run", "--config", str(config_path), "--out", str(tmp_path / "o"),
+            "--override", "k=3", "--override", "m=2",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "need m >= k, got m=2, k=3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_nonconvergence_exit_two(self, config_path, tmp_path, capsys):
         rc = cli.main([
             "run", "--config", str(config_path), "--out", str(tmp_path / "o"),
@@ -175,8 +188,6 @@ class TestCompareVerifyGen:
         target = tmp_path / "model.txt"
         rc = cli.main(["gen", "--config", str(config_path), "--out", str(target)])
         assert rc == cli.EXIT_OK and target.exists()
-        from srpfl.synthesis import load_model
-
         gt = load_model(target)
         assert gt.d == 10 and gt.n_clients == 8
 
@@ -203,6 +214,19 @@ class TestCompareVerifyGen:
         assert rc == cli.EXIT_VERIFY
         assert "contraction_inequality" in captured.err
         assert "FAIL contraction_inequality" in captured.out
+
+    @pytest.mark.parametrize("name, attr", [
+        ("order_statistics_monte_carlo", "order_statistics"),
+        ("kernel_invariants", "kernel_invariants"),
+    ])
+    def test_verify_exit_three_names_each_check(self, config_path, capsys, monkeypatch, name, attr):
+        monkeypatch.setattr(checks, attr, lambda: (False, "forced"))
+        rc = cli.main(["verify", "--config", str(config_path)])
+        captured = capsys.readouterr()
+        assert rc == cli.EXIT_VERIFY
+        assert captured.err == f"verification failed: {name}\n"
+        assert f"FAIL {name}: forced" in captured.out
+        assert captured.out.count("PASS") == 2
 
 
 def test_module_entry_point(config_path, tmp_path):

@@ -78,10 +78,13 @@ class TestRun:
         with pytest.raises(NonConvergence):
             engine.run(cfg)
 
-    def test_module_errors_carry_stage_and_round(self):
+    def test_module_errors_carry_stage_and_round(self, monkeypatch):
         from srpfl.errors import SingularGram
 
-        cfg = small_config(m=1, plan_mode="fixed", fixed_rounds=3, epsilon=0.0)
+        # validate rejects m < k, so one-sample batches are handed to the round itself
+        real_round = engine.fedrep_round
+        monkeypatch.setattr(engine, "fedrep_round", lambda b, gt, ids, m, *rest: real_round(b, gt, ids, 1, *rest))
+        cfg = small_config(plan_mode="fixed", fixed_rounds=3, epsilon=0.0)
         with pytest.raises(SingularGram, match=r"stage 0, round 1"):
             engine.run(cfg)
 
@@ -192,7 +195,7 @@ class TestVerifyContraction:
         )
         trace = engine.run(cfg)
         gt = gen_ground_truth(12, 2, 16, 0.0, 4)
-        report = engine.verify_contraction(trace, gt, trace.eta, 4)
+        report = engine.verify_contraction(trace, gt, 4)
         assert report.n_rounds == len(trace.records)
         assert report.fraction_satisfied >= 0.95
 
@@ -203,7 +206,7 @@ class TestVerifyContraction:
         )
         trace = engine.run(cfg)
         gt = gen_ground_truth(10, 2, 8, 0.3, 6)
-        report = engine.verify_contraction(trace, gt, trace.eta, 2)
+        report = engine.verify_contraction(trace, gt, 2)
         assert len(report.margins) == report.n_rounds
         assert report.n_satisfied == int((report.margins <= 1e-12).sum())
         assert report.worst_violation >= 0.0

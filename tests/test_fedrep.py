@@ -83,31 +83,6 @@ class TestRepGradientStep:
                 fd[i, j] = (local_loss(b + e, w, batch) - local_loss(b - e, w, batch)) / (2 * h)
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
-    def test_finite_difference_sweep(self):
-        # central differences across 100 random instances, 1e-5 relative
-        rng = np.random.default_rng(100)
-        worst = 0.0
-        for _ in range(100):
-            d = int(rng.integers(2, 7))
-            k = int(rng.integers(1, min(d, 4) + 1))
-            m = int(rng.integers(k + 1, 12))
-            b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-            w = rng.standard_normal(k)
-            batch = make_batch(rng.standard_normal((m, d)), rng.standard_normal(m))
-            grad = b - fedrep.rep_gradient_step(b, w, batch, eta=1.0)
-            h = 1e-6
-            fd = np.zeros_like(grad)
-            for i in range(d):
-                for j in range(k):
-                    e = np.zeros_like(b)
-                    e[i, j] = h
-                    fd[i, j] = (
-                        local_loss(b + e, w, batch) - local_loss(b - e, w, batch)
-                    ) / (2 * h)
-            rel = np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
-            worst = max(worst, rel)
-        assert worst <= 1e-5
-
 
 class TestServerAggregate:
     def test_identical_inputs_preserve_span(self):

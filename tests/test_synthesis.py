@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from srpfl import linalg, synthesis
+from srpfl.config import load_model, save_model
 from srpfl.errors import ClientOutOfRange, ConfigError
 
 
@@ -41,6 +44,14 @@ class TestGroundTruth:
             synthesis.gen_ground_truth(3, 1, 0, 0.0, seed=0)
         with pytest.raises(ConfigError):
             synthesis.gen_ground_truth(3, 1, 1, -0.5, seed=0)
+
+    @pytest.mark.parametrize("sigma, seed, message", [
+        (math.inf, 0, "noise std must be finite"), (-math.inf, 0, "noise std must be finite"),
+        (math.nan, 0, "noise std must be finite"), (0.1, -1, "seed must be >= 0"),
+    ])
+    def test_non_finite_sigma_or_negative_seed(self, sigma, seed, message):
+        with pytest.raises(ConfigError, match=message):
+            synthesis.gen_ground_truth(3, 1, 1, sigma, seed=seed)
 
 
 class TestSampleBatch:
@@ -99,8 +110,25 @@ class TestModelRoundTrip:
     def test_save_load(self, tmp_path):
         gt = synthesis.gen_ground_truth(7, 2, 9, 0.25, seed=21)
         path = tmp_path / "model.txt"
-        synthesis.save_model(path, gt)
-        again = synthesis.load_model(path)
+        save_model(path, gt)
+        again = load_model(path)
         np.testing.assert_array_equal(gt.b_star, again.b_star)
         np.testing.assert_array_equal(gt.w_star, again.w_star)
         assert again.sigma == gt.sigma
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("d = 7", "d = abc", "field 'd': expected an integer, got 'abc'"),
+        ("k = 2", "k 2", ":2: expected 'key = value', got 'k 2'"),
+        ("seed = 21", "seed = 21\nd = 8", ":6: duplicate field 'd'"),
+        ("seed = 21", "seed = 21\nrank = 2", ":6: unknown field 'rank'"),
+        ("seed = 21", "", "missing field.*seed"),
+        ("sigma = 0.25", "sigma = inf", "must be finite"),
+        ("k = 2", "k = 2  # σ", "cannot read model file"),
+    ])
+    def test_malformed_file_is_config_error(self, tmp_path, old, new, message):
+        path = tmp_path / "model.txt"
+        good = "d = 7\nk = 2\nclients = 9\nsigma = 0.25\nseed = 21\n"
+        path.write_text(good.replace(old, new))
+        with pytest.raises(ConfigError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
