@@ -40,5 +40,5 @@ print(f"{'stage':>6} {'n_r':>5} {'budget':>7} {'switch below X_r':>17}")
 for r, (n_r, tau) in enumerate(plan.stages):
     x_r = optimal_doubling_point(r, a, n0, model, N)
     x_txt = f"{x_r:.4f}" if np.isfinite(x_r) else "inf"
-    print(f"{r:>6} {n_r:>5} {tau:>7} {x_txt:>17}")
-print("(the first budget copies the second; the last stage runs to the target)")
+    tau_txt = "to ε" if tau is None else tau
+    print(f"{r:>6} {n_r:>5} {tau_txt:>7} {x_txt:>17}")

@@ -37,6 +37,7 @@ from .straggler import (
     draw_round_times,
     expected_order_stat,
     final_stage_rounds,
+    noise_floor,
     optimal_doubling_point,
     participant_ladder,
     round_time,
@@ -70,6 +71,7 @@ __all__ = [
     "measure_contraction_rate",
     "measure_singular_extremes",
     "method_of_moments_init",
+    "noise_floor",
     "optimal_doubling_point",
     "participant_ladder",
     "principal_angle_dist",

@@ -27,14 +27,16 @@ from .straggler import (
     A_MAX,
     A_MIN,
     MODE_ANALYTIC,
-    MODE_FIXED,
     PLAN_MODES,
+    SPEED_FIXED,
+    SPEED_KINDS,
     SpeedModel,
     build_stage_plan,
     check_c_hat,
     check_contraction_factor,
     contraction_factor,
     draw_round_times,
+    noise_floor,
     participant_ladder,
     round_time,
     select_fastest,
@@ -57,8 +59,6 @@ INIT_MODES = (INIT_MOMENTS, INIT_RANDOM)
 RESAMPLE_PER_STAGE = "per_stage"
 RESAMPLE_PER_ROUND = "per_round"
 RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
-
-SPEED_KINDS = ("fixed", "dynamic")
 
 
 @dataclass
@@ -89,7 +89,7 @@ class RunConfig:
     plan_mode: str = MODE_ANALYTIC
     fixed_rounds: int = 50
     init_mode: str = INIT_MOMENTS
-    speed_kind: str = "fixed"
+    speed_kind: str = SPEED_FIXED
     lam: float = 1.0
     comm_cost: float = 0.0
     resample_scope: str = RESAMPLE_PER_STAGE
@@ -197,7 +197,7 @@ def measure_singular_extremes(w_active, n0, seed, subsets_per_size=64):
 
 
 def _speed_model(config):
-    if config.speed_kind == "fixed":
+    if config.speed_kind == SPEED_FIXED:
         return SpeedModel.fixed(config.lam, config.comm_cost, config.seed)
     return SpeedModel.dynamic(config.n_total, config.comm_cost, config.seed)
 
@@ -224,11 +224,11 @@ def run(config):
     slot times, keep the fastest n, run one communication round,
     accumulate wall-clock, measure the oracle distance.  A stage ends at
     its exit threshold or after its round budget, whichever comes first;
-    the run ends as soon as the distance reaches epsilon.  Outside fixed
-    mode the plan is open-ended: its last stage ignores its budget and
-    runs until epsilon, and hitting ``max_rounds`` raises
-    :class:`NonConvergence` naming the stage it was hit in.  A fixed plan
-    cut short by ``max_rounds`` returns the unreached trace.
+    a stage with a ``None`` budget runs until its threshold or epsilon.
+    The run ends as soon as the distance reaches epsilon.  When the
+    plan's last stage has no budget, hitting ``max_rounds`` raises
+    :class:`NonConvergence` naming the stage it was hit in; otherwise a
+    run cut short by ``max_rounds`` returns the unreached trace.
     """
     config.validate()
     gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
@@ -254,8 +254,6 @@ def run(config):
     plan = build_stage_plan(
         config.n_total, n0, a, speed, config.c_hat, config.plan_mode, config.fixed_rounds,
     )
-    open_ended = plan.mode != MODE_FIXED
-    last = len(plan.stages) - 1
 
     b, dist, cumulative = b0, init_dist, 0.0
     records, participants = [], []
@@ -264,12 +262,10 @@ def run(config):
             break
         if config.resample_scope == RESAMPLE_PER_STAGE and stage > 0:
             active = _sample_active(config, stage)
-        if tau_r is None or (open_ended and stage == last):
-            tau_r = math.inf  # the last stage of an open-ended plan pursues epsilon
         first = len(records)
-        while (threshold is None or dist > threshold) and len(records) - first < tau_r:
+        while (threshold is None or dist > threshold) and (tau_r is None or len(records) - first < tau_r):
             if len(records) == config.max_rounds:
-                if open_ended:
+                if plan.stages[-1][1] is None:  # the plan ends only at epsilon
                     raise NonConvergence(
                         f"round cap {config.max_rounds} hit at stage {stage} "
                         f"with dist {dist:.6g} > epsilon {epsilon:.6g}"
@@ -313,7 +309,7 @@ def run(config):
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Per-round check of dist^{t+1} <= dist^t sqrt(1-a_t) + a_t / sqrt((n/n0)(1-a_t))."""
+    """Per-round check of dist' <= sqrt(1-a_t) dist + (1 - sqrt(1-a_t)) noise_floor(a_t, n/n0)."""
 
     n_rounds: int
     n_satisfied: int
@@ -342,8 +338,7 @@ def verify_contraction(trace, gt, n0):
         s_min = float(np.linalg.svd(w, compute_uv=False)[-1])
         a_t = contraction_factor(trace.eta, e0, s_min)
         shrink = math.sqrt(1.0 - a_t)
-        floor = a_t / math.sqrt((record.n / n0) * (1.0 - a_t))
-        rhs = dist_before * shrink + floor
+        rhs = shrink * dist_before + (1.0 - shrink) * noise_floor(a_t, record.n / n0)
         margins.append(record.dist - rhs)
         a_values.append(a_t)
         dist_before = record.dist

@@ -49,17 +49,18 @@ def thin_qr(a):
     ------
     RankDeficient
         If ``sigma_min(a) <= RANK_TOL * sigma_max(a)``, i.e. the columns
-        have numerically collapsed.
+        have numerically collapsed.  The singular values are taken from
+        the k x k factor ``r``, which shares them with ``a``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"thin_qr expects a tall d x k matrix, got shape {a.shape}")
-    sv = np.linalg.svd(a, compute_uv=False)
+    q, r = np.linalg.qr(a)
+    sv = np.linalg.svd(r, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient(
             f"column rank collapsed: sigma_min={sv[-1]:.3e} vs sigma_max={sv[0]:.3e}"
         )
-    q, r = np.linalg.qr(a)
     # positive-diagonal convention so repeated runs are bit-identical
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0

@@ -33,6 +33,10 @@ MODE_THRESHOLD = "distance_threshold"
 MODE_FIXED = "fixed"
 PLAN_MODES = (MODE_ANALYTIC, MODE_THRESHOLD, MODE_FIXED)
 
+SPEED_FIXED = "fixed"
+SPEED_DYNAMIC = "dynamic"
+SPEED_KINDS = (SPEED_FIXED, SPEED_DYNAMIC)
+
 # range of the contraction factor: A_MAX is the largest the schedule
 # formulas accept, A_MIN the floor for a measured factor
 A_MIN = 1e-6
@@ -43,11 +47,11 @@ A_MAX = 0.25
 class SpeedModel:
     """Straggler timing law plus the per-round communication cost.
 
-    ``kind`` is ``"fixed"`` (one Exp(lam) draw per client slot, reused
-    every round) or ``"dynamic"`` (fresh Exp(rate_i) draws each round,
-    with slot rates drawn once from Uniform[1/n_slots, 1]).  ``lam`` is
-    the rate the closed-form schedule formulas use; for the dynamic
-    model it is the mean slot rate.
+    ``kind`` is :data:`SPEED_FIXED` (one Exp(lam) draw per client slot,
+    reused every round) or :data:`SPEED_DYNAMIC` (fresh Exp(rate_i)
+    draws each round, with slot rates drawn once from Uniform[1/n_slots,
+    1]).  ``lam`` is the rate the closed-form schedule formulas use; for
+    the dynamic model it is the mean slot rate.
     """
 
     kind: str
@@ -62,7 +66,7 @@ class SpeedModel:
             raise ConfigError(f"exponential rate must be positive, got {lam}")
         if comm_cost < 0:
             raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
-        return SpeedModel(kind="fixed", lam=float(lam), comm_cost=float(comm_cost), seed=seed)
+        return SpeedModel(kind=SPEED_FIXED, lam=float(lam), comm_cost=float(comm_cost), seed=seed)
 
     @staticmethod
     def dynamic(n_slots, comm_cost=0.0, seed=0):
@@ -72,7 +76,7 @@ class SpeedModel:
             raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
         rates = substream(seed, _TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
         return SpeedModel(
-            kind="dynamic",
+            kind=SPEED_DYNAMIC,
             lam=float(np.mean(rates)),
             comm_cost=float(comm_cost),
             seed=seed,
@@ -83,20 +87,18 @@ class SpeedModel:
 @dataclass(frozen=True)
 class StagePlan:
     """Doubling schedule: per stage, the participant count, round budget
-    and exit threshold.
+    and exit threshold; a run follows it and nothing else.
 
-    ``stages[r] = (n_r, tau_r)`` with ``n_r = min(N, n0 * 2^r)``; a
-    ``None`` budget means the stage has no round budget
-    (distance-threshold mode).  ``thresholds[r]`` is the doubling point
+    ``stages[r] = (n_r, tau_r)`` with ``n_r = min(N, n0 * 2^r)``.  A
+    ``None`` budget leaves the stage open: it runs until its threshold or
+    the target accuracy (every stage in distance-threshold mode, the last
+    stage in analytic mode).  ``thresholds[r]`` is the doubling point
     X_{r+1} that ends stage r once the measured distance falls to it, or
     ``None`` where the stage has no distance exit (every stage outside
-    distance-threshold mode, and the last stage in it).  Outside fixed
-    mode the run ignores the last stage's budget and pursues the target
-    accuracy there instead.
+    distance-threshold mode, and the last stage in it).
     """
 
     stages: tuple
-    mode: str
     thresholds: tuple
 
 
@@ -116,7 +118,7 @@ def draw_round_times(model, round_index, n):
     """
     if n < 1:
         raise EmptyParticipants("need at least one timed client")
-    if model.kind == "fixed":
+    if model.kind == SPEED_FIXED:
         return _fixed_times(model.seed, model.lam, n)
     rates = model.per_client_rates
     if rates is None or len(rates) < n:
@@ -177,13 +179,19 @@ def _gap(t_hi, t_lo):
     return gap
 
 
+def noise_floor(a, ratio):
+    """a / (sqrt(ratio (1-a)) (1 - sqrt(1-a))), the fixed point of the contraction
+    recursion d' <= sqrt(1-a) d + (1 - sqrt(1-a)) noise_floor(a, n/n0)."""
+    return a / (math.sqrt(ratio * (1.0 - a)) * (1.0 - math.sqrt(1.0 - a)))
+
+
 def optimal_doubling_point(r, a, n0, model, n_total):
     """Distance threshold X_r below which stage r (n0 * 2^r participants,
     capped at N) pays off.
 
     ``X_0`` is +inf by convention; for r >= 1,
 
-        X_r = a / (sqrt(2^(r-1) (1-a)) (1 - sqrt(1-a)))
+        X_r = noise_floor(a, 2^(r-1))
               * (1 + (E[T_lo] + C) (1 - 1/sqrt(2)) / (E[T_hi] - E[T_lo]))
 
     with lo = n0 2^(r-1), hi = min(N, n0 2^r), E[T_j] the expected j-th
@@ -202,13 +210,14 @@ def optimal_doubling_point(r, a, n0, model, n_total):
     hi = min(n0 * 2**r, n_total)
     t_lo = expected_order_stat(n_total, lo, model.lam)
     t_hi = expected_order_stat(n_total, hi, model.lam)
-    base = a / (math.sqrt(2 ** (r - 1) * (1.0 - a)) * (1.0 - math.sqrt(1.0 - a)))
     boost = (t_lo + model.comm_cost) * (1.0 - 1.0 / math.sqrt(2.0)) / _gap(t_hi, t_lo)
-    return base * (1.0 + boost)
+    return noise_floor(a, 2 ** (r - 1)) * (1.0 + boost)
 
 
-def _budget_from_gaps(gap_prev, gap_next, a):
-    t = 2.0 * math.log(math.sqrt(2.0) * gap_next / gap_prev) / math.log(1.0 / (1.0 - a))
+def _rounds_to_shrink(a, factor):
+    """Rounds at per-round factor sqrt(1-a) to shrink a distance ``factor``-fold,
+    2 log(factor) / log(1/(1-a)) rounded up and floored at one."""
+    t = 2.0 * math.log(factor) / math.log(1.0 / (1.0 - a))
     return max(1, math.ceil(t))
 
 
@@ -229,55 +238,48 @@ def rounds_per_stage(r, a, n0, model, n_total):
     if n0 * 2**r >= n_total:
         raise IndexOutOfRange(f"stage {r} has no successor: n0 * 2^{r} = {n0 * 2**r} >= N = {n_total}")
     t = [expected_order_stat(n_total, min(n_total, n0 * 2**i), model.lam) for i in (r - 1, r, r + 1)]
-    return _budget_from_gaps(_gap(t[1], t[0]), _gap(t[2], t[1]), a)
+    gap_prev, gap_next = _gap(t[1], t[0]), _gap(t[2], t[1])
+    return _rounds_to_shrink(a, math.sqrt(2.0) * gap_next / gap_prev)
 
 
 def final_stage_rounds(a, c_hat):
     """Rounds needed at full participation to finish: 2 log(1/(c_hat-1)) / log(1/(1-a))."""
     check_c_hat(c_hat)
     check_contraction_factor(a)
-    t = 2.0 * math.log(1.0 / (c_hat - 1.0)) / math.log(1.0 / (1.0 - a))
-    return max(1, math.ceil(t))
+    return _rounds_to_shrink(a, 1.0 / (c_hat - 1.0))
 
 
 def target_accuracy(a, n_total, n0, c_hat):
-    """Target distance eps = c_hat * a / (sqrt((N/n0)(1-a)) (1 - sqrt(1-a))).
-
-    This is c_hat times the full-participation noise floor of the
-    contraction recursion, so reaching it requires the final doubling
-    stage; doubling N/n0 scales eps by 1/sqrt(2).
-    """
+    """Target distance eps = c_hat * noise_floor(a, N/n0): c_hat times the
+    full-participation noise floor, so reaching it requires the last stage."""
     check_c_hat(c_hat)
     check_contraction_factor(a)
-    ratio = n_total / n0
-    return c_hat * a / (math.sqrt(ratio * (1.0 - a)) * (1.0 - math.sqrt(1.0 - a)))
+    return c_hat * noise_floor(a, n_total / n0)
 
 
 def participant_ladder(n_total, n0):
     """Doubling ladder n0, 2*n0, ... capped at n_total."""
     if not 1 <= n0 <= n_total:
         raise ConfigError(f"need 1 <= n0 <= N, got n0={n0}, N={n_total}")
-    ladder = []
-    n = n0
-    while True:
-        ladder.append(min(n, n_total))
-        if ladder[-1] >= n_total:
-            return ladder
-        n *= 2
+    ladder = [n0]
+    while ladder[-1] < n_total:
+        ladder.append(min(2 * ladder[-1], n_total))
+    return ladder
 
 
 def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
     """Assemble the doubling schedule for one run.
 
-    Analytic mode fills middle-stage budgets from :func:`rounds_per_stage`,
-    the final stage from :func:`final_stage_rounds`, and the first stage
-    copies the second (the analytic formula needs a predecessor stage the
-    first one lacks; the first gap is also the cheapest).  Fixed mode
-    uses a constant budget.  Distance-threshold mode leaves budgets
-    open-ended; every stage but the last ends once the measured distance
-    falls to the next doubling point, :func:`optimal_doubling_point`.
-    The full-participation baseline is the plan with ``n0 = n_total``, a
-    single stage.
+    Analytic mode fills middle-stage budgets from :func:`rounds_per_stage`
+    and leaves the last stage open, to run until the target accuracy.
+    The first stage copies the second (the analytic formula needs a
+    predecessor stage the first one lacks; the first gap is also the
+    cheapest), or, when the second is the last, takes
+    :func:`final_stage_rounds`.  Fixed mode uses a constant budget.
+    Distance-threshold mode leaves every budget open; every stage but the
+    last ends once the measured distance falls to the next doubling
+    point, :func:`optimal_doubling_point`.  The full-participation
+    baseline is the plan with ``n0 = n_total``, a single stage.
     """
     ladder = participant_ladder(n_total, n0)
     last = len(ladder) - 1
@@ -291,11 +293,10 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
             raise ConfigError(f"fixed plan mode needs a positive round budget, got {fixed_rounds}")
         budgets = [int(fixed_rounds)] * len(ladder)
     elif mode == MODE_ANALYTIC:
-        budgets[last] = final_stage_rounds(a, c_hat)
         for r in range(1, last):
             budgets[r] = rounds_per_stage(r, a, n0, model, n_total)
         if last >= 1:
-            budgets[0] = budgets[1]
+            budgets[0] = budgets[1] if last >= 2 else final_stage_rounds(a, c_hat)
     else:
         raise ConfigError(f"unknown plan mode {mode!r}")
-    return StagePlan(stages=tuple(zip(ladder, budgets)), mode=mode, thresholds=tuple(thresholds))
+    return StagePlan(stages=tuple(zip(ladder, budgets)), thresholds=tuple(thresholds))

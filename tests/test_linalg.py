@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from srpfl import linalg
 from srpfl.errors import (
@@ -131,30 +129,3 @@ class TestPrincipalAngleDist:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.principal_angle_dist(np.eye(3)[:, :1], np.eye(4)[:, :1])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(2, 10), st.integers(1, 4), st.integers(0, 10_000))
-def test_qr_invariants_property(d, k, seed):
-    k = min(k, d)
-    a = np.random.default_rng(seed).standard_normal((d, k))
-    q, r = linalg.thin_qr(a)
-    assert np.linalg.norm(q @ r - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
-    assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-10
-    assert np.all(np.diag(r) > 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(2, 10), st.integers(1, 4), st.integers(0, 10_000))
-def test_distance_range_and_rotation_invariance(d, k, seed):
-    k = min(k, d)
-    rng = np.random.default_rng(seed)
-    b1, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-    b2, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-    dist = linalg.principal_angle_dist(b1, b2)
-    assert 0.0 <= dist <= 1.0
-    if k == 1:
-        rot = np.array([[-1.0]])
-    else:
-        rot, _ = linalg.thin_qr(rng.standard_normal((k, k)))
-    assert abs(linalg.principal_angle_dist(b1 @ rot, b2) - dist) <= 1e-10

@@ -179,8 +179,7 @@ class TestDoublingPoint:
 class TestRoundsPerStage:
     def test_floor_at_one(self):
         # descending gaps make the log argument small; budget floors at 1
-        model = SpeedModel.fixed(lam=1.0)
-        assert straggler._budget_from_gaps(10.0, 0.1, 0.2) == 1
+        assert straggler._rounds_to_shrink(0.2, math.sqrt(2.0) * 0.1 / 10.0) == 1
 
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
@@ -231,7 +230,7 @@ class TestStagePlan:
     def test_degenerate_single_stage(self):
         model = SpeedModel.fixed(lam=1.0)
         plan = straggler.build_stage_plan(4, 4, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert plan.stages == ((4, straggler.final_stage_rounds(0.2, 1.2)),)
+        assert plan.stages == ((4, None),)
 
     def test_ladder(self):
         model = SpeedModel.fixed(lam=1.0)
@@ -259,7 +258,17 @@ class TestStagePlan:
         model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
         plan = straggler.build_stage_plan(16, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
         assert [n for n, _ in plan.stages] == [2, 4, 8, 16]
-        assert [tau for _, tau in plan.stages] == [12, 12, 21, 15]
+        assert [tau for _, tau in plan.stages] == [12, 12, 21, None]
+        assert straggler.final_stage_rounds(0.2, 1.2) == 15
+
+    def test_last_budget_open_iff_not_fixed(self):
+        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        for mode in straggler.PLAN_MODES:
+            for n_total, n0 in ((16, 2), (12, 2), (4, 2), (4, 4)):
+                plan = straggler.build_stage_plan(n_total, n0, 0.2, model, 1.2, mode, fixed_rounds=5)
+                assert (plan.stages[-1][1] is None) == (mode != straggler.MODE_FIXED)
+        two_stage = straggler.build_stage_plan(4, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
+        assert two_stage.stages == ((2, straggler.final_stage_rounds(0.2, 1.2)), (4, None))
 
     def test_bad_inputs(self):
         model = SpeedModel.fixed(lam=1.0)
