@@ -3,7 +3,7 @@
 
 Runs both schemes on shared seeds, reports first-crossing wall-clock
 times, and prints the closed-form bounds evaluated at the contraction
-factor measured from the baseline trajectories.  Takes about a minute.
+factor measured from the baseline trajectories.  Takes a few seconds.
 
 Run:  python3 demos/04_straggler_speedup.py
 """

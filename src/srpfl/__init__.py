@@ -26,10 +26,18 @@ from .fedrep import (
     fedrep_round,
     head_update,
     method_of_moments_init,
+    reduced_rep_step,
     rep_gradient_step,
     server_aggregate,
 )
-from .linalg import is_orthonormal, principal_angle_dist, rank_k_eig, spectral_norm, thin_qr
+from .linalg import (
+    is_orthonormal,
+    principal_angle_dist,
+    rank_k_eig,
+    span_basis,
+    spectral_norm,
+    thin_qr,
+)
 from .straggler import (
     SpeedModel,
     StagePlan,
@@ -76,6 +84,7 @@ __all__ = [
     "participant_ladder",
     "principal_angle_dist",
     "rank_k_eig",
+    "reduced_rep_step",
     "rep_gradient_step",
     "round_time",
     "rounds_per_stage",
@@ -84,6 +93,7 @@ __all__ = [
     "sample_batch",
     "select_fastest",
     "server_aggregate",
+    "span_basis",
     "speedup_report",
     "spectral_norm",
     "target_accuracy",

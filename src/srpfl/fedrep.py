@@ -8,15 +8,22 @@ carries the 1/m batch normalization and the server carries the 1/n
 average, so the composite step on the representation is eta/(m*n) times
 the summed gradient.
 
-A round solves its participants in blocks of :data:`BLOCK` clients: the
-per-client batches of a block are stacked into one ``Batch`` and every
-client update runs as one stacked array call.  Stacked matmul, SVD and
-solve run the same BLAS/LAPACK kernel on each slice as the 2-D calls, so
-a stacked round is bit-identical to a per-client loop.
+A round never draws a client's d-dimensional rows.  A client's step
+reads its batch only through ``X b``, ``y`` and ``X^T r``, and
+``x ~ N(0, I_d)`` is rotation invariant, so the round draws in the span
+of ``b`` and ``B*``: with ``Q`` an orthonormal basis of that span
+(d x p, p = min(d, 2k)), ``A = X Q`` is an m x p standard Gaussian
+matrix, ``y = A Q^T B* w* + sigma z``, and the part of ``X^T r`` outside
+``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a standard Gaussian d-vector
+``g``.  This is exact in distribution for every m and needs m*p + m + d
+normals per client instead of m*(d + 1).  All participants are drawn from
+one generator per round, in participant order, and solved as one stacked
+batch.
 
 Also provides the spectral warm start: average the per-client
 second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
-top-k eigenspace.
+top-k eigenspace.  These are fourth moments of the rows, so the warm
+start still draws full rows with :func:`sample_batch`.
 """
 
 import numpy as np
@@ -27,30 +34,33 @@ from .errors import (
     EmptyParticipants,
     SingularGram,
 )
-from .linalg import rank_k_eig, thin_qr
-from .synthesis import Batch, sample_batch
+from .linalg import rank_k_eig, span_basis, thin_qr
+from .synthesis import Batch, sample_batch, substream
 
 GRAM_TOL = 1e-10
 
-# clients per stacked block; bounds the memory of the stacked batches
-# (stacking a whole n=256 round raised peak RSS by about a fifth)
+# substream tag of a round's draws; distinct from synthesis' 0x01-0x02,
+# straggler's 0x11-0x13 and engine's 0x21-0x23
+_TAG_ROUND = 0x03
+
+# warm-start clients per stacked block; bounds the memory of the stacked rows
 BLOCK = 16
 
 
-def _blocks(gt, parts, m, round_index, seed):
-    """Stacked batches of ``parts`` in participant order, ``BLOCK`` clients each.
+def _blocks(gt, parts, m, seed):
+    """Stacked warm-start batches (round index 0), ``BLOCK`` clients each, in participant order.
 
-    Every client still draws its own batch from :func:`sample_batch`; a
-    block stacks them into one ``Batch`` with ``x`` of shape (B, m, d),
-    ``y`` of shape (B, m) and ``client_id`` an array of the B ids.
+    Every client draws its own rows from :func:`sample_batch`; a block
+    stacks them into one ``Batch`` with ``x`` of shape (B, m, d), ``y``
+    of shape (B, m) and ``client_id`` an array of the B ids.
     """
     for start in range(0, len(parts), BLOCK):
-        batches = [sample_batch(gt, cid, m, round_index, seed) for cid in parts[start:start + BLOCK]]
+        batches = [sample_batch(gt, cid, m, 0, seed) for cid in parts[start:start + BLOCK]]
         yield Batch(
             x=np.stack([batch.x for batch in batches]),
             y=np.stack([batch.y for batch in batches]),
             client_id=np.array([batch.client_id for batch in batches]),
-            round_index=round_index,
+            round_index=0,
         )
 
 
@@ -126,7 +136,7 @@ def method_of_moments_init(gt, participants, m, seed):
         raise EmptyParticipants("warm start needs at least one participant")
     p_bar = np.zeros((gt.d, gt.d))
     saw_signal = False
-    for batch in _blocks(gt, parts, m, 0, seed):
+    for batch in _blocks(gt, parts, m, seed):
         saw_signal = saw_signal or bool(np.any(batch.y != 0.0))
         for p in (batch.x.swapaxes(-1, -2) * (batch.y**2)[:, None, :]) @ batch.x / m:
             p_bar += p
@@ -135,29 +145,61 @@ def method_of_moments_init(gt, participants, m, seed):
     return rank_k_eig(p_bar / len(parts), gt.k)
 
 
+def _draw_in_span(gt, q, parts, m, round_index, rng):
+    """Batches of ``parts`` drawn in ``span(q)``, and one ``g`` per client.
+
+    Draws from ``rng``, for all n clients at once, ``A`` (n, m, p), the
+    label noise (n, m) when sigma > 0, and ``g`` (n, d), in that order.
+    Returns the stacked ``Batch`` (``x`` = ``A``, ``y`` = ``A q^T B* w*
+    + sigma z``) and ``g``.
+    """
+    a = rng.standard_normal((len(parts), m, q.shape[1]))
+    y = (a @ (gt.w_star[parts] @ (q.T @ gt.b_star).T)[..., None])[..., 0]
+    if gt.sigma > 0:
+        y = y + gt.sigma * rng.standard_normal(y.shape)
+    g = rng.standard_normal((len(parts), gt.d))
+    return Batch(x=a, y=y, client_id=parts, round_index=round_index), g
+
+
+def reduced_rep_step(b, q, w, batch, g, eta):
+    """:func:`rep_gradient_step` for a batch drawn in ``span(q)``.
+
+    ``batch.x`` holds ``A = X q`` (shape (m, p), or (n, m, p) stacked),
+    ``w`` the heads from ``head_update(q.T @ b, batch)`` and ``g`` one
+    standard Gaussian d-vector per client.  ``X^T r`` is rebuilt as
+    ``q A^T r + ||r|| (I - q q^T) g``, and the step is
+    ``b - (eta/m) X^T r w^T``: shape (d, k), or (n, d, k) stacked.
+    """
+    m = batch.x.shape[-2]
+    resid = (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0] - batch.y
+    inside = (batch.x.swapaxes(-1, -2) @ resid[..., None])[..., 0] @ q.T
+    outside = np.linalg.norm(resid, axis=-1)[..., None] * (g - (g @ q) @ q.T)
+    return b - (eta / m) * ((inside + outside)[..., :, None] * w[..., None, :])
+
+
 def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     """Run one communication round from representation ``b``; return the new one.
 
-    ``round_index`` is the 1-based round number and doubles as the batch
-    substream index (index 0 is reserved for the warm start).  Each
-    participant draws a fresh batch, solves its head and contributes one
-    representation step; heads are not kept between rounds.  Every id is
-    checked before the first draw.  Participants are solved in blocks of
-    :data:`BLOCK`, in participant order, and their steps are summed in
-    that order.  Raises with the offending client id when a local solve
-    fails.
+    ``round_index`` is the 1-based round number.  Every id is checked
+    before the first draw.  The round's basis is ``span_basis(B*, b)``,
+    and one generator, keyed on ``(seed, round_index)``, draws every
+    participant's batch in participant order (see :func:`_draw_in_span`),
+    so a participant's batch depends on its place in the round while the
+    trace stays a pure function of the config.  Each participant solves
+    its head and contributes one representation step (see
+    :func:`reduced_rep_step`); heads are not kept between rounds, and the
+    steps are summed in participant order.  Raises with the offending
+    client id when a local solve fails.
     """
-    parts = list(participants)
-    if not parts:
+    parts = np.array(list(participants), dtype=int)
+    if not parts.size:
         raise EmptyParticipants("a round needs at least one participant")
     for cid in parts:
         if not 0 <= cid < gt.n_clients:
             raise ClientOutOfRange(f"participant {cid} outside 0..{gt.n_clients - 1}")
-    steps = np.empty((len(parts),) + b.shape)
-    start = 0
-    for batch in _blocks(gt, parts, m, round_index, seed):
-        w = head_update(b, batch)
-        steps[start:start + len(w)] = rep_gradient_step(b, w, batch, eta)
-        start += len(w)
-    b_new, _ = server_aggregate(steps, len(parts))
+    q = span_basis(gt.b_star, b)
+    rng = substream(seed, _TAG_ROUND, round_index)
+    batch, g = _draw_in_span(gt, q, parts, m, round_index, rng)
+    w = head_update(q.T @ b, batch)
+    b_new, _ = server_aggregate(reduced_rep_step(b, q, w, batch, g, eta), len(parts))
     return b_new

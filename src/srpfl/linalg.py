@@ -1,10 +1,11 @@
 """Dense matrix kernels used everywhere else in the package.
 
-Thin QR with a fixed sign convention, top-k symmetric eigenbasis,
-spectral norm, and the principal-angle distance between equal-rank
-subspaces.  Everything operates on plain float ndarrays; matrices are
-row-major ``(rows, cols)`` arrays and an "orthonormal basis" is a
-``d x k`` array ``b`` with ``b.T @ b = I_k`` up to :data:`ORTHO_TOL`.
+Thin QR with a fixed sign convention, a basis of the sum of two spans,
+top-k symmetric eigenbasis, spectral norm, and the principal-angle
+distance between equal-rank subspaces.  Everything operates on plain
+float ndarrays; matrices are row-major ``(rows, cols)`` arrays and an
+"orthonormal basis" is a ``d x k`` array ``b`` with ``b.T @ b = I_k`` up
+to :data:`ORTHO_TOL`.
 """
 
 import warnings
@@ -65,6 +66,27 @@ def thin_qr(a):
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs, signs[:, None] * r
+
+
+def span_basis(fixed, moving):
+    """Orthonormal basis of ``span(fixed) + span(moving)``.
+
+    ``fixed`` is a d x k orthonormal basis, ``moving`` a d x j matrix;
+    returns ``q`` of shape d x min(d, k + j).  The first k columns come
+    from ``fixed``; the rest span the part of ``moving`` outside it and
+    are aligned with the left singular vectors of that part, so
+    replacing ``moving`` by ``moving @ r`` for an orthogonal j x j ``r``
+    leaves ``q`` unchanged up to rounding.  Each column's largest-
+    magnitude entry is positive.  Built from a Householder QR, so ``q``
+    stays orthonormal to machine precision when ``moving`` nearly lies
+    in ``span(fixed)``.
+    """
+    k = fixed.shape[1]
+    q, r = np.linalg.qr(np.hstack([fixed, moving]))
+    rest = np.linalg.svd(r[k:, k:], full_matrices=False)[0]
+    q = np.hstack([q[:, :k], q[:, k:] @ rest])
+    peaks = np.abs(q).argmax(axis=0)
+    return q * np.sign(q[peaks, np.arange(q.shape[1])])
 
 
 def rank_k_eig(s, k):

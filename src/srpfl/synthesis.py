@@ -1,10 +1,13 @@
-"""Hidden ground-truth model and per-round client batch generation.
+"""Hidden ground-truth model, substreams and full-row client batches.
 
 Client ``i`` observes pairs ``(x, y)`` with ``x ~ N(0, I_d)`` and
 ``y = w_i*^T B*^T x + z``, ``z ~ N(0, sigma^2)``.  All randomness is
-drawn from counter-based substreams keyed on ``(seed, purpose, client,
-round)`` so that batches are reproducible regardless of execution order
-and distinct rounds are statistically independent.
+drawn from counter-based substreams keyed on the seed and a purpose key
+(see :func:`substream`), so every draw is a pure function of the config.
+:func:`sample_batch` keys its stream on ``(seed, client, round)`` and
+draws a client's full rows; the warm start and the test oracles use it.
+A training round draws its clients' data itself, in a small subspace and
+from one stream per round (see :func:`srpfl.fedrep.fedrep_round`).
 """
 
 import math
@@ -47,7 +50,9 @@ class Batch:
     """One fresh batch for one client: rows of ``x`` are samples.
 
     A stacked batch of B clients has ``x`` of shape (B, m, d), ``y`` of
-    shape (B, m) and ``client_id`` an array of the B ids.
+    shape (B, m) and ``client_id`` an array of the B ids.  A training
+    round's batch holds ``A = X Q`` in ``x``, of shape (B, m, p), for the
+    round's d x p basis ``Q`` (see :func:`srpfl.fedrep.fedrep_round`).
     """
 
     x: np.ndarray

@@ -10,9 +10,9 @@ import srpfl
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
-# demo 04 (about 10 s) is left out; these three take a few seconds together
 @pytest.mark.parametrize("name", [
     "01_matrix_kernels.py", "02_noiseless_recovery.py", "03_order_statistics_and_schedule.py",
+    "04_straggler_speedup.py",
 ])
 def test_demo_runs(name, tmp_path):
     # the child must import the same package as this process, installed or not

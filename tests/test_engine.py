@@ -150,19 +150,20 @@ class TestRun:
 
 
 # sha256 of cli.trace_to_csv for every algorithm x plan_mode on one small
-# config, recorded before the round loop was last refactored.  A change
-# that moves one of them changes what a run computes and must say why.
+# config, recorded when rounds began drawing their batches in the span of
+# b and B*.  A change that moves one of them changes what a run computes
+# and must say why.
 GUARD_CONFIG = dict(
     d=8, k=2, n_total=16, n0=2, m=40, sigma=0.1, seed=5, comm_cost=1.0,
     fixed_rounds=10, init_mode="random", a=0.1, epsilon=0.1,
 )
 TRACE_SHA256 = {
-    ("srpfl", "analytic"): "7ee132f1711322f2f49189ab3e514c28b7e1900e8aefe0e73abd0fe259db00f6",
-    ("srpfl", "distance_threshold"): "1f109fcba6e1b102c409a32878e9e96c70e2dbe4561c2418b11336e417dc8bc3",
-    ("srpfl", "fixed"): "f1a89cbbe35439b85145b5a4dca16efc181f6087856f03e2f69e9f066ec08eb8",
-    ("fedrep_full", "analytic"): "364918353008c40f22f69065262c076f8a9e7a2d244c8fc2b4d3289642937dcb",
-    ("fedrep_full", "distance_threshold"): "364918353008c40f22f69065262c076f8a9e7a2d244c8fc2b4d3289642937dcb",
-    ("fedrep_full", "fixed"): "73300ff7b71af2b136430bb8448df3cf1b8cbd53b92f2a1fd8f7e3efdf26c4a4",
+    ("srpfl", "analytic"): "85878cafc5d9d8e91d673b34620d1a231a43c9b95598f3afdbb35552e0de3fee",
+    ("srpfl", "distance_threshold"): "a53a9b6e4d75366d1b4b4b1c68928e4031a39af9d60a29f9c16ae921bb261b03",
+    ("srpfl", "fixed"): "e209798a47a58be058af2ef16b31232870f320f17ba9789f308b15a9bfd1f467",
+    ("fedrep_full", "analytic"): "ae8f0c187ad2f86f85fe43e1635433d271a64fa9c9fa2c3f91041254a357a94e",
+    ("fedrep_full", "distance_threshold"): "ae8f0c187ad2f86f85fe43e1635433d271a64fa9c9fa2c3f91041254a357a94e",
+    ("fedrep_full", "fixed"): "2cef8855e16dca900de06fcad0f2a4087febe4b85108540fc7b1bf02a840066f",
 }
 
 

@@ -176,30 +176,75 @@ class TestFedrepRound:
             fedrep.fedrep_round(gt.b_star, gt, [0, 1], m=1, eta=0.1, seed=15, round_index=1)
 
 
-def reference_round(b, gt, ids, m, eta, seed, round_index):
-    """Per-client loop: single batches, a sequential sum, then the QR."""
-    total = np.zeros_like(b)
-    for cid in ids:
-        batch = synthesis.sample_batch(gt, cid, m, round_index, seed)
-        w = fedrep.head_update(b, batch)
-        total += fedrep.rep_gradient_step(b, w, batch, eta)
-    return linalg.thin_qr(total / len(ids))[0]
+def row_steps(gt, b, m, draws, seed):
+    """One client's step on ``draws`` independent ``sample_batch`` row batches."""
+    steps = []
+    for start in range(1, draws + 1, 2000):
+        batches = [synthesis.sample_batch(gt, 0, m, t, seed) for t in range(start, start + 2000)]
+        rows = synthesis.Batch(
+            x=np.stack([x.x for x in batches]), y=np.stack([x.y for x in batches]),
+            client_id=np.zeros(len(batches), dtype=int), round_index=0,
+        )
+        steps.append(fedrep.rep_gradient_step(b, fedrep.head_update(b, rows), rows, 1.0))
+    return np.concatenate(steps)
 
 
 class TestBlockedRound:
-    @pytest.mark.parametrize("n", [
-        1, 2, fedrep.BLOCK - 1, fedrep.BLOCK, fedrep.BLOCK + 1, 2 * fedrep.BLOCK + 3,
-    ])
-    @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8)])
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 35])
+    @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8), (5, 3, 9)])
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
+        # each client's rows are X = A q^T, so X^T r lies in span(q): the
+        # reduced head and the in-span part of the reduced step are the row
+        # loop's, and the rest is -(eta/m) ||r|| (I - q q^T) g w^T
+        # (d = 5 < 2k leaves no rest)
         gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
         b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
-        for t in (1, 2):
-            expected = reference_round(b, gt, ids, m, 0.2, 21, t)
-            b = fedrep.fedrep_round(b, gt, ids, m, eta=0.2, seed=21, round_index=t)
-            assert np.array_equal(b, expected)
+        q = linalg.span_basis(gt.b_star, b)
+        batch, g = fedrep._draw_in_span(gt, q, ids, m, 1, synthesis.substream(21, fedrep._TAG_ROUND, 1))
+        w = fedrep.head_update(q.T @ b, batch)
+        steps = fedrep.reduced_rep_step(b, q, w, batch, g, 0.2)
+        inside = q @ (q.T @ (steps - b))
+        for i, cid in enumerate(ids):
+            rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, round_index=1)
+            w_rows = fedrep.head_update(b, rows)
+            np.testing.assert_allclose(w[i], w_rows, rtol=0, atol=1e-12)
+            row_move = fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
+            np.testing.assert_allclose(inside[i], row_move, rtol=0, atol=1e-12)
+            resid = np.linalg.norm(rows.x @ (b @ w_rows) - rows.y)
+            rest = -(0.2 / m) * resid * np.outer(g[i] - q @ (q.T @ g[i]), w[i])
+            np.testing.assert_allclose(steps[i] - b - inside[i], rest, rtol=0, atol=1e-12)
+        expected, _ = fedrep.server_aggregate(steps, n)
+        assert np.array_equal(fedrep.fedrep_round(b, gt, ids, m, 0.2, seed=21, round_index=1), expected)
+
+    def test_step_distribution_matches_rows_monte_carlo(self):
+        # one client's step, 20 000 reduced draws against 20 000 sample_batch
+        # row batches, in coordinates where the rows' step covariance is the
+        # identity (on the complement of span(b): the head solve makes the
+        # step's part inside span(b) degenerate); dist(b, B*) = 0.37.  Two
+        # row samplers with different seeds differ here by 0.078 in
+        # covariance and 3.2 standard errors in mean, the reduced sampler
+        # by 0.079 and 2.2; a 5% error in the ||r|| term gives 0.14 and a
+        # 10% error in sigma 0.20
+        d, k, m, draws = 20, 2, 100, 20_000
+        gt = synthesis.gen_ground_truth(d, k, 1, 0.5, seed=31)
+        b, _ = linalg.thin_qr(gt.b_star + 0.07 * np.random.default_rng(32).standard_normal((d, k)))
+        perp = np.linalg.svd(np.eye(d) - b @ b.T)[0][:, :d - k]
+        q = linalg.span_basis(gt.b_star, b)
+        rng = np.random.default_rng(33)
+        reduced = []
+        for _ in range(draws // 2000):
+            batch, g = fedrep._draw_in_span(gt, q, np.zeros(2000, dtype=int), m, 1, rng)
+            w = fedrep.head_update(q.T @ b, batch)
+            reduced.append(fedrep.reduced_rep_step(b, q, w, batch, g, 1.0))
+        reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
+        rows = (perp.T @ row_steps(gt, b, m, draws, seed=31)).reshape(draws, -1)
+        white = np.linalg.inv(np.linalg.cholesky(np.cov(rows.T)))
+        z = (reduced - rows.mean(axis=0)) @ white.T
+        cov = np.cov(z.T)
+        assert np.linalg.norm(cov - np.eye(len(cov))) / np.sqrt(len(cov)) <= 0.10
+        assert np.max(np.abs(z.mean(axis=0))) * np.sqrt(draws / 2) <= 4.0
 
     def test_stacked_singular_gram_names_its_client(self):
         rng = np.random.default_rng(22)
@@ -216,14 +261,16 @@ class TestBlockedRound:
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
         drawn = []
 
-        def recording(gt, client, *args):
-            drawn.append(client)
-            return synthesis.sample_batch(gt, client, *args)
+        def recording(*key):
+            drawn.append(key)
+            return synthesis.substream(*key)
 
-        monkeypatch.setattr(fedrep, "sample_batch", recording)
+        monkeypatch.setattr(fedrep, "substream", recording)
         with pytest.raises(ClientOutOfRange, match="participant 9"):
             fedrep.fedrep_round(gt.b_star, gt, [0, 1, 9], m=20, eta=0.1, seed=14, round_index=1)
         assert drawn == []
+        fedrep.fedrep_round(gt.b_star, gt, [0, 1, 3], m=20, eta=0.1, seed=14, round_index=1)
+        assert drawn == [(14, fedrep._TAG_ROUND, 1)]
 
 
 def test_warm_start_matches_per_client_loop():
