@@ -15,16 +15,23 @@ of ``b`` and ``B*``: with ``Q`` an orthonormal basis of that span
 (d x p, p = min(d, 2k)), ``A = X Q`` is an m x p standard Gaussian
 matrix, ``y = A Q^T B* w* + sigma z``, and the part of ``X^T r`` outside
 ``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a standard Gaussian d-vector
-``g``.  This is exact in distribution for every m and needs m*p + m + d
-normals per client instead of m*(d + 1).  All participants are drawn from
-one generator per round, in participant order, and solved as one stacked
-batch.
+``g``.  What is left, ``A^T A``, ``A^T y`` and ``||r||``, is a function
+of the Gram matrix of the m x (p+1) Gaussian block ``[A z]``, so the
+round draws that Gram matrix's upper-trapezoidal factor ``R`` instead
+(the Bartlett decomposition, see :func:`_draw_in_span`) and feeds
+``R``'s rows through the head and the step in place of the m rows.
+This is exact in distribution for every m and needs (p+1)(p+2)/2 values
+plus ``g`` per client (fewer when m < p+1) instead of m*(d + 1).  All
+participants are drawn from one generator per round, in participant
+order, and solved as one stacked batch.
 
 Also provides the spectral warm start: average the per-client
 second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
 top-k eigenspace.  These are fourth moments of the rows, so the warm
 start still draws full rows with :func:`sample_batch`.
 """
+
+import functools
 
 import numpy as np
 
@@ -69,25 +76,26 @@ def head_update(b, batch):
 
     Returns ``w = ((1/m) b^T X^T X b)^{-1} (1/m) b^T X^T y``: shape (k,)
     for a single batch (``x`` of shape (m, d)), (B, k) for a stacked one
-    (``x`` of shape (B, m, d)), one head per slice.
+    (``x`` of shape (B, m, d)), one head per slice; ``m`` is ``batch.m``.
 
     Raises
     ------
     SingularGram
-        If a projected Gram matrix has a singular value at or below
-        :data:`GRAM_TOL`; the batch is too small (m < k) or degenerate.
+        If a projected Gram matrix, symmetric positive semidefinite, has
+        an eigenvalue at or below :data:`GRAM_TOL`; the batch is too
+        small (m < k) or degenerate.
         The message names the first such client of the batch.
     """
-    m = batch.x.shape[-2]
+    m = batch.m
     xb = batch.x @ b
     xb_t = xb.swapaxes(-1, -2)
     gram = xb_t @ xb / m
-    sv_min = np.ravel(np.linalg.svd(gram, compute_uv=False)[..., -1])
-    singular = np.flatnonzero(sv_min <= GRAM_TOL)
+    eig_min = np.ravel(np.linalg.eigvalsh(gram)[..., 0])
+    singular = np.flatnonzero(eig_min <= GRAM_TOL)
     if singular.size:
         first = singular[0]
         raise SingularGram(
-            f"projected Gram matrix singular (sigma_min={sv_min[first]:.3e}) "
+            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
             f"for client {np.ravel(batch.client_id)[first]} at m={m}"
         )
     return np.linalg.solve(gram, xb_t @ batch.y[..., None] / m)[..., 0]
@@ -101,7 +109,7 @@ def rep_gradient_step(b, w, batch, eta):
     shape (B, k).  The server-side 1/n average completes the eta/(m*n)
     composite step.
     """
-    m = batch.x.shape[-2]
+    m = batch.m
     resid = (batch.x @ (b @ w[..., None]))[..., 0] - batch.y
     return b - (eta / m) * (batch.x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
 
@@ -145,32 +153,51 @@ def method_of_moments_init(gt, participants, m, seed):
     return rank_k_eig(p_bar / len(parts), gt.k)
 
 
-def _draw_in_span(gt, q, parts, m, round_index, rng):
-    """Batches of ``parts`` drawn in ``span(q)``, and one ``g`` per client.
+@functools.cache
+def _above_diagonal(rows, cols):
+    """Indices of the entries above the diagonal of a rows x cols matrix."""
+    return np.triu_indices(rows, 1, cols)
 
-    Draws from ``rng``, for all n clients at once, ``A`` (n, m, p), the
-    label noise (n, m) when sigma > 0, and ``g`` (n, d), in that order.
-    Returns the stacked ``Batch`` (``x`` = ``A``, ``y`` = ``A q^T B* w*
-    + sigma z``) and ``g``.
+
+def _draw_in_span(gt, q, parts, m, round_index, rng):
+    """Factor batches of ``parts`` drawn in ``span(q)``, and one ``g`` per client.
+
+    A client's m x (p+1) standard Gaussian block ``[A z]`` (p =
+    ``q.shape[1]``) is drawn as the R factor of its QR decomposition,
+    which has r = min(m, p+1) rows (Bartlett): entry (i, i) is
+    ``sqrt(chi2(m - i))``, the entries above the diagonal are standard
+    normal and those below are 0, all independent, so ``R^T R`` has the
+    law of ``[A z]^T [A z]``.  Draws from ``rng``, for all n clients at
+    once, the normals above the diagonal (n, row-major within R), the
+    chi-squares (n, r) and ``g`` (n, d), in that order.  Returns the
+    stacked ``Batch`` (``x`` = ``R[..., :p]``, ``y`` = ``x q^T B* w* +
+    sigma R[..., p]``, ``m`` = m) and ``g``.
     """
-    a = rng.standard_normal((len(parts), m, q.shape[1]))
-    y = (a @ (gt.w_star[parts] @ (q.T @ gt.b_star).T)[..., None])[..., 0]
-    if gt.sigma > 0:
-        y = y + gt.sigma * rng.standard_normal(y.shape)
-    g = rng.standard_normal((len(parts), gt.d))
-    return Batch(x=a, y=y, client_id=parts, round_index=round_index), g
+    n, p = len(parts), q.shape[1]
+    r = min(m, p + 1)
+    rows, cols = _above_diagonal(r, p + 1)
+    diag = np.arange(r)
+    factor = np.zeros((n, r, p + 1))
+    factor[:, rows, cols] = rng.standard_normal((n, rows.size))
+    factor[:, diag, diag] = np.sqrt(rng.chisquare(m - diag, size=(n, r)))
+    g = rng.standard_normal((n, gt.d))
+    x, z = factor[..., :p], factor[..., p]
+    y = (x @ (gt.w_star[parts] @ (q.T @ gt.b_star).T)[..., None])[..., 0] + gt.sigma * z
+    return Batch(x=x, y=y, client_id=parts, round_index=round_index, m=m), g
 
 
 def reduced_rep_step(b, q, w, batch, g, eta):
     """:func:`rep_gradient_step` for a batch drawn in ``span(q)``.
 
-    ``batch.x`` holds ``A = X q`` (shape (m, p), or (n, m, p) stacked),
-    ``w`` the heads from ``head_update(q.T @ b, batch)`` and ``g`` one
+    ``batch.x`` holds ``A = X q`` (shape (m, p), or (n, m, p) stacked) or
+    the factor rows that stand for it (see :func:`_draw_in_span`), ``w``
+    the heads from ``head_update(q.T @ b, batch)`` and ``g`` one
     standard Gaussian d-vector per client.  ``X^T r`` is rebuilt as
     ``q A^T r + ||r|| (I - q q^T) g``, and the step is
-    ``b - (eta/m) X^T r w^T``: shape (d, k), or (n, d, k) stacked.
+    ``b - (eta/m) X^T r w^T`` with m = ``batch.m``: shape (d, k), or
+    (n, d, k) stacked.
     """
-    m = batch.x.shape[-2]
+    m = batch.m
     resid = (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0] - batch.y
     inside = (batch.x.swapaxes(-1, -2) @ resid[..., None])[..., 0] @ q.T
     outside = np.linalg.norm(resid, axis=-1)[..., None] * (g - (g @ q) @ q.T)
@@ -194,9 +221,9 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     parts = np.array(list(participants), dtype=int)
     if not parts.size:
         raise EmptyParticipants("a round needs at least one participant")
-    for cid in parts:
-        if not 0 <= cid < gt.n_clients:
-            raise ClientOutOfRange(f"participant {cid} outside 0..{gt.n_clients - 1}")
+    bad = parts[(parts < 0) | (parts >= gt.n_clients)]
+    if bad.size:
+        raise ClientOutOfRange(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
     q = span_basis(gt.b_star, b)
     rng = substream(seed, _TAG_ROUND, round_index)
     batch, g = _draw_in_span(gt, q, parts, m, round_index, rng)

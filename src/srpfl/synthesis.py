@@ -50,15 +50,25 @@ class Batch:
     """One fresh batch for one client: rows of ``x`` are samples.
 
     A stacked batch of B clients has ``x`` of shape (B, m, d), ``y`` of
-    shape (B, m) and ``client_id`` an array of the B ids.  A training
-    round's batch holds ``A = X Q`` in ``x``, of shape (B, m, p), for the
-    round's d x p basis ``Q`` (see :func:`srpfl.fedrep.fedrep_round`).
+    shape (B, m) and ``client_id`` an array of the B ids.  ``m`` is the
+    number of samples the batch stands for, by default the rows of ``x``.
+    A training round's batch stands for m samples ``(A, y)``, ``A = X Q``
+    for the round's d x p basis ``Q``, but holds only the rows of the R
+    factor of ``[A z]``: ``x`` of shape (B, r, p) and ``y`` of shape
+    (B, r), r = min(m, p + 1), whose ``x^T x``, ``x^T y`` and ``y^T y``
+    have the joint law of ``A^T A``, ``A^T y`` and ``y^T y`` (see
+    :func:`srpfl.fedrep.fedrep_round`).
     """
 
     x: np.ndarray
     y: np.ndarray
     client_id: int | np.ndarray
     round_index: int
+    m: int | None = None
+
+    def __post_init__(self):
+        if self.m is None:
+            object.__setattr__(self, "m", self.x.shape[-2])
 
 
 def gen_ground_truth(d, k, n_clients, sigma, seed):

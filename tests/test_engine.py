@@ -150,20 +150,20 @@ class TestRun:
 
 
 # sha256 of cli.trace_to_csv for every algorithm x plan_mode on one small
-# config, recorded when rounds began drawing their batches in the span of
-# b and B*.  A change that moves one of them changes what a run computes
-# and must say why.
+# config, recorded when rounds began drawing each client's batch as the
+# Bartlett factor of its Gram matrix.  A change that moves one of them
+# changes what a run computes and must say why.
 GUARD_CONFIG = dict(
     d=8, k=2, n_total=16, n0=2, m=40, sigma=0.1, seed=5, comm_cost=1.0,
     fixed_rounds=10, init_mode="random", a=0.1, epsilon=0.1,
 )
 TRACE_SHA256 = {
-    ("srpfl", "analytic"): "85878cafc5d9d8e91d673b34620d1a231a43c9b95598f3afdbb35552e0de3fee",
-    ("srpfl", "distance_threshold"): "a53a9b6e4d75366d1b4b4b1c68928e4031a39af9d60a29f9c16ae921bb261b03",
-    ("srpfl", "fixed"): "e209798a47a58be058af2ef16b31232870f320f17ba9789f308b15a9bfd1f467",
-    ("fedrep_full", "analytic"): "ae8f0c187ad2f86f85fe43e1635433d271a64fa9c9fa2c3f91041254a357a94e",
-    ("fedrep_full", "distance_threshold"): "ae8f0c187ad2f86f85fe43e1635433d271a64fa9c9fa2c3f91041254a357a94e",
-    ("fedrep_full", "fixed"): "2cef8855e16dca900de06fcad0f2a4087febe4b85108540fc7b1bf02a840066f",
+    ("srpfl", "analytic"): "ac4c1cbe121e9fdf34b4282bc55b208a11050e25c78b10a22eda2dd558f4c8ed",
+    ("srpfl", "distance_threshold"): "41e6c6c92ccc9e5ebaee243d3372c7d42e3bf973c9b81959515082eb046e6ed9",
+    ("srpfl", "fixed"): "e9e8a4bcb6dbc1a31ad4e5285501a3a88b5616645324676b6763d05a6b585626",
+    ("fedrep_full", "analytic"): "8730c7aa83c8fcac2b279f0c15cb2076d20594e11805dbf2fe30436ecd7bfb05",
+    ("fedrep_full", "distance_threshold"): "8730c7aa83c8fcac2b279f0c15cb2076d20594e11805dbf2fe30436ecd7bfb05",
+    ("fedrep_full", "fixed"): "ca0a03c4d97cdf21d695fb506e3f61342014ddc8e425314846de1a153357106d",
 }
 
 

@@ -191,13 +191,13 @@ def row_steps(gt, b, m, draws, seed):
 
 class TestBlockedRound:
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 35])
-    @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8), (5, 3, 9)])
+    @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8), (5, 3, 9), (12, 3, 4)])
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
-        # each client's rows are X = A q^T, so X^T r lies in span(q): the
-        # reduced head and the in-span part of the reduced step are the row
-        # loop's, and the rest is -(eta/m) ||r|| (I - q q^T) g w^T
-        # (d = 5 < 2k leaves no rest)
+        # each client's rows are its factor's X = R[:, :p] q^T, standing for
+        # m samples, so X^T r lies in span(q): the reduced head and the
+        # in-span part of the reduced step are the row loop's, and the rest
+        # is -(eta/m) ||r|| (I - q q^T) g w^T (d = 5 < 2k leaves no rest)
         gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
         b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
@@ -207,7 +207,7 @@ class TestBlockedRound:
         steps = fedrep.reduced_rep_step(b, q, w, batch, g, 0.2)
         inside = q @ (q.T @ (steps - b))
         for i, cid in enumerate(ids):
-            rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, round_index=1)
+            rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, round_index=1, m=m)
             w_rows = fedrep.head_update(b, rows)
             np.testing.assert_allclose(w[i], w_rows, rtol=0, atol=1e-12)
             row_move = fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
@@ -245,6 +245,41 @@ class TestBlockedRound:
         cov = np.cov(z.T)
         assert np.linalg.norm(cov - np.eye(len(cov))) / np.sqrt(len(cov)) <= 0.10
         assert np.max(np.abs(z.mean(axis=0))) * np.sqrt(draws / 2) <= 4.0
+
+    @pytest.mark.parametrize("m", [100, 3])
+    def test_factor_gram_has_the_law_of_the_rows(self, m):
+        # 20 000 factor batches against 20 000 directly drawn m x (p+1)
+        # Gaussian blocks M (d=20, k=2, p=4; m=3 < p+1 leaves R trapezoidal):
+        # the upper entries of R^T R and of M^T M must both have the Wishart
+        # mean m I (largest error 2.3 standard errors for R, 2.2 for M) and
+        # covariance m (d_ik d_jl + d_il d_jk) (largest error 0.075 m for R,
+        # 0.063 m for M).  A chi-square degree of freedom one too many reads
+        # 11 standard errors or more, one too few cannot draw at m=3, and a
+        # missing sqrt reads 690
+        d, k, sigma, draws = 20, 2, 0.5, 20_000
+        gt = synthesis.gen_ground_truth(d, k, 1, sigma, seed=41)
+        b, _ = linalg.thin_qr(np.random.default_rng(42).standard_normal((d, k)))
+        q = linalg.span_basis(gt.b_star, b)
+        p = q.shape[1]
+        rng = np.random.default_rng(43)
+        batch, _ = fedrep._draw_in_span(gt, q, np.zeros(draws, dtype=int), m, 1, rng)
+        assert batch.m == m and batch.x.shape == (draws, min(m, p + 1), p)
+        signal = batch.x @ (gt.w_star[0] @ (q.T @ gt.b_star).T)
+        factor = np.concatenate([batch.x, ((batch.y - signal) / sigma)[..., None]], axis=-1)
+        np.testing.assert_array_equal(np.tril(factor, -1), 0.0)
+        direct = rng.standard_normal((draws, m, p + 1))
+        upper = np.triu_indices(p + 1)
+        eye = np.eye(p + 1)
+        mean = m * eye[upper]
+        cov = m * (
+            eye[upper[0][:, None], upper[0]] * eye[upper[1][:, None], upper[1]]
+            + eye[upper[0][:, None], upper[1]] * eye[upper[1][:, None], upper[0]]
+        )
+        for blocks in (factor, direct):
+            entries = (blocks.swapaxes(-1, -2) @ blocks)[:, upper[0], upper[1]]
+            z = (entries.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / draws)
+            assert np.max(np.abs(z)) <= 4.5
+            assert np.max(np.abs(np.cov(entries.T) - cov)) <= 0.15 * m
 
     def test_stacked_singular_gram_names_its_client(self):
         rng = np.random.default_rng(22)
