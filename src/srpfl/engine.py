@@ -160,6 +160,7 @@ class RunTrace:
     epsilon: float
     eta: float
     a: float
+    lam: float              # the speed model's rate; the mean slot rate when dynamic
     sigma_min_star: float
     sigma_max_star: float
     reached_target: bool
@@ -177,19 +178,19 @@ def measure_singular_extremes(w_active, n0, seed, subsets_per_size=64):
 
     Scans every ladder size from n0 up to the full active set; the full
     set is evaluated exactly, smaller sizes over ``subsets_per_size``
-    random subsets, stacked into one SVD call per size.  The exact
-    extremes range over all subsets, which is combinatorially out of
-    reach; the sampled values are what the automatic step size and
-    contraction factor use.
+    random subsets, stacked into one SVD call per size.  The subsets
+    come from one draw: ``subsets_per_size`` uniform permutations of the
+    active clients (an argsort of uniform variates), and size n takes
+    the first n entries of each, so each size's subsets are uniform
+    n-subsets, nested across sizes.  The exact extremes range over all
+    subsets, which is combinatorially out of reach; the sampled values
+    are what the automatic step size and contraction factor use.
     """
     n_active = w_active.shape[0]
-    rng = substream(seed, _TAG_SUBSET_PROBE)
+    order = substream(seed, _TAG_SUBSET_PROBE).random((subsets_per_size, n_active)).argsort(axis=1)
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(n_active, n0):
-        if n == n_active:
-            subsets = np.arange(n_active)[None]
-        else:
-            subsets = np.stack([rng.choice(n_active, size=n, replace=False) for _ in range(subsets_per_size)])
+        subsets = np.arange(n_active)[None] if n == n_active else order[:, :n]
         sv = np.linalg.svd(w_active[subsets] / math.sqrt(n), compute_uv=False)
         s_min = min(s_min, float(sv[:, -1].min()))
         s_max = max(s_max, float(sv[:, 0].max()))
@@ -300,6 +301,7 @@ def run(config):
         epsilon=epsilon,
         eta=eta,
         a=a,
+        lam=speed.lam,
         sigma_min_star=s_min,
         sigma_max_star=s_max,
         reached_target=bool(records) and dist <= epsilon,

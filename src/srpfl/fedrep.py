@@ -6,7 +6,8 @@ the representation.  The server averages the per-client representation
 updates and re-orthonormalizes with a thin QR.  Each client update
 carries the 1/m batch normalization and the server carries the 1/n
 average, so the composite step on the representation is eta/(m*n) times
-the summed gradient.
+the summed gradient; a round forms that sum directly, as one d x k move,
+and never holds a client's own d x k step.
 
 A round never draws a client's d-dimensional rows.  A client's step
 reads its batch only through ``X b``, ``y`` and ``X^T r``, and
@@ -84,20 +85,26 @@ def head_update(b, batch):
         If a projected Gram matrix, symmetric positive semidefinite, has
         an eigenvalue at or below :data:`GRAM_TOL`; the batch is too
         small (m < k) or degenerate.
-        The message names the first such client of the batch.
+        The message names the first such client of the batch.  Only the
+        clients whose Gershgorin lower bound on that eigenvalue does not
+        clear :data:`GRAM_TOL` are checked with ``eigvalsh``.
     """
     m = batch.m
     xb = batch.x @ b
     xb_t = xb.swapaxes(-1, -2)
     gram = xb_t @ xb / m
-    eig_min = np.ravel(np.linalg.eigvalsh(gram)[..., 0])
-    singular = np.flatnonzero(eig_min <= GRAM_TOL)
-    if singular.size:
-        first = singular[0]
-        raise SingularGram(
-            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
-            f"for client {np.ravel(batch.client_id)[first]} at m={m}"
-        )
+    k = gram.shape[-1]
+    gershgorin = (2.0 * np.diagonal(gram, axis1=-2, axis2=-1) - np.abs(gram).sum(axis=-1)).min(axis=-1)
+    doubtful = np.flatnonzero(np.ravel(gershgorin) <= GRAM_TOL)
+    if doubtful.size:
+        eig_min = np.linalg.eigvalsh(gram.reshape(-1, k, k)[doubtful])[:, 0]
+        singular = np.flatnonzero(eig_min <= GRAM_TOL)
+        if singular.size:
+            first = singular[0]
+            raise SingularGram(
+                f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
+                f"for client {np.ravel(batch.client_id)[doubtful[first]]} at m={m}"
+            )
     return np.linalg.solve(gram, xb_t @ batch.y[..., None] / m)[..., 0]
 
 
@@ -114,21 +121,18 @@ def rep_gradient_step(b, w, batch, eta):
     return b - (eta / m) * (batch.x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
 
 
-def server_aggregate(contributions, n):
-    """Average the per-client representation updates and orthonormalize.
+def server_aggregate(b, move, eta, m, n):
+    """Apply the clients' summed move to ``b`` and orthonormalize.
 
-    ``contributions`` holds the n updates, stacked as an (n, d, k) array
-    or listed.  They are summed over the first axis in order (a
-    fixed-order reduction), so results do not depend on scheduling.
-    Returns the thin QR of the average; a collapsed average propagates
-    ``RankDeficient``.
+    ``move`` is the d x k sum over the n participants of their updates
+    ``X_i^T r_i w_i^T`` (see :func:`reduced_rep_step`).  Each client
+    carries the 1/m batch normalization and the server the 1/n average,
+    so this returns the thin QR of ``b - eta/(m*n) move``; a collapsed
+    result propagates ``RankDeficient``.
     """
-    steps = np.asarray(contributions, dtype=float)
-    if n < 1 or len(steps) == 0:
+    if n < 1:
         raise EmptyParticipants("server_aggregate needs at least one contribution")
-    if len(steps) != n:
-        raise EmptyParticipants(f"expected {n} contributions, got {len(steps)}")
-    return thin_qr(steps.sum(axis=0) / n)
+    return thin_qr(b - (eta / (m * n)) * move)
 
 
 def method_of_moments_init(gt, participants, m, seed):
@@ -186,22 +190,25 @@ def _draw_in_span(gt, q, parts, m, round_index, rng):
     return Batch(x=x, y=y, client_id=parts, round_index=round_index, m=m), g
 
 
-def reduced_rep_step(b, q, w, batch, g, eta):
-    """:func:`rep_gradient_step` for a batch drawn in ``span(q)``.
+def reduced_rep_step(b, q, w, batch, g):
+    """The summed update ``sum_i X_i^T r_i w_i^T`` of a batch drawn in ``span(q)``.
 
-    ``batch.x`` holds ``A = X q`` (shape (m, p), or (n, m, p) stacked) or
-    the factor rows that stand for it (see :func:`_draw_in_span`), ``w``
-    the heads from ``head_update(q.T @ b, batch)`` and ``g`` one
-    standard Gaussian d-vector per client.  ``X^T r`` is rebuilt as
-    ``q A^T r + ||r|| (I - q q^T) g``, and the step is
-    ``b - (eta/m) X^T r w^T`` with m = ``batch.m``: shape (d, k), or
-    (n, d, k) stacked.
+    ``batch.x`` holds, stacked over the n clients (shape (n, r, p)),
+    ``A_i = X_i q`` or the factor rows that stand for it (see
+    :func:`_draw_in_span`), ``w`` the heads from ``head_update(q.T @ b,
+    batch)`` (shape (n, k)) and ``g`` one standard Gaussian d-vector per
+    client (shape (n, d)).  With residuals ``r_i = A_i q^T b w_i - y_i``,
+    ``X_i^T r_i`` is ``q A_i^T r_i + ||r_i|| (I - q q^T) g_i``, so the
+    sum is ``q (sum_i a_i w_i^T) + (I - q q^T) G^T (rho * W)`` with
+    ``a_i = A_i^T r_i`` and ``rho_i = ||r_i||``: two products over the
+    client axis and no per-client d x k array.  Returns the d x k move
+    that :func:`server_aggregate` scales by eta/(m*n);
+    :func:`rep_gradient_step` is the per-client row form it stands for.
     """
-    m = batch.m
     resid = (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0] - batch.y
-    inside = (batch.x.swapaxes(-1, -2) @ resid[..., None])[..., 0] @ q.T
-    outside = np.linalg.norm(resid, axis=-1)[..., None] * (g - (g @ q) @ q.T)
-    return b - (eta / m) * ((inside + outside)[..., :, None] * w[..., None, :])
+    inside = (batch.x.swapaxes(-1, -2) @ resid[..., None])[..., 0].T @ w
+    outside = g.T @ (np.linalg.norm(resid, axis=-1)[:, None] * w)
+    return outside + q @ (inside - q.T @ outside)
 
 
 def fedrep_round(b, gt, participants, m, eta, seed, round_index):
@@ -213,10 +220,11 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     participant's batch in participant order (see :func:`_draw_in_span`),
     so a participant's batch depends on its place in the round while the
     trace stays a pure function of the config.  Each participant solves
-    its head and contributes one representation step (see
-    :func:`reduced_rep_step`); heads are not kept between rounds, and the
-    steps are summed in participant order.  Raises with the offending
-    client id when a local solve fails.
+    its head (heads are not kept between rounds); the participants'
+    updates ``X_i^T r_i w_i^T`` are summed directly into one d x k move
+    (see :func:`reduced_rep_step`), and the round returns the thin QR of
+    ``b - eta/(m*n) move``.  Raises with the offending client id when a
+    local solve fails.
     """
     parts = np.array(list(participants), dtype=int)
     if not parts.size:
@@ -228,5 +236,5 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     rng = substream(seed, _TAG_ROUND, round_index)
     batch, g = _draw_in_span(gt, q, parts, m, round_index, rng)
     w = head_update(q.T @ b, batch)
-    b_new, _ = server_aggregate(reduced_rep_step(b, q, w, batch, g, eta), len(parts))
+    b_new, _ = server_aggregate(b, reduced_rep_step(b, q, w, batch, g), eta, m, len(parts))
     return b_new

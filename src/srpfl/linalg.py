@@ -123,7 +123,7 @@ def spectral_norm(a):
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
 def principal_angle_dist(b1, b2):

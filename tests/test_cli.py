@@ -1,4 +1,5 @@
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import srpfl
-from srpfl import checks, cli
+from srpfl import checks, cli, engine
 from srpfl.config import build_config, load_config, load_model, parse_pairs
 from srpfl.errors import ConfigError
+from srpfl.straggler import SpeedModel
 
 GOOD_CONFIG = """\
 # small deterministic run (times in abstract time units)
@@ -161,12 +163,21 @@ class TestTraceCsv:
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
 
+def assert_not_vacuous(rows):
+    """Every compare.csv row took more than one round and reached its epsilon."""
+    header = rows[0].split(",")
+    for row in rows[1:]:
+        fields = dict(zip(header, row.split(",")))
+        assert int(fields["rounds"]) > 1, row
+        assert float(fields["final_dist"]) <= float(fields["epsilon"]), row
+
+
 class TestCompareVerifyGen:
     def test_compare_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "cmp"
         rc = cli.main([
             "compare", "--config", str(config_path), "--out", str(out),
-            "--override", "epsilon=auto", "--override", "plan_mode=analytic",
+            "--override", "epsilon=0.1", "--override", "plan_mode=analytic",
         ])
         assert rc == cli.EXIT_OK
         stdout = capsys.readouterr().out
@@ -174,15 +185,46 @@ class TestCompareVerifyGen:
         rows = (out / "compare.csv").read_text().strip().split("\n")
         assert rows[0].startswith("seed,algorithm,")
         assert len(rows) == 1 + 2 * 2  # two seeds, two algorithms
+        assert_not_vacuous(rows)
 
     def test_compare_parallel_determinism(self, config_path, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
-        args = ["--override", "epsilon=auto", "--override", "plan_mode=analytic"]
+        args = ["--override", "epsilon=0.1", "--override", "plan_mode=analytic"]
         monkeypatch.setenv("SRPFL_THREADS", "1")
         assert cli.main(["compare", "--config", str(config_path), "--out", str(out1)] + args) == 0
         monkeypatch.setenv("SRPFL_THREADS", "2")
         assert cli.main(["compare", "--config", str(config_path), "--out", str(out2)] + args) == 0
         assert (out1 / "compare.csv").read_bytes() == (out2 / "compare.csv").read_bytes()
+        assert_not_vacuous((out1 / "compare.csv").read_text().strip().split("\n"))
+
+    def test_compare_bound_uses_the_speed_model_rate(self, config_path, tmp_path, capsys):
+        # the dynamic model ignores config.lam (here 1); the bound must be
+        # in units of the mean slot rate of the runs' models
+        out = tmp_path / "cmp"
+        rc = cli.main([
+            "compare", "--config", str(config_path), "--out", str(out),
+            "--override", "epsilon=0.1", "--override", "plan_mode=analytic",
+            "--override", "speed_kind=dynamic",
+        ])
+        assert rc == cli.EXIT_OK
+        capsys.readouterr()
+        assert_not_vacuous((out / "compare.csv").read_text().strip().split("\n"))
+        summary = {}
+        for line in (out / "compare_summary.txt").read_text().splitlines():
+            key, sep, value = line.partition("=")
+            assert sep, line
+            summary[key.strip()] = float(value)
+        cfg = load_config(config_path)
+        lam = statistics.fmean(
+            SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed + i).lam for i in range(cfg.sweep_seeds)
+        )
+        assert summary["mean_lam"] == pytest.approx(lam, rel=1e-11) and abs(lam - 1.0) > 0.2
+        upper, lower, ratio = engine.analytic_speedup_bound(
+            cfg.n_total, cfg.n0, cfg.c_hat, summary["mean_a"], cfg.comm_cost * lam,
+        )
+        assert summary["analytic_upper_srpfl"] == pytest.approx(upper / lam, rel=1e-9)
+        assert summary["analytic_lower_fedrep"] == pytest.approx(lower / lam, rel=1e-9)
+        assert summary["analytic_ratio_bound"] == pytest.approx(ratio, rel=1e-9)
 
     def test_gen_and_reload(self, config_path, tmp_path, capsys):
         target = tmp_path / "model.txt"

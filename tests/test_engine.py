@@ -298,7 +298,7 @@ class TestMeasureContraction:
             records.append(engine.RoundRecord(0, t, 4, 1.0, cum, 0.9 * rho**t))
         trace = engine.RunTrace(
             records=records, config_digest="x", final_dist=records[-1].dist,
-            init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05,
+            init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05, lam=1.0,
             sigma_min_star=1.0, sigma_max_star=1.0, reached_target=False,
         )
         a = engine.measure_contraction_rate(trace)
@@ -329,10 +329,13 @@ def test_pooled_sweep_uses_replaced_run(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_singular_extremes_match_per_subset_loop(seed):
     w = gen_ground_truth(6, 3, 40, 0.0, seed).w_star
-    rng = substream(seed, engine._TAG_SUBSET_PROBE)
+    # 64 uniform permutations of the 40 clients; size n takes the first n
+    # entries of each, and the full set is taken once, exactly
+    order = substream(seed, engine._TAG_SUBSET_PROBE).random((64, 40)).argsort(axis=1)
+    assert all(np.array_equal(np.sort(row), np.arange(40)) for row in order)
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(40, 3):
-        subsets = [np.arange(40)] if n == 40 else [rng.choice(40, size=n, replace=False) for _ in range(64)]
+        subsets = [np.arange(40)] if n == 40 else [row[:n] for row in order]
         for idx in subsets:
             sv = np.linalg.svd(w[idx] / math.sqrt(n), compute_uv=False)
             s_min, s_max = min(s_min, float(sv[-1])), max(s_max, float(sv[0]))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -86,26 +88,30 @@ class TestRepGradientStep:
 
 class TestServerAggregate:
     def test_identical_inputs_preserve_span(self):
+        # three clients with the same update, inside span(b)
         b, _ = linalg.thin_qr(np.random.default_rng(3).standard_normal((5, 2)))
-        out, _ = fedrep.server_aggregate([b, b, b], 3)
+        update = b @ np.random.default_rng(4).standard_normal((2, 2))
+        out, _ = fedrep.server_aggregate(b, 3 * update, eta=0.1, m=10, n=3)
         assert linalg.principal_angle_dist(out, b) <= 1e-12
 
     def test_cancellation_is_rank_deficient(self):
+        # two clients whose summed move takes b - eta/(m*n) move to zero
         b, _ = linalg.thin_qr(np.random.default_rng(3).standard_normal((5, 2)))
         with pytest.raises(RankDeficient):
-            fedrep.server_aggregate([b, -b], 2)
+            fedrep.server_aggregate(b, 2 * b, eta=1.0, m=1, n=2)
 
     def test_mean_qr_invariants_seed5(self):
         rng = np.random.default_rng(5)
-        mats = [rng.standard_normal((4, 2)) for _ in range(3)]
-        out, r = fedrep.server_aggregate(mats, 3)
-        mean = sum(mats) / 3
-        assert np.linalg.norm(out @ r - mean) <= 1e-9 * np.linalg.norm(mean)
+        b, _ = linalg.thin_qr(rng.standard_normal((4, 2)))
+        move = sum(rng.standard_normal((4, 2)) for _ in range(3))
+        out, r = fedrep.server_aggregate(b, move, eta=0.5, m=2, n=3)
+        stepped = b - (0.5 / 6) * move
+        assert np.linalg.norm(out @ r - stepped) <= 1e-9 * np.linalg.norm(stepped)
         assert np.linalg.norm(out.T @ out - np.eye(2)) <= 1e-10
 
     def test_empty(self):
         with pytest.raises(EmptyParticipants):
-            fedrep.server_aggregate([], 0)
+            fedrep.server_aggregate(np.eye(3, 2), np.zeros((3, 2)), eta=0.1, m=10, n=0)
 
 
 class TestMethodOfMoments:
@@ -189,6 +195,17 @@ def row_steps(gt, b, m, draws, seed):
     return np.concatenate(steps)
 
 
+def client_moves(b, q, w, batch, g):
+    """Each client's own update ``X_i^T r_i w_i^T``: the summed move of its slice alone."""
+    return np.stack([
+        fedrep.reduced_rep_step(b, q, w[i:i + 1], synthesis.Batch(
+            x=batch.x[i:i + 1], y=batch.y[i:i + 1], client_id=batch.client_id[i:i + 1],
+            round_index=batch.round_index, m=batch.m,
+        ), g[i:i + 1])
+        for i in range(len(w))
+    ])
+
+
 class TestBlockedRound:
     @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 35])
     @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8), (5, 3, 9), (12, 3, 4)])
@@ -196,16 +213,18 @@ class TestBlockedRound:
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
         # each client's rows are its factor's X = R[:, :p] q^T, standing for
         # m samples, so X^T r lies in span(q): the reduced head and the
-        # in-span part of the reduced step are the row loop's, and the rest
-        # is -(eta/m) ||r|| (I - q q^T) g w^T (d = 5 < 2k leaves no rest)
+        # in-span part of the client's reduced move are the row loop's, and
+        # the rest is -(eta/m) ||r|| (I - q q^T) g w^T (d = 5 < 2k leaves no
+        # rest); the round is the thin QR of the row loop's averaged steps
         gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
         b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
         q = linalg.span_basis(gt.b_star, b)
         batch, g = fedrep._draw_in_span(gt, q, ids, m, 1, synthesis.substream(21, fedrep._TAG_ROUND, 1))
         w = fedrep.head_update(q.T @ b, batch)
-        steps = fedrep.reduced_rep_step(b, q, w, batch, g, 0.2)
-        inside = q @ (q.T @ (steps - b))
+        moves = -(0.2 / m) * client_moves(b, q, w, batch, g)
+        inside = q @ (q.T @ moves)
+        steps = []
         for i, cid in enumerate(ids):
             rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, round_index=1, m=m)
             w_rows = fedrep.head_update(b, rows)
@@ -214,9 +233,12 @@ class TestBlockedRound:
             np.testing.assert_allclose(inside[i], row_move, rtol=0, atol=1e-12)
             resid = np.linalg.norm(rows.x @ (b @ w_rows) - rows.y)
             rest = -(0.2 / m) * resid * np.outer(g[i] - q @ (q.T @ g[i]), w[i])
-            np.testing.assert_allclose(steps[i] - b - inside[i], rest, rtol=0, atol=1e-12)
-        expected, _ = fedrep.server_aggregate(steps, n)
-        assert np.array_equal(fedrep.fedrep_round(b, gt, ids, m, 0.2, seed=21, round_index=1), expected)
+            np.testing.assert_allclose(moves[i] - inside[i], rest, rtol=0, atol=1e-12)
+            steps.append(b + row_move + rest)
+        expected, _ = linalg.thin_qr(sum(steps) / n)
+        np.testing.assert_allclose(
+            fedrep.fedrep_round(b, gt, ids, m, 0.2, seed=21, round_index=1), expected, rtol=0, atol=1e-12,
+        )
 
     def test_step_distribution_matches_rows_monte_carlo(self):
         # one client's step, 20 000 reduced draws against 20 000 sample_batch
@@ -237,7 +259,7 @@ class TestBlockedRound:
         for _ in range(draws // 2000):
             batch, g = fedrep._draw_in_span(gt, q, np.zeros(2000, dtype=int), m, 1, rng)
             w = fedrep.head_update(q.T @ b, batch)
-            reduced.append(fedrep.reduced_rep_step(b, q, w, batch, g, 1.0))
+            reduced.append(b - client_moves(b, q, w, batch, g) / m)
         reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
         rows = (perp.T @ row_steps(gt, b, m, draws, seed=31)).reshape(draws, -1)
         white = np.linalg.inv(np.linalg.cholesky(np.cov(rows.T)))
@@ -290,6 +312,46 @@ class TestBlockedRound:
             x=x, y=rng.standard_normal((3, 4)), client_id=np.array([7, 3, 9]), round_index=1,
         )
         with pytest.raises(SingularGram, match="client 9"):
+            fedrep.head_update(b, batch)
+
+    def test_gershgorin_miss_is_still_solved(self, monkeypatch):
+        # client 1's Gram [[1, .5], [.5, .3]] fails the Gershgorin bound
+        # (.3 - .5 < 0) but has lambda_min 0.042 > GRAM_TOL: it alone goes to
+        # eigvalsh, and every head is still the least-squares solution
+        m, b = 200, np.eye(2)
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((3, m, 2))
+        x[1] = 0.0
+        x[1, :2] = np.sqrt(m) * np.linalg.cholesky([[1.0, 0.5], [0.5, 0.3]]).T
+        y = rng.standard_normal((3, m))
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            checked.append(np.array(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        w = fedrep.head_update(b, synthesis.Batch(x=x, y=y, client_id=np.array([4, 5, 6]), round_index=1))
+        assert len(checked) == 1 and checked[0].shape == (1, 2, 2)
+        np.testing.assert_allclose(checked[0][0], [[1.0, 0.5], [0.5, 0.3]], rtol=0, atol=1e-12)
+        for i in range(3):
+            np.testing.assert_allclose(w[i], np.linalg.lstsq(x[i], y[i], rcond=None)[0], rtol=1e-10, atol=0)
+
+    def test_one_singular_client_among_many_is_named(self):
+        # 300 well-conditioned clients and one, id 1217, whose projected
+        # samples are collinear; the message carries its eigvalsh lambda_min
+        m, b = 50, np.eye(3)[:, :2]
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((301, m, 3))
+        x[217, :, 1] = 0.5 * x[217, :, 0]
+        xb = x @ b
+        lam = np.linalg.eigvalsh(xb[217].T @ xb[217] / m)[0]
+        assert lam <= fedrep.GRAM_TOL
+        batch = synthesis.Batch(
+            x=x, y=rng.standard_normal((301, m)), client_id=np.arange(1000, 1301), round_index=1,
+        )
+        with pytest.raises(SingularGram, match=re.escape(f"(lambda_min={lam:.3e}) for client 1217 at m={m}")):
             fedrep.head_update(b, batch)
 
     def test_bad_participant_raises_before_any_draw(self, monkeypatch):

@@ -130,6 +130,14 @@ class TestSpectralNorm:
         oracle = np.linalg.svd(a, compute_uv=False)[0]
         assert linalg.spectral_norm(a) == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (20, 2), (40, 4), (3, 7)])
+    def test_bit_equal_to_numpy_2_norm(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for scale in (1e-12, 1e-6, 1.0, 1e2):
+            for _ in range(50):
+                a = scale * rng.standard_normal(shape)
+                assert linalg.spectral_norm(a) == float(np.linalg.norm(a, 2))
+
 
 class TestPrincipalAngleDist:
     def test_self_distance_zero(self):
