@@ -28,7 +28,6 @@ from .fedrep import (
     method_of_moments_init,
     reduced_rep_step,
     rep_gradient_step,
-    server_aggregate,
 )
 from .linalg import (
     is_orthonormal,
@@ -92,7 +91,6 @@ __all__ = [
     "run_sweep",
     "sample_batch",
     "select_fastest",
-    "server_aggregate",
     "span_basis",
     "speedup_report",
     "spectral_norm",

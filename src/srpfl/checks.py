@@ -55,11 +55,27 @@ def _rep_loss(b, w, batch):
     return 0.5 * float(resid @ resid) / len(batch.y)
 
 
+def _summed_loss(b, q, w, batch):
+    resid = batch.y - (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0]
+    return 0.5 * float(np.sum(resid**2))
+
+
+def _gradient_error(loss, b, grad, h=1e-6):
+    """Relative error of ``grad`` against central differences of ``loss`` at ``b``."""
+    fd = np.zeros_like(b)
+    for idx in np.ndindex(b.shape):
+        e = np.zeros_like(b)
+        e[idx] = h
+        fd[idx] = (loss(b + e) - loss(b - e)) / (2 * h)
+    return np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad))
+
+
 def kernel_invariants():
     """Kernel invariants on random instances.
 
     Thin QR and principal-angle invariants, the representation gradient
-    against central differences, and the normal equations of the head solve.
+    against central differences in its row form and in the summed form a
+    round runs, and the normal equations of the head solve.
     """
     rng = np.random.default_rng(7777)
     failures = []
@@ -86,26 +102,35 @@ def kernel_invariants():
             failures.append(f"rotation invariance #{i}")
 
     worst_grad = 0.0
-    h = 1e-6
     for i in range(100):
         d = int(rng.integers(2, 7))
         k = int(rng.integers(1, min(d, 4) + 1))
         m = int(rng.integers(k + 1, 12))
         b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
         w = rng.standard_normal(k)
-        batch = synthesis.Batch(
-            x=rng.standard_normal((m, d)), y=rng.standard_normal(m), client_id=0, round_index=1,
-        )
+        batch = synthesis.Batch(x=rng.standard_normal((m, d)), y=rng.standard_normal(m), client_id=0)
         grad = b - fedrep.rep_gradient_step(b, w, batch, eta=1.0)
-        fd = np.zeros_like(grad)
-        for r_ in range(d):
-            for c_ in range(k):
-                e = np.zeros_like(b)
-                e[r_, c_] = h
-                fd[r_, c_] = (_rep_loss(b + e, w, batch) - _rep_loss(b - e, w, batch)) / (2 * h)
-        worst_grad = max(worst_grad, np.linalg.norm(fd - grad) / max(1.0, np.linalg.norm(grad)))
+        worst_grad = max(worst_grad, _gradient_error(lambda b_: _rep_loss(b_, w, batch), b, grad))
     if worst_grad > 1e-5:
         failures.append(f"finite differences ({worst_grad:.2e})")
+
+    # the round's summed move with g = 0 is the gradient in b of
+    # sum_i 1/2 ||x_i q^T b w_i - y_i||^2 over its factor batch, heads held fixed
+    worst_summed = 0.0
+    for i in range(100):
+        d = int(rng.integers(2, 9))
+        k = int(rng.integers(1, min(d, 4) + 1))
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(k + 1, 12))
+        gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=800 + i)
+        b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
+        q = linalg.span_basis(gt.b_star, b)
+        batch, _ = fedrep._draw_in_span(gt, q, np.arange(n), m, rng)
+        w = fedrep.head_update(q.T @ b, batch)
+        move = fedrep.reduced_rep_step(b, q, w, batch, np.zeros((n, d)))
+        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w, batch), b, move))
+    if worst_summed > 1e-5:
+        failures.append(f"summed-move finite differences ({worst_summed:.2e})")
 
     worst_resid = 0.0
     for i in range(50):
@@ -120,7 +145,8 @@ def kernel_invariants():
         failures.append(f"head optimality residual ({worst_resid:.2e})")
 
     return not failures, (
-        f"100 QR/distance instances, worst gradient err {worst_grad:.2e}, "
+        f"100 QR/distance instances, worst gradient err {worst_grad:.2e} (rows), "
+        f"{worst_summed:.2e} (summed move), "
         f"worst head residual {worst_resid:.2e}"
         + (f", failures: {failures}" if failures else "")
     )

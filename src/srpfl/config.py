@@ -2,8 +2,8 @@
 
 One ``key = value`` pair per line, ``#`` comments, unknown and duplicate
 keys rejected.  Times are abstract time units, rates are per time unit.
-``eta``, ``a`` and ``epsilon`` accept the literal ``auto`` to let the
-engine derive them with oracle access to the ground truth.
+``eta``, ``a`` and ``epsilon`` accept the literal ``auto`` (any case) to
+let the engine derive them with oracle access to the ground truth.
 """
 
 from dataclasses import MISSING, fields
@@ -11,8 +11,6 @@ from dataclasses import MISSING, fields
 from .engine import RunConfig
 from .errors import ConfigError
 from .synthesis import gen_ground_truth
-
-_AUTO = ("auto", "none", "")
 
 
 def _as_int(key, text):
@@ -30,7 +28,7 @@ def _as_float(key, text):
 
 
 def _as_optional_float(key, text):
-    if text.lower() in _AUTO:
+    if text.lower() == "auto":
         return None
     return _as_float(key, text)
 

@@ -42,11 +42,7 @@ from .straggler import (
     select_fastest,
     target_accuracy,
 )
-from .synthesis import gen_ground_truth, substream
-
-_TAG_ACTIVE_SET = 0x21
-_TAG_SUBSET_PROBE = 0x22
-_TAG_RANDOM_INIT = 0x23
+from .synthesis import TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_SUBSET_PROBE, gen_ground_truth, substream
 
 ALGO_SRPFL = "srpfl"
 ALGO_FEDREP_FULL = "fedrep_full"
@@ -187,7 +183,7 @@ def measure_singular_extremes(w_active, n0, seed, subsets_per_size=64):
     are what the automatic step size and contraction factor use.
     """
     n_active = w_active.shape[0]
-    order = substream(seed, _TAG_SUBSET_PROBE).random((subsets_per_size, n_active)).argsort(axis=1)
+    order = substream(seed, TAG_SUBSET_PROBE).random((subsets_per_size, n_active)).argsort(axis=1)
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(n_active, n0):
         subsets = np.arange(n_active)[None] if n == n_active else order[:, :n]
@@ -207,12 +203,12 @@ def _sample_active(config, scope_index):
     """Ids of the N clients connected for one stage (or round)."""
     if config.n_clients == config.n_total:
         return np.arange(config.n_total)
-    rng = substream(config.seed, _TAG_ACTIVE_SET, scope_index)
+    rng = substream(config.seed, TAG_ACTIVE_SET, scope_index)
     return rng.choice(config.n_clients, size=config.n_total, replace=False)
 
 
 def _random_basis(config, gt):
-    rng = substream(config.seed, _TAG_RANDOM_INIT)
+    rng = substream(config.seed, TAG_RANDOM_INIT)
     basis, _ = thin_qr(rng.standard_normal((gt.d, gt.k)))
     return basis
 

@@ -20,16 +20,18 @@ matrix, ``y = A Q^T B* w* + sigma z``, and the part of ``X^T r`` outside
 of the Gram matrix of the m x (p+1) Gaussian block ``[A z]``, so the
 round draws that Gram matrix's upper-trapezoidal factor ``R`` instead
 (the Bartlett decomposition, see :func:`_draw_in_span`) and feeds
-``R``'s rows through the head and the step in place of the m rows.
-This is exact in distribution for every m and needs (p+1)(p+2)/2 values
-plus ``g`` per client (fewer when m < p+1) instead of m*(d + 1).  All
-participants are drawn from one generator per round, in participant
-order, and solved as one stacked batch.
+``R``'s rows through the head and the step in place of the m rows: a
+factor batch holds r = min(m, p+1) rows (``x`` = ``R[:, :p]``) that
+stand for its m samples (``Batch.m``).  This is exact in distribution
+for every m and needs (p+1)(p+2)/2 values plus ``g`` per client (fewer
+when m < p+1) instead of m*(d + 1).  All participants are drawn from one
+generator per round, in participant order, and solved as one stacked
+batch.
 
 Also provides the spectral warm start: average the per-client
 second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
 top-k eigenspace.  These are fourth moments of the rows, so the warm
-start still draws full rows with :func:`sample_batch`.
+start draws each participant's full rows with :func:`sample_batch`.
 """
 
 import functools
@@ -43,33 +45,9 @@ from .errors import (
     SingularGram,
 )
 from .linalg import rank_k_eig, span_basis, thin_qr
-from .synthesis import Batch, sample_batch, substream
+from .synthesis import TAG_ROUND, Batch, sample_batch, substream
 
 GRAM_TOL = 1e-10
-
-# substream tag of a round's draws; distinct from synthesis' 0x01-0x02,
-# straggler's 0x11-0x13 and engine's 0x21-0x23
-_TAG_ROUND = 0x03
-
-# warm-start clients per stacked block; bounds the memory of the stacked rows
-BLOCK = 16
-
-
-def _blocks(gt, parts, m, seed):
-    """Stacked warm-start batches (round index 0), ``BLOCK`` clients each, in participant order.
-
-    Every client draws its own rows from :func:`sample_batch`; a block
-    stacks them into one ``Batch`` with ``x`` of shape (B, m, d), ``y``
-    of shape (B, m) and ``client_id`` an array of the B ids.
-    """
-    for start in range(0, len(parts), BLOCK):
-        batches = [sample_batch(gt, cid, m, 0, seed) for cid in parts[start:start + BLOCK]]
-        yield Batch(
-            x=np.stack([batch.x for batch in batches]),
-            y=np.stack([batch.y for batch in batches]),
-            client_id=np.array([batch.client_id for batch in batches]),
-            round_index=0,
-        )
 
 
 def head_update(b, batch):
@@ -114,44 +92,31 @@ def rep_gradient_step(b, w, batch, eta):
     Returns ``b - (eta/m) X^T (X b w - y) w^T``: shape (d, k) for a
     single batch and head, (B, d, k) for a stacked batch with heads of
     shape (B, k).  The server-side 1/n average completes the eta/(m*n)
-    composite step.
+    composite step.  A round takes this step in the summed form of
+    :func:`reduced_rep_step`; the self-checks and the tests use this one.
     """
     m = batch.m
     resid = (batch.x @ (b @ w[..., None]))[..., 0] - batch.y
     return b - (eta / m) * (batch.x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
 
 
-def server_aggregate(b, move, eta, m, n):
-    """Apply the clients' summed move to ``b`` and orthonormalize.
-
-    ``move`` is the d x k sum over the n participants of their updates
-    ``X_i^T r_i w_i^T`` (see :func:`reduced_rep_step`).  Each client
-    carries the 1/m batch normalization and the server the 1/n average,
-    so this returns the thin QR of ``b - eta/(m*n) move``; a collapsed
-    result propagates ``RankDeficient``.
-    """
-    if n < 1:
-        raise EmptyParticipants("server_aggregate needs at least one contribution")
-    return thin_qr(b - (eta / (m * n)) * move)
-
-
 def method_of_moments_init(gt, participants, m, seed):
     """Spectral warm start for the shared representation.
 
-    Every participant draws one batch (round index 0), forms
-    ``P_i = (1/m) sum_j y_j^2 x_j x_j^T`` (a block at a time), and the
-    top-k eigenspace of the participant average is returned; the
-    ``P_i`` are summed in participant order.
+    Every participant draws one batch (round index 0) and forms
+    ``P_i = (1/m) sum_j y_j^2 x_j x_j^T``; the ``P_i`` are summed in
+    participant order and the top-k eigenspace of their average is
+    returned.
     """
     parts = list(participants)
     if not parts:
         raise EmptyParticipants("warm start needs at least one participant")
     p_bar = np.zeros((gt.d, gt.d))
     saw_signal = False
-    for batch in _blocks(gt, parts, m, seed):
+    for cid in parts:
+        batch = sample_batch(gt, cid, m, 0, seed)
         saw_signal = saw_signal or bool(np.any(batch.y != 0.0))
-        for p in (batch.x.swapaxes(-1, -2) * (batch.y**2)[:, None, :]) @ batch.x / m:
-            p_bar += p
+        p_bar += (batch.x.T * batch.y**2) @ batch.x / m
     if not saw_signal:
         raise AllZeroMoments("every warm-start label was zero; nothing to estimate")
     return rank_k_eig(p_bar / len(parts), gt.k)
@@ -163,7 +128,7 @@ def _above_diagonal(rows, cols):
     return np.triu_indices(rows, 1, cols)
 
 
-def _draw_in_span(gt, q, parts, m, round_index, rng):
+def _draw_in_span(gt, q, parts, m, rng):
     """Factor batches of ``parts`` drawn in ``span(q)``, and one ``g`` per client.
 
     A client's m x (p+1) standard Gaussian block ``[A z]`` (p =
@@ -187,7 +152,7 @@ def _draw_in_span(gt, q, parts, m, round_index, rng):
     g = rng.standard_normal((n, gt.d))
     x, z = factor[..., :p], factor[..., p]
     y = (x @ (gt.w_star[parts] @ (q.T @ gt.b_star).T)[..., None])[..., 0] + gt.sigma * z
-    return Batch(x=x, y=y, client_id=parts, round_index=round_index, m=m), g
+    return Batch(x=x, y=y, client_id=parts, m=m), g
 
 
 def reduced_rep_step(b, q, w, batch, g):
@@ -202,7 +167,7 @@ def reduced_rep_step(b, q, w, batch, g):
     sum is ``q (sum_i a_i w_i^T) + (I - q q^T) G^T (rho * W)`` with
     ``a_i = A_i^T r_i`` and ``rho_i = ||r_i||``: two products over the
     client axis and no per-client d x k array.  Returns the d x k move
-    that :func:`server_aggregate` scales by eta/(m*n);
+    that :func:`fedrep_round` scales by eta/(m*n);
     :func:`rep_gradient_step` is the per-client row form it stands for.
     """
     resid = (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0] - batch.y
@@ -224,7 +189,7 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     updates ``X_i^T r_i w_i^T`` are summed directly into one d x k move
     (see :func:`reduced_rep_step`), and the round returns the thin QR of
     ``b - eta/(m*n) move``.  Raises with the offending client id when a
-    local solve fails.
+    local solve fails, and ``RankDeficient`` when the moved ``b`` collapses.
     """
     parts = np.array(list(participants), dtype=int)
     if not parts.size:
@@ -233,8 +198,6 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     if bad.size:
         raise ClientOutOfRange(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
     q = span_basis(gt.b_star, b)
-    rng = substream(seed, _TAG_ROUND, round_index)
-    batch, g = _draw_in_span(gt, q, parts, m, round_index, rng)
+    batch, g = _draw_in_span(gt, q, parts, m, substream(seed, TAG_ROUND, round_index))
     w = head_update(q.T @ b, batch)
-    b_new, _ = server_aggregate(b, reduced_rep_step(b, q, w, batch, g), eta, m, len(parts))
-    return b_new
+    return thin_qr(b - (eta / (m * len(parts))) * reduced_rep_step(b, q, w, batch, g))[0]

@@ -22,11 +22,7 @@ from .errors import (
     NTooLarge,
     ZeroGap,
 )
-from .synthesis import substream
-
-_TAG_FIXED_TIMES = 0x11
-_TAG_DYNAMIC_TIMES = 0x12
-_TAG_CLIENT_RATES = 0x13
+from .synthesis import TAG_CLIENT_RATES, TAG_DYNAMIC_TIMES, TAG_FIXED_TIMES, substream
 
 MODE_ANALYTIC = "analytic"
 MODE_THRESHOLD = "distance_threshold"
@@ -74,7 +70,7 @@ class SpeedModel:
             raise ConfigError(f"need at least one client slot, got {n_slots}")
         if comm_cost < 0:
             raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
-        rates = substream(seed, _TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
+        rates = substream(seed, TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
         return SpeedModel(
             kind=SPEED_DYNAMIC,
             lam=float(np.mean(rates)),
@@ -104,7 +100,7 @@ class StagePlan:
 
 @functools.lru_cache(maxsize=32)
 def _fixed_times(seed, lam, n):
-    times = substream(seed, _TAG_FIXED_TIMES).exponential(1.0 / lam, size=n)
+    times = substream(seed, TAG_FIXED_TIMES).exponential(1.0 / lam, size=n)
     times.setflags(write=False)  # every round of every caller shares this array
     return times
 
@@ -123,7 +119,7 @@ def draw_round_times(model, round_index, n):
     rates = model.per_client_rates
     if rates is None or len(rates) < n:
         raise ConfigError(f"dynamic model has rates for {0 if rates is None else len(rates)} slots, need {n}")
-    rng = substream(model.seed, _TAG_DYNAMIC_TIMES, round_index)
+    rng = substream(model.seed, TAG_DYNAMIC_TIMES, round_index)
     return rng.exponential(1.0, size=n) / rates[:n]
 
 

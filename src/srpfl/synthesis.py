@@ -4,10 +4,11 @@ Client ``i`` observes pairs ``(x, y)`` with ``x ~ N(0, I_d)`` and
 ``y = w_i*^T B*^T x + z``, ``z ~ N(0, sigma^2)``.  All randomness is
 drawn from counter-based substreams keyed on the seed and a purpose key
 (see :func:`substream`), so every draw is a pure function of the config.
+Every purpose key starts with one of the ``TAG_*`` constants below.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
 draws a client's full rows; the warm start and the test oracles use it.
-A training round draws its clients' data itself, in a small subspace and
-from one stream per round (see :func:`srpfl.fedrep.fedrep_round`).
+A training round draws its clients' data itself, from one stream per
+round (see :mod:`srpfl.fedrep`).
 """
 
 import math
@@ -18,9 +19,16 @@ import numpy as np
 from .errors import ClientOutOfRange, ConfigError
 from .linalg import thin_qr
 
-# substream tags; must stay distinct from the tags used by the timing module
-_TAG_GROUND_TRUTH = 0x01
-_TAG_BATCH = 0x02
+# substream tags, the first element of every purpose key; each must be distinct
+TAG_GROUND_TRUTH = 0x01
+TAG_BATCH = 0x02
+TAG_ROUND = 0x03
+TAG_FIXED_TIMES = 0x11
+TAG_DYNAMIC_TIMES = 0x12
+TAG_CLIENT_RATES = 0x13
+TAG_ACTIVE_SET = 0x21
+TAG_SUBSET_PROBE = 0x22
+TAG_RANDOM_INIT = 0x23
 
 
 def substream(seed, *key):
@@ -52,18 +60,11 @@ class Batch:
     A stacked batch of B clients has ``x`` of shape (B, m, d), ``y`` of
     shape (B, m) and ``client_id`` an array of the B ids.  ``m`` is the
     number of samples the batch stands for, by default the rows of ``x``.
-    A training round's batch stands for m samples ``(A, y)``, ``A = X Q``
-    for the round's d x p basis ``Q``, but holds only the rows of the R
-    factor of ``[A z]``: ``x`` of shape (B, r, p) and ``y`` of shape
-    (B, r), r = min(m, p + 1), whose ``x^T x``, ``x^T y`` and ``y^T y``
-    have the joint law of ``A^T A``, ``A^T y`` and ``y^T y`` (see
-    :func:`srpfl.fedrep.fedrep_round`).
     """
 
     x: np.ndarray
     y: np.ndarray
     client_id: int | np.ndarray
-    round_index: int
     m: int | None = None
 
     def __post_init__(self):
@@ -87,7 +88,7 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
         raise ConfigError(f"noise std must be finite and >= 0, got {sigma}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = substream(seed, _TAG_GROUND_TRUTH)
+    rng = substream(seed, TAG_GROUND_TRUTH)
     b_star, _ = thin_qr(rng.standard_normal((d, k)))
     heads = rng.standard_normal((n_clients, k))
     norms = np.linalg.norm(heads, axis=1)
@@ -113,10 +114,10 @@ def sample_batch(gt, client, m, round_index, seed):
         raise ClientOutOfRange(f"client {client} outside 0..{gt.n_clients - 1}")
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
-    rng = substream(seed, _TAG_BATCH, client, round_index)
+    rng = substream(seed, TAG_BATCH, client, round_index)
     x = rng.standard_normal((m, gt.d))
     y = x @ (gt.b_star @ gt.w_star[client])
     if gt.sigma > 0:
         y = y + gt.sigma * rng.standard_normal(m)
-    return Batch(x=x, y=y, client_id=client, round_index=round_index)
+    return Batch(x=x, y=y, client_id=client)
 

@@ -70,6 +70,24 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="override"):
             load_config(config_path, overrides=["m"])
 
+    @pytest.mark.parametrize("value", ["AUTO", "Auto"])
+    def test_auto_in_any_case(self, config_path, value):
+        assert load_config(config_path, overrides=[f"epsilon = {value}"]).epsilon is None
+
+    @pytest.mark.parametrize("value", ["none", ""])
+    def test_auto_is_the_only_spelling(self, config_path, tmp_path, capsys, value):
+        path = tmp_path / "blank.cfg"
+        path.write_text(GOOD_CONFIG.replace("epsilon = 0", f"epsilon = {value}"))
+        with pytest.raises(ConfigError, match="field 'epsilon': expected a number"):
+            load_config(path)
+        rc = cli.main([
+            "run", "--config", str(config_path), "--out", str(tmp_path / "o"),
+            "--override", f"epsilon={value}",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert "field 'epsilon': expected a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_later_override_wins(self, config_path):
         cfg = load_config(config_path, overrides=["m=50", "m = 60"])
         assert cfg.m == 60
@@ -269,6 +287,10 @@ class TestCompareVerifyGen:
         assert captured.err == f"verification failed: {name}\n"
         assert f"FAIL {name}: forced" in captured.out
         assert captured.out.count("PASS") == 2
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in srpfl.__all__ if not hasattr(srpfl, name)] == []
 
 
 def test_module_entry_point(config_path, tmp_path):

@@ -9,7 +9,7 @@ from srpfl import cli, engine
 from srpfl.engine import RunConfig
 from srpfl.errors import CHatOutOfRange, ConfigError, NonConvergence, TargetNotReached
 from srpfl.straggler import participant_ladder
-from srpfl.synthesis import gen_ground_truth, substream
+from srpfl.synthesis import TAG_SUBSET_PROBE, gen_ground_truth, substream
 
 
 def small_config(**kw):
@@ -331,7 +331,7 @@ def test_singular_extremes_match_per_subset_loop(seed):
     w = gen_ground_truth(6, 3, 40, 0.0, seed).w_star
     # 64 uniform permutations of the 40 clients; size n takes the first n
     # entries of each, and the full set is taken once, exactly
-    order = substream(seed, engine._TAG_SUBSET_PROBE).random((64, 40)).argsort(axis=1)
+    order = substream(seed, TAG_SUBSET_PROBE).random((64, 40)).argsort(axis=1)
     assert all(np.array_equal(np.sort(row), np.arange(40)) for row in order)
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(40, 3):

@@ -8,16 +8,12 @@ from srpfl.errors import (
     AllZeroMoments,
     ClientOutOfRange,
     EmptyParticipants,
-    RankDeficient,
     SingularGram,
 )
 
 
-def make_batch(x, y, client=0, rnd=1):
-    return synthesis.Batch(
-        x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float),
-        client_id=client, round_index=rnd,
-    )
+def make_batch(x, y, client=0):
+    return synthesis.Batch(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float), client_id=client)
 
 
 def local_loss(b, w, batch):
@@ -84,34 +80,6 @@ class TestRepGradientStep:
                 e[i, j] = h
                 fd[i, j] = (local_loss(b + e, w, batch) - local_loss(b - e, w, batch)) / (2 * h)
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
-
-
-class TestServerAggregate:
-    def test_identical_inputs_preserve_span(self):
-        # three clients with the same update, inside span(b)
-        b, _ = linalg.thin_qr(np.random.default_rng(3).standard_normal((5, 2)))
-        update = b @ np.random.default_rng(4).standard_normal((2, 2))
-        out, _ = fedrep.server_aggregate(b, 3 * update, eta=0.1, m=10, n=3)
-        assert linalg.principal_angle_dist(out, b) <= 1e-12
-
-    def test_cancellation_is_rank_deficient(self):
-        # two clients whose summed move takes b - eta/(m*n) move to zero
-        b, _ = linalg.thin_qr(np.random.default_rng(3).standard_normal((5, 2)))
-        with pytest.raises(RankDeficient):
-            fedrep.server_aggregate(b, 2 * b, eta=1.0, m=1, n=2)
-
-    def test_mean_qr_invariants_seed5(self):
-        rng = np.random.default_rng(5)
-        b, _ = linalg.thin_qr(rng.standard_normal((4, 2)))
-        move = sum(rng.standard_normal((4, 2)) for _ in range(3))
-        out, r = fedrep.server_aggregate(b, move, eta=0.5, m=2, n=3)
-        stepped = b - (0.5 / 6) * move
-        assert np.linalg.norm(out @ r - stepped) <= 1e-9 * np.linalg.norm(stepped)
-        assert np.linalg.norm(out.T @ out - np.eye(2)) <= 1e-10
-
-    def test_empty(self):
-        with pytest.raises(EmptyParticipants):
-            fedrep.server_aggregate(np.eye(3, 2), np.zeros((3, 2)), eta=0.1, m=10, n=0)
 
 
 class TestMethodOfMoments:
@@ -189,7 +157,7 @@ def row_steps(gt, b, m, draws, seed):
         batches = [synthesis.sample_batch(gt, 0, m, t, seed) for t in range(start, start + 2000)]
         rows = synthesis.Batch(
             x=np.stack([x.x for x in batches]), y=np.stack([x.y for x in batches]),
-            client_id=np.zeros(len(batches), dtype=int), round_index=0,
+            client_id=np.zeros(len(batches), dtype=int),
         )
         steps.append(fedrep.rep_gradient_step(b, fedrep.head_update(b, rows), rows, 1.0))
     return np.concatenate(steps)
@@ -199,8 +167,7 @@ def client_moves(b, q, w, batch, g):
     """Each client's own update ``X_i^T r_i w_i^T``: the summed move of its slice alone."""
     return np.stack([
         fedrep.reduced_rep_step(b, q, w[i:i + 1], synthesis.Batch(
-            x=batch.x[i:i + 1], y=batch.y[i:i + 1], client_id=batch.client_id[i:i + 1],
-            round_index=batch.round_index, m=batch.m,
+            x=batch.x[i:i + 1], y=batch.y[i:i + 1], client_id=batch.client_id[i:i + 1], m=batch.m,
         ), g[i:i + 1])
         for i in range(len(w))
     ])
@@ -220,13 +187,13 @@ class TestBlockedRound:
         b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
         q = linalg.span_basis(gt.b_star, b)
-        batch, g = fedrep._draw_in_span(gt, q, ids, m, 1, synthesis.substream(21, fedrep._TAG_ROUND, 1))
+        batch, g = fedrep._draw_in_span(gt, q, ids, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
         w = fedrep.head_update(q.T @ b, batch)
         moves = -(0.2 / m) * client_moves(b, q, w, batch, g)
         inside = q @ (q.T @ moves)
         steps = []
         for i, cid in enumerate(ids):
-            rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, round_index=1, m=m)
+            rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, m=m)
             w_rows = fedrep.head_update(b, rows)
             np.testing.assert_allclose(w[i], w_rows, rtol=0, atol=1e-12)
             row_move = fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
@@ -257,7 +224,7 @@ class TestBlockedRound:
         rng = np.random.default_rng(33)
         reduced = []
         for _ in range(draws // 2000):
-            batch, g = fedrep._draw_in_span(gt, q, np.zeros(2000, dtype=int), m, 1, rng)
+            batch, g = fedrep._draw_in_span(gt, q, np.zeros(2000, dtype=int), m, rng)
             w = fedrep.head_update(q.T @ b, batch)
             reduced.append(b - client_moves(b, q, w, batch, g) / m)
         reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
@@ -284,7 +251,7 @@ class TestBlockedRound:
         q = linalg.span_basis(gt.b_star, b)
         p = q.shape[1]
         rng = np.random.default_rng(43)
-        batch, _ = fedrep._draw_in_span(gt, q, np.zeros(draws, dtype=int), m, 1, rng)
+        batch, _ = fedrep._draw_in_span(gt, q, np.zeros(draws, dtype=int), m, rng)
         assert batch.m == m and batch.x.shape == (draws, min(m, p + 1), p)
         signal = batch.x @ (gt.w_star[0] @ (q.T @ gt.b_star).T)
         factor = np.concatenate([batch.x, ((batch.y - signal) / sigma)[..., None]], axis=-1)
@@ -309,7 +276,7 @@ class TestBlockedRound:
         x = rng.standard_normal((3, 4, 2))
         x[2, :, 0] = 0.0  # only the last client's samples are orthogonal to span(b)
         batch = synthesis.Batch(
-            x=x, y=rng.standard_normal((3, 4)), client_id=np.array([7, 3, 9]), round_index=1,
+            x=x, y=rng.standard_normal((3, 4)), client_id=np.array([7, 3, 9]),
         )
         with pytest.raises(SingularGram, match="client 9"):
             fedrep.head_update(b, batch)
@@ -332,7 +299,7 @@ class TestBlockedRound:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        w = fedrep.head_update(b, synthesis.Batch(x=x, y=y, client_id=np.array([4, 5, 6]), round_index=1))
+        w = fedrep.head_update(b, synthesis.Batch(x=x, y=y, client_id=np.array([4, 5, 6])))
         assert len(checked) == 1 and checked[0].shape == (1, 2, 2)
         np.testing.assert_allclose(checked[0][0], [[1.0, 0.5], [0.5, 0.3]], rtol=0, atol=1e-12)
         for i in range(3):
@@ -349,7 +316,7 @@ class TestBlockedRound:
         lam = np.linalg.eigvalsh(xb[217].T @ xb[217] / m)[0]
         assert lam <= fedrep.GRAM_TOL
         batch = synthesis.Batch(
-            x=x, y=rng.standard_normal((301, m)), client_id=np.arange(1000, 1301), round_index=1,
+            x=x, y=rng.standard_normal((301, m)), client_id=np.arange(1000, 1301),
         )
         with pytest.raises(SingularGram, match=re.escape(f"(lambda_min={lam:.3e}) for client 1217 at m={m}")):
             fedrep.head_update(b, batch)
@@ -367,13 +334,13 @@ class TestBlockedRound:
             fedrep.fedrep_round(gt.b_star, gt, [0, 1, 9], m=20, eta=0.1, seed=14, round_index=1)
         assert drawn == []
         fedrep.fedrep_round(gt.b_star, gt, [0, 1, 3], m=20, eta=0.1, seed=14, round_index=1)
-        assert drawn == [(14, fedrep._TAG_ROUND, 1)]
+        assert drawn == [(14, synthesis.TAG_ROUND, 1)]
 
 
 def test_warm_start_matches_per_client_loop():
-    # m < d, and more participants than one block
+    # m < d
     gt = synthesis.gen_ground_truth(12, 3, 40, 0.3, seed=23)
-    ids = list(range(2 * fedrep.BLOCK + 3))
+    ids = list(range(35))
     p_bar = np.zeros((12, 12))
     for cid in ids:
         batch = synthesis.sample_batch(gt, cid, 8, round_index=0, seed=23)

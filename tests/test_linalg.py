@@ -39,6 +39,12 @@ class TestThinQR:
         assert np.linalg.norm(q @ r - a) <= 1e-9 * np.linalg.norm(a)
         assert np.allclose(r, np.triu(r))
 
+    def test_invertible_mix_keeps_span(self):
+        b = random_orthonormal(5, 2, 3)
+        c = np.random.default_rng(4).standard_normal((2, 2))
+        q, _ = linalg.thin_qr(b @ c)
+        assert linalg.principal_angle_dist(q, b) <= 1e-12
+
     def test_rank_deficient(self):
         a = np.ones((4, 2))  # identical columns
         with pytest.raises(RankDeficient):

@@ -13,7 +13,7 @@ from srpfl.errors import (
     NTooLarge,
 )
 from srpfl.straggler import SpeedModel
-from srpfl.synthesis import substream
+from srpfl.synthesis import TAG_FIXED_TIMES, substream
 
 
 def order_stat_oracle(n, j, lam):
@@ -32,7 +32,7 @@ class TestDrawRoundTimes:
     def test_fixed_drawn_once_read_only(self):
         model = SpeedModel.fixed(lam=2.0, comm_cost=0.5, seed=4)
         times = straggler.draw_round_times(model, 3, 10)
-        fresh = substream(4, straggler._TAG_FIXED_TIMES).exponential(0.5, size=10)
+        fresh = substream(4, TAG_FIXED_TIMES).exponential(0.5, size=10)
         np.testing.assert_array_equal(times, fresh)
         assert straggler.draw_round_times(model, 7, 10) is times
         with pytest.raises(ValueError):

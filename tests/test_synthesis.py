@@ -132,3 +132,9 @@ class TestModelRoundTrip:
         with pytest.raises(ConfigError, match=message) as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+
+def test_substream_tags_are_distinct():
+    tags = {name: value for name, value in vars(synthesis).items() if name.startswith("TAG_")}
+    assert len(tags) == 9
+    assert len(set(tags.values())) == len(tags)
