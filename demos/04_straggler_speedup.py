@@ -48,7 +48,7 @@ for seed, tr_s, tr_f in zip(seeds, results[ALGO_SRPFL], results[ALGO_FEDREP_FULL
     print(f"{seed:>5} {rep.t_srpfl:>11.1f} {rep.t_baseline:>8.1f} {rep.ratio:>7.3f}")
 
 a_meas = statistics.median(measure_contraction_rate(t) for t in results[ALGO_FEDREP_FULL])
-upper, lower, ratio_bound = analytic_speedup_bound(cfg.n_total, cfg.n0, cfg.c_hat, a_meas, 1.0)
+upper, lower, ratio_bound = analytic_speedup_bound(cfg.n_total, cfg.c_hat, a_meas, 1.0)
 print(f"\nmean ratio                = {statistics.fmean(ratios):.3f}")
 print(f"ratio of mean times       = {statistics.fmean(t_s_all) / statistics.fmean(t_f_all):.3f}")
 print(f"closed-form upper (adapt) = {upper:.0f} vs measured mean {statistics.fmean(t_s_all):.0f}")

@@ -43,12 +43,9 @@ from .straggler import (
     build_stage_plan,
     draw_round_times,
     expected_order_stat,
-    final_stage_rounds,
     noise_floor,
-    optimal_doubling_point,
     participant_ladder,
     round_time,
-    rounds_per_stage,
     select_fastest,
     target_accuracy,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "draw_round_times",
     "expected_order_stat",
     "fedrep_round",
-    "final_stage_rounds",
     "gen_ground_truth",
     "head_update",
     "is_orthonormal",
@@ -79,14 +75,12 @@ __all__ = [
     "measure_singular_extremes",
     "method_of_moments_init",
     "noise_floor",
-    "optimal_doubling_point",
     "participant_ladder",
     "principal_angle_dist",
     "rank_k_eig",
     "reduced_rep_step",
     "rep_gradient_step",
     "round_time",
-    "rounds_per_stage",
     "run",
     "run_sweep",
     "sample_batch",

@@ -109,7 +109,7 @@ def cmd_compare(config, out):
     mean_a = statistics.fmean(tr.a for tr in results[engine.ALGO_SRPFL])
     lam = statistics.fmean(tr.lam for tr in results[engine.ALGO_SRPFL])
     upper, lower, ratio_bound = engine.analytic_speedup_bound(
-        config.n_total, config.n0, config.c_hat, mean_a, config.comm_cost * lam,
+        config.n_total, config.c_hat, mean_a, config.comm_cost * lam,
     )
     mean_s, mean_b = statistics.fmean(t_srpfl), statistics.fmean(t_base)
     block = [

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence, SrpflError, TargetNotReached
+from .errors import ConfigError, NonConvergence, SrpflError, TargetNotReached, TimeOverflow
 from .fedrep import fedrep_round, method_of_moments_init
 from .linalg import principal_angle_dist, thin_qr
 from .straggler import (
@@ -254,15 +254,16 @@ def run(config):
 
     b, dist, cumulative = b0, init_dist, 0.0
     records, participants = [], []
+    open_ended = plan.stages[-1][1] is None  # the plan ends only at epsilon
     for stage, ((n_r, tau_r), threshold) in enumerate(zip(plan.stages, plan.thresholds)):
-        if records and dist <= epsilon:
+        if (records and dist <= epsilon) or (not open_ended and len(records) == config.max_rounds):
             break
         if config.resample_scope == RESAMPLE_PER_STAGE and stage > 0:
             active = _sample_active(config, stage)
         first = len(records)
         while (threshold is None or dist > threshold) and (tau_r is None or len(records) - first < tau_r):
             if len(records) == config.max_rounds:
-                if plan.stages[-1][1] is None:  # the plan ends only at epsilon
+                if open_ended:
                     raise NonConvergence(
                         f"round cap {config.max_rounds} hit at stage {stage} "
                         f"with dist {dist:.6g} > epsilon {epsilon:.6g}"
@@ -280,6 +281,11 @@ def run(config):
                 raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
             elapsed = round_time(times[chosen], speed.comm_cost)
             cumulative += elapsed
+            if not math.isfinite(cumulative):
+                raise TimeOverflow(
+                    f"stage {stage}, round {round_index}: simulated time {cumulative!r} "
+                    f"is not finite (round time {elapsed!r})"
+                )
             dist = principal_angle_dist(b, gt.b_star)
             records.append(RoundRecord(
                 stage=stage, round_index=round_index, n=int(n_r),
@@ -375,7 +381,7 @@ def speedup_report(srpfl_trace, baseline_trace, epsilon):
     return SpeedupReport(t_srpfl=t_s, t_baseline=t_b, ratio=t_s / t_b if t_b > 0 else 1.0)
 
 
-def analytic_speedup_bound(n_total, n0, c_hat, a, c):
+def analytic_speedup_bound(n_total, c_hat, a, c):
     """Closed-form wall-clock bounds, in units of the mean client time 1/lam.
 
     Upper bound on the adaptive scheme, lower bound on the

@@ -38,11 +38,16 @@ class EmptyParticipants(SrpflError):
 
 
 class IndexOutOfRange(SrpflError):
-    """Order-statistic or stage index outside its valid range."""
+    """Order-statistic index j outside 1..n."""
 
 
 class ZeroGap(SrpflError):
-    """Order-statistic gap in a schedule formula underflowed to zero."""
+    """Order-statistic gap in a schedule formula is not positive and finite:
+    it underflowed to zero, or the times overflowed."""
+
+
+class TimeOverflow(SrpflError):
+    """Simulated wall-clock overflowed to a non-finite value."""
 
 
 class ConfigError(SrpflError):

@@ -2,10 +2,11 @@
 
 Round times come from exponential laws: either one fixed draw per client
 reused every round, or fresh per-round draws with per-client rates.  The
-schedule formulas (expected order statistics, optimal doubling points,
-per-stage round budgets, target accuracy) are exact closed forms for the
-fixed exponential model.  Logarithms in the budget and bound formulas
-are natural logs.
+schedule formulas are exact closed forms for the fixed exponential model:
+:func:`build_stage_plan` computes the expected order statistic of each
+rung of the participant ladder once and derives every doubling point and
+round budget from that list; :func:`target_accuracy` gives the target.
+Logarithms in the budget and bound formulas are natural logs.
 """
 
 import functools
@@ -85,13 +86,15 @@ class StagePlan:
     """Doubling schedule: per stage, the participant count, round budget
     and exit threshold; a run follows it and nothing else.
 
-    ``stages[r] = (n_r, tau_r)`` with ``n_r = min(N, n0 * 2^r)``.  A
-    ``None`` budget leaves the stage open: it runs until its threshold or
-    the target accuracy (every stage in distance-threshold mode, the last
-    stage in analytic mode).  ``thresholds[r]`` is the doubling point
-    X_{r+1} that ends stage r once the measured distance falls to it, or
-    ``None`` where the stage has no distance exit (every stage outside
-    distance-threshold mode, and the last stage in it).
+    ``stages[r] = (n_r, tau_r)`` with ``n_r`` the r-th rung of
+    :func:`participant_ladder`, ``min(N, n0 * 2^r)``.  A ``None`` budget
+    leaves the stage open: it runs until its threshold or the target
+    accuracy (every stage in distance-threshold mode, the last stage in
+    analytic mode).  ``thresholds[r]`` is the doubling point X_{r+1} that
+    ends stage r once the measured distance falls to it, or ``None`` where
+    the stage has no distance exit (every stage outside distance-threshold
+    mode, and the last stage in it).  :func:`build_stage_plan` gives the
+    formulas for both.
     """
 
     stages: tuple
@@ -181,68 +184,11 @@ def noise_floor(a, ratio):
     return a / (math.sqrt(ratio * (1.0 - a)) * (1.0 - math.sqrt(1.0 - a)))
 
 
-def optimal_doubling_point(r, a, n0, model, n_total):
-    """Distance threshold X_r below which stage r (n0 * 2^r participants,
-    capped at N) pays off.
-
-    ``X_0`` is +inf by convention; for r >= 1,
-
-        X_r = noise_floor(a, 2^(r-1))
-              * (1 + (E[T_lo] + C) (1 - 1/sqrt(2)) / (E[T_hi] - E[T_lo]))
-
-    with lo = n0 2^(r-1), hi = min(N, n0 2^r), E[T_j] the expected j-th
-    order statistic of the n_total exponential times and C the
-    communication cost.  Raises :class:`IndexOutOfRange` when stage r
-    does not exist, i.e. n0 2^(r-1) >= N.
-    """
-    check_contraction_factor(a)
-    if r < 0:
-        raise IndexOutOfRange(f"stage index must be >= 0, got {r}")
-    if r == 0:
-        return math.inf
-    lo = n0 * 2 ** (r - 1)
-    if lo >= n_total:
-        raise IndexOutOfRange(f"stage {r} does not exist: n0 * 2^{r - 1} = {lo} >= N = {n_total}")
-    hi = min(n0 * 2**r, n_total)
-    t_lo = expected_order_stat(n_total, lo, model.lam)
-    t_hi = expected_order_stat(n_total, hi, model.lam)
-    boost = (t_lo + model.comm_cost) * (1.0 - 1.0 / math.sqrt(2.0)) / _gap(t_hi, t_lo)
-    return noise_floor(a, 2 ** (r - 1)) * (1.0 + boost)
-
-
 def _rounds_to_shrink(a, factor):
     """Rounds at per-round factor sqrt(1-a) to shrink a distance ``factor``-fold,
     2 log(factor) / log(1/(1-a)) rounded up and floored at one."""
     t = 2.0 * math.log(factor) / math.log(1.0 / (1.0 - a))
     return max(1, math.ceil(t))
-
-
-def rounds_per_stage(r, a, n0, model, n_total):
-    """Round budget for stage r >= 1 of the doubling schedule.
-
-    With ladder sizes n_i = min(N, n0 2^i), the smallest integer at least
-
-        2 log( sqrt(2) (E[T_{n_(r+1)}] - E[T_{n_r}])
-               / (E[T_{n_r}] - E[T_{n_(r-1)}]) ) / log(1/(1-a)),
-
-    floored at one round.  Raises :class:`IndexOutOfRange` when stage r
-    has no successor, i.e. n0 2^r >= N.
-    """
-    check_contraction_factor(a)
-    if r < 1:
-        raise IndexOutOfRange(f"stage budgets are defined for r >= 1, got {r}")
-    if n0 * 2**r >= n_total:
-        raise IndexOutOfRange(f"stage {r} has no successor: n0 * 2^{r} = {n0 * 2**r} >= N = {n_total}")
-    t = [expected_order_stat(n_total, min(n_total, n0 * 2**i), model.lam) for i in (r - 1, r, r + 1)]
-    gap_prev, gap_next = _gap(t[1], t[0]), _gap(t[2], t[1])
-    return _rounds_to_shrink(a, math.sqrt(2.0) * gap_next / gap_prev)
-
-
-def final_stage_rounds(a, c_hat):
-    """Rounds needed at full participation to finish: 2 log(1/(c_hat-1)) / log(1/(1-a))."""
-    check_c_hat(c_hat)
-    check_contraction_factor(a)
-    return _rounds_to_shrink(a, 1.0 / (c_hat - 1.0))
 
 
 def target_accuracy(a, n_total, n0, c_hat):
@@ -266,33 +212,52 @@ def participant_ladder(n_total, n0):
 def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
     """Assemble the doubling schedule for one run.
 
-    Analytic mode fills middle-stage budgets from :func:`rounds_per_stage`
-    and leaves the last stage open, to run until the target accuracy.
-    The first stage copies the second (the analytic formula needs a
-    predecessor stage the first one lacks; the first gap is also the
-    cheapest), or, when the second is the last, takes
-    :func:`final_stage_rounds`.  Fixed mode uses a constant budget.
-    Distance-threshold mode leaves every budget open; every stage but the
-    last ends once the measured distance falls to the next doubling
-    point, :func:`optimal_doubling_point`.  The full-participation
-    baseline is the plan with ``n0 = n_total``, a single stage.
+    With rungs n_r from :func:`participant_ladder`, t_r the expected n_r-th
+    order statistic of the N exponential times, g_r = t_{r+1} - t_r and C
+    the communication cost:
+
+    - Analytic mode gives stage r (0 < r < last) the budget
+      2 log(sqrt(2) g_r / g_{r-1}) / log(1/(1-a)), rounded up and floored
+      at one, and leaves the last stage open, to run until the target
+      accuracy.  The first stage copies the second (the formula needs a
+      predecessor stage the first one lacks; the first gap is also the
+      cheapest), or, when the second is the last, takes the
+      full-participation budget 2 log(1/(c_hat-1)) / log(1/(1-a)).
+    - Distance-threshold mode leaves every budget open; every stage but
+      the last ends once the measured distance falls to the doubling point
+
+          X_{r+1} = noise_floor(a, n_r/n0) * (1 + (t_r + C) (1 - 1/sqrt(2)) / g_r).
+
+    - Fixed mode uses a constant budget.
+
+    Each rung's order statistic is computed once, and only where a formula
+    reads it.  A gap that is not positive and finite (the times overflowed)
+    raises :class:`ZeroGap`.  The full-participation baseline is the plan
+    with ``n0 = n_total``, a single stage.
     """
+    check_contraction_factor(a)
+    check_c_hat(c_hat)
     ladder = participant_ladder(n_total, n0)
     last = len(ladder) - 1
     budgets = [None] * len(ladder)
     thresholds = [None] * len(ladder)
-    if mode == MODE_THRESHOLD:
-        for r in range(last):
-            thresholds[r] = optimal_doubling_point(r + 1, a, n0, model, n_total)
-    elif mode == MODE_FIXED:
+    if mode == MODE_FIXED:
         if fixed_rounds is None or fixed_rounds < 1:
             raise ConfigError(f"fixed plan mode needs a positive round budget, got {fixed_rounds}")
         budgets = [int(fixed_rounds)] * len(ladder)
-    elif mode == MODE_ANALYTIC:
-        for r in range(1, last):
-            budgets[r] = rounds_per_stage(r, a, n0, model, n_total)
-        if last >= 1:
-            budgets[0] = budgets[1] if last >= 2 else final_stage_rounds(a, c_hat)
-    else:
+    elif mode not in PLAN_MODES:
         raise ConfigError(f"unknown plan mode {mode!r}")
+    elif mode == MODE_ANALYTIC and last == 1:
+        budgets[0] = _rounds_to_shrink(a, 1.0 / (c_hat - 1.0))
+    elif last >= 1:
+        t = [expected_order_stat(n_total, n, model.lam) for n in ladder]
+        gaps = [_gap(hi, lo) for lo, hi in zip(t, t[1:])]
+        if mode == MODE_THRESHOLD:
+            for r in range(last):
+                boost = (t[r] + model.comm_cost) * (1.0 - 1.0 / math.sqrt(2.0)) / gaps[r]
+                thresholds[r] = noise_floor(a, ladder[r] / n0) * (1.0 + boost)
+        else:
+            for r in range(1, last):
+                budgets[r] = _rounds_to_shrink(a, math.sqrt(2.0) * gaps[r] / gaps[r - 1])
+            budgets[0] = budgets[1]
     return StagePlan(stages=tuple(zip(ladder, budgets)), thresholds=tuple(thresholds))

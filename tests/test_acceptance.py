@@ -122,7 +122,7 @@ def bracket_runs():
         engine.measure_contraction_rate(t) for t in results[engine.ALGO_FEDREP_FULL]
     )
     upper, lower, _ = engine.analytic_speedup_bound(
-        cfg.n_total, cfg.n0, cfg.c_hat, a_measured, cfg.comm_cost * cfg.lam
+        cfg.n_total, cfg.c_hat, a_measured, cfg.comm_cost * cfg.lam
     )
     return {
         "mean_srpfl": statistics.fmean(t_srpfl),

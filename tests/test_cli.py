@@ -145,6 +145,23 @@ class TestExitCodes:
         assert rc == cli.EXIT_NONCONVERGENCE
         assert "stage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lam, code", [("1e-320", cli.EXIT_CONFIG), ("1e-300", cli.EXIT_OK)])
+    def test_overflowed_time_exit_one(self, tmp_path, capsys, lam, code):
+        # at lam = 1e-320 the mean time 1/lam overflows to inf; 1e-300 stays finite
+        path = tmp_path / "slow.cfg"
+        path.write_text(
+            "d = 6\nk = 2\nN = 8\nn0 = 2\nm = 20\nsigma = 0.1\na = 0.1\nepsilon = 0.1\n"
+            f"plan_mode = fixed\nfixed_rounds = 3\nlam = {lam}\n"
+        )
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == code
+        if code == cli.EXIT_CONFIG:
+            assert "simulated time inf is not finite" in captured.err
+            assert not (tmp_path / "o").exists()
+        else:
+            assert "total_time      = inf" not in captured.out
+
     def test_run_success(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
         rc = cli.main(["run", "--config", str(config_path), "--out", str(out)])
@@ -238,7 +255,7 @@ class TestCompareVerifyGen:
         )
         assert summary["mean_lam"] == pytest.approx(lam, rel=1e-11) and abs(lam - 1.0) > 0.2
         upper, lower, ratio = engine.analytic_speedup_bound(
-            cfg.n_total, cfg.n0, cfg.c_hat, summary["mean_a"], cfg.comm_cost * lam,
+            cfg.n_total, cfg.c_hat, summary["mean_a"], cfg.comm_cost * lam,
         )
         assert summary["analytic_upper_srpfl"] == pytest.approx(upper / lam, rel=1e-9)
         assert summary["analytic_lower_fedrep"] == pytest.approx(lower / lam, rel=1e-9)

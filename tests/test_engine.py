@@ -181,6 +181,25 @@ def test_fixed_plan_cap_returns_unreached_trace():
     assert trace.final_dist == trace.records[-1].dist > trace.epsilon
 
 
+def test_fixed_plan_cap_ends_the_run(monkeypatch):
+    # the cap falls in stage 0; no later stage draws an active set
+    scopes = []
+    real_sample = engine._sample_active
+
+    def spy(config, scope_index):
+        scopes.append(scope_index)
+        return real_sample(config, scope_index)
+
+    monkeypatch.setattr(engine, "_sample_active", spy)
+    cfg = RunConfig(
+        d=6, k=2, n_clients=40, n_total=32, n0=2, m=20, sigma=0.1, a=0.1, epsilon=0.0,
+        plan_mode="fixed", fixed_rounds=5, max_rounds=3,
+    )
+    trace = engine.run(cfg)
+    assert len(trace.records) == 3
+    assert scopes == [0]
+
+
 def test_analytic_plan_cap_names_the_stage_it_is_hit_in():
     # the cap falls inside stage 0's budget, so the error names stage 0
     # rather than the last stage
@@ -246,14 +265,14 @@ class TestSpeedup:
 class TestAnalyticBound:
     def test_plug_in_values(self):
         # frozen from an independent evaluation at N=256, c=1, c_hat=1.2, a=0.25
-        upper, lower, ratio = engine.analytic_speedup_bound(256, 2, 1.2, 0.25, 1.0)
+        upper, lower, ratio = engine.analytic_speedup_bound(256, 1.2, 0.25, 1.0)
         assert upper == pytest.approx(355.39442448980185, rel=1e-12)
         assert lower == pytest.approx(168.93034069597874, rel=1e-12)
         assert ratio == pytest.approx(2.1037927409937542, rel=1e-12)
 
     def test_ratio_bound_vanishes_with_n(self):
         values = [
-            engine.analytic_speedup_bound(n, 2, 1.2, 0.2, 1.0)[2]
+            engine.analytic_speedup_bound(n, 1.2, 0.2, 1.0)[2]
             for n in (2**8, 2**16, 2**32, 2**64)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -261,13 +280,13 @@ class TestAnalyticBound:
 
     def test_ratio_bound_grows_as_c_hat_drops(self):
         # monotone in c_hat -> 1+ whenever 2 log N > 6 (c + 1); c = 0 here
-        hard = engine.analytic_speedup_bound(256, 2, 1.001, 0.2, 0.0)[2]
-        easy = engine.analytic_speedup_bound(256, 2, 1.4, 0.2, 0.0)[2]
+        hard = engine.analytic_speedup_bound(256, 1.001, 0.2, 0.0)[2]
+        easy = engine.analytic_speedup_bound(256, 1.4, 0.2, 0.0)[2]
         assert hard > easy
 
     def test_c_hat_range(self):
         with pytest.raises(CHatOutOfRange):
-            engine.analytic_speedup_bound(256, 2, 1.0, 0.2, 1.0)
+            engine.analytic_speedup_bound(256, 1.0, 0.2, 1.0)
 
 
 class TestSweep:

@@ -11,6 +11,7 @@ from srpfl.errors import (
     EmptyParticipants,
     IndexOutOfRange,
     NTooLarge,
+    ZeroGap,
 )
 from srpfl.straggler import SpeedModel
 from srpfl.synthesis import TAG_FIXED_TIMES, substream
@@ -140,15 +141,13 @@ class TestExpectedOrderStat:
 
 
 class TestDoublingPoint:
-    def test_stage_zero_infinite(self):
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
-        assert straggler.optimal_doubling_point(0, 0.25, 2, model, 16) == math.inf
+    # X_{r+1} ends stage r of a distance-threshold plan: thresholds[r]
 
     def test_small_a_limit(self):
         # a / (1 - sqrt(1-a)) -> 2 as a -> 0, so the threshold approaches a
         # finite limit 2 / sqrt(2^(r-1)) * (1 + boost) for vanishing contraction
         model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
-        small = straggler.optimal_doubling_point(1, 1e-9, 2, model, 16)
+        small = straggler.build_stage_plan(16, 2, 1e-9, model, 1.2, straggler.MODE_THRESHOLD).thresholds[0]
         t2 = straggler.expected_order_stat(16, 2, 1.0)
         t4 = straggler.expected_order_stat(16, 4, 1.0)
         boost = (t2 + 1.0) * (1 - 1 / math.sqrt(2)) / (t4 - t2)
@@ -157,23 +156,26 @@ class TestDoublingPoint:
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
         model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
-        value = straggler.optimal_doubling_point(1, 0.25, 2, model, 16)
+        value = straggler.build_stage_plan(16, 2, 0.25, model, 1.2, straggler.MODE_THRESHOLD).thresholds[0]
         assert value == pytest.approx(6.958246051919566, rel=1e-12)
-
-    def test_requires_enough_clients(self):
-        model = SpeedModel.fixed(lam=1.0)
-        with pytest.raises(IndexOutOfRange):
-            straggler.optimal_doubling_point(4, 0.2, 2, model, 16)
 
     def test_last_stage_capped_at_n(self):
         # N=12, n0=2: stage 3 has 12 participants, not 16
         model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
-        value = straggler.optimal_doubling_point(3, 0.2, 2, model, 12)
+        value = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD).thresholds[2]
         t8 = straggler.expected_order_stat(12, 8, 1.0)
         t12 = straggler.expected_order_stat(12, 12, 1.0)
         base = 0.2 / (math.sqrt(4 * 0.8) * (1 - math.sqrt(0.8)))
         boost = (t8 + 1.0) * (1 - 1 / math.sqrt(2)) / (t12 - t8)
         assert value == pytest.approx(base * (1 + boost), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", [straggler.MODE_ANALYTIC, straggler.MODE_THRESHOLD])
+    def test_overflowed_times_have_no_gap(self, mode):
+        # 1/lam overflows, so every order statistic is inf and every gap nan;
+        # unchecked, a nan threshold would end every stage at once
+        model = SpeedModel.fixed(lam=1e-320, comm_cost=1.0)
+        with pytest.raises(ZeroGap, match="order-statistic gap nan is not positive"):
+            straggler.build_stage_plan(16, 2, 0.1, model, 1.2, mode)
 
 
 class TestRoundsPerStage:
@@ -184,22 +186,13 @@ class TestRoundsPerStage:
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
         model = SpeedModel.fixed(lam=1.0)
-        assert straggler.rounds_per_stage(2, 0.2, 2, model, 32) == 12
-
-    def test_stage_index_validation(self):
-        model = SpeedModel.fixed(lam=1.0)
-        with pytest.raises(IndexOutOfRange):
-            straggler.rounds_per_stage(0, 0.2, 2, model, 32)
-        with pytest.raises(IndexOutOfRange):
-            straggler.rounds_per_stage(4, 0.2, 2, model, 32)
+        assert straggler.build_stage_plan(32, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC).stages[2][1] == 12
 
     def test_capped_ladder_matches_plan(self):
         # N=12, n0=2: stage 2 (8 participants) leads into the capped stage of 12
         model = SpeedModel.fixed(lam=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert straggler.rounds_per_stage(2, 0.2, 2, model, 12) == plan.stages[2][1] == 14
-        with pytest.raises(IndexOutOfRange):
-            straggler.rounds_per_stage(3, 0.2, 2, model, 12)
+        assert plan.stages[2][1] == 14
 
 
 class TestTargetAccuracy:
@@ -241,8 +234,14 @@ class TestStagePlan:
     def test_threshold_plan_carries_exit_points(self):
         model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)
-        expected = [straggler.optimal_doubling_point(r, 0.2, 2, model, 12) for r in (1, 2, 3)]
-        assert plan.thresholds == (*expected, None)
+        # X_{r+1} = noise_floor(a, n_r/n0) (1 + (t_r + C)(1 - 1/sqrt(2)) / (t_{r+1} - t_r))
+        t = [straggler.expected_order_stat(12, n, 1.0) for n in (2, 4, 8, 12)]
+        expected = [
+            straggler.noise_floor(0.2, 2**r) * (1 + (t[r] + 1.0) * (1 - 1 / math.sqrt(2)) / (t[r + 1] - t[r]))
+            for r in range(3)
+        ]
+        assert plan.thresholds[:3] == pytest.approx(expected, rel=1e-12)
+        assert plan.thresholds[3] is None
         fixed = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=5)
         assert fixed.thresholds == (None,) * 4
 
@@ -259,7 +258,6 @@ class TestStagePlan:
         plan = straggler.build_stage_plan(16, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
         assert [n for n, _ in plan.stages] == [2, 4, 8, 16]
         assert [tau for _, tau in plan.stages] == [12, 12, 21, None]
-        assert straggler.final_stage_rounds(0.2, 1.2) == 15
 
     def test_last_budget_open_iff_not_fixed(self):
         model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
@@ -267,8 +265,10 @@ class TestStagePlan:
             for n_total, n0 in ((16, 2), (12, 2), (4, 2), (4, 4)):
                 plan = straggler.build_stage_plan(n_total, n0, 0.2, model, 1.2, mode, fixed_rounds=5)
                 assert (plan.stages[-1][1] is None) == (mode != straggler.MODE_FIXED)
+        # the first of two stages takes the full-participation budget
+        # 2 log(1/(c_hat-1)) / log(1/(1-a)), rounded up: 15 at a=0.2, c_hat=1.2
         two_stage = straggler.build_stage_plan(4, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert two_stage.stages == ((2, straggler.final_stage_rounds(0.2, 1.2)), (4, None))
+        assert two_stage.stages == ((2, 15), (4, None))
 
     def test_bad_inputs(self):
         model = SpeedModel.fixed(lam=1.0)
