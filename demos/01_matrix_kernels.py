@@ -6,7 +6,7 @@ Run:  python3 demos/01_matrix_kernels.py
 
 import numpy as np
 
-from srpfl import principal_angle_dist, rank_k_eig, spectral_norm, thin_qr
+from srpfl import principal_angle_dist, rank_k_eig, thin_qr
 
 rng = np.random.default_rng(0)
 
@@ -38,6 +38,3 @@ rot, _ = thin_qr(rng.standard_normal((2, 2)))
 print(f"random 2-planes in R^8: dist = {principal_angle_dist(b1, b2):.4f}")
 print(f"rotation invariance gap: "
       f"{abs(principal_angle_dist(b1 @ rot, b2) - principal_angle_dist(b1, b2)):.2e}")
-
-print("\n== spectral norm ==")
-print(f"diag(3, -7) -> {spectral_norm(np.diag([3.0, -7.0])):.1f}")

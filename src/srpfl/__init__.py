@@ -34,7 +34,6 @@ from .linalg import (
     principal_angle_dist,
     rank_k_eig,
     span_basis,
-    spectral_norm,
     thin_qr,
 )
 from .straggler import (
@@ -87,7 +86,6 @@ __all__ = [
     "select_fastest",
     "span_basis",
     "speedup_report",
-    "spectral_norm",
     "target_accuracy",
     "thin_qr",
     "verify_contraction",

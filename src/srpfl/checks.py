@@ -60,8 +60,9 @@ def _summed_loss(b, q, w, batch):
     return 0.5 * float(np.sum(resid**2))
 
 
-def _gradient_error(loss, b, grad, h=1e-6):
+def _gradient_error(loss, b, grad):
     """Relative error of ``grad`` against central differences of ``loss`` at ``b``."""
+    h = 1e-6
     fd = np.zeros_like(b)
     for idx in np.ndindex(b.shape):
         e = np.zeros_like(b)

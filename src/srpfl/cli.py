@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import checks, engine, synthesis
 from .config import load_config, save_model
-from .engine import RoundRecord
 from .errors import ConfigError, NonConvergence, SrpflError
 
 CSV_HEADER = "stage,round,n,round_time,cumulative_time,dist"
@@ -37,20 +36,6 @@ def trace_to_csv(trace):
             f"{_fmt(r.cumulative_time)},{_fmt(r.dist)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_trace_csv(text):
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"bad trace header: {lines[0] if lines else '<empty>'!r}")
-    records = []
-    for line in lines[1:]:
-        stage, rnd, n, rt, cum, dist = line.split(",")
-        records.append(RoundRecord(
-            stage=int(stage), round_index=int(rnd), n=int(n),
-            round_time=float(rt), cumulative_time=float(cum), dist=float(dist),
-        ))
-    return records
 
 
 def _write(path, text):

@@ -68,6 +68,15 @@ def parse_pairs(lines, source="<config>", keys=_SCHEMA):
     return pairs
 
 
+def _read_pairs(path, keys, encoding, kind):
+    """Raw pairs of a ``kind`` file; unreadable or undecodable is a ConfigError naming it."""
+    try:
+        with open(path, "r", encoding=encoding) as fh:
+            return parse_pairs(fh, source=str(path), keys=keys)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def build_config(pairs):
     """Typed, validated RunConfig from raw key -> string pairs."""
     missing = [k for k, (_, _, required) in _SCHEMA.items() if required and k not in pairs]
@@ -83,11 +92,7 @@ def build_config(pairs):
 
 
 def load_config(path, overrides=(), seed=None):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            pairs = parse_pairs(fh, source=str(path))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    pairs = _read_pairs(path, _SCHEMA, "utf-8", "config")
     for item in overrides:
         pairs.update(parse_pairs([item], source="--override"))
     if seed is not None:
@@ -108,11 +113,7 @@ def save_model(path, gt):
 
 def load_model(path):
     """Rebuild a ground-truth model saved by :func:`save_model`."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            pairs = parse_pairs(fh, source=str(path), keys=_MODEL_KEYS)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read model file {path}: {exc}") from exc
+    pairs = _read_pairs(path, _MODEL_KEYS, "ascii", "model")
     missing = [key for key in _MODEL_KEYS if key not in pairs]
     if missing:
         raise ConfigError(f"model file {path} is missing field(s): {', '.join(missing)}")

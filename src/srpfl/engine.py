@@ -56,6 +56,8 @@ RESAMPLE_PER_STAGE = "per_stage"
 RESAMPLE_PER_ROUND = "per_round"
 RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
 
+PROBE_SUBSETS = 64  # sampled subsets per ladder size in the spectrum probe
+
 
 @dataclass
 class RunConfig:
@@ -106,7 +108,10 @@ class RunConfig:
             (1 <= self.k <= self.d, f"need 1 <= k <= d, got k={self.k}, d={self.d}"),
             (1 <= self.n0 <= self.n_total, f"need 1 <= n0 <= N, got n0={self.n0}, N={self.n_total}"),
             (self.n_total <= self.n_clients, f"need N <= M, got N={self.n_total}, M={self.n_clients}"),
-            (self.m >= self.k, f"need m >= k, got m={self.m}, k={self.k}"),
+            # with m = k each head fits its batch exactly and the representation never moves
+            (self.m > self.k, f"need m > k, got m={self.m}, k={self.k}"),
+            # fewer than k heads leave part of B* out of every label
+            (self.n_clients >= self.k, f"need M >= k, got M={self.n_clients}, k={self.k}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epsilon is None or self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}"),
@@ -169,13 +174,13 @@ class RunTrace:
         return np.array([r.dist for r in self.records])
 
 
-def measure_singular_extremes(w_active, n0, seed, subsets_per_size=64):
+def measure_singular_extremes(w_active, n0, seed):
     """Sampled extremes of the singular values of (1/sqrt(n)) W restricted to subsets.
 
     Scans every ladder size from n0 up to the full active set; the full
-    set is evaluated exactly, smaller sizes over ``subsets_per_size``
+    set is evaluated exactly, smaller sizes over :data:`PROBE_SUBSETS`
     random subsets, stacked into one SVD call per size.  The subsets
-    come from one draw: ``subsets_per_size`` uniform permutations of the
+    come from one draw: :data:`PROBE_SUBSETS` uniform permutations of the
     active clients (an argsort of uniform variates), and size n takes
     the first n entries of each, so each size's subsets are uniform
     n-subsets, nested across sizes.  The exact extremes range over all
@@ -183,7 +188,7 @@ def measure_singular_extremes(w_active, n0, seed, subsets_per_size=64):
     are what the automatic step size and contraction factor use.
     """
     n_active = w_active.shape[0]
-    order = substream(seed, TAG_SUBSET_PROBE).random((subsets_per_size, n_active)).argsort(axis=1)
+    order = substream(seed, TAG_SUBSET_PROBE).random((PROBE_SUBSETS, n_active)).argsort(axis=1)
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(n_active, n0):
         subsets = np.arange(n_active)[None] if n == n_active else order[:, :n]
@@ -404,19 +409,19 @@ def analytic_speedup_bound(n_total, c_hat, a, c):
     return upper_srpfl, lower_fedrep, ratio_bound
 
 
-def measure_contraction_rate(trace, upper=0.85, lower_mult=1.3):
+def measure_contraction_rate(trace):
     """Realized per-round contraction factor a fitted from a trace.
 
     Least-squares slope of log dist over the mid-trajectory window
-    (below ``upper * init_dist``, above ``lower_mult * epsilon``), so the
-    slow early rounds and the noise plateau are excluded.  Returns the
-    ``a`` with per-round factor sqrt(1-a), clamped into [A_MIN, A_MAX].
+    (below ``0.85 * init_dist``, above ``1.3 * epsilon``), so the slow
+    early rounds and the noise plateau are excluded; with fewer than 4
+    rounds in that window, over every round with a positive distance.
+    Returns the ``a`` with per-round factor sqrt(1-a), clamped into
+    [A_MIN, A_MAX].
     """
     d = trace.dists()
     t = np.arange(1, len(d) + 1, dtype=float)
-    hi = upper * trace.init_dist
-    lo = lower_mult * trace.epsilon
-    mask = (d <= hi) & (d >= lo) & (d > 0)
+    mask = (d <= 0.85 * trace.init_dist) & (d >= 1.3 * trace.epsilon) & (d > 0)
     if mask.sum() < 4:  # window too narrow; fall back to the whole descent
         mask = d > 0
     if mask.sum() < 2:
@@ -445,13 +450,13 @@ def sweep_threads():
     return max(1, os.cpu_count() or 1)
 
 
-def run_sweep(config, seeds, algorithms=(ALGO_SRPFL, ALGO_FEDREP_FULL)):
-    """Run every (seed, algorithm) pair; deterministic in the inputs.
+def run_sweep(config, seeds):
+    """Run every seed under both :data:`ALGORITHMS`; deterministic in the inputs.
 
     Results are returned keyed by algorithm, in seed order, regardless
     of how many worker processes execute them.
     """
-    jobs = [replace(config, seed=s, algorithm=alg) for alg in algorithms for s in seeds]
+    jobs = [replace(config, seed=s, algorithm=alg) for alg in ALGORITHMS for s in seeds]
     workers = min(sweep_threads(), len(jobs))
     if workers <= 1:
         traces = [run(job) for job in jobs]
@@ -459,7 +464,7 @@ def run_sweep(config, seeds, algorithms=(ALGO_SRPFL, ALGO_FEDREP_FULL)):
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_sweep_worker, jobs, chunksize=1))
     out = {}
-    for alg_index, alg in enumerate(algorithms):
+    for alg_index, alg in enumerate(ALGORITHMS):
         start = alg_index * len(seeds)
         out[alg] = traces[start:start + len(seeds)]
     return out

@@ -1,8 +1,8 @@
 """Dense matrix kernels used everywhere else in the package.
 
 Thin QR with a fixed sign convention, a basis of the sum of two spans,
-top-k symmetric eigenbasis, spectral norm, and the principal-angle
-distance between equal-rank subspaces.  Everything operates on plain
+top-k symmetric eigenbasis, and the principal-angle distance between
+equal-rank subspaces.  Everything operates on plain
 float ndarrays; matrices are row-major ``(rows, cols)`` arrays and an
 "orthonormal basis" is a ``d x k`` array ``b`` with ``b.T @ b = I_k`` up
 to :data:`ORTHO_TOL`.
@@ -25,13 +25,13 @@ SYMMETRY_TOL = 1e-10
 EIGEN_GAP_TOL = 1e-12
 
 
-def is_orthonormal(b, tol=ORTHO_TOL):
-    """True when ``b.T @ b`` equals the identity within ``tol`` (Frobenius)."""
+def is_orthonormal(b):
+    """True when ``b.T @ b`` equals the identity within :data:`ORTHO_TOL` (Frobenius)."""
     b = np.asarray(b, dtype=float)
     if b.ndim != 2:
         return False
     k = b.shape[1]
-    return float(np.linalg.norm(b.T @ b - np.eye(k))) <= tol
+    return float(np.linalg.norm(b.T @ b - np.eye(k))) <= ORTHO_TOL
 
 
 def thin_qr(a):
@@ -118,20 +118,13 @@ def rank_k_eig(s, k):
     return vecs[:, ::-1][:, :k]
 
 
-def spectral_norm(a):
-    """Largest singular value of ``a`` (0 for an all-zero matrix)."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
 def principal_angle_dist(b1, b2):
     """Principal-angle distance between the column spans of two orthonormal bases.
 
-    Computed as ``||(I - b1 b1^T) b2||_2``, the sine of the largest
-    principal angle: 0 iff the spans coincide, 1 iff some direction of
-    ``b2`` is orthogonal to ``span(b1)``.  Both inputs must be d x k with
+    Computed as ``||(I - b1 b1^T) b2||_2``, the largest singular value
+    of the residual (one ``np.linalg.svd`` call), which is the sine of
+    the largest principal angle: 0 iff the spans coincide, 1 iff some
+    direction of ``b2`` is orthogonal to ``span(b1)``.  Both inputs must be d x k with
     orthonormal columns; for equal k the value is symmetric in its
     arguments and invariant to right-multiplication by any orthogonal
     k x k matrix.
@@ -141,4 +134,4 @@ def principal_angle_dist(b1, b2):
     if b1.shape != b2.shape:
         raise DimensionMismatch(f"basis shapes differ: {b1.shape} vs {b2.shape}")
     resid = b2 - b1 @ (b1.T @ b2)
-    return min(1.0, spectral_norm(resid))
+    return min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))

@@ -125,14 +125,50 @@ class TestExitCodes:
     def test_batch_smaller_than_rank_exit_one(self, config_path, tmp_path, capsys):
         pairs = parse_pairs(GOOD_CONFIG.splitlines())
         pairs.update(k="3", m="2")
-        with pytest.raises(ConfigError, match=r"need m >= k, got m=2, k=3"):
+        with pytest.raises(ConfigError, match=r"need m > k, got m=2, k=3"):
             build_config(pairs)
         rc = cli.main([
             "run", "--config", str(config_path), "--out", str(tmp_path / "o"),
             "--override", "k=3", "--override", "m=2",
         ])
         assert rc == cli.EXIT_CONFIG
-        assert "need m >= k, got m=2, k=3" in capsys.readouterr().err
+        assert "need m > k, got m=2, k=3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        # each head fits its batch exactly, so the representation never moves
+        ({"k": "2", "m": "2"}, "need m > k, got m=2, k=2"),
+        # two heads span two of B*'s three directions
+        ({"k": "3", "N": "2", "M": "2"}, "need M >= k, got M=2, k=3"),
+    ], ids=["batch_equal_to_rank", "fewer_clients_than_rank"])
+    def test_config_that_cannot_learn_exit_one(self, config_path, tmp_path, capsys, overrides, message):
+        pairs = parse_pairs(GOOD_CONFIG.splitlines())
+        pairs.update(overrides)
+        with pytest.raises(ConfigError, match=message):
+            build_config(pairs)
+        rc = cli.main(
+            ["run", "--config", str(config_path), "--out", str(tmp_path / "o")]
+            + [arg for key, value in overrides.items() for arg in ("--override", f"{key}={value}")]
+        )
+        assert rc == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("a", ["0", "0.3"])
+    def test_contraction_factor_out_of_range_exit_one(self, config_path, tmp_path, capsys, a):
+        rc = cli.main([
+            "run", "--config", str(config_path), "--out", str(tmp_path / "o"), "--override", f"a={a}",
+        ])
+        assert rc == cli.EXIT_CONFIG
+        assert f"contraction factor a must lie in (0, 1/4], got {float(a)}" in capsys.readouterr().err
+
+    def test_config_not_utf8_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(GOOD_CONFIG.replace("# small", "# caf\xe9, small").encode("latin-1"))
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"config error: cannot read config file {path}")
         assert not (tmp_path / "o").exists()
 
     def test_nonconvergence_exit_two(self, config_path, tmp_path, capsys):
@@ -178,18 +214,9 @@ class TestTraceCsv:
         lines = text.split("\n")
         assert lines[0] == "stage,round,n,round_time,cumulative_time,dist"
         assert text.endswith("\n") and "\r" not in text
-        records = cli.parse_trace_csv(text)
-        cumulative = [r.cumulative_time for r in records]
+        cumulative = [float(line.split(",")[4]) for line in lines[1:-1]]
+        assert len(cumulative) > 1
         assert all(b > a for a, b in zip(cumulative, cumulative[1:]))
-
-    def test_round_trip_at_emitted_precision(self, config_path, tmp_path):
-        out = tmp_path / "out"
-        cli.main(["run", "--config", str(config_path), "--out", str(out)])
-        text = (out / "trace.csv").read_text()
-        records = cli.parse_trace_csv(text)
-        # re-emitting the parsed records reproduces the file byte for byte
-        trace_like = type("T", (), {"records": records})
-        assert cli.trace_to_csv(trace_like) == text
 
     def test_identical_invocations_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -301,25 +301,26 @@ class TestSweep:
 
     def test_sweep_matches_direct_runs(self):
         cfg = small_config(sigma=0.1, plan_mode="fixed", fixed_rounds=5, epsilon=0.0)
-        out = engine.run_sweep(cfg, [4, 5], algorithms=(engine.ALGO_SRPFL,))
+        out = engine.run_sweep(cfg, [4, 5])
         direct = engine.run(dataclasses.replace(cfg, seed=5))
         assert out[engine.ALGO_SRPFL][1].records == direct.records
+
+
+def synthetic_trace(dists):
+    """A trace with one round of unit time per distance and no participant sets."""
+    records = [engine.RoundRecord(0, t, 4, 1.0, float(t), dist) for t, dist in enumerate(dists, start=1)]
+    return engine.RunTrace(
+        records=records, config_digest="x", final_dist=records[-1].dist,
+        init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05, lam=1.0,
+        sigma_min_star=1.0, sigma_max_star=1.0, reached_target=False,
+    )
 
 
 class TestMeasureContraction:
     def test_recovers_known_rate(self):
         # synthetic geometric trace: dist_t = 0.9 * rho^t
         rho = 0.97
-        records = []
-        cum = 0.0
-        for t in range(1, 120):
-            cum += 1.0
-            records.append(engine.RoundRecord(0, t, 4, 1.0, cum, 0.9 * rho**t))
-        trace = engine.RunTrace(
-            records=records, config_digest="x", final_dist=records[-1].dist,
-            init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05, lam=1.0,
-            sigma_min_star=1.0, sigma_max_star=1.0, reached_target=False,
-        )
+        trace = synthetic_trace([0.9 * rho**t for t in range(1, 120)])
         a = engine.measure_contraction_rate(trace)
         assert a == pytest.approx(1 - rho**2, rel=1e-6)
 
@@ -359,3 +360,21 @@ def test_singular_extremes_match_per_subset_loop(seed):
             sv = np.linalg.svd(w[idx] / math.sqrt(n), compute_uv=False)
             s_min, s_max = min(s_min, float(sv[-1])), max(s_max, float(sv[0]))
     assert engine.measure_singular_extremes(w, 3, seed) == (s_min, s_max)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: engine.verify_contraction(synthetic_trace([0.5, 0.4]), None, 2),
+     "trace does not carry realized participant sets"),
+    (lambda: engine.analytic_speedup_bound(1, 1.2, 0.1, 0.0), "bounds need N >= 2, got 1"),
+    (lambda: engine.measure_contraction_rate(synthetic_trace([0.5])),
+     "trace too short to measure a contraction rate"),
+], ids=["no_participants", "one_client", "one_record"])
+def test_typed_errors(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
+
+
+def test_sweep_threads_rejects_a_non_integer(monkeypatch):
+    monkeypatch.setenv("SRPFL_THREADS", "abc")
+    with pytest.raises(ConfigError, match="SRPFL_THREADS must be an integer, got 'abc'"):
+        engine.sweep_threads()

@@ -97,6 +97,11 @@ class TestMethodOfMoments:
         with pytest.raises(AllZeroMoments):
             fedrep.method_of_moments_init(silent, [0, 1], 10, seed=0)
 
+    def test_no_participants(self):
+        gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
+        with pytest.raises(EmptyParticipants, match="warm start needs at least one participant"):
+            fedrep.method_of_moments_init(gt, [], 10, seed=0)
+
     def test_full_dimensional_subspace(self):
         # d = k: any full-rank average spans all of R^d
         gt = synthesis.gen_ground_truth(3, 3, 4, 0.3, seed=6)

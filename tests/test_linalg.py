@@ -119,30 +119,18 @@ class TestRankKEig:
         with pytest.raises(NotSymmetric):
             linalg.rank_k_eig(s, 1)
 
+    @pytest.mark.parametrize("s, k, message", [
+        (np.ones((3, 2)), 1, r"expected a square matrix, got shape \(3, 2\)"),
+        (np.eye(3), 0, r"k=0 outside 1\.\.3"),
+        (np.eye(3), 4, r"k=4 outside 1\.\.3"),
+    ])
+    def test_bad_shape_or_rank(self, s, k, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            linalg.rank_k_eig(s, k)
+
     def test_degenerate_gap_warns(self):
         with pytest.warns(EigenGapDegenerateWarning):
             linalg.rank_k_eig(np.diag([5.0, 5.0, 1.0]), 1)
-
-
-class TestSpectralNorm:
-    def test_zero(self):
-        assert linalg.spectral_norm(np.zeros((3, 4))) == 0.0
-
-    def test_diagonal(self):
-        assert linalg.spectral_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0, abs=1e-12)
-
-    def test_svd_oracle_seed2(self):
-        a = np.random.default_rng(2).standard_normal((5, 3))
-        oracle = np.linalg.svd(a, compute_uv=False)[0]
-        assert linalg.spectral_norm(a) == pytest.approx(oracle, rel=1e-9)
-
-    @pytest.mark.parametrize("shape", [(1, 1), (20, 2), (40, 4), (3, 7)])
-    def test_bit_equal_to_numpy_2_norm(self, shape):
-        rng = np.random.default_rng(shape[0] * shape[1])
-        for scale in (1e-12, 1e-6, 1.0, 1e2):
-            for _ in range(50):
-                a = scale * rng.standard_normal(shape)
-                assert linalg.spectral_norm(a) == float(np.linalg.norm(a, 2))
 
 
 class TestPrincipalAngleDist:
@@ -172,3 +160,14 @@ class TestPrincipalAngleDist:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.principal_angle_dist(np.eye(3)[:, :1], np.eye(4)[:, :1])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (20, 2), (40, 4), (7, 3)])
+    def test_bit_equal_to_numpy_2_norm(self, shape):
+        d, k = shape
+        rng = np.random.default_rng(d * k)
+        for scale in (1e-12, 1e-6, 1.0):
+            for _ in range(50):
+                b1 = random_orthonormal(d, k, seed=int(rng.integers(2**31)))
+                b2, _ = np.linalg.qr(b1 + scale * rng.standard_normal((d, k)))
+                expected = min(1.0, float(np.linalg.norm(b2 - b1 @ (b1.T @ b2), 2)))
+                assert linalg.principal_angle_dist(b1, b2) == expected

@@ -278,3 +278,22 @@ class TestStagePlan:
             straggler.build_stage_plan(8, 2, 0.2, model, 1.2, "bogus")
         with pytest.raises(ConfigError):
             straggler.build_stage_plan(8, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=None)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SpeedModel.fixed(lam=0.0), ConfigError, "exponential rate must be positive, got 0.0"),
+    (lambda: SpeedModel.fixed(comm_cost=-0.5), ConfigError, "communication cost must be >= 0, got -0.5"),
+    (lambda: SpeedModel.dynamic(0), ConfigError, "need at least one client slot, got 0"),
+    (lambda: SpeedModel.dynamic(4, comm_cost=-1.0), ConfigError, "communication cost must be >= 0"),
+    (lambda: straggler.draw_round_times(SpeedModel.fixed(), 1, 0), EmptyParticipants,
+     "need at least one timed client"),
+    (lambda: straggler.draw_round_times(SpeedModel.dynamic(4), 1, 5), ConfigError,
+     "dynamic model has rates for 4 slots, need 5"),
+    (lambda: straggler.expected_order_stat(4, 2, -1.0), ConfigError, "exponential rate must be positive"),
+    (lambda: straggler.check_contraction_factor(0.0), ConfigError, r"must lie in \(0, 1/4\], got 0.0"),
+    (lambda: straggler.check_contraction_factor(0.3), ConfigError, r"must lie in \(0, 1/4\], got 0.3"),
+], ids=["fixed_lam", "fixed_comm", "dynamic_slots", "dynamic_comm", "no_clients", "few_rates",
+        "order_stat_lam", "a_zero", "a_above_quarter"])
+def test_typed_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

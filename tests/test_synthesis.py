@@ -87,6 +87,11 @@ class TestSampleBatch:
         with pytest.raises(ClientOutOfRange):
             synthesis.sample_batch(gt, 2, 5, 0, seed=0)
 
+    def test_empty_batch(self):
+        gt = synthesis.gen_ground_truth(4, 2, 3, 0.1, seed=0)
+        with pytest.raises(ConfigError, match="batch size must be >= 1, got 0"):
+            synthesis.sample_batch(gt, 0, 0, 1, seed=0)
+
     def test_first_moment_monte_carlo(self):
         # E[y x] = B* w*; sample mean within 3% of it in norm at m = 1e5
         gt = synthesis.gen_ground_truth(5, 2, 1, 0.0, seed=13)
