@@ -31,7 +31,7 @@ for j in (1, 2, 4, 8, 16, 32, 64):
     print(f"{j:>4} {analytic:>10.4f} {observed:>12.4f} {abs(observed - analytic) / analytic:>9.4f}")
 
 print("\n== doubling schedule at a=0.1, n0=2, C=1 ==")
-model = SpeedModel.fixed(lam=lam, comm_cost=1.0)
+model = SpeedModel.fixed(N, lam=lam, comm_cost=1.0)
 a, n0, c_hat = 0.1, 2, 1.2
 plan = build_stage_plan(N, n0, a, model, c_hat, "analytic")
 # X_r, the point to switch into stage r, ends stage r-1 of a threshold plan

@@ -1,6 +1,6 @@
-"""Command-line surface: run, compare, verify, gen.
+"""Command-line surface: run, compare, verify.
 
-Exit codes are a stable contract: 0 success, 1 configuration error,
+Exit codes are a stable contract: 0 success, 1 configuration or usage error,
 2 non-convergence, 3 verification failure.  Trace CSVs use the frozen
 schema ``stage,round,n,round_time,cumulative_time,dist`` with 12
 significant digits and LF line endings so byte-level diffing detects
@@ -12,8 +12,8 @@ import statistics
 import sys
 from pathlib import Path
 
-from . import checks, engine, synthesis
-from .config import load_config, save_model
+from . import checks, engine
+from .config import load_config
 from .errors import ConfigError, NonConvergence, SrpflError
 
 CSV_HEADER = "stage,round,n,round_time,cumulative_time,dist"
@@ -39,9 +39,12 @@ def trace_to_csv(trace):
 
 
 def _write(path, text):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def summary_block(trace):
@@ -133,30 +136,17 @@ def cmd_verify(config, out):
     return EXIT_OK
 
 
-def cmd_gen(config, out):
-    gt = synthesis.gen_ground_truth(
-        config.d, config.k, config.n_clients, config.sigma, config.seed
-    )
-    path = out / "model.txt" if out.suffix == "" else out
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_model(path, gt)
-    sys.stdout.write(f"wrote ground-truth model to {path}\n")
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="srpfl",
         description="Simulation laboratory for straggler-resilient shared-representation learning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("run", cmd_run), ("compare", cmd_compare), ("verify", cmd_verify), ("gen", cmd_gen),
-    ):
+    for name, fn in (("run", cmd_run), ("compare", cmd_compare), ("verify", cmd_verify)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a key=value config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=".", help="output directory (or file for gen)")
+        p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="override a config field; repeatable",
@@ -166,7 +156,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         config = load_config(args.config, args.override, args.seed)
         return args.handler(config, Path(args.out))

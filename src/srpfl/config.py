@@ -1,4 +1,4 @@
-"""Flat key=value files: run configurations and saved ground-truth models.
+"""Flat key=value run configuration files.
 
 One ``key = value`` pair per line, ``#`` comments, unknown and duplicate
 keys rejected.  Times are abstract time units, rates are per time unit.
@@ -10,7 +10,6 @@ from dataclasses import MISSING, fields
 
 from .engine import RunConfig
 from .errors import ConfigError
-from .synthesis import gen_ground_truth
 
 
 def _as_int(key, text):
@@ -49,8 +48,8 @@ _SCHEMA = {
 }
 
 
-def parse_pairs(lines, source="<config>", keys=_SCHEMA):
-    """Raw key -> string-value mapping from lines whose keys lie in ``keys``."""
+def parse_pairs(lines, source="<config>"):
+    """Raw key -> string-value mapping from ``key = value`` lines."""
     pairs = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -60,21 +59,12 @@ def parse_pairs(lines, source="<config>", keys=_SCHEMA):
         if not sep:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key = key.strip()
-        if key not in keys:
+        if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown field {key!r}")
         if key in pairs:
             raise ConfigError(f"{source}:{lineno}: duplicate field {key!r}")
         pairs[key] = value.strip()
     return pairs
-
-
-def _read_pairs(path, keys, encoding, kind):
-    """Raw pairs of a ``kind`` file; unreadable or undecodable is a ConfigError naming it."""
-    try:
-        with open(path, "r", encoding=encoding) as fh:
-            return parse_pairs(fh, source=str(path), keys=keys)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
 
 
 def build_config(pairs):
@@ -92,32 +82,14 @@ def build_config(pairs):
 
 
 def load_config(path, overrides=(), seed=None):
-    pairs = _read_pairs(path, _SCHEMA, "utf-8", "config")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            pairs = parse_pairs(fh, source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for item in overrides:
         pairs.update(parse_pairs([item], source="--override"))
     if seed is not None:
         pairs["seed"] = str(seed)
     return build_config(pairs)
 
-
-# model-file key -> parser, in file order
-_MODEL_KEYS = {"d": _as_int, "k": _as_int, "clients": _as_int, "sigma": _as_float, "seed": _as_int}
-
-
-def save_model(path, gt):
-    """Write the five scalars that fully determine a ground-truth model."""
-    values = (gt.d, gt.k, gt.n_clients, repr(gt.sigma), gt.seed)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(f"{key} = {value}\n" for key, value in zip(_MODEL_KEYS, values)))
-
-
-def load_model(path):
-    """Rebuild a ground-truth model saved by :func:`save_model`."""
-    pairs = _read_pairs(path, _MODEL_KEYS, "ascii", "model")
-    missing = [key for key in _MODEL_KEYS if key not in pairs]
-    if missing:
-        raise ConfigError(f"model file {path} is missing field(s): {', '.join(missing)}")
-    try:
-        return gen_ground_truth(*(parse(key, pairs[key]) for key, parse in _MODEL_KEYS.items()))
-    except ConfigError as exc:
-        raise ConfigError(f"model file {path}: {exc}") from exc

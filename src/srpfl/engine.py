@@ -200,7 +200,7 @@ def measure_singular_extremes(w_active, n0, seed):
 
 def _speed_model(config):
     if config.speed_kind == SPEED_FIXED:
-        return SpeedModel.fixed(config.lam, config.comm_cost, config.seed)
+        return SpeedModel.fixed(config.n_total, config.lam, config.comm_cost, config.seed)
     return SpeedModel.dynamic(config.n_total, config.comm_cost, config.seed)
 
 
@@ -277,7 +277,7 @@ def run(config):
             round_index = len(records) + 1
             if config.resample_scope == RESAMPLE_PER_ROUND:
                 active = _sample_active(config, round_index)
-            times = draw_round_times(speed, round_index, config.n_total)
+            times = draw_round_times(speed, round_index)
             chosen = select_fastest(times, n_r)
             ids = active[chosen]
             try:

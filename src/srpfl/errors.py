@@ -9,6 +9,10 @@ class RankDeficient(SrpflError):
     """Matrix handed to the thin QR factorization has (numerically) collapsed columns."""
 
 
+class NonFinite(SrpflError):
+    """Thin QR factor has an inf or nan entry; an overflowed step produces one."""
+
+
 class NotSymmetric(SrpflError):
     """Eigendecomposition input is not symmetric within tolerance."""
 
@@ -62,7 +66,7 @@ class NonConvergence(SrpflError):
     """Round budget exhausted before the target accuracy was reached."""
 
 
-class TargetNotReached(SrpflError):
+class TargetNotReached(NonConvergence):
     """A trace never crosses the requested accuracy level."""
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EigenGapDegenerateWarning,
+    NonFinite,
     NotSymmetric,
     RankDeficient,
 )
@@ -48,6 +49,8 @@ def thin_qr(a):
 
     Raises
     ------
+    NonFinite
+        If ``r`` is not finite: ``a`` is not, or its column norms overflow.
     RankDeficient
         If ``sigma_min(a) <= RANK_TOL * sigma_max(a)``, i.e. the columns
         have numerically collapsed.  The singular values are taken from
@@ -57,6 +60,8 @@ def thin_qr(a):
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"thin_qr expects a tall d x k matrix, got shape {a.shape}")
     q, r = np.linalg.qr(a)
+    if not np.isfinite(r).all():
+        raise NonFinite("QR factor is not finite: the input is not, or its column norms overflow")
     sv = np.linalg.svd(r, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
         raise RankDeficient(

@@ -9,7 +9,6 @@ round budget from that list; :func:`target_accuracy` gives the target.
 Logarithms in the budget and bound formulas are natural logs.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -40,44 +39,47 @@ A_MIN = 1e-6
 A_MAX = 0.25
 
 
+def _check_slots(n_slots, comm_cost):
+    if n_slots < 1:
+        raise ConfigError(f"need at least one client slot, got {n_slots}")
+    if comm_cost < 0:
+        raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
+
+
 @dataclass(frozen=True)
 class SpeedModel:
-    """Straggler timing law plus the per-round communication cost.
+    """Straggler timing law over ``n_slots`` client slots, plus the
+    per-round communication cost.
 
-    ``kind`` is :data:`SPEED_FIXED` (one Exp(lam) draw per client slot,
-    reused every round) or :data:`SPEED_DYNAMIC` (fresh Exp(rate_i)
-    draws each round, with slot rates drawn once from Uniform[1/n_slots,
-    1]).  ``lam`` is the rate the closed-form schedule formulas use; for
-    the dynamic model it is the mean slot rate.
+    :meth:`fixed` draws one Exp(lam) time per slot once and holds it,
+    read-only, in ``times``, reused every round.  :meth:`dynamic` draws
+    slot rates once from Uniform[1/n_slots, 1] into ``per_client_rates``
+    and fresh Exp(rate_i) times each round.  ``lam`` is the rate the
+    closed-form schedule formulas use; for the dynamic model it is the
+    mean slot rate.
     """
 
-    kind: str
     lam: float
     comm_cost: float
     seed: int
+    times: np.ndarray | None = None
     per_client_rates: np.ndarray | None = None
 
     @staticmethod
-    def fixed(lam=1.0, comm_cost=0.0, seed=0):
+    def fixed(n_slots, lam=1.0, comm_cost=0.0, seed=0):
+        _check_slots(n_slots, comm_cost)
         if lam <= 0:
             raise ConfigError(f"exponential rate must be positive, got {lam}")
-        if comm_cost < 0:
-            raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
-        return SpeedModel(kind=SPEED_FIXED, lam=float(lam), comm_cost=float(comm_cost), seed=seed)
+        times = substream(seed, TAG_FIXED_TIMES).exponential(1.0 / lam, size=n_slots)
+        times.setflags(write=False)  # every round shares this array
+        return SpeedModel(lam=float(lam), comm_cost=float(comm_cost), seed=seed, times=times)
 
     @staticmethod
     def dynamic(n_slots, comm_cost=0.0, seed=0):
-        if n_slots < 1:
-            raise ConfigError(f"need at least one client slot, got {n_slots}")
-        if comm_cost < 0:
-            raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
+        _check_slots(n_slots, comm_cost)
         rates = substream(seed, TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
         return SpeedModel(
-            kind=SPEED_DYNAMIC,
-            lam=float(np.mean(rates)),
-            comm_cost=float(comm_cost),
-            seed=seed,
-            per_client_rates=rates,
+            lam=float(np.mean(rates)), comm_cost=float(comm_cost), seed=seed, per_client_rates=rates,
         )
 
 
@@ -101,29 +103,16 @@ class StagePlan:
     thresholds: tuple
 
 
-@functools.lru_cache(maxsize=32)
-def _fixed_times(seed, lam, n):
-    times = substream(seed, TAG_FIXED_TIMES).exponential(1.0 / lam, size=n)
-    times.setflags(write=False)  # every round of every caller shares this array
-    return times
-
-
-def draw_round_times(model, round_index, n):
+def draw_round_times(model, round_index):
     """Per-slot computation times for one round.
 
-    Fixed model: the same Exp(lam) vector every round, drawn once per
-    ``(seed, lam, n)`` and returned read-only.  Dynamic model: fresh
-    Exp(rate_i) draws, deterministic in ``(seed, round_index)``.
+    Fixed model: its read-only ``times``, the same every round.  Dynamic
+    model: fresh Exp(rate_i) draws, deterministic in ``(seed, round_index)``.
     """
-    if n < 1:
-        raise EmptyParticipants("need at least one timed client")
-    if model.kind == SPEED_FIXED:
-        return _fixed_times(model.seed, model.lam, n)
-    rates = model.per_client_rates
-    if rates is None or len(rates) < n:
-        raise ConfigError(f"dynamic model has rates for {0 if rates is None else len(rates)} slots, need {n}")
+    if model.times is not None:
+        return model.times
     rng = substream(model.seed, TAG_DYNAMIC_TIMES, round_index)
-    return rng.exponential(1.0, size=n) / rates[:n]
+    return rng.exponential(1.0, size=model.per_client_rates.size) / model.per_client_rates
 
 
 def select_fastest(times, n):

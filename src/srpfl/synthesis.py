@@ -50,7 +50,6 @@ class GroundTruthModel:
     d: int
     k: int
     n_clients: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,7 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
         norms = np.linalg.norm(heads, axis=1)
     w_star = heads * (np.sqrt(k) / norms)[:, None]
     return GroundTruthModel(
-        b_star=b_star, w_star=w_star, sigma=float(sigma), d=d, k=k,
-        n_clients=n_clients, seed=seed,
+        b_star=b_star, w_star=w_star, sigma=float(sigma), d=d, k=k, n_clients=n_clients,
     )
 
 

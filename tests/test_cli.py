@@ -1,4 +1,5 @@
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import srpfl
 from srpfl import checks, cli, engine
-from srpfl.config import build_config, load_config, load_model, parse_pairs
+from srpfl.config import build_config, load_config, parse_pairs
 from srpfl.errors import ConfigError
 from srpfl.straggler import SpeedModel
 
@@ -29,6 +30,9 @@ fixed_rounds = 5
 epsilon = 0
 sweep_seeds = 2
 """
+
+
+REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
 
 
 @pytest.fixture
@@ -88,6 +92,20 @@ class TestConfigFile:
         assert "field 'epsilon': expected a number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("old, new, encoding, message", [
+        ("d = 10", "d = abc", "utf-8", "field 'd': expected an integer, got 'abc'"),
+        ("k = 2", "k 2", "utf-8", "{path}:3: expected 'key = value', got 'k 2'"),
+        ("sweep_seeds = 2", "sweep_seeds = 2\nd = 8", "utf-8", "{path}:16: duplicate field 'd'"),
+        ("sweep_seeds = 2", "sweep_seeds = 2\nrank = 2", "utf-8", "{path}:16: unknown field 'rank'"),
+        ("# small", "# caf\xe9, small", "latin-1", "cannot read config file {path}"),
+    ], ids=["bad_integer", "no_equals", "duplicate_with_line", "unknown_key", "not_utf8"])
+    def test_malformed_file_is_config_error(self, tmp_path, old, new, encoding, message):
+        # a fault at a line names the file and the line; a bad value names its field
+        path = tmp_path / "run.cfg"
+        path.write_bytes(GOOD_CONFIG.replace(old, new).encode(encoding))
+        with pytest.raises(ConfigError, match=re.escape(message.format(path=path))):
+            load_config(path)
+
     def test_later_override_wins(self, config_path):
         cfg = load_config(config_path, overrides=["m=50", "m = 60"])
         assert cfg.m == 60
@@ -96,6 +114,25 @@ class TestConfigFile:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--help"], cli.EXIT_OK, ""),
+        (["run"], cli.EXIT_CONFIG, "the following arguments are required: --config"),
+        (["run", "--config", "{cfg}", "--seed", "abc"], cli.EXIT_CONFIG, "invalid int value: 'abc'"),
+        (["gen", "--config", "{cfg}", "--out", "{tmp}/model.txt"], cli.EXIT_CONFIG, "invalid choice: 'gen'"),
+        (["compare", "--config", "{cfg}", "--out", "{tmp}/o", "--override", "fixed_rounds=2",
+          "--override", "epsilon=0.001"], cli.EXIT_NONCONVERGENCE,
+         "non-convergence: srpfl trace never reached epsilon=0.001"),
+        (["run", "--config", "{cfg}", "--out", "{tmp}/file/o"], cli.EXIT_CONFIG,
+         "config error: cannot write {tmp}/file/o/trace.csv"),
+    ], ids=["help", "no_config", "bad_seed", "gen", "target_not_reached", "out_under_file"])
+    def test_exit_code(self, config_path, tmp_path, capsys, argv, code, message):
+        (tmp_path / "file").write_text("")
+        fill = {"cfg": config_path, "tmp": tmp_path}
+        rc = cli.main([arg.format(**fill) for arg in argv])
+        assert rc == code
+        assert message.format(**fill) in capsys.readouterr().err
+        assert not (tmp_path / "model.txt").exists()
+
     def test_missing_config_names_path(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "nope.cfg")])
         captured = capsys.readouterr()
@@ -288,13 +325,6 @@ class TestCompareVerifyGen:
         assert summary["analytic_lower_fedrep"] == pytest.approx(lower / lam, rel=1e-9)
         assert summary["analytic_ratio_bound"] == pytest.approx(ratio, rel=1e-9)
 
-    def test_gen_and_reload(self, config_path, tmp_path, capsys):
-        target = tmp_path / "model.txt"
-        rc = cli.main(["gen", "--config", str(config_path), "--out", str(target)])
-        assert rc == cli.EXIT_OK and target.exists()
-        gt = load_model(target)
-        assert gt.d == 10 and gt.n_clients == 8
-
     def test_verify_passes_on_reference_config(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text(
@@ -337,13 +367,25 @@ def test_every_exported_name_resolves():
     assert [name for name in srpfl.__all__ if not hasattr(srpfl, name)] == []
 
 
-def test_module_entry_point(config_path, tmp_path):
+def run_module(*args):
     # the child must import the same package as this process, installed or not
     env = dict(os.environ, PYTHONPATH=str(Path(srpfl.__file__).resolve().parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "srpfl", "run", "--config", str(config_path),
-         "--out", str(tmp_path / "cli_out")],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "srpfl", *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(config_path, tmp_path):
+    proc = run_module("run", "--config", str(config_path), "--out", str(tmp_path / "cli_out"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cli_out" / "trace.csv").exists()
+
+
+def test_overflowing_step_exit_one(tmp_path):
+    # in a child process: numpy's overflow warning is an error under this suite
+    proc = run_module(
+        "run", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path / "o"),
+        "--override", "eta=1e300", "--override", "sigma=1e5",
+    )
+    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+    assert "error: stage 0, round 1: QR factor is not finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -90,10 +91,7 @@ class TestMethodOfMoments:
 
     def test_all_zero_labels(self):
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
-        silent = synthesis.GroundTruthModel(
-            b_star=gt.b_star, w_star=np.zeros_like(gt.w_star), sigma=0.0,
-            d=4, k=1, n_clients=2, seed=0,
-        )
+        silent = dataclasses.replace(gt, w_star=np.zeros_like(gt.w_star))
         with pytest.raises(AllZeroMoments):
             fedrep.method_of_moments_init(silent, [0, 1], 10, seed=0)
 

@@ -5,6 +5,7 @@ from srpfl import linalg
 from srpfl.errors import (
     DimensionMismatch,
     EigenGapDegenerateWarning,
+    NonFinite,
     NotSymmetric,
     RankDeficient,
 )
@@ -51,6 +52,14 @@ class TestThinQR:
             linalg.thin_qr(a)
         with pytest.raises(RankDeficient):
             linalg.thin_qr(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308], ids=["nan", "inf", "norm_overflows"])
+    def test_non_finite_factor_rejected(self, entry):
+        # a column of 1e308 entries is finite, but its norm is not
+        a = np.eye(4, 2)
+        a[:, 0] = entry
+        with pytest.raises(NonFinite, match="QR factor is not finite"):
+            linalg.thin_qr(a)
 
     def test_wide_input_rejected(self):
         with pytest.raises(DimensionMismatch):

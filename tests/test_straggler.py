@@ -24,31 +24,31 @@ def order_stat_oracle(n, j, lam):
 
 class TestDrawRoundTimes:
     def test_fixed_same_every_round(self):
-        model = SpeedModel.fixed(lam=2.0, comm_cost=0.5, seed=4)
-        t3 = straggler.draw_round_times(model, 3, 10)
-        t7 = straggler.draw_round_times(model, 7, 10)
+        model = SpeedModel.fixed(10, lam=2.0, comm_cost=0.5, seed=4)
+        t3 = straggler.draw_round_times(model, 3)
+        t7 = straggler.draw_round_times(model, 7)
         np.testing.assert_array_equal(t3, t7)
         assert np.all(t3 > 0)
 
     def test_fixed_drawn_once_read_only(self):
-        model = SpeedModel.fixed(lam=2.0, comm_cost=0.5, seed=4)
-        times = straggler.draw_round_times(model, 3, 10)
+        model = SpeedModel.fixed(10, lam=2.0, comm_cost=0.5, seed=4)
+        times = straggler.draw_round_times(model, 3)
         fresh = substream(4, TAG_FIXED_TIMES).exponential(0.5, size=10)
         np.testing.assert_array_equal(times, fresh)
-        assert straggler.draw_round_times(model, 7, 10) is times
+        assert times is model.times and straggler.draw_round_times(model, 7) is times
         with pytest.raises(ValueError):
             times[0] = 1.0
 
     def test_dynamic_fresh_every_round(self):
         model = SpeedModel.dynamic(10, comm_cost=0.0, seed=4)
-        t3 = straggler.draw_round_times(model, 3, 10)
-        t7 = straggler.draw_round_times(model, 7, 10)
-        assert not np.array_equal(t3, t7)
-        np.testing.assert_array_equal(t3, straggler.draw_round_times(model, 3, 10))
+        t3 = straggler.draw_round_times(model, 3)
+        t7 = straggler.draw_round_times(model, 7)
+        assert t3.shape == (10,) and not np.array_equal(t3, t7)
+        np.testing.assert_array_equal(t3, straggler.draw_round_times(model, 3))
 
     def test_fixed_mean_monte_carlo(self):
-        model = SpeedModel.fixed(lam=1.0, seed=0)
-        times = straggler.draw_round_times(model, 0, 100_000)
+        model = SpeedModel.fixed(100_000, lam=1.0, seed=0)
+        times = straggler.draw_round_times(model, 0)
         assert abs(times.mean() - 1.0) <= 0.02
 
     def test_dynamic_rates_in_range(self):
@@ -146,7 +146,7 @@ class TestDoublingPoint:
     def test_small_a_limit(self):
         # a / (1 - sqrt(1-a)) -> 2 as a -> 0, so the threshold approaches a
         # finite limit 2 / sqrt(2^(r-1)) * (1 + boost) for vanishing contraction
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
         small = straggler.build_stage_plan(16, 2, 1e-9, model, 1.2, straggler.MODE_THRESHOLD).thresholds[0]
         t2 = straggler.expected_order_stat(16, 2, 1.0)
         t4 = straggler.expected_order_stat(16, 4, 1.0)
@@ -155,13 +155,13 @@ class TestDoublingPoint:
 
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
         value = straggler.build_stage_plan(16, 2, 0.25, model, 1.2, straggler.MODE_THRESHOLD).thresholds[0]
         assert value == pytest.approx(6.958246051919566, rel=1e-12)
 
     def test_last_stage_capped_at_n(self):
         # N=12, n0=2: stage 3 has 12 participants, not 16
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        model = SpeedModel.fixed(12, lam=1.0, comm_cost=1.0)
         value = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD).thresholds[2]
         t8 = straggler.expected_order_stat(12, 8, 1.0)
         t12 = straggler.expected_order_stat(12, 12, 1.0)
@@ -173,7 +173,7 @@ class TestDoublingPoint:
     def test_overflowed_times_have_no_gap(self, mode):
         # 1/lam overflows, so every order statistic is inf and every gap nan;
         # unchecked, a nan threshold would end every stage at once
-        model = SpeedModel.fixed(lam=1e-320, comm_cost=1.0)
+        model = SpeedModel.fixed(16, lam=1e-320, comm_cost=1.0)
         with pytest.raises(ZeroGap, match="order-statistic gap nan is not positive"):
             straggler.build_stage_plan(16, 2, 0.1, model, 1.2, mode)
 
@@ -185,12 +185,12 @@ class TestRoundsPerStage:
 
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
-        model = SpeedModel.fixed(lam=1.0)
+        model = SpeedModel.fixed(32, lam=1.0)
         assert straggler.build_stage_plan(32, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC).stages[2][1] == 12
 
     def test_capped_ladder_matches_plan(self):
         # N=12, n0=2: stage 2 (8 participants) leads into the capped stage of 12
-        model = SpeedModel.fixed(lam=1.0)
+        model = SpeedModel.fixed(12, lam=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
         assert plan.stages[2][1] == 14
 
@@ -221,18 +221,18 @@ class TestTargetAccuracy:
 
 class TestStagePlan:
     def test_degenerate_single_stage(self):
-        model = SpeedModel.fixed(lam=1.0)
+        model = SpeedModel.fixed(4, lam=1.0)
         plan = straggler.build_stage_plan(4, 4, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
         assert plan.stages == ((4, None),)
 
     def test_ladder(self):
-        model = SpeedModel.fixed(lam=1.0)
+        model = SpeedModel.fixed(8, lam=1.0)
         plan = straggler.build_stage_plan(8, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)
         assert [n for n, _ in plan.stages] == [2, 4, 8]
         assert all(tau is None for _, tau in plan.stages)
 
     def test_threshold_plan_carries_exit_points(self):
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        model = SpeedModel.fixed(12, lam=1.0, comm_cost=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)
         # X_{r+1} = noise_floor(a, n_r/n0) (1 + (t_r + C)(1 - 1/sqrt(2)) / (t_{r+1} - t_r))
         t = [straggler.expected_order_stat(12, n, 1.0) for n in (2, 4, 8, 12)]
@@ -246,7 +246,7 @@ class TestStagePlan:
         assert fixed.thresholds == (None,) * 4
 
     def test_ladder_clamps_at_n(self):
-        model = SpeedModel.fixed(lam=1.0)
+        model = SpeedModel.fixed(12, lam=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=5)
         assert [n for n, _ in plan.stages] == [2, 4, 8, 12]
         assert all(tau == 5 for _, tau in plan.stages)
@@ -254,13 +254,13 @@ class TestStagePlan:
     def test_analytic_budgets_match_hand_evaluation(self):
         # frozen from an independent rational-arithmetic evaluation at
         # N=16, n0=2, a=0.2, lam=1, C=1, c_hat=1.2
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
         plan = straggler.build_stage_plan(16, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
         assert [n for n, _ in plan.stages] == [2, 4, 8, 16]
         assert [tau for _, tau in plan.stages] == [12, 12, 21, None]
 
     def test_last_budget_open_iff_not_fixed(self):
-        model = SpeedModel.fixed(lam=1.0, comm_cost=1.0)
+        model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
         for mode in straggler.PLAN_MODES:
             for n_total, n0 in ((16, 2), (12, 2), (4, 2), (4, 4)):
                 plan = straggler.build_stage_plan(n_total, n0, 0.2, model, 1.2, mode, fixed_rounds=5)
@@ -271,7 +271,7 @@ class TestStagePlan:
         assert two_stage.stages == ((2, 15), (4, None))
 
     def test_bad_inputs(self):
-        model = SpeedModel.fixed(lam=1.0)
+        model = SpeedModel.fixed(4, lam=1.0)
         with pytest.raises(ConfigError):
             straggler.build_stage_plan(4, 8, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
         with pytest.raises(ConfigError):
@@ -281,18 +281,15 @@ class TestStagePlan:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: SpeedModel.fixed(lam=0.0), ConfigError, "exponential rate must be positive, got 0.0"),
-    (lambda: SpeedModel.fixed(comm_cost=-0.5), ConfigError, "communication cost must be >= 0, got -0.5"),
+    (lambda: SpeedModel.fixed(4, lam=0.0), ConfigError, "exponential rate must be positive, got 0.0"),
+    (lambda: SpeedModel.fixed(4, comm_cost=-0.5), ConfigError, "communication cost must be >= 0, got -0.5"),
     (lambda: SpeedModel.dynamic(0), ConfigError, "need at least one client slot, got 0"),
     (lambda: SpeedModel.dynamic(4, comm_cost=-1.0), ConfigError, "communication cost must be >= 0"),
-    (lambda: straggler.draw_round_times(SpeedModel.fixed(), 1, 0), EmptyParticipants,
-     "need at least one timed client"),
-    (lambda: straggler.draw_round_times(SpeedModel.dynamic(4), 1, 5), ConfigError,
-     "dynamic model has rates for 4 slots, need 5"),
+    (lambda: SpeedModel.fixed(0), ConfigError, "need at least one client slot, got 0"),
     (lambda: straggler.expected_order_stat(4, 2, -1.0), ConfigError, "exponential rate must be positive"),
     (lambda: straggler.check_contraction_factor(0.0), ConfigError, r"must lie in \(0, 1/4\], got 0.0"),
     (lambda: straggler.check_contraction_factor(0.3), ConfigError, r"must lie in \(0, 1/4\], got 0.3"),
-], ids=["fixed_lam", "fixed_comm", "dynamic_slots", "dynamic_comm", "no_clients", "few_rates",
+], ids=["fixed_lam", "fixed_comm", "dynamic_slots", "dynamic_comm", "no_clients",
         "order_stat_lam", "a_zero", "a_above_quarter"])
 def test_typed_errors(call, error, message):
     with pytest.raises(error, match=message):

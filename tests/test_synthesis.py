@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from srpfl import linalg, synthesis
-from srpfl.config import load_model, save_model
 from srpfl.errors import ClientOutOfRange, ConfigError
 
 
@@ -109,34 +108,6 @@ class TestSampleBatch:
         observed = (batch.x.T * batch.y**2) @ batch.x / len(batch.y)
         err = np.linalg.norm(observed - target, 2) / np.linalg.norm(target, 2)
         assert err <= 0.05
-
-
-class TestModelRoundTrip:
-    def test_save_load(self, tmp_path):
-        gt = synthesis.gen_ground_truth(7, 2, 9, 0.25, seed=21)
-        path = tmp_path / "model.txt"
-        save_model(path, gt)
-        again = load_model(path)
-        np.testing.assert_array_equal(gt.b_star, again.b_star)
-        np.testing.assert_array_equal(gt.w_star, again.w_star)
-        assert again.sigma == gt.sigma
-
-    @pytest.mark.parametrize("old, new, message", [
-        ("d = 7", "d = abc", "field 'd': expected an integer, got 'abc'"),
-        ("k = 2", "k 2", ":2: expected 'key = value', got 'k 2'"),
-        ("seed = 21", "seed = 21\nd = 8", ":6: duplicate field 'd'"),
-        ("seed = 21", "seed = 21\nrank = 2", ":6: unknown field 'rank'"),
-        ("seed = 21", "", "missing field.*seed"),
-        ("sigma = 0.25", "sigma = inf", "must be finite"),
-        ("k = 2", "k = 2  # σ", "cannot read model file"),
-    ])
-    def test_malformed_file_is_config_error(self, tmp_path, old, new, message):
-        path = tmp_path / "model.txt"
-        good = "d = 7\nk = 2\nclients = 9\nsigma = 0.25\nseed = 21\n"
-        path.write_text(good.replace(old, new))
-        with pytest.raises(ConfigError, match=message) as info:
-            load_model(path)
-        assert str(path) in str(info.value)
 
 
 def test_substream_tags_are_distinct():
