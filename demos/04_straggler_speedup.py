@@ -16,7 +16,6 @@ from srpfl import (
     ALGO_SRPFL,
     RunConfig,
     analytic_speedup_bound,
-    crossing_time,
     measure_contraction_rate,
     run,
     run_sweep,

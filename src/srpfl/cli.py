@@ -1,10 +1,10 @@
 """Command-line surface: run, compare, verify.
 
-Exit codes are a stable contract: 0 success, 1 configuration or usage error,
-2 non-convergence, 3 verification failure.  Trace CSVs use the frozen
-schema ``stage,round,n,round_time,cumulative_time,dist`` with 12
-significant digits and LF line endings so byte-level diffing detects
-any nondeterminism.
+Exit codes are a stable contract: 0 success, 1 configuration or usage error
+or any other ``SrpflError``, 2 non-convergence, 3 verification failure.
+Trace CSVs use the frozen schema ``stage,round,n,round_time,cumulative_time,dist``
+with 12 significant digits and LF line endings so byte-level diffing
+detects any nondeterminism.
 """
 
 import argparse

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence, SrpflError, TargetNotReached, TimeOverflow
+from .errors import ConfigError, NonConvergence, SrpflError
 from .fedrep import fedrep_round, method_of_moments_init
 from .linalg import principal_angle_dist, thin_qr
 from .straggler import (
@@ -230,7 +230,8 @@ def run(config):
     The run ends as soon as the distance reaches epsilon.  When the
     plan's last stage has no budget, hitting ``max_rounds`` raises
     :class:`NonConvergence` naming the stage it was hit in; otherwise a
-    run cut short by ``max_rounds`` returns the unreached trace.
+    run cut short by ``max_rounds`` returns the unreached trace.  A failed
+    round or an overflowed clock raises an :class:`SrpflError` naming the stage and round.
     """
     config.validate()
     gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
@@ -287,7 +288,7 @@ def run(config):
             elapsed = round_time(times[chosen], speed.comm_cost)
             cumulative += elapsed
             if not math.isfinite(cumulative):
-                raise TimeOverflow(
+                raise SrpflError(
                     f"stage {stage}, round {round_index}: simulated time {cumulative!r} "
                     f"is not finite (round time {elapsed!r})"
                 )
@@ -376,7 +377,7 @@ def crossing_time(trace, epsilon, name="trace"):
     for record in trace.records:
         if record.dist <= epsilon:
             return record.cumulative_time
-    raise TargetNotReached(f"{name} never reached epsilon={epsilon:.6g} (final dist {trace.final_dist:.6g})")
+    raise NonConvergence(f"{name} never reached epsilon={epsilon:.6g} (final dist {trace.final_dist:.6g})")
 
 
 def speedup_report(srpfl_trace, baseline_trace, epsilon):

@@ -38,12 +38,7 @@ import functools
 
 import numpy as np
 
-from .errors import (
-    AllZeroMoments,
-    ClientOutOfRange,
-    EmptyParticipants,
-    SingularGram,
-)
+from .errors import SrpflError
 from .linalg import rank_k_eig, span_basis, thin_qr
 from .synthesis import TAG_ROUND, Batch, sample_batch, substream
 
@@ -59,7 +54,7 @@ def head_update(b, batch):
 
     Raises
     ------
-    SingularGram
+    SrpflError
         If a projected Gram matrix, symmetric positive semidefinite, has
         an eigenvalue at or below :data:`GRAM_TOL`; the batch is too
         small (m < k) or degenerate.
@@ -79,7 +74,7 @@ def head_update(b, batch):
         singular = np.flatnonzero(eig_min <= GRAM_TOL)
         if singular.size:
             first = singular[0]
-            raise SingularGram(
+            raise SrpflError(
                 f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
                 f"for client {np.ravel(batch.client_id)[doubtful[first]]} at m={m}"
             )
@@ -110,7 +105,7 @@ def method_of_moments_init(gt, participants, m, seed):
     """
     parts = list(participants)
     if not parts:
-        raise EmptyParticipants("warm start needs at least one participant")
+        raise SrpflError("warm start needs at least one participant")
     p_bar = np.zeros((gt.d, gt.d))
     saw_signal = False
     for cid in parts:
@@ -118,7 +113,7 @@ def method_of_moments_init(gt, participants, m, seed):
         saw_signal = saw_signal or bool(np.any(batch.y != 0.0))
         p_bar += (batch.x.T * batch.y**2) @ batch.x / m
     if not saw_signal:
-        raise AllZeroMoments("every warm-start label was zero; nothing to estimate")
+        raise SrpflError("every warm-start label was zero; nothing to estimate")
     return rank_k_eig(p_bar / len(parts), gt.k)
 
 
@@ -189,14 +184,14 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     updates ``X_i^T r_i w_i^T`` are summed directly into one d x k move
     (see :func:`reduced_rep_step`), and the round returns the thin QR of
     ``b - eta/(m*n) move``.  Raises with the offending client id when a
-    local solve fails, and ``RankDeficient`` when the moved ``b`` collapses.
+    local solve fails, and when the moved ``b`` collapses (see :func:`thin_qr`).
     """
     parts = np.array(list(participants), dtype=int)
     if not parts.size:
-        raise EmptyParticipants("a round needs at least one participant")
+        raise SrpflError("a round needs at least one participant")
     bad = parts[(parts < 0) | (parts >= gt.n_clients)]
     if bad.size:
-        raise ClientOutOfRange(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
+        raise SrpflError(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
     q = span_basis(gt.b_star, b)
     batch, g = _draw_in_span(gt, q, parts, m, substream(seed, TAG_ROUND, round_index))
     w = head_update(q.T @ b, batch)

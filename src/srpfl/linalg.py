@@ -12,13 +12,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EigenGapDegenerateWarning,
-    NonFinite,
-    NotSymmetric,
-    RankDeficient,
-)
+from .errors import EigenGapDegenerateWarning, SrpflError
 
 ORTHO_TOL = 1e-10
 RANK_TOL = 1e-12
@@ -49,24 +43,22 @@ def thin_qr(a):
 
     Raises
     ------
-    NonFinite
-        If ``r`` is not finite: ``a`` is not, or its column norms overflow.
-    RankDeficient
-        If ``sigma_min(a) <= RANK_TOL * sigma_max(a)``, i.e. the columns
-        have numerically collapsed.  The singular values are taken from
-        the k x k factor ``r``, which shares them with ``a``.
+    SrpflError
+        If ``a`` is not tall, if ``r`` is not finite (``a`` is not, or its
+        column norms overflow), or if ``sigma_min(a) <= RANK_TOL *
+        sigma_max(a)``, i.e. the columns have numerically collapsed.  The
+        singular values are taken from the k x k factor ``r``, which
+        shares them with ``a``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise DimensionMismatch(f"thin_qr expects a tall d x k matrix, got shape {a.shape}")
+        raise SrpflError(f"thin_qr expects a tall d x k matrix, got shape {a.shape}")
     q, r = np.linalg.qr(a)
     if not np.isfinite(r).all():
-        raise NonFinite("QR factor is not finite: the input is not, or its column norms overflow")
+        raise SrpflError("QR factor is not finite: the input is not, or its column norms overflow")
     sv = np.linalg.svd(r, compute_uv=False)
     if sv[-1] <= RANK_TOL * sv[0]:
-        raise RankDeficient(
-            f"column rank collapsed: sigma_min={sv[-1]:.3e} vs sigma_max={sv[0]:.3e}"
-        )
+        raise SrpflError(f"column rank collapsed: sigma_min={sv[-1]:.3e} vs sigma_max={sv[0]:.3e}")
     # positive-diagonal convention so repeated runs are bit-identical
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
@@ -98,20 +90,25 @@ def rank_k_eig(s, k):
     """Orthonormal basis of the top-k eigenspace of a symmetric matrix.
 
     Columns are ordered by descending eigenvalue.  The span is invariant
-    to positive rescaling of ``s``.  When the eigengap between the k-th
-    and (k+1)-th eigenvalues falls below :data:`EIGEN_GAP_TOL`, an
-    :class:`EigenGapDegenerateWarning` is issued (the returned span is
-    then not unique) but a basis is still returned.
+    to positive rescaling of ``s``.  Raises :class:`SrpflError` unless
+    ``s`` is square, 1 <= k <= d and ``||s - s.T||_F <= SYMMETRY_TOL *
+    max(1, ||s||_F)``, a bound that grows with ``s`` as its rounding does.
+    An eigengap between the k-th and (k+1)-th eigenvalues at or below
+    :data:`EIGEN_GAP_TOL` issues an :class:`EigenGapDegenerateWarning`
+    (the span is then not unique), and a basis is still returned.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {s.shape}")
+        raise SrpflError(f"expected a square matrix, got shape {s.shape}")
     d = s.shape[0]
     if not 1 <= k <= d:
-        raise DimensionMismatch(f"k={k} outside 1..{d}")
+        raise SrpflError(f"k={k} outside 1..{d}")
     asym = float(np.linalg.norm(s - s.T))
-    if asym > SYMMETRY_TOL:
-        raise NotSymmetric(f"||s - s.T||_F = {asym:.3e} exceeds {SYMMETRY_TOL}")
+    bound = SYMMETRY_TOL * max(1.0, float(np.linalg.norm(s)))
+    if asym > bound:
+        raise SrpflError(
+            f"||s - s.T||_F = {asym:.3e} exceeds {SYMMETRY_TOL} * max(1, ||s||_F) = {bound:.3e}"
+        )
     vals, vecs = np.linalg.eigh(0.5 * (s + s.T))
     if k < d and vals[d - k] - vals[d - k - 1] <= EIGEN_GAP_TOL:
         warnings.warn(
@@ -137,6 +134,6 @@ def principal_angle_dist(b1, b2):
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if b1.shape != b2.shape:
-        raise DimensionMismatch(f"basis shapes differ: {b1.shape} vs {b2.shape}")
+        raise SrpflError(f"basis shapes differ: {b1.shape} vs {b2.shape}")
     resid = b2 - b1 @ (b1.T @ b2)
     return min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))

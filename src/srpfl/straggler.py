@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CHatOutOfRange,
-    ConfigError,
-    EmptyParticipants,
-    IndexOutOfRange,
-    NTooLarge,
-    ZeroGap,
-)
+from .errors import ConfigError, SrpflError
 from .synthesis import TAG_CLIENT_RATES, TAG_DYNAMIC_TIMES, TAG_FIXED_TIMES, substream
 
 MODE_ANALYTIC = "analytic"
@@ -119,7 +112,7 @@ def select_fastest(times, n):
     """Indices of the ``n`` smallest times, fastest first, ties by lowest index."""
     times = np.asarray(times, dtype=float)
     if not 1 <= n <= times.size:
-        raise NTooLarge(f"cannot select {n} of {times.size} clients")
+        raise SrpflError(f"cannot select {n} of {times.size} clients")
     return np.argsort(times, kind="stable")[:n]
 
 
@@ -127,7 +120,7 @@ def round_time(times, comm_cost):
     """Wall-clock cost of one round: slowest participant plus communication."""
     times = np.asarray(times, dtype=float)
     if times.size == 0:
-        raise EmptyParticipants("round_time needs at least one participant")
+        raise SrpflError("round_time needs at least one participant")
     return float(np.max(times)) + float(comm_cost)
 
 
@@ -137,7 +130,7 @@ def expected_order_stat(n, j, lam):
     Equals ``(1/lam) * sum_{i=n-j+1}^{n} 1/i``; strictly increasing in j.
     """
     if not 1 <= j <= n:
-        raise IndexOutOfRange(f"order statistic j={j} outside 1..{n}")
+        raise SrpflError(f"order statistic j={j} outside 1..{n}")
     if lam <= 0:
         raise ConfigError(f"exponential rate must be positive, got {lam}")
     return sum(1.0 / i for i in range(n - j + 1, n + 1)) / lam
@@ -155,15 +148,15 @@ def check_contraction_factor(a):
 
 
 def check_c_hat(c_hat):
-    """Raise :class:`CHatOutOfRange` unless 1 < c_hat < sqrt(2)."""
+    """Raise :class:`ConfigError` unless 1 < c_hat < sqrt(2)."""
     if not 1.0 < c_hat < math.sqrt(2.0):
-        raise CHatOutOfRange(f"c_hat must lie strictly between 1 and sqrt(2), got {c_hat}")
+        raise ConfigError(f"c_hat must lie strictly between 1 and sqrt(2), got {c_hat}")
 
 
 def _gap(t_hi, t_lo):
     gap = t_hi - t_lo
     if not math.isfinite(gap) or gap <= 0:
-        raise ZeroGap(f"order-statistic gap {gap!r} is not positive")
+        raise SrpflError(f"order-statistic gap {gap!r} is not positive")
     return gap
 
 
@@ -181,8 +174,8 @@ def _rounds_to_shrink(a, factor):
 
 
 def target_accuracy(a, n_total, n0, c_hat):
-    """Target distance eps = c_hat * noise_floor(a, N/n0): c_hat times the
-    full-participation noise floor, so reaching it requires the last stage."""
+    """Target distance eps = c_hat * noise_floor(a, N/n0): c_hat times the contraction
+    bound's fixed point at n = N, not the realized plateau, which fewer clients can reach."""
     check_c_hat(c_hat)
     check_contraction_factor(a)
     return c_hat * noise_floor(a, n_total / n0)
@@ -221,7 +214,7 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
 
     Each rung's order statistic is computed once, and only where a formula
     reads it.  A gap that is not positive and finite (the times overflowed)
-    raises :class:`ZeroGap`.  The full-participation baseline is the plan
+    raises :class:`SrpflError`.  The full-participation baseline is the plan
     with ``n0 = n_total``, a single stage.
     """
     check_contraction_factor(a)

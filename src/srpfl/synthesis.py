@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ClientOutOfRange, ConfigError
+from .errors import ConfigError, SrpflError
 from .linalg import thin_qr
 
 # substream tags, the first element of every purpose key; each must be distinct
@@ -109,7 +109,7 @@ def sample_batch(gt, client, m, round_index, seed):
     independent ones.
     """
     if not 0 <= client < gt.n_clients:
-        raise ClientOutOfRange(f"client {client} outside 0..{gt.n_clients - 1}")
+        raise SrpflError(f"client {client} outside 0..{gt.n_clients - 1}")
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
     rng = substream(seed, TAG_BATCH, client, round_index)
