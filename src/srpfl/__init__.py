@@ -44,7 +44,6 @@ from .straggler import (
     expected_order_stat,
     noise_floor,
     participant_ladder,
-    round_time,
     select_fastest,
     target_accuracy,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "rank_k_eig",
     "reduced_rep_step",
     "rep_gradient_step",
-    "round_time",
     "run",
     "run_sweep",
     "sample_batch",

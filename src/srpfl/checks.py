@@ -125,11 +125,12 @@ def kernel_invariants():
         m = int(rng.integers(k + 1, 12))
         gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=800 + i)
         b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-        q = linalg.span_basis(gt.b_star, b)
+        q = linalg.span_basis(b, gt.b_star)
         batch, _ = fedrep._draw_in_span(gt, q, np.arange(n), m, rng)
-        w = fedrep.head_update(q.T @ b, batch)
-        move = fedrep.reduced_rep_step(b, q, w, batch, np.zeros((n, d)))
-        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w, batch), b, move))
+        w = fedrep._factor_heads(batch, k)
+        vt = q[:, :k].T @ b
+        move = fedrep.reduced_rep_step(q, w, batch, np.zeros((n, d))) @ vt
+        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w @ vt, batch), b, move))
     if worst_summed > 1e-5:
         failures.append(f"summed-move finite differences ({worst_summed:.2e})")
 

@@ -36,10 +36,9 @@ from .straggler import (
     check_contraction_factor,
     contraction_factor,
     draw_round_times,
+    fastest_first,
     noise_floor,
     participant_ladder,
-    round_time,
-    select_fastest,
     target_accuracy,
 )
 from .synthesis import TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_SUBSET_PROBE, gen_ground_truth, substream
@@ -279,13 +278,13 @@ def run(config):
             if config.resample_scope == RESAMPLE_PER_ROUND:
                 active = _sample_active(config, round_index)
             times = draw_round_times(speed, round_index)
-            chosen = select_fastest(times, n_r)
-            ids = active[chosen]
+            order = fastest_first(speed, times)
+            ids = active[order[:n_r]]
             try:
                 b = fedrep_round(b, gt, ids, config.m, eta, config.seed, round_index)
             except SrpflError as exc:
                 raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
-            elapsed = round_time(times[chosen], speed.comm_cost)
+            elapsed = float(times[order[n_r - 1]]) + speed.comm_cost  # the slowest chosen
             cumulative += elapsed
             if not math.isfinite(cumulative):
                 raise SrpflError(

@@ -6,27 +6,24 @@ the representation.  The server averages the per-client representation
 updates and re-orthonormalizes with a thin QR.  Each client update
 carries the 1/m batch normalization and the server carries the 1/n
 average, so the composite step on the representation is eta/(m*n) times
-the summed gradient; a round forms that sum directly, as one d x k move,
-and never holds a client's own d x k step.
+the summed gradient; a round forms that sum directly, as one d x k move.
 
 A round never draws a client's d-dimensional rows.  A client's step
 reads its batch only through ``X b``, ``y`` and ``X^T r``, and
 ``x ~ N(0, I_d)`` is rotation invariant, so the round draws in the span
 of ``b`` and ``B*``: with ``Q`` an orthonormal basis of that span
-(d x p, p = min(d, 2k)), ``A = X Q`` is an m x p standard Gaussian
-matrix, ``y = A Q^T B* w* + sigma z``, and the part of ``X^T r`` outside
-``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a standard Gaussian d-vector
-``g``.  What is left, ``A^T A``, ``A^T y`` and ``||r||``, is a function
-of the Gram matrix of the m x (p+1) Gaussian block ``[A z]``, so the
-round draws that Gram matrix's upper-trapezoidal factor ``R`` instead
-(the Bartlett decomposition, see :func:`_draw_in_span`) and feeds
-``R``'s rows through the head and the step in place of the m rows: a
-factor batch holds r = min(m, p+1) rows (``x`` = ``R[:, :p]``) that
-stand for its m samples (``Batch.m``).  This is exact in distribution
-for every m and needs (p+1)(p+2)/2 values plus ``g`` per client (fewer
-when m < p+1) instead of m*(d + 1).  All participants are drawn from one
-generator per round, in participant order, and solved as one stacked
-batch.
+(d x p, p = min(d, 2k)) whose first k columns span ``b``, ``A = X Q`` is
+an m x p standard Gaussian matrix, ``y = A Q^T B* w* + sigma z``, and the
+part of ``X^T r`` outside ``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a
+standard Gaussian d-vector ``g``.  The rest is a function of the Gram
+matrix of the m x (p+1) block ``[A z]``, so the round draws that block's
+upper-trapezoidal R factor instead (Bartlett, see :func:`_draw_in_span`):
+r = min(m, p+1) rows that stand for the m samples (``Batch.m``), exact
+in distribution for every m.  Since ``Q`` starts with ``b``, a client's
+head is a back-substitution on R (:func:`_factor_heads`) and its
+residual is the rest of its labels (:func:`reduced_rep_step`).  All
+participants are drawn from one generator per round, in participant
+order, as one stacked batch.
 
 Also provides the spectral warm start: average the per-client
 second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
@@ -51,34 +48,28 @@ def head_update(b, batch):
     Returns ``w = ((1/m) b^T X^T X b)^{-1} (1/m) b^T X^T y``: shape (k,)
     for a single batch (``x`` of shape (m, d)), (B, k) for a stacked one
     (``x`` of shape (B, m, d)), one head per slice; ``m`` is ``batch.m``.
+    The row-form reference of the self-checks and the tests.
 
     Raises
     ------
     SrpflError
         If a projected Gram matrix, symmetric positive semidefinite, has
-        an eigenvalue at or below :data:`GRAM_TOL`; the batch is too
-        small (m < k) or degenerate.
-        The message names the first such client of the batch.  Only the
-        clients whose Gershgorin lower bound on that eigenvalue does not
-        clear :data:`GRAM_TOL` are checked with ``eigvalsh``.
+        an eigenvalue at or below :data:`GRAM_TOL` (every slice is checked
+        with ``eigvalsh``); the batch is too small (m < k) or degenerate.
+        The message names the first such client of the batch.
     """
-    m = batch.m
     xb = batch.x @ b
-    xb_t = xb.swapaxes(-1, -2)
-    gram = xb_t @ xb / m
-    k = gram.shape[-1]
-    gershgorin = (2.0 * np.diagonal(gram, axis1=-2, axis2=-1) - np.abs(gram).sum(axis=-1)).min(axis=-1)
-    doubtful = np.flatnonzero(np.ravel(gershgorin) <= GRAM_TOL)
-    if doubtful.size:
-        eig_min = np.linalg.eigvalsh(gram.reshape(-1, k, k)[doubtful])[:, 0]
-        singular = np.flatnonzero(eig_min <= GRAM_TOL)
-        if singular.size:
-            first = singular[0]
-            raise SrpflError(
-                f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
-                f"for client {np.ravel(batch.client_id)[doubtful[first]]} at m={m}"
-            )
-    return np.linalg.solve(gram, xb_t @ batch.y[..., None] / m)[..., 0]
+    gram = xb.swapaxes(-1, -2) @ xb / batch.m
+    eig_min = np.ravel(np.linalg.eigvalsh(gram)[..., 0])
+    singular = np.flatnonzero(eig_min <= GRAM_TOL)
+    if singular.size:
+        first = singular[0]
+        raise SrpflError(
+            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
+            f"for client {np.ravel(batch.client_id)[first]} at m={batch.m}"
+        )
+    q, r = np.linalg.qr(xb)  # not the normal equations, which square X b's condition number
+    return np.linalg.solve(r, q.swapaxes(-1, -2) @ batch.y[..., None])[..., 0]
 
 
 def rep_gradient_step(b, w, batch, eta):
@@ -150,49 +141,74 @@ def _draw_in_span(gt, q, parts, m, rng):
     return Batch(x=x, y=y, client_id=parts, m=m), g
 
 
-def reduced_rep_step(b, q, w, batch, g):
-    """The summed update ``sum_i X_i^T r_i w_i^T`` of a batch drawn in ``span(q)``.
+def _factor_heads(batch, k):
+    """Heads of a factor batch drawn in a basis whose first k columns span ``b``.
 
-    ``batch.x`` holds, stacked over the n clients (shape (n, r, p)),
-    ``A_i = X_i q`` or the factor rows that stand for it (see
-    :func:`_draw_in_span`), ``w`` the heads from ``head_update(q.T @ b,
-    batch)`` (shape (n, k)) and ``g`` one standard Gaussian d-vector per
-    client (shape (n, d)).  With residuals ``r_i = A_i q^T b w_i - y_i``,
-    ``X_i^T r_i`` is ``q A_i^T r_i + ||r_i|| (I - q q^T) g_i``, so the
-    sum is ``q (sum_i a_i w_i^T) + (I - q q^T) G^T (rho * W)`` with
-    ``a_i = A_i^T r_i`` and ``rho_i = ||r_i||``: two products over the
-    client axis and no per-client d x k array.  Returns the d x k move
-    that :func:`fedrep_round` scales by eta/(m*n);
-    :func:`rep_gradient_step` is the per-client row form it stands for.
+    A client's projected rows are then its factor's upper-triangular block
+    ``R_kk`` over zeros, so its head, in those k coordinates, is
+    ``R_kk^{-1} y[:k]`` by back-substitution.  Returns the heads, (n, k).
+    Raises as :func:`head_update` does when ``R_kk^T R_kk / m`` is singular
+    (always when m < k); only clients whose lower bound ``det(R_kk)^2 / (m
+    ||R_kk||_F^(2k-2))`` on lambda_min does not clear :data:`GRAM_TOL` are
+    checked, by :func:`head_update` on their factor rows.
     """
-    resid = (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0] - batch.y
-    inside = (batch.x.swapaxes(-1, -2) @ resid[..., None])[..., 0].T @ w
-    outside = g.T @ (np.linalg.norm(resid, axis=-1)[:, None] * w)
-    return outside + q @ (inside - q.T @ outside)
+    t = batch.x[:, :k, :k].transpose(1, 2, 0).copy()  # every client's R_kk, clients last
+    u = batch.y[:, :k].T.copy()
+    clear = np.zeros(u.shape[1], dtype=bool)  # none when m < k leaves fewer than k factor rows
+    if len(t) == k:
+        with np.errstate(all="ignore"):
+            u[k - 1] /= t[k - 1, k - 1]
+            for i in reversed(range(k - 1)):
+                u[i] = (u[i] - (t[i, i + 1:] * u[i + 1:]).sum(axis=0)) / t[i, i]
+            flat = t.reshape(k * k, -1)
+            clear = flat[::k + 1].prod(0) ** 2 > GRAM_TOL * batch.m * (flat * flat).sum(0) ** (k - 1)
+    if not clear.all():  # raises for a singular one
+        doubtful = (~clear).nonzero()[0]
+        ids = np.ravel(batch.client_id)[doubtful]
+        head_update(np.eye(k), Batch(x=batch.x[doubtful, :, :k], y=batch.y[doubtful], client_id=ids, m=batch.m))
+    return u.T
+
+
+def reduced_rep_step(q, w, batch, g):
+    """The summed update ``sum_i X_i^T r_i w_i^T`` of a factor batch drawn in ``span(q)``.
+
+    ``q`` is ``span_basis(b, B*)``, ``w`` the heads from :func:`_factor_heads`
+    and ``g`` one standard Gaussian d-vector per client (n, d).  A head fits
+    its first k factor rows, so the residual is ``-y[k:]`` on the rest:
+    ``||r_i|| = ||y_i[k:]||`` and ``A_i^T r_i = -R_i[k:, k:]^T y_i[k:]`` on
+    the last p - k coordinates.  With ``X_i^T r_i = q A_i^T r_i + ||r_i||
+    (I - q q^T) g_i`` the sum is two products over the client axis.
+    Returned in the frame of ``q[:, :k]``; times ``q[:, :k]^T b`` it is the
+    move in ``b``'s.  :func:`rep_gradient_step` is the row form.
+    """
+    k = w.shape[-1]
+    tail = batch.y[:, k:]
+    inside = np.einsum("nij,ni->jn", batch.x[:, k:, k:], tail) @ w
+    outside = g.T @ (np.sqrt(np.einsum("ni,ni->n", tail, tail))[:, None] * w)
+    return outside - q @ (q.T @ outside) - q[:, k:] @ inside
 
 
 def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     """Run one communication round from representation ``b``; return the new one.
 
     ``round_index`` is the 1-based round number.  Every id is checked
-    before the first draw.  The round's basis is ``span_basis(B*, b)``,
+    before the first draw.  The round's basis is ``span_basis(b, B*)``,
     and one generator, keyed on ``(seed, round_index)``, draws every
     participant's batch in participant order (see :func:`_draw_in_span`),
     so a participant's batch depends on its place in the round while the
     trace stays a pure function of the config.  Each participant solves
-    its head (heads are not kept between rounds); the participants'
-    updates ``X_i^T r_i w_i^T`` are summed directly into one d x k move
-    (see :func:`reduced_rep_step`), and the round returns the thin QR of
-    ``b - eta/(m*n) move``.  Raises with the offending client id when a
-    local solve fails, and when the moved ``b`` collapses (see :func:`thin_qr`).
+    its head afresh; the updates are summed into one d x k move (see
+    :func:`reduced_rep_step`), and the round returns the thin QR of ``b -
+    eta/(m*n) move``.  Raises with the offending client id when a local
+    solve fails, and when the moved ``b`` collapses (see :func:`thin_qr`).
     """
-    parts = np.array(list(participants), dtype=int)
+    parts = np.asarray(participants, dtype=int)
     if not parts.size:
         raise SrpflError("a round needs at least one participant")
     bad = parts[(parts < 0) | (parts >= gt.n_clients)]
     if bad.size:
         raise SrpflError(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
-    q = span_basis(gt.b_star, b)
+    q = span_basis(b, gt.b_star)
     batch, g = _draw_in_span(gt, q, parts, m, substream(seed, TAG_ROUND, round_index))
-    w = head_update(q.T @ b, batch)
-    return thin_qr(b - (eta / (m * len(parts))) * reduced_rep_step(b, q, w, batch, g))[0]
+    move = reduced_rep_step(q, _factor_heads(batch, gt.k), batch, g) @ (q[:, :gt.k].T @ b)
+    return thin_qr(b - (eta / (m * len(parts))) * move)[0]

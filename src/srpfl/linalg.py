@@ -65,23 +65,23 @@ def thin_qr(a):
     return q * signs, signs[:, None] * r
 
 
-def span_basis(fixed, moving):
-    """Orthonormal basis of ``span(fixed) + span(moving)``.
+def span_basis(lead, other):
+    """Orthonormal basis of ``span(lead) + span(other)`` that starts with ``lead``.
 
-    ``fixed`` is a d x k orthonormal basis, ``moving`` a d x j matrix;
-    returns ``q`` of shape d x min(d, k + j).  The first k columns come
-    from ``fixed``; the rest span the part of ``moving`` outside it and
-    are aligned with the left singular vectors of that part, so
-    replacing ``moving`` by ``moving @ r`` for an orthogonal j x j ``r``
-    leaves ``q`` unchanged up to rounding.  Each column's largest-
-    magnitude entry is positive.  Built from a Householder QR, so ``q``
-    stays orthonormal to machine precision when ``moving`` nearly lies
-    in ``span(fixed)``.
+    ``lead`` and ``other`` are d x k and d x j orthonormal bases; returns
+    ``q`` of shape d x min(d, k + j).  With ``lead^T other = u s v^T``, the
+    first k columns are ``lead u``, ``lead``'s principal vectors toward
+    ``other``, and the rest span the part of ``other``'s principal vectors
+    ``other v`` outside ``span(lead)``, taken from the largest principal
+    angle down, so that when d < k + j the directions ``other`` shares with
+    ``lead`` are the ones left out.  So ``q`` depends on each input only
+    through its span, up to rounding.  Each column's largest-magnitude
+    entry is positive.  Built from a Householder QR of ``[lead u, other v]``,
+    so ``q`` stays orthonormal to machine precision when ``other`` nearly
+    lies in ``span(lead)``.
     """
-    k = fixed.shape[1]
-    q, r = np.linalg.qr(np.hstack([fixed, moving]))
-    rest = np.linalg.svd(r[k:, k:], full_matrices=False)[0]
-    q = np.hstack([q[:, :k], q[:, k:] @ rest])
+    u, _, vt = np.linalg.svd(lead.T @ other)
+    q = np.linalg.qr(np.hstack([lead @ u, other @ vt[::-1].T]))[0]
     peaks = np.abs(q).argmax(axis=0)
     return q * np.sign(q[peaks, np.arange(q.shape[1])])
 

@@ -45,17 +45,18 @@ class SpeedModel:
     per-round communication cost.
 
     :meth:`fixed` draws one Exp(lam) time per slot once and holds it,
-    read-only, in ``times``, reused every round.  :meth:`dynamic` draws
-    slot rates once from Uniform[1/n_slots, 1] into ``per_client_rates``
-    and fresh Exp(rate_i) times each round.  ``lam`` is the rate the
-    closed-form schedule formulas use; for the dynamic model it is the
-    mean slot rate.
+    read-only, in ``times`` and its stable fastest-first ``order``, reused
+    every round.  :meth:`dynamic` draws slot rates once from
+    Uniform[1/n_slots, 1] into ``per_client_rates`` and fresh Exp(rate_i)
+    times each round.  ``lam`` is the rate the closed-form schedule
+    formulas use; for the dynamic model it is the mean slot rate.
     """
 
     lam: float
     comm_cost: float
     seed: int
     times: np.ndarray | None = None
+    order: np.ndarray | None = None
     per_client_rates: np.ndarray | None = None
 
     @staticmethod
@@ -64,8 +65,10 @@ class SpeedModel:
         if lam <= 0:
             raise ConfigError(f"exponential rate must be positive, got {lam}")
         times = substream(seed, TAG_FIXED_TIMES).exponential(1.0 / lam, size=n_slots)
-        times.setflags(write=False)  # every round shares this array
-        return SpeedModel(lam=float(lam), comm_cost=float(comm_cost), seed=seed, times=times)
+        order = select_fastest(times, n_slots)
+        times.setflags(write=False)  # every round shares these arrays
+        order.setflags(write=False)
+        return SpeedModel(lam=float(lam), comm_cost=float(comm_cost), seed=seed, times=times, order=order)
 
     @staticmethod
     def dynamic(n_slots, comm_cost=0.0, seed=0):
@@ -116,12 +119,10 @@ def select_fastest(times, n):
     return np.argsort(times, kind="stable")[:n]
 
 
-def round_time(times, comm_cost):
-    """Wall-clock cost of one round: slowest participant plus communication."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise SrpflError("round_time needs at least one participant")
-    return float(np.max(times)) + float(comm_cost)
+def fastest_first(model, times):
+    """Every slot, fastest first, ties by lowest index: the fixed model's
+    ``order``, computed once, or that of this round's fresh ``times``."""
+    return model.order if model.order is not None else select_fastest(times, times.size)
 
 
 def expected_order_stat(n, j, lam):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srpfl import cli, engine
+from srpfl import cli, engine, straggler
 from srpfl.engine import RunConfig
 from srpfl.errors import ConfigError, NonConvergence, SrpflError
 from srpfl.straggler import participant_ladder
@@ -62,6 +62,19 @@ class TestRun:
         t_f = engine.run(small_config(algorithm="fedrep_full", **kw))
         for rec_s, rec_f in zip(t_s.records, t_f.records):
             assert rec_s.round_time <= rec_f.round_time + 1e-12
+
+    @pytest.mark.parametrize("speed_kind", ["fixed", "dynamic"])
+    def test_round_time_is_the_slowest_chosen_slot(self, speed_kind):
+        # each round waits for the slowest of the fastest n slots, then pays
+        # the communication cost; the same float as max(times[ids]) + C
+        cfg = small_config(sigma=0.2, plan_mode="fixed", fixed_rounds=3, epsilon=0.0,
+                           comm_cost=0.7, speed_kind=speed_kind)
+        trace = engine.run(cfg)
+        model = engine._speed_model(cfg)
+        for record, ids in zip(trace.records, trace.participants):
+            times = straggler.draw_round_times(model, record.round_index)
+            np.testing.assert_array_equal(ids, straggler.select_fastest(times, record.n))
+            assert record.round_time == float(np.max(times[ids])) + 0.7
 
     def test_noise_floor_shrinks_with_participation(self):
         # long-run plateau with all clients sits below the plateau with n0
@@ -148,20 +161,20 @@ class TestRun:
 
 
 # sha256 of cli.trace_to_csv for every algorithm x plan_mode on one small
-# config, recorded when rounds began drawing each client's batch as the
-# Bartlett factor of its Gram matrix.  A change that moves one of them
-# changes what a run computes and must say why.
+# config, recorded when rounds began drawing in a basis that starts with b,
+# so that each head is a back-substitution on its client's Bartlett factor.
+# A change that moves one of them changes what a run computes and must say why.
 GUARD_CONFIG = dict(
     d=8, k=2, n_total=16, n0=2, m=40, sigma=0.1, seed=5, comm_cost=1.0,
     fixed_rounds=10, init_mode="random", a=0.1, epsilon=0.1,
 )
 TRACE_SHA256 = {
-    ("srpfl", "analytic"): "ac4c1cbe121e9fdf34b4282bc55b208a11050e25c78b10a22eda2dd558f4c8ed",
-    ("srpfl", "distance_threshold"): "41e6c6c92ccc9e5ebaee243d3372c7d42e3bf973c9b81959515082eb046e6ed9",
-    ("srpfl", "fixed"): "e9e8a4bcb6dbc1a31ad4e5285501a3a88b5616645324676b6763d05a6b585626",
-    ("fedrep_full", "analytic"): "8730c7aa83c8fcac2b279f0c15cb2076d20594e11805dbf2fe30436ecd7bfb05",
-    ("fedrep_full", "distance_threshold"): "8730c7aa83c8fcac2b279f0c15cb2076d20594e11805dbf2fe30436ecd7bfb05",
-    ("fedrep_full", "fixed"): "ca0a03c4d97cdf21d695fb506e3f61342014ddc8e425314846de1a153357106d",
+    ("srpfl", "analytic"): "c887b57352485110e00c0f3251d9b9cbd76d25e398536c03cdd8c28b9f54ae8f",
+    ("srpfl", "distance_threshold"): "aa67727d27da1b2a92ef87d3c9f80bd2c4f1e943f1575fb2721d250b8f57791a",
+    ("srpfl", "fixed"): "b4f8bc2fb2ec3761755b93a71182de580475a37fe8360795273e391e06700b35",
+    ("fedrep_full", "analytic"): "42246200167f2a6b0c3ea0dce552c4d563a3e09b51ccbe5bf7dd576f9127131d",
+    ("fedrep_full", "distance_threshold"): "42246200167f2a6b0c3ea0dce552c4d563a3e09b51ccbe5bf7dd576f9127131d",
+    ("fedrep_full", "fixed"): "fba5d0450d6542cecfd728fc5a17863dc4d7c89e888f7181488fc2ca75749e09",
 }
 
 

@@ -169,10 +169,11 @@ def row_steps(gt, b, m, draws, seed):
     return np.concatenate(steps)
 
 
-def client_moves(b, q, w, batch, g):
-    """Each client's own update ``X_i^T r_i w_i^T``: the summed move of its slice alone."""
+def client_moves(q, w, batch, g):
+    """Each client's own update ``X_i^T r_i w_i^T``, in the head frame of ``q``:
+    the summed move of its slice alone."""
     return np.stack([
-        fedrep.reduced_rep_step(b, q, w[i:i + 1], synthesis.Batch(
+        fedrep.reduced_rep_step(q, w[i:i + 1], synthesis.Batch(
             x=batch.x[i:i + 1], y=batch.y[i:i + 1], client_id=batch.client_id[i:i + 1], m=batch.m,
         ), g[i:i + 1])
         for i in range(len(w))
@@ -185,17 +186,20 @@ class TestBlockedRound:
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
         # each client's rows are its factor's X = R[:, :p] q^T, standing for
-        # m samples, so X^T r lies in span(q): the reduced head and the
-        # in-span part of the client's reduced move are the row loop's, and
-        # the rest is -(eta/m) ||r|| (I - q q^T) g w^T (d = 5 < 2k leaves no
-        # rest); the round is the thin QR of the row loop's averaged steps
+        # m samples, so X^T r lies in span(q): the back-substituted head,
+        # turned into b's frame by vt = q[:, :k]^T b, and the in-span part of
+        # the client's reduced move are the row loop's, and the rest is
+        # -(eta/m) ||r|| (I - q q^T) g w^T (d = 5 < 2k leaves no rest); the
+        # round is the thin QR of the row loop's averaged steps
         gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
         b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
-        q = linalg.span_basis(gt.b_star, b)
+        q = linalg.span_basis(b, gt.b_star)
         batch, g = fedrep._draw_in_span(gt, q, ids, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
-        w = fedrep.head_update(q.T @ b, batch)
-        moves = -(0.2 / m) * client_moves(b, q, w, batch, g)
+        u = fedrep._factor_heads(batch, k)
+        vt = q[:, :k].T @ b
+        w = u @ vt
+        moves = -(0.2 / m) * client_moves(q, u, batch, g) @ vt
         inside = q @ (q.T @ moves)
         steps = []
         for i, cid in enumerate(ids):
@@ -226,13 +230,14 @@ class TestBlockedRound:
         gt = synthesis.gen_ground_truth(d, k, 1, 0.5, seed=31)
         b, _ = linalg.thin_qr(gt.b_star + 0.07 * np.random.default_rng(32).standard_normal((d, k)))
         perp = np.linalg.svd(np.eye(d) - b @ b.T)[0][:, :d - k]
-        q = linalg.span_basis(gt.b_star, b)
+        q = linalg.span_basis(b, gt.b_star)
+        vt = q[:, :k].T @ b
         rng = np.random.default_rng(33)
         reduced = []
         for _ in range(draws // 2000):
             batch, g = fedrep._draw_in_span(gt, q, np.zeros(2000, dtype=int), m, rng)
-            w = fedrep.head_update(q.T @ b, batch)
-            reduced.append(b - client_moves(b, q, w, batch, g) / m)
+            u = fedrep._factor_heads(batch, k)
+            reduced.append(b - client_moves(q, u, batch, g) @ vt / m)
         reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
         rows = (perp.T @ row_steps(gt, b, m, draws, seed=31)).reshape(draws, -1)
         white = np.linalg.inv(np.linalg.cholesky(np.cov(rows.T)))
@@ -254,7 +259,7 @@ class TestBlockedRound:
         d, k, sigma, draws = 20, 2, 0.5, 20_000
         gt = synthesis.gen_ground_truth(d, k, 1, sigma, seed=41)
         b, _ = linalg.thin_qr(np.random.default_rng(42).standard_normal((d, k)))
-        q = linalg.span_basis(gt.b_star, b)
+        q = linalg.span_basis(b, gt.b_star)
         p = q.shape[1]
         rng = np.random.default_rng(43)
         batch, _ = fedrep._draw_in_span(gt, q, np.zeros(draws, dtype=int), m, rng)
@@ -289,8 +294,9 @@ class TestBlockedRound:
 
     def test_gershgorin_miss_is_still_solved(self, monkeypatch):
         # client 1's Gram [[1, .5], [.5, .3]] fails the Gershgorin bound
-        # (.3 - .5 < 0) but has lambda_min 0.042 > GRAM_TOL: it alone goes to
-        # eigvalsh, and every head is still the least-squares solution
+        # (.3 - .5 < 0) but has lambda_min 0.042 > GRAM_TOL; every slice goes
+        # to one eigvalsh call, and every head is still the least-squares
+        # solution
         m, b = 200, np.eye(2)
         rng = np.random.default_rng(24)
         x = rng.standard_normal((3, m, 2))
@@ -306,10 +312,51 @@ class TestBlockedRound:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         w = fedrep.head_update(b, synthesis.Batch(x=x, y=y, client_id=np.array([4, 5, 6])))
-        assert len(checked) == 1 and checked[0].shape == (1, 2, 2)
-        np.testing.assert_allclose(checked[0][0], [[1.0, 0.5], [0.5, 0.3]], rtol=0, atol=1e-12)
+        assert len(checked) == 1 and checked[0].shape == (3, 2, 2)
+        np.testing.assert_allclose(checked[0][1], [[1.0, 0.5], [0.5, 0.3]], rtol=0, atol=1e-12)
         for i in range(3):
             np.testing.assert_allclose(w[i], np.linalg.lstsq(x[i], y[i], rcond=None)[0], rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("corner, singular", [(1e7, True), (0.5, False)])
+    def test_factor_head_check_is_not_diagonal_only(self, corner, singular):
+        # every R_kk has a unit diagonal; client 5's [[1, 1e7], [0, 1]] has
+        # sigma_min^2 / m = 1e-16 <= GRAM_TOL and must be named, while with
+        # the corner at 0.5 every head is the least-squares fit of its
+        # factor rows
+        m, k, p = 100, 2, 4
+        rng = np.random.default_rng(26)
+        x = np.triu(rng.standard_normal((3, p + 1, p)))
+        x[:, :k, :k] = [[1.0, 0.5], [0.0, 1.0]]
+        x[1, 0, 1] = corner
+        batch = synthesis.Batch(
+            x=x, y=rng.standard_normal((3, p + 1)), client_id=np.array([4, 5, 6]), m=m,
+        )
+        if singular:
+            with pytest.raises(SrpflError, match=r"projected Gram matrix singular .* for client 5 at m=100"):
+                fedrep._factor_heads(batch, k)
+            return
+        w = fedrep._factor_heads(batch, k)
+        for i in range(3):
+            np.testing.assert_allclose(
+                w[i], np.linalg.lstsq(x[i, :, :k], batch.y[i], rcond=None)[0], rtol=1e-12, atol=0,
+            )
+
+    def test_round_lapack_budget(self, monkeypatch):
+        # one well-conditioned round at n=256: the heads are back-substitutions,
+        # so no solve or eigendecomposition runs; one qr and one svd build the
+        # basis, one of each is thin_qr's
+        gt = synthesis.gen_ground_truth(20, 2, 256, 0.5, seed=27)
+        b, _ = linalg.thin_qr(np.random.default_rng(28).standard_normal((20, 2)))
+        calls = {name: 0 for name in ("solve", "eigvalsh", "eigh", "qr", "svd")}
+        for name in calls:
+            def spy(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        fedrep.fedrep_round(b, gt, range(256), m=100, eta=0.1, seed=27, round_index=1)
+        assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
+        assert 1 <= calls["qr"] <= 2 and 1 <= calls["svd"] <= 2
 
     def test_one_singular_client_among_many_is_named(self):
         # 300 well-conditioned clients and one, id 1217, whose projected

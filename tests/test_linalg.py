@@ -61,15 +61,17 @@ class TestThinQR:
 
 
 class TestSpanBasis:
+    # a round's basis: span_basis(b, B*) starts with the moving b, and its rest
+    # spans the part of the fixed B* outside span(b)
     @pytest.mark.parametrize("d, k", [(20, 2), (8, 3), (5, 3), (4, 4)])
     def test_orthonormal_and_spans_both(self, d, k):
         fixed, moving = random_orthonormal(d, k, 1), random_orthonormal(d, k, 2)
-        q = linalg.span_basis(fixed, moving)
+        q = linalg.span_basis(moving, fixed)
         assert q.shape == (d, min(d, 2 * k))
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-13
         for b in (fixed, moving):
             assert np.linalg.norm(b - q @ (q.T @ b)) <= 1e-13
-        np.testing.assert_allclose(q[:, :k] @ q[:, :k].T, fixed @ fixed.T, atol=1e-13)
+        np.testing.assert_allclose(q[:, :k] @ q[:, :k].T, moving @ moving.T, atol=1e-13)
         assert np.all(q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])] > 0)
 
     @pytest.mark.parametrize("d, k", [(20, 2), (8, 3), (5, 3)])
@@ -77,16 +79,16 @@ class TestSpanBasis:
         fixed, moving = random_orthonormal(d, k, 3), random_orthonormal(d, k, 4)
         rot = random_orthonormal(k, k, 5)
         np.testing.assert_allclose(
-            linalg.span_basis(fixed, moving @ rot), linalg.span_basis(fixed, moving), atol=1e-12,
+            linalg.span_basis(moving @ rot, fixed), linalg.span_basis(moving, fixed), atol=1e-12,
         )
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-12, 0.0])
     def test_orthonormal_as_spans_meet(self, gap):
         fixed = random_orthonormal(20, 2, 6)
         moving, _ = np.linalg.qr(fixed @ random_orthonormal(2, 2, 7) + gap * random_orthonormal(20, 2, 8))
-        q = linalg.span_basis(fixed, moving)
+        q = linalg.span_basis(moving, fixed)
         assert np.linalg.norm(q.T @ q - np.eye(4)) <= 1e-13
-        assert np.linalg.norm(moving - q @ (q.T @ moving)) <= 1e-13
+        assert np.linalg.norm(fixed - q @ (q.T @ fixed)) <= 1e-13
 
 
 class TestRankKEig:

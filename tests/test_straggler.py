@@ -32,6 +32,22 @@ class TestDrawRoundTimes:
         with pytest.raises(ValueError):
             times[0] = 1.0
 
+    def test_fixed_order_computed_once_read_only(self):
+        model = SpeedModel.fixed(50, lam=2.0, seed=4)
+        np.testing.assert_array_equal(model.order, straggler.select_fastest(model.times, 50))
+        assert straggler.fastest_first(model, model.times) is model.order
+        with pytest.raises(ValueError):
+            model.order[0] = 1
+
+    def test_dynamic_order_follows_the_round(self):
+        model = SpeedModel.dynamic(50, seed=4)
+        assert model.order is None
+        for round_index in (3, 7):
+            times = straggler.draw_round_times(model, round_index)
+            np.testing.assert_array_equal(
+                straggler.fastest_first(model, times), straggler.select_fastest(times, 50),
+            )
+
     def test_dynamic_fresh_every_round(self):
         model = SpeedModel.dynamic(10, comm_cost=0.0, seed=4)
         t3 = straggler.draw_round_times(model, 3)
@@ -82,20 +98,6 @@ class TestSelectFastest:
     def test_too_large(self):
         with pytest.raises(SrpflError, match="cannot select 3 of 2 clients"):
             straggler.select_fastest([1.0, 2.0], 3)
-
-
-class TestRoundTime:
-    def test_examples(self):
-        assert straggler.round_time([0.2, 0.9], 0.0) == pytest.approx(0.9)
-        assert straggler.round_time([0.5], 1.5) == pytest.approx(2.0)
-
-    def test_max_oracle_seed8(self):
-        times = np.random.default_rng(8).exponential(size=100)
-        assert straggler.round_time(times, 0.3) == pytest.approx(times.max() + 0.3)
-
-    def test_empty(self):
-        with pytest.raises(SrpflError, match="round_time needs at least one participant"):
-            straggler.round_time([], 1.0)
 
 
 class TestExpectedOrderStat:
