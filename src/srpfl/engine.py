@@ -211,26 +211,27 @@ def _sample_active(config, scope_index):
     return rng.choice(config.n_clients, size=config.n_total, replace=False)
 
 
-def _random_basis(config, gt):
-    rng = substream(config.seed, TAG_RANDOM_INIT)
-    basis, _ = thin_qr(rng.standard_normal((gt.d, gt.k)))
-    return basis
-
-
 def run(config):
     """Execute one run and return its trace; pure function of the config.
 
     Stages follow :func:`build_stage_plan`; the full-participation
     baseline is the plan with n0 = N, a single stage.  Each round: draw
     slot times, keep the fastest n, run one communication round,
-    accumulate wall-clock, measure the oracle distance.  A stage ends at
-    its exit threshold or after its round budget, whichever comes first;
-    a stage with a ``None`` budget runs until its threshold or epsilon.
-    The run ends as soon as the distance reaches epsilon.  When the
-    plan's last stage has no budget, hitting ``max_rounds`` raises
-    :class:`NonConvergence` naming the stage it was hit in; otherwise a
-    run cut short by ``max_rounds`` returns the unreached trace.  A failed
-    round or an overflowed clock raises an :class:`SrpflError` naming the stage and round.
+    accumulate wall-clock, measure the oracle distance.  Before each
+    round one rule decides, in this order:
+
+    1. the last round reached epsilon: the run ends;
+    2. the stage is over, its distance at its exit threshold or its round
+       budget spent: the run moves to the next stage, or ends after the
+       plan's last one;
+    3. ``max_rounds`` rounds have run: when the plan's last stage has no
+       budget this raises :class:`NonConvergence` naming the stage of the
+       round that was due, otherwise the run ends with the unreached trace;
+    4. otherwise the round runs.
+
+    With the ``per_stage`` resample scope a stage draws its active set
+    when its first round runs.  A failed round or an overflowed clock
+    raises an :class:`SrpflError` naming the stage and round.
     """
     config.validate()
     gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
@@ -243,7 +244,7 @@ def run(config):
     if config.init_mode == INIT_MOMENTS:
         b0 = method_of_moments_init(gt, active, config.m, config.seed)
     else:
-        b0 = _random_basis(config, gt)
+        b0, _ = thin_qr(substream(config.seed, TAG_RANDOM_INIT).standard_normal((gt.d, gt.k)))
     init_dist = principal_angle_dist(b0, gt.b_star)
     a = config.a if config.a is not None else contraction_factor(eta, 1.0 - init_dist**2, s_min)
     epsilon = (
@@ -257,63 +258,55 @@ def run(config):
         config.n_total, n0, a, speed, config.c_hat, config.plan_mode, config.fixed_rounds,
     )
 
-    b, dist, cumulative = b0, init_dist, 0.0
-    records, participants = [], []
-    open_ended = plan.stages[-1][1] is None  # the plan ends only at epsilon
-    for stage, ((n_r, tau_r), threshold) in enumerate(zip(plan.stages, plan.thresholds)):
-        if (records and dist <= epsilon) or (not open_ended and len(records) == config.max_rounds):
-            break
-        if config.resample_scope == RESAMPLE_PER_STAGE and stage > 0:
-            active = _sample_active(config, stage)
-        first = len(records)
-        while (threshold is None or dist > threshold) and (tau_r is None or len(records) - first < tau_r):
-            if len(records) == config.max_rounds:
-                if open_ended:
-                    raise NonConvergence(
-                        f"round cap {config.max_rounds} hit at stage {stage} "
-                        f"with dist {dist:.6g} > epsilon {epsilon:.6g}"
-                    )
-                break
-            round_index = len(records) + 1
-            if config.resample_scope == RESAMPLE_PER_ROUND:
-                active = _sample_active(config, round_index)
-            times = draw_round_times(speed, round_index)
-            order = fastest_first(speed, times)
-            ids = active[order[:n_r]]
-            try:
-                b = fedrep_round(b, gt, ids, config.m, eta, config.seed, round_index)
-            except SrpflError as exc:
-                raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
-            elapsed = float(times[order[n_r - 1]]) + speed.comm_cost  # the slowest chosen
-            cumulative += elapsed
-            if not math.isfinite(cumulative):
-                raise SrpflError(
-                    f"stage {stage}, round {round_index}: simulated time {cumulative!r} "
-                    f"is not finite (round time {elapsed!r})"
-                )
-            dist = principal_angle_dist(b, gt.b_star)
-            records.append(RoundRecord(
-                stage=stage, round_index=round_index, n=int(n_r),
-                round_time=elapsed, cumulative_time=cumulative, dist=dist,
-            ))
-            participants.append(ids)
-            if dist <= epsilon:
-                break
-
-    return RunTrace(
-        records=records,
-        config_digest=config.digest(),
-        final_dist=dist,
-        init_dist=init_dist,
-        epsilon=epsilon,
-        eta=eta,
-        a=a,
-        lam=speed.lam,
-        sigma_min_star=s_min,
-        sigma_max_star=s_max,
-        reached_target=bool(records) and dist <= epsilon,
-        participants=participants,
+    trace = RunTrace(
+        records=[], config_digest=config.digest(), final_dist=init_dist, init_dist=init_dist,
+        epsilon=epsilon, eta=eta, a=a, lam=speed.lam, sigma_min_star=s_min, sigma_max_star=s_max,
+        reached_target=False,
     )
+    b, cumulative, stage, first = b0, 0.0, 0, 0  # first: the rounds run before this stage
+    while not trace.reached_target:
+        done = len(trace.records)
+        (n_r, tau_r), threshold = plan.stages[stage], plan.thresholds[stage]
+        if (threshold is not None and trace.final_dist <= threshold
+                or tau_r is not None and done - first >= tau_r):
+            stage, first = stage + 1, done
+            if stage == len(plan.stages):
+                break
+            continue
+        if done == config.max_rounds:
+            if plan.stages[-1][1] is None:  # the plan ends only at epsilon
+                raise NonConvergence(
+                    f"round cap {config.max_rounds} hit at stage {stage} "
+                    f"with dist {trace.final_dist:.6g} > epsilon {epsilon:.6g}"
+                )
+            break
+        round_index = done + 1
+        if config.resample_scope == RESAMPLE_PER_ROUND:
+            active = _sample_active(config, round_index)
+        elif stage > 0 and done == first:
+            active = _sample_active(config, stage)
+        times = draw_round_times(speed, round_index)
+        order = fastest_first(speed, times)
+        ids = active[order[:n_r]]
+        try:
+            b = fedrep_round(b, gt, ids, config.m, eta, config.seed, round_index)
+        except SrpflError as exc:
+            raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
+        elapsed = float(times[order[n_r - 1]]) + speed.comm_cost  # the slowest chosen
+        cumulative += elapsed
+        if not math.isfinite(cumulative):
+            raise SrpflError(
+                f"stage {stage}, round {round_index}: simulated time {cumulative!r} "
+                f"is not finite (round time {elapsed!r})"
+            )
+        dist = principal_angle_dist(b, gt.b_star)
+        trace.records.append(RoundRecord(
+            stage=stage, round_index=round_index, n=int(n_r),
+            round_time=elapsed, cumulative_time=cumulative, dist=dist,
+        ))
+        trace.participants.append(ids)
+        trace.final_dist, trace.reached_target = dist, dist <= epsilon
+    return trace
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ class TestRun:
 
     def test_nonconvergence_raises(self):
         cfg = small_config(sigma=1.0, plan_mode="distance_threshold", max_rounds=5, epsilon=1e-9)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="round cap 5 hit at stage"):
             engine.run(cfg)
 
     def test_module_errors_carry_stage_and_round(self, monkeypatch):
@@ -192,8 +192,38 @@ def test_fixed_plan_cap_returns_unreached_trace():
     assert trace.final_dist == trace.records[-1].dist > trace.epsilon
 
 
-def test_fixed_plan_cap_ends_the_run(monkeypatch):
-    # the cap falls in stage 0; no later stage draws an active set
+def count_round_calls(monkeypatch):
+    """Round indices passed to ``engine.fedrep_round``, looked up by name as perfbench's clock patches it."""
+    calls = []
+    real_round = engine.fedrep_round
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real_round(*args)
+
+    monkeypatch.setattr(engine, "fedrep_round", counted)
+    return calls
+
+
+@pytest.mark.parametrize("plan_mode, stages, reached", [
+    ("analytic", [0, 1, 2, 3], True),
+    # the doubling points 6.63, 2.86 and 1.21 lie above init_dist 0.997,
+    # so stages 0-2 end before their first round
+    ("distance_threshold", [3], True),
+    ("fixed", [0, 1, 2, 3], False),
+], ids=["analytic", "distance_threshold", "fixed"])
+def test_one_fedrep_round_call_per_round(monkeypatch, plan_mode, stages, reached):
+    calls = count_round_calls(monkeypatch)
+    trace = engine.run(RunConfig(**GUARD_CONFIG, plan_mode=plan_mode))
+    assert calls == [r.round_index for r in trace.records]
+    assert sorted({r.stage for r in trace.records}) == stages
+    assert trace.reached_target == reached
+
+
+@pytest.mark.parametrize("max_rounds", [3, 5])
+def test_fixed_plan_cap_ends_the_run(monkeypatch, max_rounds):
+    # the cap falls inside stage 0 (3) or on its last round (5 = fixed_rounds);
+    # either way no later stage draws an active set
     scopes = []
     real_sample = engine._sample_active
 
@@ -204,18 +234,22 @@ def test_fixed_plan_cap_ends_the_run(monkeypatch):
     monkeypatch.setattr(engine, "_sample_active", spy)
     cfg = RunConfig(
         d=6, k=2, n_clients=40, n_total=32, n0=2, m=20, sigma=0.1, a=0.1, epsilon=0.0,
-        plan_mode="fixed", fixed_rounds=5, max_rounds=3,
+        plan_mode="fixed", fixed_rounds=5, max_rounds=max_rounds,
     )
     trace = engine.run(cfg)
-    assert len(trace.records) == 3
+    assert len(trace.records) == max_rounds
+    assert not trace.reached_target
     assert scopes == [0]
 
 
-def test_analytic_plan_cap_names_the_stage_it_is_hit_in():
-    # the cap falls inside stage 0's budget, so the error names stage 0
-    # rather than the last stage
-    with pytest.raises(NonConvergence, match=r"round cap 5 hit at stage 0 "):
-        engine.run(RunConfig(**GUARD_CONFIG, plan_mode="analytic", max_rounds=5))
+@pytest.mark.parametrize("max_rounds, stage", [(5, 0), (25, 1)])
+def test_analytic_plan_cap_names_the_stage_it_is_hit_in(monkeypatch, max_rounds, stage):
+    # the error names the stage of the round that was due: stage 0 inside
+    # its 25-round budget, stage 1 once that budget is spent
+    calls = count_round_calls(monkeypatch)
+    with pytest.raises(NonConvergence, match=rf"round cap {max_rounds} hit at stage {stage} "):
+        engine.run(RunConfig(**GUARD_CONFIG, plan_mode="analytic", max_rounds=max_rounds))
+    assert calls == list(range(1, max_rounds + 1))
 
 
 class TestVerifyContraction:
