@@ -35,10 +35,10 @@ model = SpeedModel.fixed(N, lam=lam, comm_cost=1.0)
 a, n0, c_hat = 0.1, 2, 1.2
 plan = build_stage_plan(N, n0, a, model, c_hat, "analytic")
 # X_r, the point to switch into stage r, ends stage r-1 of a threshold plan
-points = (None, *build_stage_plan(N, n0, a, model, c_hat, "distance_threshold").thresholds)
+points = (None, *(x for _, _, x in build_stage_plan(N, n0, a, model, c_hat, "distance_threshold")))
 print(f"target accuracy eps = {target_accuracy(a, N, n0, c_hat):.4f}")
 print(f"{'stage':>6} {'n_r':>5} {'budget':>7} {'switch below X_r':>17}")
-for r, ((n_r, tau), x_r) in enumerate(zip(plan.stages, points)):
+for r, ((n_r, tau, _), x_r) in enumerate(zip(plan, points)):
     x_txt = "inf" if x_r is None else f"{x_r:.4f}"
     tau_txt = "to ε" if tau is None else tau
     print(f"{r:>6} {n_r:>5} {tau_txt:>7} {x_txt:>17}")

@@ -4,7 +4,7 @@ learning with a shared linear representation.
 Core layers: matrix kernels (:mod:`srpfl.linalg`), synthetic data
 (:mod:`srpfl.synthesis`), the alternating update round
 (:mod:`srpfl.fedrep`), timing models and the doubling schedule
-(:mod:`srpfl.straggler`), run orchestration and verification
+(:mod:`srpfl.straggler`), run orchestration and reports
 (:mod:`srpfl.engine`), and the command-line surface (:mod:`srpfl.cli`).
 """
 
@@ -20,7 +20,6 @@ from .engine import (
     run,
     run_sweep,
     speedup_report,
-    verify_contraction,
 )
 from .fedrep import (
     fedrep_round,
@@ -38,7 +37,6 @@ from .linalg import (
 )
 from .straggler import (
     SpeedModel,
-    StagePlan,
     build_stage_plan,
     draw_round_times,
     expected_order_stat,
@@ -59,7 +57,6 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "SpeedModel",
-    "StagePlan",
     "analytic_speedup_bound",
     "build_stage_plan",
     "crossing_time",
@@ -86,5 +83,4 @@ __all__ = [
     "speedup_report",
     "target_accuracy",
     "thin_qr",
-    "verify_contraction",
 ]

@@ -1,4 +1,4 @@
-"""Full-run orchestration and the verification surfaces built on top of it.
+"""Full-run orchestration and the reports built on top of it.
 
 A run initializes the shared representation (spectral warm start by
 default), then iterates communication rounds grouped into doubling
@@ -7,9 +7,9 @@ accumulate simulated wall-clock, and measure the true subspace distance
 with oracle access to the hidden representation.  The full-participation
 baseline is the same loop with a single stage of size N.
 
-Also here: the per-round contraction report, first-crossing speedup
-comparison, the closed-form wall-clock bounds, and a deterministic
-multi-seed sweep helper.
+Also here: the first-crossing speedup comparison, the closed-form
+wall-clock bounds, the contraction rate fitted from a trace, and a
+deterministic multi-seed sweep helper.
 """
 
 import hashlib
@@ -37,7 +37,6 @@ from .straggler import (
     contraction_factor,
     draw_round_times,
     fastest_first,
-    noise_floor,
     participant_ladder,
     target_accuracy,
 )
@@ -197,12 +196,6 @@ def measure_singular_extremes(w_active, n0, seed):
     return s_min, s_max
 
 
-def _speed_model(config):
-    if config.speed_kind == SPEED_FIXED:
-        return SpeedModel.fixed(config.n_total, config.lam, config.comm_cost, config.seed)
-    return SpeedModel.dynamic(config.n_total, config.comm_cost, config.seed)
-
-
 def _sample_active(config, scope_index):
     """Ids of the N clients connected for one stage (or round)."""
     if config.n_clients == config.n_total:
@@ -235,7 +228,10 @@ def run(config):
     """
     config.validate()
     gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
-    speed = _speed_model(config)
+    if config.speed_kind == SPEED_FIXED:
+        speed = SpeedModel.fixed(config.n_total, config.lam, config.comm_cost, config.seed)
+    else:
+        speed = SpeedModel.dynamic(config.n_total, config.comm_cost, config.seed)
 
     active = _sample_active(config, 0)
     s_min, s_max = measure_singular_extremes(gt.w_star[active], config.n0, config.seed)
@@ -266,15 +262,15 @@ def run(config):
     b, cumulative, stage, first = b0, 0.0, 0, 0  # first: the rounds run before this stage
     while not trace.reached_target:
         done = len(trace.records)
-        (n_r, tau_r), threshold = plan.stages[stage], plan.thresholds[stage]
+        n_r, tau_r, threshold = plan[stage]
         if (threshold is not None and trace.final_dist <= threshold
                 or tau_r is not None and done - first >= tau_r):
             stage, first = stage + 1, done
-            if stage == len(plan.stages):
+            if stage == len(plan):
                 break
             continue
         if done == config.max_rounds:
-            if plan.stages[-1][1] is None:  # the plan ends only at epsilon
+            if plan[-1][1] is None:  # the plan ends only at epsilon
                 raise NonConvergence(
                     f"round cap {config.max_rounds} hit at stage {stage} "
                     f"with dist {trace.final_dist:.6g} > epsilon {epsilon:.6g}"
@@ -307,54 +303,6 @@ def run(config):
         trace.participants.append(ids)
         trace.final_dist, trace.reached_target = dist, dist <= epsilon
     return trace
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Per-round check of dist' <= sqrt(1-a_t) dist + (1 - sqrt(1-a_t)) noise_floor(a_t, n/n0)."""
-
-    n_rounds: int
-    n_satisfied: int
-    fraction_satisfied: float
-    worst_violation: float
-    a_values: np.ndarray
-    margins: np.ndarray  # lhs - rhs per round; negative = satisfied
-
-
-def verify_contraction(trace, gt, n0):
-    """Check the per-round contraction inequality on a finished trace.
-
-    For each round the factor ``a_t = (1/2) eta E0 sigma_min^2`` is
-    computed with the run's own ``trace.eta`` on the realized
-    participant set (E0 from the realized initial distance), and the
-    inequality is evaluated against the recorded distances.  Returns a
-    report, never raises on violations.
-    """
-    if len(trace.participants) != len(trace.records):
-        raise ConfigError("trace does not carry realized participant sets")
-    e0 = 1.0 - trace.init_dist**2
-    dist_before = trace.init_dist
-    margins, a_values = [], []
-    for record, ids in zip(trace.records, trace.participants):
-        w = gt.w_star[ids] / math.sqrt(len(ids))
-        s_min = float(np.linalg.svd(w, compute_uv=False)[-1])
-        a_t = contraction_factor(trace.eta, e0, s_min)
-        shrink = math.sqrt(1.0 - a_t)
-        rhs = shrink * dist_before + (1.0 - shrink) * noise_floor(a_t, record.n / n0)
-        margins.append(record.dist - rhs)
-        a_values.append(a_t)
-        dist_before = record.dist
-    margins = np.array(margins)
-    a_values = np.array(a_values)
-    satisfied = margins <= 1e-12
-    return ContractionReport(
-        n_rounds=len(margins),
-        n_satisfied=int(satisfied.sum()),
-        fraction_satisfied=float(satisfied.mean()) if len(margins) else 1.0,
-        worst_violation=float(max(0.0, margins.max())) if len(margins) else 0.0,
-        a_values=a_values,
-        margins=margins,
-    )
 
 
 @dataclass(frozen=True)

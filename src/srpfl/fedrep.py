@@ -92,7 +92,8 @@ def method_of_moments_init(gt, participants, m, seed):
     Every participant draws one batch (round index 0) and forms
     ``P_i = (1/m) sum_j y_j^2 x_j x_j^T``; the ``P_i`` are summed in
     participant order and the top-k eigenspace of their average is
-    returned.
+    returned.  A sum that overflows issues no numpy warning;
+    :func:`rank_k_eig` refuses it.
     """
     parts = list(participants)
     if not parts:
@@ -102,7 +103,8 @@ def method_of_moments_init(gt, participants, m, seed):
     for cid in parts:
         batch = sample_batch(gt, cid, m, 0, seed)
         saw_signal = saw_signal or bool(np.any(batch.y != 0.0))
-        p_bar += (batch.x.T * batch.y**2) @ batch.x / m
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends at rank_k_eig's finiteness check
+            p_bar += (batch.x.T * batch.y**2) @ batch.x / m
     if not saw_signal:
         raise SrpflError("every warm-start label was zero; nothing to estimate")
     return rank_k_eig(p_bar / len(parts), gt.k)
@@ -200,7 +202,8 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     its head afresh; the updates are summed into one d x k move (see
     :func:`reduced_rep_step`), and the round returns the thin QR of ``b -
     eta/(m*n) move``.  Raises with the offending client id when a local
-    solve fails, and when the moved ``b`` collapses (see :func:`thin_qr`).
+    solve fails, and when the moved ``b`` collapses or is not finite (see
+    :func:`thin_qr`); an overflow on the way there issues no numpy warning.
     """
     parts = np.asarray(participants, dtype=int)
     if not parts.size:
@@ -209,6 +212,8 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     if bad.size:
         raise SrpflError(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
     q = span_basis(b, gt.b_star)
-    batch, g = _draw_in_span(gt, q, parts, m, substream(seed, TAG_ROUND, round_index))
-    move = reduced_rep_step(q, _factor_heads(batch, gt.k), batch, g) @ (q[:, :gt.k].T @ b)
-    return thin_qr(b - (eta / (m * len(parts))) * move)[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends at thin_qr's finiteness check
+        batch, g = _draw_in_span(gt, q, parts, m, substream(seed, TAG_ROUND, round_index))
+        move = reduced_rep_step(q, _factor_heads(batch, gt.k), batch, g) @ (q[:, :gt.k].T @ b)
+        step = b - (eta / (m * len(parts))) * move
+    return thin_qr(step)[0]

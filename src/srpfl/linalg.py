@@ -91,8 +91,9 @@ def rank_k_eig(s, k):
 
     Columns are ordered by descending eigenvalue.  The span is invariant
     to positive rescaling of ``s``.  Raises :class:`SrpflError` unless
-    ``s`` is square, 1 <= k <= d and ``||s - s.T||_F <= SYMMETRY_TOL *
-    max(1, ||s||_F)``, a bound that grows with ``s`` as its rounding does.
+    ``s`` is square and finite, 1 <= k <= d and ``||s - s.T||_F <=
+    SYMMETRY_TOL * max(1, ||s||_F)``, a bound that grows with ``s`` as its
+    rounding does.
     An eigengap between the k-th and (k+1)-th eigenvalues at or below
     :data:`EIGEN_GAP_TOL` issues an :class:`EigenGapDegenerateWarning`
     (the span is then not unique), and a basis is still returned.
@@ -103,6 +104,8 @@ def rank_k_eig(s, k):
     d = s.shape[0]
     if not 1 <= k <= d:
         raise SrpflError(f"k={k} outside 1..{d}")
+    if not np.isfinite(s).all():  # a nan would pass the symmetry test below and fail inside eigh
+        raise SrpflError("expected a finite matrix, got an inf or nan entry")
     asym = float(np.linalg.norm(s - s.T))
     bound = SYMMETRY_TOL * max(1.0, float(np.linalg.norm(s)))
     if asym > bound:

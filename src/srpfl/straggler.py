@@ -79,26 +79,6 @@ class SpeedModel:
         )
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """Doubling schedule: per stage, the participant count, round budget
-    and exit threshold; a run follows it and nothing else.
-
-    ``stages[r] = (n_r, tau_r)`` with ``n_r`` the r-th rung of
-    :func:`participant_ladder`, ``min(N, n0 * 2^r)``.  A ``None`` budget
-    leaves the stage open: it runs until its threshold or the target
-    accuracy (every stage in distance-threshold mode, the last stage in
-    analytic mode).  ``thresholds[r]`` is the doubling point X_{r+1} that
-    ends stage r once the measured distance falls to it, or ``None`` where
-    the stage has no distance exit (every stage outside distance-threshold
-    mode, and the last stage in it).  :func:`build_stage_plan` gives the
-    formulas for both.
-    """
-
-    stages: tuple
-    thresholds: tuple
-
-
 def draw_round_times(model, round_index):
     """Per-slot computation times for one round.
 
@@ -193,11 +173,17 @@ def participant_ladder(n_total, n0):
 
 
 def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
-    """Assemble the doubling schedule for one run.
+    """The doubling schedule for one run: one ``(n_r, tau_r, x_r)`` row per stage.
 
-    With rungs n_r from :func:`participant_ladder`, t_r the expected n_r-th
-    order statistic of the N exponential times, g_r = t_{r+1} - t_r and C
-    the communication cost:
+    A run follows the rows and nothing else.  ``n_r`` is the r-th rung of
+    :func:`participant_ladder`, ``min(N, n0 * 2^r)``; ``tau_r`` the stage's
+    round budget, where ``None`` leaves it open, to run until its
+    threshold or the target accuracy; ``x_r`` the doubling point X_{r+1}
+    that ends the stage once the measured distance falls to it, or ``None``
+    where the stage has no distance exit.
+
+    With t_r the expected n_r-th order statistic of the N exponential
+    times, g_r = t_{r+1} - t_r and C the communication cost:
 
     - Analytic mode gives stage r (0 < r < last) the budget
       2 log(sqrt(2) g_r / g_{r-1}) / log(1/(1-a)), rounded up and floored
@@ -243,4 +229,4 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
             for r in range(1, last):
                 budgets[r] = _rounds_to_shrink(a, math.sqrt(2.0) * gaps[r] / gaps[r - 1])
             budgets[0] = budgets[1]
-    return StagePlan(stages=tuple(zip(ladder, budgets)), thresholds=tuple(thresholds))
+    return tuple(zip(ladder, budgets, thresholds))

@@ -271,7 +271,7 @@ def assert_not_vacuous(rows):
         assert float(fields["final_dist"]) <= float(fields["epsilon"]), row
 
 
-class TestCompareVerifyGen:
+class TestCompareVerify:
     def test_compare_outputs(self, config_path, tmp_path, capsys):
         out = tmp_path / "cmp"
         rc = cli.main([
@@ -379,13 +379,25 @@ def test_module_entry_point(config_path, tmp_path):
     assert (tmp_path / "cli_out" / "trace.csv").exists()
 
 
-def test_overflowing_step_exit_one(tmp_path):
-    # in a child process: numpy's overflow warning is an error under this suite
-    proc = run_module(
-        "run", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path / "o"),
-        "--override", "eta=1e300", "--override", "sigma=1e5",
-    )
-    assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
-    assert "error: stage 0, round 1: QR factor is not finite" in proc.stderr
-    assert "Traceback" not in proc.stderr
+QR_NOT_FINITE = "error: stage 0, round 1: QR factor is not finite: the input is not, or its column norms overflow\n"
+MOMENTS_NOT_FINITE = "error: expected a finite matrix, got an inf or nan entry\n"
+OVERFLOWS = [
+    pytest.param(("eta=1e300", "sigma=1e5"), QR_NOT_FINITE, id="eta_and_sigma"),
+    pytest.param(("sigma=1e200",), QR_NOT_FINITE, id="sigma"),  # overflows in the summed move
+    # a nan moment matrix passes the symmetry test; unchecked, eigh raises LinAlgError
+    pytest.param(("init_mode=moments", "sigma=1e200"), MOMENTS_NOT_FINITE, id="warm_start"),
+]
+
+
+@pytest.mark.parametrize("overrides, error", OVERFLOWS)
+def test_overflowing_run_exit_one(tmp_path, capsys, overrides, error):
+    args = ["run", "--config", str(REFERENCE_CONFIG), "--out", str(tmp_path / "o")]
+    for pair in overrides:
+        args += ["--override", pair]
+    # in process, this suite turns a numpy RuntimeWarning into an error
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == error
+    # in a child, a warning would print the source path before the error
+    proc = run_module(*args)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_CONFIG, error)
     assert not (tmp_path / "o").exists()

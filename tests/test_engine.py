@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from srpfl import cli, engine, straggler
+from srpfl import checks, cli, engine, straggler
 from srpfl.engine import RunConfig
 from srpfl.errors import ConfigError, NonConvergence, SrpflError
 from srpfl.straggler import participant_ladder
@@ -70,7 +70,8 @@ class TestRun:
         cfg = small_config(sigma=0.2, plan_mode="fixed", fixed_rounds=3, epsilon=0.0,
                            comm_cost=0.7, speed_kind=speed_kind)
         trace = engine.run(cfg)
-        model = engine._speed_model(cfg)
+        model = (straggler.SpeedModel.fixed(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed) if speed_kind == "fixed"
+                 else straggler.SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed))
         for record, ids in zip(trace.records, trace.participants):
             times = straggler.draw_round_times(model, record.round_index)
             np.testing.assert_array_equal(ids, straggler.select_fastest(times, record.n))
@@ -252,30 +253,18 @@ def test_analytic_plan_cap_names_the_stage_it_is_hit_in(monkeypatch, max_rounds,
     assert calls == list(range(1, max_rounds + 1))
 
 
-class TestVerifyContraction:
-    def test_noiseless_regime_satisfied(self):
-        cfg = RunConfig(
-            d=12, k=2, n_total=16, n0=4, m=80, sigma=0.0, seed=4,
-            plan_mode="fixed", fixed_rounds=20, epsilon=0.0,
-        )
-        trace = engine.run(cfg)
-        gt = gen_ground_truth(12, 2, 16, 0.0, 4)
-        report = engine.verify_contraction(trace, gt, 4)
-        assert report.n_rounds == len(trace.records)
-        assert report.fraction_satisfied >= 0.95
-
-    def test_report_fields_consistent(self):
-        cfg = RunConfig(
-            d=10, k=2, n_total=8, n0=2, m=60, sigma=0.3, seed=6,
-            plan_mode="fixed", fixed_rounds=10, epsilon=0.0,
-        )
-        trace = engine.run(cfg)
-        gt = gen_ground_truth(10, 2, 8, 0.3, 6)
-        report = engine.verify_contraction(trace, gt, 2)
-        assert len(report.margins) == report.n_rounds
-        assert report.n_satisfied == int((report.margins <= 1e-12).sum())
-        assert report.worst_violation >= 0.0
-        assert np.all(report.a_values >= 0.0)
+class TestContractionCheck:
+    # the exact (ok, detail) that `srpfl verify` reports for each config
+    @pytest.mark.parametrize("cfg, verdict", [
+        (dict(d=12, k=2, n_total=16, n0=4, m=80, sigma=0.0),
+         (True, "60/60 rounds satisfied (1.000), worst violation 0.0000")),
+        # the grossly oversized step of test_cli's verify_bad config
+        (dict(d=10, k=2, n_total=8, n0=2, m=40, sigma=0.3, fixed_rounds=15, eta=8.0),
+         (False, "40/45 rounds satisfied (0.889), worst violation 0.0467")),
+    ], ids=["noiseless", "oversized_step"])
+    def test_verdict(self, cfg, verdict):
+        config = RunConfig(**{"seed": 4, "plan_mode": "fixed", "fixed_rounds": 20, "epsilon": 0.0, **cfg})
+        assert checks.contraction(config) == verdict
 
 
 class TestSpeedup:
@@ -408,12 +397,10 @@ def test_singular_extremes_match_per_subset_loop(seed):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: engine.verify_contraction(synthetic_trace([0.5, 0.4]), None, 2),
-     "trace does not carry realized participant sets"),
     (lambda: engine.analytic_speedup_bound(1, 1.2, 0.1, 0.0), "bounds need N >= 2, got 1"),
     (lambda: engine.measure_contraction_rate(synthetic_trace([0.5])),
      "trace too short to measure a contraction rate"),
-], ids=["no_participants", "one_client", "one_record"])
+], ids=["one_client", "one_record"])
 def test_typed_errors(call, message):
     with pytest.raises(ConfigError, match=message):
         call()

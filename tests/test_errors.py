@@ -62,3 +62,28 @@ def test_only_errors_module_defines_exceptions(path):
         assert defined == ERROR_TYPES | {"EigenGapDegenerateWarning"}
     else:
         assert not defined, defined
+
+
+def _imported_names(tree):
+    """The names that ``tree``'s import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+INNER_MODULES = [p for p in MODULES if p.name != "__init__.py"]  # __init__ imports to re-export
+
+
+@pytest.mark.parametrize("path", INNER_MODULES, ids=[p.name for p in INNER_MODULES])
+def test_no_unread_imports(path):
+    # a fold that leaves its callee's import behind shows up here
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert not _imported_names(tree) - read
+
+
+def test_exports_are_the_package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(srpfl.__all__) == sorted(_imported_names(tree))

@@ -124,6 +124,14 @@ class TestRankKEig:
         with pytest.raises(SrpflError, match=r"_F = 2\.828e\+00 exceeds 1e-10 \* max\(1, \|\|s\|\|_F\) = 2\.449e-10"):
             linalg.rank_k_eig(s, 1)
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    def test_not_finite(self, entry):
+        # nan > bound is False, so a nan would pass the symmetry test
+        s = np.eye(3)
+        s[0, 1] = s[1, 0] = entry
+        with pytest.raises(SrpflError, match="expected a finite matrix, got an inf or nan entry"):
+            linalg.rank_k_eig(s, 1)
+
     def test_rounding_asymmetry_scales_with_the_matrix(self):
         # an asymmetry far above 1e-10 is still rounding at this scale
         a = np.random.default_rng(12).standard_normal((6, 6))

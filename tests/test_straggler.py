@@ -136,13 +136,13 @@ class TestExpectedOrderStat:
 
 
 class TestDoublingPoint:
-    # X_{r+1} ends stage r of a distance-threshold plan: thresholds[r]
+    # X_{r+1} ends stage r of a distance-threshold plan: the last entry of row r
 
     def test_small_a_limit(self):
         # a / (1 - sqrt(1-a)) -> 2 as a -> 0, so the threshold approaches a
         # finite limit 2 / sqrt(2^(r-1)) * (1 + boost) for vanishing contraction
         model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
-        small = straggler.build_stage_plan(16, 2, 1e-9, model, 1.2, straggler.MODE_THRESHOLD).thresholds[0]
+        small = straggler.build_stage_plan(16, 2, 1e-9, model, 1.2, straggler.MODE_THRESHOLD)[0][2]
         t2 = straggler.expected_order_stat(16, 2, 1.0)
         t4 = straggler.expected_order_stat(16, 4, 1.0)
         boost = (t2 + 1.0) * (1 - 1 / math.sqrt(2)) / (t4 - t2)
@@ -151,13 +151,13 @@ class TestDoublingPoint:
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
         model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
-        value = straggler.build_stage_plan(16, 2, 0.25, model, 1.2, straggler.MODE_THRESHOLD).thresholds[0]
+        value = straggler.build_stage_plan(16, 2, 0.25, model, 1.2, straggler.MODE_THRESHOLD)[0][2]
         assert value == pytest.approx(6.958246051919566, rel=1e-12)
 
     def test_last_stage_capped_at_n(self):
         # N=12, n0=2: stage 3 has 12 participants, not 16
         model = SpeedModel.fixed(12, lam=1.0, comm_cost=1.0)
-        value = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD).thresholds[2]
+        value = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)[2][2]
         t8 = straggler.expected_order_stat(12, 8, 1.0)
         t12 = straggler.expected_order_stat(12, 12, 1.0)
         base = 0.2 / (math.sqrt(4 * 0.8) * (1 - math.sqrt(0.8)))
@@ -181,13 +181,13 @@ class TestRoundsPerStage:
     def test_plug_in_value(self):
         # frozen from an independent rational-arithmetic evaluation
         model = SpeedModel.fixed(32, lam=1.0)
-        assert straggler.build_stage_plan(32, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC).stages[2][1] == 12
+        assert straggler.build_stage_plan(32, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)[2][1] == 12
 
     def test_capped_ladder_matches_plan(self):
         # N=12, n0=2: stage 2 (8 participants) leads into the capped stage of 12
         model = SpeedModel.fixed(12, lam=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert plan.stages[2][1] == 14
+        assert plan[2][1] == 14
 
 
 class TestTargetAccuracy:
@@ -218,13 +218,13 @@ class TestStagePlan:
     def test_degenerate_single_stage(self):
         model = SpeedModel.fixed(4, lam=1.0)
         plan = straggler.build_stage_plan(4, 4, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert plan.stages == ((4, None),)
+        assert plan == ((4, None, None),)
 
     def test_ladder(self):
         model = SpeedModel.fixed(8, lam=1.0)
         plan = straggler.build_stage_plan(8, 2, 0.2, model, 1.2, straggler.MODE_THRESHOLD)
-        assert [n for n, _ in plan.stages] == [2, 4, 8]
-        assert all(tau is None for _, tau in plan.stages)
+        assert [n for n, _, _ in plan] == [2, 4, 8]
+        assert all(tau is None for _, tau, _ in plan)
 
     def test_threshold_plan_carries_exit_points(self):
         model = SpeedModel.fixed(12, lam=1.0, comm_cost=1.0)
@@ -235,35 +235,35 @@ class TestStagePlan:
             straggler.noise_floor(0.2, 2**r) * (1 + (t[r] + 1.0) * (1 - 1 / math.sqrt(2)) / (t[r + 1] - t[r]))
             for r in range(3)
         ]
-        assert plan.thresholds[:3] == pytest.approx(expected, rel=1e-12)
-        assert plan.thresholds[3] is None
+        assert [x for _, _, x in plan[:3]] == pytest.approx(expected, rel=1e-12)
+        assert plan[3][2] is None
         fixed = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=5)
-        assert fixed.thresholds == (None,) * 4
+        assert [x for _, _, x in fixed] == [None] * 4
 
     def test_ladder_clamps_at_n(self):
         model = SpeedModel.fixed(12, lam=1.0)
         plan = straggler.build_stage_plan(12, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=5)
-        assert [n for n, _ in plan.stages] == [2, 4, 8, 12]
-        assert all(tau == 5 for _, tau in plan.stages)
+        assert [n for n, _, _ in plan] == [2, 4, 8, 12]
+        assert all(tau == 5 for _, tau, _ in plan)
 
     def test_analytic_budgets_match_hand_evaluation(self):
         # frozen from an independent rational-arithmetic evaluation at
         # N=16, n0=2, a=0.2, lam=1, C=1, c_hat=1.2
         model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
         plan = straggler.build_stage_plan(16, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert [n for n, _ in plan.stages] == [2, 4, 8, 16]
-        assert [tau for _, tau in plan.stages] == [12, 12, 21, None]
+        assert [n for n, _, _ in plan] == [2, 4, 8, 16]
+        assert [tau for _, tau, _ in plan] == [12, 12, 21, None]
 
     def test_last_budget_open_iff_not_fixed(self):
         model = SpeedModel.fixed(16, lam=1.0, comm_cost=1.0)
         for mode in straggler.PLAN_MODES:
             for n_total, n0 in ((16, 2), (12, 2), (4, 2), (4, 4)):
                 plan = straggler.build_stage_plan(n_total, n0, 0.2, model, 1.2, mode, fixed_rounds=5)
-                assert (plan.stages[-1][1] is None) == (mode != straggler.MODE_FIXED)
+                assert (plan[-1][1] is None) == (mode != straggler.MODE_FIXED)
         # the first of two stages takes the full-participation budget
         # 2 log(1/(c_hat-1)) / log(1/(1-a)), rounded up: 15 at a=0.2, c_hat=1.2
         two_stage = straggler.build_stage_plan(4, 2, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        assert two_stage.stages == ((2, 15), (4, None))
+        assert two_stage == ((2, 15, None), (4, None, None))
 
     def test_bad_inputs(self):
         model = SpeedModel.fixed(4, lam=1.0)
