@@ -4,7 +4,7 @@ learning with a shared linear representation.
 Core layers: matrix kernels (:mod:`srpfl.linalg`), synthetic data
 (:mod:`srpfl.synthesis`), the alternating update round
 (:mod:`srpfl.fedrep`), timing models and the doubling schedule
-(:mod:`srpfl.straggler`), run orchestration and reports
+(:mod:`srpfl.straggler`), run orchestration, bounds and sweeps
 (:mod:`srpfl.engine`), and the command-line surface (:mod:`srpfl.cli`).
 """
 
@@ -14,12 +14,10 @@ from .engine import (
     RunConfig,
     RunTrace,
     analytic_speedup_bound,
-    crossing_time,
     measure_contraction_rate,
     measure_singular_extremes,
     run,
     run_sweep,
-    speedup_report,
 )
 from .fedrep import (
     fedrep_round,
@@ -59,7 +57,6 @@ __all__ = [
     "SpeedModel",
     "analytic_speedup_bound",
     "build_stage_plan",
-    "crossing_time",
     "draw_round_times",
     "expected_order_stat",
     "fedrep_round",
@@ -80,7 +77,6 @@ __all__ = [
     "sample_batch",
     "select_fastest",
     "span_basis",
-    "speedup_report",
     "target_accuracy",
     "thin_qr",
 ]

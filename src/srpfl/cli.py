@@ -76,28 +76,29 @@ def cmd_compare(config, out):
     seeds = [config.seed + i for i in range(config.sweep_seeds)]
     results = engine.run_sweep(config, seeds)
     rows = ["seed,algorithm,rounds,completion_time,final_dist,epsilon,a"]
-    ratios, t_srpfl, t_base = [], [], []
+    t_srpfl, t_base = [], []
     for i, seed in enumerate(seeds):
-        srpfl_trace = results[engine.ALGO_SRPFL][i]
-        base_trace = results[engine.ALGO_FEDREP_FULL][i]
-        report = engine.speedup_report(srpfl_trace, base_trace, srpfl_trace.epsilon)
-        ratios.append(report.ratio)
-        t_srpfl.append(report.t_srpfl)
-        t_base.append(report.t_baseline)
-        for name, trace, t in (
-            (engine.ALGO_SRPFL, srpfl_trace, report.t_srpfl),
-            (engine.ALGO_FEDREP_FULL, base_trace, report.t_baseline),
+        for name, label, times in (
+            (engine.ALGO_SRPFL, "srpfl", t_srpfl), (engine.ALGO_FEDREP_FULL, "baseline", t_base),
         ):
+            trace = results[name][i]
+            if not trace.reached_target:  # a fixed plan ends unreached at its last round
+                raise NonConvergence(
+                    f"{label} trace never reached epsilon={trace.epsilon:.6g} "
+                    f"(final dist {trace.final_dist:.6g})"
+                )
+            times.append(trace.total_time())
             rows.append(
-                f"{seed},{name},{len(trace.records)},{_fmt(t)},"
+                f"{seed},{name},{len(trace.records)},{_fmt(times[-1])},"
                 f"{_fmt(trace.final_dist)},{_fmt(trace.epsilon)},{_fmt(trace.a)}"
             )
-    # the bound is in units of the mean client time 1/lam of the runs'
-    # speed model, which for a dynamic model is its mean slot rate, not config.lam
+    ratios = [t_s / t_b if t_b > 0 else 1.0 for t_s, t_b in zip(t_srpfl, t_base)]
+    # the bound takes the rate of the runs' speed model, which for a
+    # dynamic model is its mean slot rate, not config.lam
     mean_a = statistics.fmean(tr.a for tr in results[engine.ALGO_SRPFL])
     lam = statistics.fmean(tr.lam for tr in results[engine.ALGO_SRPFL])
     upper, lower, ratio_bound = engine.analytic_speedup_bound(
-        config.n_total, config.c_hat, mean_a, config.comm_cost * lam,
+        config.n_total, config.c_hat, mean_a, config.comm_cost, lam,
     )
     mean_s, mean_b = statistics.fmean(t_srpfl), statistics.fmean(t_base)
     block = [
@@ -108,8 +109,8 @@ def cmd_compare(config, out):
         f"ratio_of_means        = {_fmt(mean_s / mean_b)}",
         f"mean_a                = {_fmt(mean_a)}",
         f"mean_lam              = {_fmt(lam)}",
-        f"analytic_upper_srpfl  = {_fmt(upper / lam)}",
-        f"analytic_lower_fedrep = {_fmt(lower / lam)}",
+        f"analytic_upper_srpfl  = {_fmt(upper)}",
+        f"analytic_lower_fedrep = {_fmt(lower)}",
         f"analytic_ratio_bound  = {_fmt(ratio_bound)}",
     ]
     _write(out / "compare.csv", "\n".join(rows) + "\n")

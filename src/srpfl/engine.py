@@ -1,4 +1,4 @@
-"""Full-run orchestration and the reports built on top of it.
+"""Full-run orchestration and what is computed from runs.
 
 A run initializes the shared representation (spectral warm start by
 default), then iterates communication rounds grouped into doubling
@@ -7,9 +7,8 @@ accumulate simulated wall-clock, and measure the true subspace distance
 with oracle access to the hidden representation.  The full-participation
 baseline is the same loop with a single stage of size N.
 
-Also here: the first-crossing speedup comparison, the closed-form
-wall-clock bounds, the contraction rate fitted from a trace, and a
-deterministic multi-seed sweep helper.
+Also here: the closed-form wall-clock bounds, the contraction rate
+fitted from a trace, and a deterministic multi-seed sweep helper.
 """
 
 import hashlib
@@ -224,7 +223,8 @@ def run(config):
 
     With the ``per_stage`` resample scope a stage draws its active set
     when its first round runs.  A failed round or an overflowed clock
-    raises an :class:`SrpflError` naming the stage and round.
+    raises an :class:`SrpflError` naming the stage and round; a failed
+    warm start, one that says so.
     """
     config.validate()
     gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
@@ -238,7 +238,10 @@ def run(config):
     eta = config.eta if config.eta is not None else 1.0 / (8.0 * s_max**2)
 
     if config.init_mode == INIT_MOMENTS:
-        b0 = method_of_moments_init(gt, active, config.m, config.seed)
+        try:
+            b0 = method_of_moments_init(gt, active, config.m, config.seed)
+        except SrpflError as exc:
+            raise type(exc)(f"warm start: {exc}") from exc
     else:
         b0, _ = thin_qr(substream(config.seed, TAG_RANDOM_INIT).standard_normal((gt.d, gt.k)))
     init_dist = principal_angle_dist(b0, gt.b_star)
@@ -305,49 +308,30 @@ def run(config):
     return trace
 
 
-@dataclass(frozen=True)
-class SpeedupReport:
-    t_srpfl: float
-    t_baseline: float
-    ratio: float
+def analytic_speedup_bound(n_total, c_hat, a, comm_cost, lam):
+    """Closed-form wall-clock bounds, in simulated time.
 
-
-def crossing_time(trace, epsilon, name="trace"):
-    """First cumulative time at which the trace distance reaches epsilon."""
-    for record in trace.records:
-        if record.dist <= epsilon:
-            return record.cumulative_time
-    raise NonConvergence(f"{name} never reached epsilon={epsilon:.6g} (final dist {trace.final_dist:.6g})")
-
-
-def speedup_report(srpfl_trace, baseline_trace, epsilon):
-    """First-crossing wall-clock times of both traces and their ratio."""
-    t_s = crossing_time(srpfl_trace, epsilon, name="srpfl trace")
-    t_b = crossing_time(baseline_trace, epsilon, name="baseline trace")
-    return SpeedupReport(t_srpfl=t_s, t_baseline=t_b, ratio=t_s / t_b if t_b > 0 else 1.0)
-
-
-def analytic_speedup_bound(n_total, c_hat, a, c):
-    """Closed-form wall-clock bounds, in units of the mean client time 1/lam.
-
-    Upper bound on the adaptive scheme, lower bound on the
-    full-participation baseline, and their ratio bound
+    Upper bound on the adaptive scheme's time, lower bound on the
+    full-participation baseline's, both for client times of rate ``lam``
+    and ``comm_cost`` per round, and their ratio bound
 
         (6(c+1) + 4 log(1/(c_hat-1))) / (log N + 2 log(1/(c_hat-1)))
 
-    with natural logarithms and C = c/lam the communication cost.
+    with natural logarithms and c = comm_cost * lam the communication
+    cost in units of the mean client time 1/lam.
     """
     check_c_hat(c_hat)
     check_contraction_factor(a)
     if n_total < 2:
         raise ConfigError(f"bounds need N >= 2, got {n_total}")
+    c = comm_cost * lam
     log_n = math.log(n_total)
     hardness = math.log(1.0 / (c_hat - 1.0))
     rate = math.log(1.0 / (1.0 - a))
     upper_srpfl = log_n * (6.0 * (c + 1.0) + 4.0 * hardness) / rate
     lower_fedrep = log_n * (log_n + 2.0 * hardness) / rate
     ratio_bound = (6.0 * (c + 1.0) + 4.0 * hardness) / (log_n + 2.0 * hardness)
-    return upper_srpfl, lower_fedrep, ratio_bound
+    return upper_srpfl / lam, lower_fedrep / lam, ratio_bound
 
 
 def measure_contraction_rate(trace):

@@ -122,12 +122,18 @@ class TestExitCodes:
         (["compare", "--config", "{cfg}", "--out", "{tmp}/o", "--override", "fixed_rounds=2",
           "--override", "epsilon=0.001"], cli.EXIT_NONCONVERGENCE,
          "non-convergence: srpfl trace never reached epsilon=0.001"),
+        # in 5 rounds on the reference config's seed 0, srpfl reaches 0.9 and the baseline does not
+        (["compare", "--config", "{ref}", "--out", "{tmp}/o", "--override", "plan_mode=fixed",
+          "--override", "fixed_rounds=5", "--override", "epsilon=0.9", "--override", "sweep_seeds=1"],
+         cli.EXIT_NONCONVERGENCE,
+         "non-convergence: baseline trace never reached epsilon=0.9"),
         (["run", "--config", "{cfg}", "--out", "{tmp}/file/o"], cli.EXIT_CONFIG,
          "config error: cannot write {tmp}/file/o/trace.csv"),
-    ], ids=["help", "no_config", "bad_seed", "gen", "target_not_reached", "out_under_file"])
+    ], ids=["help", "no_config", "bad_seed", "gen", "target_not_reached", "baseline_not_reached",
+            "out_under_file"])
     def test_exit_code(self, config_path, tmp_path, capsys, argv, code, message):
         (tmp_path / "file").write_text("")
-        fill = {"cfg": config_path, "tmp": tmp_path}
+        fill = {"cfg": config_path, "ref": REFERENCE_CONFIG, "tmp": tmp_path}
         rc = cli.main([arg.format(**fill) for arg in argv])
         assert rc == code
         assert message.format(**fill) in capsys.readouterr().err
@@ -297,8 +303,8 @@ class TestCompareVerify:
         assert_not_vacuous((out1 / "compare.csv").read_text().strip().split("\n"))
 
     def test_compare_bound_uses_the_speed_model_rate(self, config_path, tmp_path, capsys):
-        # the dynamic model ignores config.lam (here 1); the bound must be
-        # in units of the mean slot rate of the runs' models
+        # the dynamic model ignores config.lam (here 1); the bound must use
+        # the mean slot rate of the runs' models
         out = tmp_path / "cmp"
         rc = cli.main([
             "compare", "--config", str(config_path), "--out", str(out),
@@ -319,10 +325,10 @@ class TestCompareVerify:
         )
         assert summary["mean_lam"] == pytest.approx(lam, rel=1e-11) and abs(lam - 1.0) > 0.2
         upper, lower, ratio = engine.analytic_speedup_bound(
-            cfg.n_total, cfg.c_hat, summary["mean_a"], cfg.comm_cost * lam,
+            cfg.n_total, cfg.c_hat, summary["mean_a"], cfg.comm_cost, lam,
         )
-        assert summary["analytic_upper_srpfl"] == pytest.approx(upper / lam, rel=1e-9)
-        assert summary["analytic_lower_fedrep"] == pytest.approx(lower / lam, rel=1e-9)
+        assert summary["analytic_upper_srpfl"] == pytest.approx(upper, rel=1e-9)
+        assert summary["analytic_lower_fedrep"] == pytest.approx(lower, rel=1e-9)
         assert summary["analytic_ratio_bound"] == pytest.approx(ratio, rel=1e-9)
 
     def test_verify_passes_on_reference_config(self, tmp_path, capsys):
@@ -380,7 +386,7 @@ def test_module_entry_point(config_path, tmp_path):
 
 
 QR_NOT_FINITE = "error: stage 0, round 1: QR factor is not finite: the input is not, or its column norms overflow\n"
-MOMENTS_NOT_FINITE = "error: expected a finite matrix, got an inf or nan entry\n"
+MOMENTS_NOT_FINITE = "error: warm start: expected a finite matrix, got an inf or nan entry\n"
 OVERFLOWS = [
     pytest.param(("eta=1e300", "sigma=1e5"), QR_NOT_FINITE, id="eta_and_sigma"),
     pytest.param(("sigma=1e200",), QR_NOT_FINITE, id="sigma"),  # overflows in the summed move

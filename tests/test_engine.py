@@ -261,52 +261,44 @@ class TestContractionCheck:
         # the grossly oversized step of test_cli's verify_bad config
         (dict(d=10, k=2, n_total=8, n0=2, m=40, sigma=0.3, fixed_rounds=15, eta=8.0),
          (False, "40/45 rounds satisfied (0.889), worst violation 0.0467")),
-    ], ids=["noiseless", "oversized_step"])
+        # with n0 = 4 the noise floor's ratio n/n0 differs from n/2: 35/45 rounds hold with n/2
+        (dict(d=10, k=2, n_total=16, n0=4, m=40, sigma=0.3, fixed_rounds=15, eta=8.0),
+         (False, "42/45 rounds satisfied (0.933), worst violation 0.2281")),
+    ], ids=["noiseless", "oversized_step", "oversized_step_n0_4"])
     def test_verdict(self, cfg, verdict):
         config = RunConfig(**{"seed": 4, "plan_mode": "fixed", "fixed_rounds": 20, "epsilon": 0.0, **cfg})
         assert checks.contraction(config) == verdict
 
-
-class TestSpeedup:
-    def test_identical_traces_ratio_one(self):
-        cfg = small_config(n_total=4, n0=4, sigma=0.0, seed=3)
-        t1 = engine.run(cfg)
-        t2 = engine.run(small_config(n_total=4, n0=4, sigma=0.0, seed=3))
-        report = engine.speedup_report(t1, t2, t1.epsilon)
-        assert report.ratio == pytest.approx(1.0, abs=1e-12)
-
-    def test_target_not_reached_names_trace(self):
-        cfg = small_config(sigma=0.0, seed=3, plan_mode="fixed", fixed_rounds=3, epsilon=0.0)
-        short = engine.run(cfg)
-        with pytest.raises(NonConvergence, match="srpfl trace never reached epsilon=0"):
-            engine.speedup_report(short, short, 0.0)
-        # a level only the longer trace reaches names the baseline trace
-        long = engine.run(small_config(sigma=0.0, seed=3, plan_mode="fixed", fixed_rounds=12, epsilon=0.0))
-        level = (long.dists().min() + short.dists().min()) / 2
-        assert long.dists().min() < level < short.dists().min()
-        with pytest.raises(NonConvergence, match="baseline trace never reached epsilon="):
-            engine.speedup_report(long, short, level)
-
-    def test_crossing_time_first_record(self):
-        cfg = small_config(sigma=0.0, seed=3, plan_mode="fixed", fixed_rounds=6, epsilon=0.0)
-        trace = engine.run(cfg)
-        eps = trace.records[2].dist
-        t = engine.crossing_time(trace, eps)
-        expected = next(r.cumulative_time for r in trace.records if r.dist <= eps)
-        assert t == expected
+    def test_margin_inside_tolerance_holds(self, monkeypatch):
+        # the last round of a real trace is moved to a margin of 5e-13,
+        # inside the 1e-12 hold tolerance, so every round still holds
+        config = RunConfig(d=12, k=2, n_total=16, n0=4, m=80, sigma=0.0, seed=4,
+                           plan_mode="fixed", fixed_rounds=20, epsilon=0.0)
+        trace = engine.run(config)
+        w_star = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed).w_star
+        last, ids = trace.records[-1], trace.participants[-1]
+        s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
+        a_t = straggler.contraction_factor(trace.eta, 1.0 - trace.init_dist**2, s_min)
+        shrink = math.sqrt(1.0 - a_t)
+        rhs = shrink * trace.records[-2].dist + (1.0 - shrink) * straggler.noise_floor(a_t, last.n / config.n0)
+        trace.records[-1] = dataclasses.replace(last, dist=rhs + 5e-13)
+        monkeypatch.setattr(checks.engine, "run", lambda cfg: trace)
+        assert checks.contraction(config) == (True, "60/60 rounds satisfied (1.000), worst violation 0.0000")
 
 
 class TestAnalyticBound:
     def test_plug_in_values(self):
-        # frozen from an independent evaluation at N=256, c=1, c_hat=1.2, a=0.25
-        upper, lower, ratio = engine.analytic_speedup_bound(256, 1.2, 0.25, 1.0)
-        assert upper == pytest.approx(355.39442448980185, rel=1e-12)
-        assert lower == pytest.approx(168.93034069597874, rel=1e-12)
-        assert ratio == pytest.approx(2.1037927409937542, rel=1e-12)
+        # frozen from an independent evaluation at N=256, c=1, c_hat=1.2, a=0.25;
+        # at lam = 2 the same c = comm_cost * lam halves both times
+        for comm_cost, lam in ((1.0, 1.0), (0.5, 2.0)):
+            upper, lower, ratio = engine.analytic_speedup_bound(256, 1.2, 0.25, comm_cost, lam)
+            assert upper == pytest.approx(355.39442448980185 / lam, rel=1e-12)
+            assert lower == pytest.approx(168.93034069597874 / lam, rel=1e-12)
+            assert ratio == pytest.approx(2.1037927409937542, rel=1e-12)
 
     def test_ratio_bound_vanishes_with_n(self):
         values = [
-            engine.analytic_speedup_bound(n, 1.2, 0.2, 1.0)[2]
+            engine.analytic_speedup_bound(n, 1.2, 0.2, 1.0, 1.0)[2]
             for n in (2**8, 2**16, 2**32, 2**64)
         ]
         assert all(b < a for a, b in zip(values, values[1:]))
@@ -314,13 +306,13 @@ class TestAnalyticBound:
 
     def test_ratio_bound_grows_as_c_hat_drops(self):
         # monotone in c_hat -> 1+ whenever 2 log N > 6 (c + 1); c = 0 here
-        hard = engine.analytic_speedup_bound(256, 1.001, 0.2, 0.0)[2]
-        easy = engine.analytic_speedup_bound(256, 1.4, 0.2, 0.0)[2]
+        hard = engine.analytic_speedup_bound(256, 1.001, 0.2, 0.0, 1.0)[2]
+        easy = engine.analytic_speedup_bound(256, 1.4, 0.2, 0.0, 1.0)[2]
         assert hard > easy
 
     def test_c_hat_range(self):
         with pytest.raises(ConfigError, match=r"c_hat must lie strictly between 1 and sqrt\(2\), got 1.0"):
-            engine.analytic_speedup_bound(256, 1.0, 0.2, 1.0)
+            engine.analytic_speedup_bound(256, 1.0, 0.2, 1.0, 1.0)
 
 
 class TestSweep:
@@ -397,7 +389,7 @@ def test_singular_extremes_match_per_subset_loop(seed):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: engine.analytic_speedup_bound(1, 1.2, 0.1, 0.0), "bounds need N >= 2, got 1"),
+    (lambda: engine.analytic_speedup_bound(1, 1.2, 0.1, 0.0, 1.0), "bounds need N >= 2, got 1"),
     (lambda: engine.measure_contraction_rate(synthetic_trace([0.5])),
      "trace too short to measure a contraction rate"),
 ], ids=["one_client", "one_record"])
