@@ -23,7 +23,6 @@ from .fedrep import (
     fedrep_round,
     head_update,
     method_of_moments_init,
-    reduced_rep_step,
     rep_gradient_step,
 )
 from .linalg import (
@@ -70,7 +69,6 @@ __all__ = [
     "participant_ladder",
     "principal_angle_dist",
     "rank_k_eig",
-    "reduced_rep_step",
     "rep_gradient_step",
     "run",
     "run_sweep",

@@ -133,8 +133,9 @@ def kernel_invariants():
     if worst_grad > 1e-5:
         failures.append(f"finite differences ({worst_grad:.2e})")
 
-    # the round's summed move with g = 0 is the gradient in b of
-    # sum_i 1/2 ||x_i q^T b w_i - y_i||^2 over its factor batch, heads held fixed
+    # the round's summed move with z = 0 is the gradient in b of
+    # sum_i 1/2 ||x_i q^T b w_i - y_i||^2 over the factor rows of its draw,
+    # heads held fixed
     worst_summed = 0.0
     for i in range(100):
         d = int(rng.integers(2, 9))
@@ -144,11 +145,12 @@ def kernel_invariants():
         gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=800 + i)
         b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
         q = linalg.span_basis(b, gt.b_star)
-        batch, _ = fedrep._draw_in_span(gt, q, np.arange(n), m, rng)
-        w = fedrep._factor_heads(batch, k)
+        draw = fedrep._draw_round(n, k, q.shape[1], d, m, rng)
+        w, resid, tail = fedrep._client_statistics(gt, q, np.arange(n), m, draw)
+        rows = fedrep._factor_rows(gt, q, np.arange(n), m, draw)
         vt = q[:, :k].T @ b
-        move = fedrep.reduced_rep_step(q, w, batch, np.zeros((n, d))) @ vt
-        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w @ vt, batch), b, move))
+        move = fedrep._summed_move(q, w, resid, tail, np.zeros_like(draw[-1])) @ vt
+        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w @ vt, rows), b, move))
     if worst_summed > 1e-5:
         failures.append(f"summed-move finite differences ({worst_summed:.2e})")
 

@@ -8,30 +8,28 @@ carries the 1/m batch normalization and the server carries the 1/n
 average, so the composite step on the representation is eta/(m*n) times
 the summed gradient; a round forms that sum directly, as one d x k move.
 
-A round never draws a client's d-dimensional rows.  A client's step
-reads its batch only through ``X b``, ``y`` and ``X^T r``, and
-``x ~ N(0, I_d)`` is rotation invariant, so the round draws in the span
-of ``b`` and ``B*``: with ``Q`` an orthonormal basis of that span
-(d x p, p = min(d, 2k)) whose first k columns span ``b``, ``A = X Q`` is
-an m x p standard Gaussian matrix, ``y = A Q^T B* w* + sigma z``, and the
-part of ``X^T r`` outside ``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a
-standard Gaussian d-vector ``g``.  The rest is a function of the Gram
-matrix of the m x (p+1) block ``[A z]``, so the round draws that block's
-upper-trapezoidal R factor instead (Bartlett, see :func:`_draw_in_span`):
-r = min(m, p+1) rows that stand for the m samples (``Batch.m``), exact
-in distribution for every m.  Since ``Q`` starts with ``b``, a client's
-head is a back-substitution on R (:func:`_factor_heads`) and its
-residual is the rest of its labels (:func:`reduced_rep_step`).  All
-participants are drawn from one generator per round, in participant
-order, as one stacked batch.
+A round never draws a client's rows.  A client's step reads its batch
+only through ``X b``, ``y`` and ``X^T r``, and ``x ~ N(0, I_d)`` is
+rotation invariant, so the round works in the span of ``b`` and ``B*``:
+with ``Q`` an orthonormal basis of that span (d x p, p = min(d, 2k))
+whose first k columns span ``b``, ``A = X Q`` is an m x p standard
+Gaussian matrix, ``y = A v + sigma z`` with ``v = Q^T B* w*``, and the part
+of ``X^T r`` outside ``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a standard
+Gaussian d-vector ``g``.  The rest is a function of the Bartlett factor of
+``[A z]``, and a client's head, ``||r||`` and ``A^T r`` have, jointly, the
+law of three short formulas in k + 1 chi-squares and k(k-1)/2 + p + 1
+normals (see :func:`_client_statistics`), exact for every m.  The clients'
+parts outside ``span(Q)`` sum to one d x min(n, k) Gaussian block times
+the R factor of their rows ``||r_i|| w_i`` (see :func:`_summed_move`).  So
+a round draws nine values per client at d = 20, k = 2, plus d k per round
+(:func:`_draw_round`), all clients last from one generator per round, in
+participant order.
 
 Also provides the spectral warm start: average the per-client
 second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
 top-k eigenspace.  These are fourth moments of the rows, so the warm
 start draws each participant's full rows with :func:`sample_batch`.
 """
-
-import functools
 
 import numpy as np
 
@@ -79,7 +77,7 @@ def rep_gradient_step(b, w, batch, eta):
     single batch and head, (B, d, k) for a stacked batch with heads of
     shape (B, k).  The server-side 1/n average completes the eta/(m*n)
     composite step.  A round takes this step in the summed form of
-    :func:`reduced_rep_step`; the self-checks and the tests use this one.
+    :func:`_summed_move`; the self-checks and the tests use this one.
     """
     m = batch.m
     resid = (batch.x @ (b @ w[..., None]))[..., 0] - batch.y
@@ -110,84 +108,132 @@ def method_of_moments_init(gt, participants, m, seed):
     return rank_k_eig(p_bar / len(parts), gt.k)
 
 
-@functools.cache
-def _above_diagonal(rows, cols):
-    """Indices of the entries above the diagonal of a rows x cols matrix."""
-    return np.triu_indices(rows, 1, cols)
+def _draw_round(n, k, p, d, m, rng):
+    """Every random value a round of n clients reads, clients last.
 
-
-def _draw_in_span(gt, q, parts, m, rng):
-    """Factor batches of ``parts`` drawn in ``span(q)``, and one ``g`` per client.
-
-    A client's m x (p+1) standard Gaussian block ``[A z]`` (p =
-    ``q.shape[1]``) is drawn as the R factor of its QR decomposition,
-    which has r = min(m, p+1) rows (Bartlett): entry (i, i) is
-    ``sqrt(chi2(m - i))``, the entries above the diagonal are standard
-    normal and those below are 0, all independent, so ``R^T R`` has the
-    law of ``[A z]^T [A z]``.  Draws from ``rng``, for all n clients at
-    once, the normals above the diagonal (n, row-major within R), the
-    chi-squares (n, r) and ``g`` (n, d), in that order.  Returns the
-    stacked ``Batch`` (``x`` = ``R[..., :p]``, ``y`` = ``x q^T B* w* +
-    sigma R[..., p]``, ``m`` = m) and ``g``.
+    Returns ``(r_kk, xi, t, zeta, z)``.  ``r_kk`` (k, k, n) is each client's
+    leading k x k Bartlett triangle of m samples: entry (i, i) is
+    ``sqrt(chi2(m - i))``, the entries above it are standard normal, and
+    rows m and on are 0 when m < k.  ``t`` (n,) is ``sqrt(chi2(m - k))``,
+    0 when m <= k leaves no rows below the triangle.  ``xi`` (k, n), ``zeta``
+    (p+1-k, n) and ``z`` (d, min(n, k)) are standard normal.  One
+    chi-square call draws the k+1 roots of every client (none with m - i
+    <= 0) and one normal call the rest: per client k(k-1)/2 + p + 1 values,
+    in that order, then ``z``.
     """
-    n, p = len(parts), q.shape[1]
-    r = min(m, p + 1)
-    rows, cols = _above_diagonal(r, p + 1)
-    diag = np.arange(r)
-    factor = np.zeros((n, r, p + 1))
-    factor[:, rows, cols] = rng.standard_normal((n, rows.size))
-    factor[:, diag, diag] = np.sqrt(rng.chisquare(m - diag, size=(n, r)))
-    g = rng.standard_normal((n, gt.d))
-    x, z = factor[..., :p], factor[..., p]
-    y = (x @ (gt.w_star[parts] @ (q.T @ gt.b_star).T)[..., None])[..., 0] + gt.sigma * z
-    return Batch(x=x, y=y, client_id=parts, m=m), g
+    live = min(m, k + 1)
+    roots = np.zeros((k + 1, n))
+    np.sqrt(rng.chisquare(m - np.arange(live, dtype=float)[:, None], size=(live, n)), out=roots[:live])
+    upper = k * (k - 1) // 2
+    normals = rng.standard_normal(n * (upper + p + 1) + d * min(n, k))
+    per_client, z = normals[:n * (upper + p + 1)].reshape(-1, n), normals[n * (upper + p + 1):]
+    r_kk = np.zeros((k, k, n))
+    r_kk.reshape(k * k, n)[::k + 1] = roots[:k]
+    for i in range(min(m, k - 1)):  # row i's entries above the diagonal; none past row m
+        start = i * (2 * k - i - 1) // 2
+        r_kk[i, i + 1:] = per_client[start:start + k - 1 - i]
+    return r_kk, per_client[upper:upper + k], roots[k], per_client[upper + k:], z.reshape(d, -1)
 
 
-def _factor_heads(batch, k):
-    """Heads of a factor batch drawn in a basis whose first k columns span ``b``.
+def _signal(gt, q, parts):
+    """Each client's ``v = q^T B* w*`` (p, n) and ``u = (v[k:], sigma)`` (p+1-k, n)."""
+    v = (q.T @ gt.b_star) @ gt.w_star[parts].T
+    u = np.empty((len(v) - gt.k + 1, len(parts)))
+    u[:-1], u[-1] = v[gt.k:], gt.sigma
+    return v, u
 
-    A client's projected rows are then its factor's upper-triangular block
-    ``R_kk`` over zeros, so its head, in those k coordinates, is
-    ``R_kk^{-1} y[:k]`` by back-substitution.  Returns the heads, (n, k).
-    Raises as :func:`head_update` does when ``R_kk^T R_kk / m`` is singular
-    (always when m < k); only clients whose lower bound ``det(R_kk)^2 / (m
+
+def _heads(r_kk, lead, noise, ids, m):
+    """Heads ``lead + R_kk^{-1} noise`` by back-substitution, clients last (k, n).
+
+    Column i is the least-squares head of client ``ids[i]`` on rows
+    ``R_kk`` and labels ``R_kk lead + noise``.  Raises as
+    :func:`head_update` does when ``R_kk^T R_kk / m`` is singular (always
+    when m < k); only clients whose lower bound ``det(R_kk)^2 / (m
     ||R_kk||_F^(2k-2))`` on lambda_min does not clear :data:`GRAM_TOL` are
-    checked, by :func:`head_update` on their factor rows.
+    checked, by :func:`head_update` on those rows and labels.
     """
-    t = batch.x[:, :k, :k].transpose(1, 2, 0).copy()  # every client's R_kk, clients last
-    u = batch.y[:, :k].T.copy()
-    clear = np.zeros(u.shape[1], dtype=bool)  # none when m < k leaves fewer than k factor rows
-    if len(t) == k:
-        with np.errstate(all="ignore"):
-            u[k - 1] /= t[k - 1, k - 1]
-            for i in reversed(range(k - 1)):
-                u[i] = (u[i] - (t[i, i + 1:] * u[i + 1:]).sum(axis=0)) / t[i, i]
-            flat = t.reshape(k * k, -1)
-            clear = flat[::k + 1].prod(0) ** 2 > GRAM_TOL * batch.m * (flat * flat).sum(0) ** (k - 1)
+    k = len(lead)
+    h = noise.copy()
+    h[k - 1] /= r_kk[k - 1, k - 1]
+    for i in reversed(range(k - 1)):
+        h[i] = (h[i] - (r_kk[i, i + 1:] * h[i + 1:]).sum(axis=0)) / r_kk[i, i]
+    flat = r_kk.reshape(k * k, -1)
+    clear = flat[::k + 1].prod(0) ** 2 > GRAM_TOL * m * (flat * flat).sum(0) ** (k - 1)
     if not clear.all():  # raises for a singular one
         doubtful = (~clear).nonzero()[0]
-        ids = np.ravel(batch.client_id)[doubtful]
-        head_update(np.eye(k), Batch(x=batch.x[doubtful, :, :k], y=batch.y[doubtful], client_id=ids, m=batch.m))
-    return u.T
+        rows = r_kk[..., doubtful].transpose(2, 0, 1)
+        labels = (rows @ lead[:, doubtful].T[..., None])[..., 0] + noise[:, doubtful].T
+        head_update(np.eye(k), Batch(x=rows, y=labels, client_id=ids[doubtful], m=m))
+    return lead + h
 
 
-def reduced_rep_step(q, w, batch, g):
-    """The summed update ``sum_i X_i^T r_i w_i^T`` of a factor batch drawn in ``span(q)``.
+def _client_statistics(gt, q, parts, m, draw):
+    """What a client's step reads of its batch: head, ``||r||`` and ``A^T r``.
 
-    ``q`` is ``span_basis(b, B*)``, ``w`` the heads from :func:`_factor_heads`
-    and ``g`` one standard Gaussian d-vector per client (n, d).  A head fits
-    its first k factor rows, so the residual is ``-y[k:]`` on the rest:
-    ``||r_i|| = ||y_i[k:]||`` and ``A_i^T r_i = -R_i[k:, k:]^T y_i[k:]`` on
-    the last p - k coordinates.  With ``X_i^T r_i = q A_i^T r_i + ||r_i||
-    (I - q q^T) g_i`` the sum is two products over the client axis.
-    Returned in the frame of ``q[:, :k]``; times ``q[:, :k]^T b`` it is the
-    move in ``b``'s.  :func:`rep_gradient_step` is the row form.
+    The rows of the Bartlett factor R of a client's block ``[A z]`` are
+    independent.  Its head fits the leading k rows, and its residual lives on
+    the trailing block, the factor of a rotation-invariant Wishart matrix
+    with m - k degrees of freedom.  So with ``u = (v[k:], sigma)``
+    and the draws of :func:`_draw_round`, jointly in law: the head is ``w =
+    v[:k] + R_kk^{-1} (||u|| xi)``, ``||r|| = ||u|| t``, and ``A^T r`` is 0
+    on the first k columns of ``q`` and ``-||u|| t (t u_hat + (I - u_hat
+    u_hat^T) zeta)`` on the last p - k.  Returns the heads (n, k) in the
+    frame of ``q[:, :k]``, ``||r||`` (n,) and ``-A^T r`` on the last p - k
+    columns (p-k, n).  :func:`_factor_rows` is the row form.
     """
-    k = w.shape[-1]
-    tail = batch.y[:, k:]
-    inside = np.einsum("nij,ni->jn", batch.x[:, k:, k:], tail) @ w
-    outside = g.T @ (np.sqrt(np.einsum("ni,ni->n", tail, tail))[:, None] * w)
-    return outside - q @ (q.T @ outside) - q[:, k:] @ inside
+    r_kk, xi, t, zeta, _ = draw
+    v, u = _signal(gt, q, parts)
+    size = np.sqrt((u * u).sum(axis=0))  # ||u||, in numpy so that an overflow ends at thin_qr
+    w = _heads(r_kk, v[:gt.k], size * xi, parts, m)
+    along = (u * zeta).sum(axis=0) / np.where(size > 0, size, 1.0)  # u_hat^T zeta
+    tail = t * ((t - along) * u[:-1] + size * zeta[:-1])
+    return w.T, size * t, tail
+
+
+def _factor_rows(gt, q, parts, m, draw):
+    """The row form of a draw: each client's (k+1)-row factor batch in ``span(q)``.
+
+    The rows ``[[R_kk, xi u_hat^T], [0, t u_hat + (I - u_hat u_hat^T)
+    zeta]]`` (``u_hat = u / ||u||``, ``e_1`` when u = 0), as ``x`` (n, k+1,
+    p) and labels ``y = R (v, sigma)``, standing for m samples: on ``x
+    q^T``, :func:`head_update` and :func:`rep_gradient_step` find the heads,
+    ``||r||`` and ``A^T r`` of :func:`_client_statistics`.  The self-checks'
+    and the tests' reference.
+    """
+    r_kk, xi, t, zeta, _ = draw
+    k, p, n = gt.k, q.shape[1], len(parts)
+    v, u = _signal(gt, q, parts)
+    size = np.linalg.norm(u, axis=0)
+    u_hat = np.where(size > 0, u / np.where(size > 0, size, 1.0), np.eye(len(u))[:, :1])
+    factor = np.zeros((n, k + 1, p + 1))
+    factor[:, :k, :k] = r_kk.transpose(2, 0, 1)
+    factor[:, :k, k:] = xi.T[:, :, None] * u_hat.T[:, None, :]
+    factor[:, k, k:] = (t * u_hat + zeta - u_hat * (u_hat * zeta).sum(axis=0)).T
+    y = np.einsum("nij,jn->ni", factor, np.concatenate([v[:k], u]))
+    return Batch(x=factor[..., :p], y=y, client_id=parts, m=m)
+
+
+def _summed_move(q, w, resid, tail, z):
+    """The summed update ``sum_i X_i^T r_i w_i^T`` in the head frame of ``q``.
+
+    ``w``, ``resid`` and ``tail`` are from :func:`_client_statistics`.
+    Inside ``span(q)`` the sum is ``-q[:, k:] tail w``.  Outside it is
+    ``(I - q q^T) G^T C`` for an n x d standard Gaussian ``G`` and ``C`` the
+    n x k matrix of rows ``||r_i|| w_i``; with ``C = Q_C R_C`` (thin QR),
+    ``G^T Q_C`` is a d x min(n, k) standard Gaussian, so ``G^T C`` has the law
+    of ``z R_C`` for every ``C``, zero included (``R_C = C`` when n <= k,
+    where ``z`` is ``G^T`` itself).  Times ``q[:, :k]^T b`` it is the move
+    in ``b``'s frame; :func:`rep_gradient_step` is the row form of one
+    client's.
+    """
+    r_c = resid[:, None] * w
+    if len(r_c) > z.shape[1]:  # n > k; for n <= k, C itself is a factor
+        r_c = np.linalg.qr(r_c, mode="raw")[0].T[:z.shape[1]]  # R_C on and above the diagonal, reflectors below
+        for i in range(1, len(r_c)):
+            r_c[i, :i] = 0.0
+    outside = z @ r_c
+    return outside - q @ (q.T @ outside) - q[:, w.shape[1]:] @ (tail @ w)
 
 
 def fedrep_round(b, gt, participants, m, eta, seed, round_index):
@@ -195,15 +241,15 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
 
     ``round_index`` is the 1-based round number.  Every id is checked
     before the first draw.  The round's basis is ``span_basis(b, B*)``,
-    and one generator, keyed on ``(seed, round_index)``, draws every
-    participant's batch in participant order (see :func:`_draw_in_span`),
-    so a participant's batch depends on its place in the round while the
-    trace stays a pure function of the config.  Each participant solves
-    its head afresh; the updates are summed into one d x k move (see
-    :func:`reduced_rep_step`), and the round returns the thin QR of ``b -
-    eta/(m*n) move``.  Raises with the offending client id when a local
-    solve fails, and when the moved ``b`` collapses or is not finite (see
-    :func:`thin_qr`); an overflow on the way there issues no numpy warning.
+    and one generator, keyed on ``(seed, round_index)``, draws what every
+    participant's step reads (see :func:`_draw_round`), so a participant's
+    draws depend on its place in the round while the trace stays a pure
+    function of the config.  Each participant solves its head afresh; the
+    updates are summed into one d x k move (see :func:`_summed_move`), and
+    the round returns the thin QR of ``b - eta/(m*n) move``.  Raises with
+    the offending client id when a local solve fails, and when the moved
+    ``b`` collapses or is not finite (see :func:`thin_qr`); an overflow on
+    the way there issues no numpy warning.
     """
     parts = np.asarray(participants, dtype=int)
     if not parts.size:
@@ -212,8 +258,8 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     if bad.size:
         raise SrpflError(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
     q = span_basis(b, gt.b_star)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends at thin_qr's finiteness check
-        batch, g = _draw_in_span(gt, q, parts, m, substream(seed, TAG_ROUND, round_index))
-        move = reduced_rep_step(q, _factor_heads(batch, gt.k), batch, g) @ (q[:, :gt.k].T @ b)
-        step = b - (eta / (m * len(parts))) * move
+    with np.errstate(all="ignore"):  # an overflow ends at thin_qr's finiteness check, a zero pivot at the head check
+        draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))
+        move = _summed_move(q, *_client_statistics(gt, q, parts, m, draw), draw[-1]) @ (q[:, :gt.k].T @ b)
+        step = b - (eta / (m * parts.size)) * move
     return thin_qr(step)[0]

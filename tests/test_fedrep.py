@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srpfl import fedrep, linalg, synthesis
 from srpfl.errors import SrpflError
@@ -155,29 +157,53 @@ class TestFedrepRound:
         with pytest.raises(SrpflError, match="projected Gram matrix singular .* for client"):
             fedrep.fedrep_round(gt.b_star, gt, [0, 1], m=1, eta=0.1, seed=15, round_index=1)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_batch_of_k_samples_does_not_move(self, sigma):
+        # m = k: every head fits its k samples exactly, so no residual is
+        # left and the step is b itself
+        gt = synthesis.gen_ground_truth(7, 3, 6, sigma, seed=16)
+        b, _ = linalg.thin_qr(np.random.default_rng(5).standard_normal((7, 3)))
+        new = fedrep.fedrep_round(b, gt, range(6), m=3, eta=0.5, seed=16, round_index=2)
+        assert linalg.principal_angle_dist(new, b) <= 1e-12
 
-def row_steps(gt, b, m, draws, seed):
-    """One client's step on ``draws`` independent ``sample_batch`` row batches."""
-    steps = []
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fewer_samples_than_k_names_the_first_participant(self, m):
+        gt = synthesis.gen_ground_truth(7, 3, 6, 0.3, seed=17)
+        b, _ = linalg.thin_qr(np.random.default_rng(6).standard_normal((7, 3)))
+        with pytest.raises(SrpflError, match=rf"^projected Gram matrix singular \(lambda_min=\S+\) for client 4 at m={m}$"):
+            fedrep.fedrep_round(b, gt, [4, 0, 5], m=m, eta=0.1, seed=17, round_index=1)
+
+
+def row_batches(gt, m, draws, seed):
+    """``draws`` independent ``sample_batch`` row batches of client 0, stacked 2000 at a time."""
     for start in range(1, draws + 1, 2000):
         batches = [synthesis.sample_batch(gt, 0, m, t, seed) for t in range(start, start + 2000)]
-        rows = synthesis.Batch(
+        yield synthesis.Batch(
             x=np.stack([x.x for x in batches]), y=np.stack([x.y for x in batches]),
             client_id=np.zeros(len(batches), dtype=int),
         )
-        steps.append(fedrep.rep_gradient_step(b, fedrep.head_update(b, rows), rows, 1.0))
-    return np.concatenate(steps)
 
 
-def client_moves(q, w, batch, g):
-    """Each client's own update ``X_i^T r_i w_i^T``, in the head frame of ``q``:
-    the summed move of its slice alone."""
-    return np.stack([
-        fedrep.reduced_rep_step(q, w[i:i + 1], synthesis.Batch(
-            x=batch.x[i:i + 1], y=batch.y[i:i + 1], client_id=batch.client_id[i:i + 1], m=batch.m,
-        ), g[i:i + 1])
-        for i in range(len(w))
+def row_steps(gt, b, m, draws, seed):
+    """One client's step on ``draws`` independent ``sample_batch`` row batches."""
+    return np.concatenate([
+        fedrep.rep_gradient_step(b, fedrep.head_update(b, rows), rows, 1.0) for rows in row_batches(gt, m, draws, seed)
     ])
+
+
+def client_moves(q, w, resid, tail, g):
+    """Each client's own update ``X_i^T r_i w_i^T``, in the head frame of ``q``:
+    the summed move of its statistics alone, with its own (d, 1) Gaussian ``g[i]``."""
+    return np.stack([
+        fedrep._summed_move(q, w[i:i + 1], resid[i:i + 1], tail[:, i:i + 1], g[i]) for i in range(len(w))
+    ])
+
+
+def ks_distance(a, b):
+    """Two-sample Kolmogorov-Smirnov distance between the samples ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return np.max(np.abs(np.searchsorted(a, grid, side="right") / len(a) - np.searchsorted(b, grid, side="right") / len(b)))
 
 
 class TestBlockedRound:
@@ -185,34 +211,42 @@ class TestBlockedRound:
     @pytest.mark.parametrize("d, k, m", [(6, 2, 25), (12, 3, 8), (5, 3, 9), (12, 3, 4)])
     @pytest.mark.parametrize("sigma", [0.0, 0.4])
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
-        # each client's rows are its factor's X = R[:, :p] q^T, standing for
-        # m samples, so X^T r lies in span(q): the back-substituted head,
-        # turned into b's frame by vt = q[:, :k]^T b, and the in-span part of
-        # the client's reduced move are the row loop's, and the rest is
-        # -(eta/m) ||r|| (I - q q^T) g w^T (d = 5 < 2k leaves no rest); the
-        # round is the thin QR of the row loop's averaged steps
+        # each client's rows are the (k+1)-row factor rebuilt from its draw,
+        # X = R[:, :p] q^T, standing for m samples, so X^T r lies in span(q):
+        # the back-substituted head, turned into b's frame by vt = q[:, :k]^T b,
+        # ||r|| and the in-span part of the summed move are the row loop's.
+        # The rest, (I - q q^T) z R_C (d = 5 < 2k leaves none), must have
+        # R_C^T R_C = sum_i ||r_i||^2 w_i w_i^T, the covariance of
+        # sum_i ||r_i|| g_i w_i^T; the round is the thin QR of the average of
+        # b plus the row loop's moves plus that rest
         gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
         b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
         q = linalg.span_basis(b, gt.b_star)
-        batch, g = fedrep._draw_in_span(gt, q, ids, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
-        u = fedrep._factor_heads(batch, k)
+        draw = fedrep._draw_round(n, k, q.shape[1], d, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
+        u, resid, tail = fedrep._client_statistics(gt, q, ids, m, draw)
+        factor = fedrep._factor_rows(gt, q, ids, m, draw)
         vt = q[:, :k].T @ b
         w = u @ vt
-        moves = -(0.2 / m) * client_moves(q, u, batch, g) @ vt
-        inside = q @ (q.T @ moves)
-        steps = []
+        row_moves, gram = np.zeros((d, k)), np.zeros((k, k))
         for i, cid in enumerate(ids):
-            rows = synthesis.Batch(x=batch.x[i] @ q.T, y=batch.y[i], client_id=cid, m=m)
+            rows = synthesis.Batch(x=factor.x[i] @ q.T, y=factor.y[i], client_id=cid, m=m)
             w_rows = fedrep.head_update(b, rows)
             np.testing.assert_allclose(w[i], w_rows, rtol=0, atol=1e-12)
-            row_move = fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
-            np.testing.assert_allclose(inside[i], row_move, rtol=0, atol=1e-12)
-            resid = np.linalg.norm(rows.x @ (b @ w_rows) - rows.y)
-            rest = -(0.2 / m) * resid * np.outer(g[i] - q @ (q.T @ g[i]), w[i])
-            np.testing.assert_allclose(moves[i] - inside[i], rest, rtol=0, atol=1e-12)
-            steps.append(b + row_move + rest)
-        expected, _ = linalg.thin_qr(sum(steps) / n)
+            resid_rows = np.linalg.norm(rows.x @ (b @ w_rows) - rows.y)
+            np.testing.assert_allclose(resid[i], resid_rows, rtol=1e-12, atol=1e-12)
+            row_moves += fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
+            gram += resid_rows**2 * np.outer(u[i], u[i])
+        move = fedrep._summed_move(q, u, resid, tail, draw[-1])
+        inside = q @ (q.T @ move)
+        np.testing.assert_allclose(-(0.2 / m) * inside @ vt, row_moves, rtol=0, atol=1e-12)
+        perp_z = draw[-1] - q @ (q.T @ draw[-1])
+        if q.shape[1] < d:
+            r_c = np.linalg.lstsq(perp_z, move - inside, rcond=None)[0]
+            np.testing.assert_allclose(r_c.T @ r_c, gram, rtol=0, atol=1e-10 * max(1.0, np.abs(gram).max()))
+        else:
+            np.testing.assert_allclose(move - inside, 0.0, rtol=0, atol=1e-12)
+        expected, _ = linalg.thin_qr(b + (row_moves - (0.2 / m) * (move - inside) @ vt) / n)
         np.testing.assert_allclose(
             fedrep.fedrep_round(b, gt, ids, m, 0.2, seed=21, round_index=1), expected, rtol=0, atol=1e-12,
         )
@@ -224,7 +258,7 @@ class TestBlockedRound:
         # step's part inside span(b) degenerate); dist(b, B*) = 0.37.  Two
         # row samplers with different seeds differ here by 0.078 in
         # covariance and 3.2 standard errors in mean, the reduced sampler
-        # by 0.079 and 2.2; a 5% error in the ||r|| term gives 0.14 and a
+        # by 0.080 and 2.3; a 5% error in the ||r|| term gives 0.13 and a
         # 10% error in sigma 0.20
         d, k, m, draws = 20, 2, 100, 20_000
         gt = synthesis.gen_ground_truth(d, k, 1, 0.5, seed=31)
@@ -235,9 +269,9 @@ class TestBlockedRound:
         rng = np.random.default_rng(33)
         reduced = []
         for _ in range(draws // 2000):
-            batch, g = fedrep._draw_in_span(gt, q, np.zeros(2000, dtype=int), m, rng)
-            u = fedrep._factor_heads(batch, k)
-            reduced.append(b - client_moves(q, u, batch, g) @ vt / m)
+            draw = fedrep._draw_round(2000, k, q.shape[1], d, m, rng)
+            stats = fedrep._client_statistics(gt, q, np.zeros(2000, dtype=int), m, draw)
+            reduced.append(b - client_moves(q, *stats, rng.standard_normal((2000, d, 1))) @ vt / m)
         reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
         rows = (perp.T @ row_steps(gt, b, m, draws, seed=31)).reshape(draws, -1)
         white = np.linalg.inv(np.linalg.cholesky(np.cov(rows.T)))
@@ -246,40 +280,41 @@ class TestBlockedRound:
         assert np.linalg.norm(cov - np.eye(len(cov))) / np.sqrt(len(cov)) <= 0.10
         assert np.max(np.abs(z.mean(axis=0))) * np.sqrt(draws / 2) <= 4.0
 
-    @pytest.mark.parametrize("m", [100, 3])
-    def test_factor_gram_has_the_law_of_the_rows(self, m):
-        # 20 000 factor batches against 20 000 directly drawn m x (p+1)
-        # Gaussian blocks M (d=20, k=2, p=4; m=3 < p+1 leaves R trapezoidal):
-        # the upper entries of R^T R and of M^T M must both have the Wishart
-        # mean m I (largest error 2.3 standard errors for R, 2.2 for M) and
-        # covariance m (d_ik d_jl + d_il d_jk) (largest error 0.075 m for R,
-        # 0.063 m for M).  A chi-square degree of freedom one too many reads
-        # 11 standard errors or more, one too few cannot draw at m=3, and a
-        # missing sqrt reads 690
-        d, k, sigma, draws = 20, 2, 0.5, 20_000
+    @pytest.mark.parametrize("m, sigma", [(100, 0.5), (3, 0.5), (3, 0.0)])
+    def test_statistics_have_the_joint_law_of_the_rows(self, m, sigma):
+        # 20 000 clients' head, ||r|| and A^T r from round draws against the
+        # same of 20 000 sample_batch row batches fitted by head_update, in
+        # the coordinates of q (d=20, k=2, p=4; m=3 < p+1 leaves one row
+        # below R_kk and a head with no finite variance, so the laws are
+        # compared by two-sample Kolmogorov-Smirnov distance): on each of the
+        # five numbers and on each product of two, which couples them.
+        # Largest distance 0.022, at m=100 (two row samplers with different
+        # seeds read 0.015 there, and two other reduced seeds 0.016).  A t
+        # with one degree of freedom too many reads 0.31 at m=3, R_kk's
+        # diagonal with one too many 0.077, ||u|| without sigma 0.36 and a 10%
+        # error in sigma 0.070 at m=100, ||r|| 5% too large 0.27, and zeta
+        # not projected off u_hat 0.050 to 0.20
+        d, k, draws = 20, 2, 20_000
         gt = synthesis.gen_ground_truth(d, k, 1, sigma, seed=41)
         b, _ = linalg.thin_qr(np.random.default_rng(42).standard_normal((d, k)))
         q = linalg.span_basis(b, gt.b_star)
-        p = q.shape[1]
-        rng = np.random.default_rng(43)
-        batch, _ = fedrep._draw_in_span(gt, q, np.zeros(draws, dtype=int), m, rng)
-        assert batch.m == m and batch.x.shape == (draws, min(m, p + 1), p)
-        signal = batch.x @ (gt.w_star[0] @ (q.T @ gt.b_star).T)
-        factor = np.concatenate([batch.x, ((batch.y - signal) / sigma)[..., None]], axis=-1)
-        np.testing.assert_array_equal(np.tril(factor, -1), 0.0)
-        direct = rng.standard_normal((draws, m, p + 1))
-        upper = np.triu_indices(p + 1)
-        eye = np.eye(p + 1)
-        mean = m * eye[upper]
-        cov = m * (
-            eye[upper[0][:, None], upper[0]] * eye[upper[1][:, None], upper[1]]
-            + eye[upper[0][:, None], upper[1]] * eye[upper[1][:, None], upper[0]]
+        draw = fedrep._draw_round(draws, k, q.shape[1], d, m, np.random.default_rng(43))
+        w, resid, tail = fedrep._client_statistics(gt, q, np.zeros(draws, dtype=int), m, draw)
+        reduced = np.column_stack([w, resid, -tail.T])
+        rows = []
+        for batch in row_batches(gt, m, draws, seed=41):
+            heads = fedrep.head_update(q[:, :k], batch)
+            r = (batch.x @ (q[:, :k] @ heads[..., None]))[..., 0] - batch.y
+            a_r = (np.einsum("nij,ni->nj", batch.x, r)) @ q
+            assert np.max(np.abs(a_r[:, :k])) <= 1e-9 * (1.0 + np.max(np.abs(a_r)))
+            rows.append(np.column_stack([heads, np.linalg.norm(r, axis=1), a_r[:, k:]]))
+        rows = np.concatenate(rows)
+        pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+        worst = max(
+            ks_distance(reduced[:, i] * (reduced[:, j] if i != j else 1.0), rows[:, i] * (rows[:, j] if i != j else 1.0))
+            for i, j in pairs
         )
-        for blocks in (factor, direct):
-            entries = (blocks.swapaxes(-1, -2) @ blocks)[:, upper[0], upper[1]]
-            z = (entries.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / draws)
-            assert np.max(np.abs(z)) <= 4.5
-            assert np.max(np.abs(np.cov(entries.T) - cov)) <= 0.15 * m
+        assert worst <= 0.03
 
     def test_stacked_singular_gram_names_its_client(self):
         rng = np.random.default_rng(22)
@@ -321,30 +356,28 @@ class TestBlockedRound:
     def test_factor_head_check_is_not_diagonal_only(self, corner, singular):
         # every R_kk has a unit diagonal; client 5's [[1, 1e7], [0, 1]] has
         # sigma_min^2 / m = 1e-16 <= GRAM_TOL and must be named, while with
-        # the corner at 0.5 every head is the least-squares fit of its
-        # factor rows
-        m, k, p = 100, 2, 4
+        # the corner at 0.5 every head is the least-squares fit of labels
+        # R_kk lead + noise on rows R_kk
+        m, k = 100, 2
         rng = np.random.default_rng(26)
-        x = np.triu(rng.standard_normal((3, p + 1, p)))
-        x[:, :k, :k] = [[1.0, 0.5], [0.0, 1.0]]
-        x[1, 0, 1] = corner
-        batch = synthesis.Batch(
-            x=x, y=rng.standard_normal((3, p + 1)), client_id=np.array([4, 5, 6]), m=m,
-        )
+        r_kk = np.repeat(np.array([[1.0, 0.5], [0.0, 1.0]])[..., None], 3, axis=2)
+        r_kk[0, 1, 1] = corner
+        lead, noise = rng.standard_normal((2, k, 3))
         if singular:
             with pytest.raises(SrpflError, match=r"projected Gram matrix singular .* for client 5 at m=100"):
-                fedrep._factor_heads(batch, k)
+                fedrep._heads(r_kk, lead, noise, np.array([4, 5, 6]), m)
             return
-        w = fedrep._factor_heads(batch, k)
+        w = fedrep._heads(r_kk, lead, noise, np.array([4, 5, 6]), m)
         for i in range(3):
+            rows = r_kk[..., i]
             np.testing.assert_allclose(
-                w[i], np.linalg.lstsq(x[i, :, :k], batch.y[i], rcond=None)[0], rtol=1e-12, atol=0,
+                w[:, i], np.linalg.lstsq(rows, rows @ lead[:, i] + noise[:, i], rcond=None)[0], rtol=1e-12, atol=0,
             )
 
     def test_round_lapack_budget(self, monkeypatch):
         # one well-conditioned round at n=256: the heads are back-substitutions,
         # so no solve or eigendecomposition runs; one qr and one svd build the
-        # basis, one of each is thin_qr's
+        # basis, one qr is the off-span factor R_C, and one of each is thin_qr's
         gt = synthesis.gen_ground_truth(20, 2, 256, 0.5, seed=27)
         b, _ = linalg.thin_qr(np.random.default_rng(28).standard_normal((20, 2)))
         calls = {name: 0 for name in ("solve", "eigvalsh", "eigh", "qr", "svd")}
@@ -356,7 +389,39 @@ class TestBlockedRound:
             monkeypatch.setattr(np.linalg, name, spy)
         fedrep.fedrep_round(b, gt, range(256), m=100, eta=0.1, seed=27, round_index=1)
         assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
-        assert 1 <= calls["qr"] <= 2 and 1 <= calls["svd"] <= 2
+        assert 1 <= calls["qr"] <= 3 and 1 <= calls["svd"] <= 2
+
+    @pytest.mark.parametrize("n, k, m, chi_squares", [(256, 2, 100, 256 * 3), (5, 3, 2, 5 * 2)])
+    def test_round_draw_budget(self, monkeypatch, n, k, m, chi_squares):
+        # a round draws n(k+1) chi-squares, k+1 roots per client (only m
+        # when m <= k: a triangle of m samples has m rows), and n(k(k-1)/2 +
+        # p + 1) + d min(n, k) normals: at d=20, k=2 (p=4) nine values per
+        # client plus 40 per round, and no n x d block
+        d, p = 20, 2 * k
+        gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=29)
+        b, _ = linalg.thin_qr(np.random.default_rng(30).standard_normal((d, k)))
+        drawn = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def chisquare(self, df, size):
+                drawn.append(("chisquare", int(np.prod(size))))
+                return self.rng.chisquare(df, size)
+
+            def standard_normal(self, size):
+                drawn.append(("standard_normal", int(np.prod(size))))
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(fedrep, "substream", lambda *key: Counting(synthesis.substream(*key)))
+        normals = n * (k * (k - 1) // 2 + p + 1) + d * min(n, k)
+        if m <= k:
+            with pytest.raises(SrpflError, match="projected Gram matrix singular"):
+                fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
+        else:
+            fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
+        assert drawn == [("chisquare", chi_squares), ("standard_normal", normals)]
 
     def test_one_singular_client_among_many_is_named(self):
         # 300 well-conditioned clients and one, id 1217, whose projected
@@ -400,3 +465,31 @@ def test_warm_start_matches_per_client_loop():
         p_bar += (batch.x.T * batch.y**2) @ batch.x / 8
     expected = linalg.rank_k_eig(p_bar / len(ids), 3)
     assert np.array_equal(fedrep.method_of_moments_init(gt, ids, 8, seed=23), expected)
+
+
+@st.composite
+def round_cases(draw):
+    """Small (d, k, m > k, n, sigma) and the seed of ``b``.  d >= 2k: below it
+    span(b) and span(B*) share directions whose principal vectors are not
+    unique, so the round's basis, and with it a draw's realization, though
+    not its law, depends on b's columns."""
+    k = draw(st.integers(1, 3))
+    return (
+        draw(st.integers(2 * k, 8)), k, draw(st.integers(k + 1, k + 12)), draw(st.integers(1, 6)),
+        draw(st.just(0.0) | st.floats(0.01, 2.0)), draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(round_cases())
+def test_round_is_a_pure_function_of_the_span(case):
+    d, k, m, n, sigma, seed = case
+    gt = synthesis.gen_ground_truth(d, k, n, sigma, seed=seed)
+    rng = np.random.default_rng(seed)
+    b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
+    rot, _ = linalg.thin_qr(rng.standard_normal((k, k)))
+    new = fedrep.fedrep_round(b, gt, range(n), m, 0.2, seed, round_index=3)
+    assert new.shape == (d, k) and np.isfinite(new).all() and linalg.is_orthonormal(new)
+    assert fedrep.fedrep_round(b, gt, range(n), m, 0.2, seed, round_index=3).tobytes() == new.tobytes()
+    turned = fedrep.fedrep_round(b @ rot, gt, range(n), m, 0.2, seed, round_index=3)
+    assert linalg.principal_angle_dist(new, turned) <= 1e-10
