@@ -26,11 +26,10 @@ def contraction(config):
     """
     trace = engine.run(config)
     w_star = synthesis.gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed).w_star
-    e0 = 1.0 - trace.init_dist**2
     dist_before, margins = trace.init_dist, []
     for record, ids in zip(trace.records, trace.participants):
         s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
-        a_t = straggler.contraction_factor(trace.eta, e0, s_min)
+        a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
         shrink = math.sqrt(1.0 - a_t)
         rhs = shrink * dist_before + (1.0 - shrink) * straggler.noise_floor(a_t, record.n / config.n0)
         margins.append(record.dist - rhs)

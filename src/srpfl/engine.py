@@ -2,8 +2,8 @@
 
 A run initializes the shared representation (spectral warm start by
 default), then iterates communication rounds grouped into doubling
-stages: draw per-client times, keep the fastest n, update the model,
-accumulate simulated wall-clock, and measure the true subspace distance
+stages: keep the fastest n slots, update the model, accumulate the
+round's simulated wall-clock, and measure the true subspace distance
 with oracle access to the hidden representation.  The full-participation
 baseline is the same loop with a single stage of size N.
 
@@ -34,9 +34,8 @@ from .straggler import (
     check_c_hat,
     check_contraction_factor,
     contraction_factor,
-    draw_round_times,
-    fastest_first,
     participant_ladder,
+    select_fastest,
     target_accuracy,
 )
 from .synthesis import TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_SUBSET_PROBE, gen_ground_truth, substream
@@ -62,9 +61,9 @@ class RunConfig:
 
     ``eta``, ``a`` and ``epsilon`` may be None, in which case they are
     derived from the ground truth with oracle access: eta as
-    1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2 clamped into
-    [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from the
-    target-accuracy formula.  The sigma extremes are measured over
+    1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2, E0 = 1 - init_dist^2,
+    clamped into [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from
+    the target-accuracy formula.  The sigma extremes are measured over
     sampled participant subsets of every ladder size, see
     :func:`measure_singular_extremes`.  Every float must be finite.
     """
@@ -207,10 +206,10 @@ def run(config):
     """Execute one run and return its trace; pure function of the config.
 
     Stages follow :func:`build_stage_plan`; the full-participation
-    baseline is the plan with n0 = N, a single stage.  Each round: draw
-    slot times, keep the fastest n, run one communication round,
-    accumulate wall-clock, measure the oracle distance.  Before each
-    round one rule decides, in this order:
+    baseline is the plan with n0 = N, a single stage.  Each round:
+    :func:`select_fastest` keeps the fastest n slots and prices the round,
+    one communication round runs, the wall-clock accumulates, the oracle
+    distance is measured.  Before each round one rule decides, in this order:
 
     1. the last round reached epsilon: the run ends;
     2. the stage is over, its distance at its exit threshold or its round
@@ -245,7 +244,7 @@ def run(config):
     else:
         b0, _ = thin_qr(substream(config.seed, TAG_RANDOM_INIT).standard_normal((gt.d, gt.k)))
     init_dist = principal_angle_dist(b0, gt.b_star)
-    a = config.a if config.a is not None else contraction_factor(eta, 1.0 - init_dist**2, s_min)
+    a = config.a if config.a is not None else contraction_factor(eta, init_dist, s_min)
     epsilon = (
         config.epsilon
         if config.epsilon is not None
@@ -284,14 +283,12 @@ def run(config):
             active = _sample_active(config, round_index)
         elif stage > 0 and done == first:
             active = _sample_active(config, stage)
-        times = draw_round_times(speed, round_index)
-        order = fastest_first(speed, times)
-        ids = active[order[:n_r]]
+        slots, elapsed = select_fastest(speed, round_index, n_r)
+        ids = active[slots]
         try:
             b = fedrep_round(b, gt, ids, config.m, eta, config.seed, round_index)
         except SrpflError as exc:
             raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
-        elapsed = float(times[order[n_r - 1]]) + speed.comm_cost  # the slowest chosen
         cumulative += elapsed
         if not math.isfinite(cumulative):
             raise SrpflError(

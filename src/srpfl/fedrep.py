@@ -40,6 +40,17 @@ from .synthesis import TAG_ROUND, Batch, sample_batch, substream
 GRAM_TOL = 1e-10
 
 
+def _check_gram(gram, client_ids, m):
+    """Raise naming the first client whose Gram slice has lambda_min <= :data:`GRAM_TOL`."""
+    eig_min = np.ravel(np.linalg.eigvalsh(gram)[..., 0])
+    first = np.argmax(eig_min <= GRAM_TOL)
+    if eig_min[first] <= GRAM_TOL:
+        raise SrpflError(
+            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
+            f"for client {np.ravel(client_ids)[first]} at m={m}"
+        )
+
+
 def head_update(b, batch):
     """Exact local head: the least-squares minimizer of ``||y - X b w||``.
 
@@ -51,21 +62,12 @@ def head_update(b, batch):
     Raises
     ------
     SrpflError
-        If a projected Gram matrix, symmetric positive semidefinite, has
-        an eigenvalue at or below :data:`GRAM_TOL` (every slice is checked
-        with ``eigvalsh``); the batch is too small (m < k) or degenerate.
-        The message names the first such client of the batch.
+        If a projected Gram matrix has an eigenvalue at or below
+        :data:`GRAM_TOL`, checked per slice with ``eigvalsh``: the batch is
+        too small (m < k) or degenerate.  The message names its first such client.
     """
     xb = batch.x @ b
-    gram = xb.swapaxes(-1, -2) @ xb / batch.m
-    eig_min = np.ravel(np.linalg.eigvalsh(gram)[..., 0])
-    singular = np.flatnonzero(eig_min <= GRAM_TOL)
-    if singular.size:
-        first = singular[0]
-        raise SrpflError(
-            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
-            f"for client {np.ravel(batch.client_id)[first]} at m={batch.m}"
-        )
+    _check_gram(xb.swapaxes(-1, -2) @ xb / batch.m, batch.client_id, batch.m)
     q, r = np.linalg.qr(xb)  # not the normal equations, which square X b's condition number
     return np.linalg.solve(r, q.swapaxes(-1, -2) @ batch.y[..., None])[..., 0]
 
@@ -151,7 +153,7 @@ def _heads(r_kk, lead, noise, ids, m):
     :func:`head_update` does when ``R_kk^T R_kk / m`` is singular (always
     when m < k); only clients whose lower bound ``det(R_kk)^2 / (m
     ||R_kk||_F^(2k-2))`` on lambda_min does not clear :data:`GRAM_TOL` are
-    checked, by :func:`head_update` on those rows and labels.
+    checked, with ``eigvalsh`` on that Gram matrix.
     """
     k = len(lead)
     h = noise.copy()
@@ -161,10 +163,8 @@ def _heads(r_kk, lead, noise, ids, m):
     flat = r_kk.reshape(k * k, -1)
     clear = flat[::k + 1].prod(0) ** 2 > GRAM_TOL * m * (flat * flat).sum(0) ** (k - 1)
     if not clear.all():  # raises for a singular one
-        doubtful = (~clear).nonzero()[0]
-        rows = r_kk[..., doubtful].transpose(2, 0, 1)
-        labels = (rows @ lead[:, doubtful].T[..., None])[..., 0] + noise[:, doubtful].T
-        head_update(np.eye(k), Batch(x=rows, y=labels, client_id=ids[doubtful], m=m))
+        rows = r_kk[..., ~clear].transpose(2, 0, 1)
+        _check_gram(rows.swapaxes(-1, -2) @ rows / m, ids[~clear], m)
     return lead + h
 
 

@@ -74,11 +74,12 @@ def span_basis(lead, other):
     ``other``, and the rest span the part of ``other``'s principal vectors
     ``other v`` outside ``span(lead)``, taken from the largest principal
     angle down, so that when d < k + j the directions ``other`` shares with
-    ``lead`` are the ones left out.  So ``q`` depends on each input only
-    through its span, up to rounding.  Each column's largest-magnitude
-    entry is positive.  Built from a Householder QR of ``[lead u, other v]``,
-    so ``q`` stays orthonormal to machine precision when ``other`` nearly
-    lies in ``span(lead)``.
+    ``lead`` are the ones left out.  When d >= k + j, ``q`` depends on each
+    input only through its span, up to rounding; below that, the spans share
+    directions, tied at principal angle 0, whose principal vectors are left to
+    rounding.  Each column's largest-magnitude entry is positive.  Built from a
+    Householder QR of ``[lead u, other v]``, so ``q`` stays orthonormal to
+    machine precision when ``other`` nearly lies in ``span(lead)``.
     """
     u, _, vt = np.linalg.svd(lead.T @ other)
     q = np.linalg.qr(np.hstack([lead @ u, other @ vt[::-1].T]))[0]

@@ -1,11 +1,12 @@
 """Client timing models, fastest-n selection, and the doubling schedule.
 
 Round times come from exponential laws: either one fixed draw per client
-reused every round, or fresh per-round draws with per-client rates.  The
-schedule formulas are exact closed forms for the fixed exponential model:
-:func:`build_stage_plan` computes the expected order statistic of each
-rung of the participant ladder once and derives every doubling point and
-round budget from that list; :func:`target_accuracy` gives the target.
+reused every round, or fresh per-round draws with per-client rates; one
+call, :func:`select_fastest`, selects a round's slots and prices the round.
+The schedule formulas are exact closed forms for the fixed exponential
+model: :func:`build_stage_plan` computes the expected order statistic of
+each rung of the participant ladder once and derives every doubling point
+and round budget from that list; :func:`target_accuracy` gives the target.
 Logarithms in the budget and bound formulas are natural logs.
 """
 
@@ -65,7 +66,7 @@ class SpeedModel:
         if lam <= 0:
             raise ConfigError(f"exponential rate must be positive, got {lam}")
         times = substream(seed, TAG_FIXED_TIMES).exponential(1.0 / lam, size=n_slots)
-        order = select_fastest(times, n_slots)
+        order = _fastest_first(times)
         times.setflags(write=False)  # every round shares these arrays
         order.setflags(write=False)
         return SpeedModel(lam=float(lam), comm_cost=float(comm_cost), seed=seed, times=times, order=order)
@@ -91,18 +92,19 @@ def draw_round_times(model, round_index):
     return rng.exponential(1.0, size=model.per_client_rates.size) / model.per_client_rates
 
 
-def select_fastest(times, n):
-    """Indices of the ``n`` smallest times, fastest first, ties by lowest index."""
-    times = np.asarray(times, dtype=float)
+def _fastest_first(times):
+    return np.argsort(times, kind="stable")  # ties by lowest index
+
+
+def select_fastest(model, round_index, n):
+    """``(slots, round_time)`` of the times :func:`draw_round_times` draws: the
+    ``n`` fastest slots, fastest first, ties by lowest index (a prefix of a
+    fixed model's ``order``), and the slowest one's time plus ``comm_cost``."""
+    times = draw_round_times(model, round_index)
     if not 1 <= n <= times.size:
         raise SrpflError(f"cannot select {n} of {times.size} clients")
-    return np.argsort(times, kind="stable")[:n]
-
-
-def fastest_first(model, times):
-    """Every slot, fastest first, ties by lowest index: the fixed model's
-    ``order``, computed once, or that of this round's fresh ``times``."""
-    return model.order if model.order is not None else select_fastest(times, times.size)
+    slots = (model.order if model.order is not None else _fastest_first(times))[:n]
+    return slots, float(times[slots[-1]]) + model.comm_cost
 
 
 def expected_order_stat(n, j, lam):
@@ -117,9 +119,9 @@ def expected_order_stat(n, j, lam):
     return sum(1.0 / i for i in range(n - j + 1, n + 1)) / lam
 
 
-def contraction_factor(eta, e0, s_min):
-    """(1/2) eta E0 sigma_min^2, clamped into [A_MIN, A_MAX]."""
-    return min(max(0.5 * eta * e0 * s_min**2, A_MIN), A_MAX)
+def contraction_factor(eta, init_dist, s_min):
+    """(1/2) eta E0 sigma_min^2 with E0 = 1 - init_dist^2, clamped into [A_MIN, A_MAX]."""
+    return min(max(0.5 * eta * (1.0 - init_dist**2) * s_min**2, A_MIN), A_MAX)
 
 
 def check_contraction_factor(a):

@@ -74,7 +74,8 @@ class TestRun:
                  else straggler.SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed))
         for record, ids in zip(trace.records, trace.participants):
             times = straggler.draw_round_times(model, record.round_index)
-            np.testing.assert_array_equal(ids, straggler.select_fastest(times, record.n))
+            fastest = sorted(range(cfg.n_total), key=lambda i: (times[i], i))[:record.n]
+            np.testing.assert_array_equal(ids, fastest)
             assert record.round_time == float(np.max(times[ids])) + 0.7
 
     def test_noise_floor_shrinks_with_participation(self):
@@ -221,6 +222,22 @@ def test_one_fedrep_round_call_per_round(monkeypatch, plan_mode, stages, reached
     assert trace.reached_target == reached
 
 
+@pytest.mark.parametrize("speed_kind", ["fixed", "dynamic"])
+def test_one_selection_per_round(monkeypatch, speed_kind):
+    # engine.run looks select_fastest up by name, once per round, with the round's n
+    calls = []
+    real_select = engine.select_fastest
+
+    def counted(model, round_index, n):
+        calls.append((round_index, n))
+        return real_select(model, round_index, n)
+
+    monkeypatch.setattr(engine, "select_fastest", counted)
+    trace = engine.run(RunConfig(**GUARD_CONFIG, plan_mode="analytic", speed_kind=speed_kind))
+    assert calls == [(r.round_index, r.n) for r in trace.records]
+    assert len({n for _, n in calls}) > 1
+
+
 @pytest.mark.parametrize("max_rounds", [3, 5])
 def test_fixed_plan_cap_ends_the_run(monkeypatch, max_rounds):
     # the cap falls inside stage 0 (3) or on its last round (5 = fixed_rounds);
@@ -278,7 +295,7 @@ class TestContractionCheck:
         w_star = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed).w_star
         last, ids = trace.records[-1], trace.participants[-1]
         s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
-        a_t = straggler.contraction_factor(trace.eta, 1.0 - trace.init_dist**2, s_min)
+        a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
         shrink = math.sqrt(1.0 - a_t)
         rhs = shrink * trace.records[-2].dist + (1.0 - shrink) * straggler.noise_floor(a_t, last.n / config.n0)
         trace.records[-1] = dataclasses.replace(last, dist=rhs + 5e-13)

@@ -15,6 +15,16 @@ def order_stat_oracle(n, j, lam):
     return float(sum(Fraction(1, i) for i in range(n - j + 1, n + 1))) / lam
 
 
+def sort_oracle(times):
+    """Every slot, fastest first, ties by lowest index, by Python's sort."""
+    return sorted(range(len(times)), key=lambda i: (times[i], i))
+
+
+def literal(times):
+    """A model whose every round has exactly these times and no communication cost."""
+    return SpeedModel(lam=1.0, comm_cost=0.0, seed=0, times=np.array(times, dtype=float))
+
+
 class TestDrawRoundTimes:
     def test_fixed_same_every_round(self):
         model = SpeedModel.fixed(10, lam=2.0, comm_cost=0.5, seed=4)
@@ -34,8 +44,9 @@ class TestDrawRoundTimes:
 
     def test_fixed_order_computed_once_read_only(self):
         model = SpeedModel.fixed(50, lam=2.0, seed=4)
-        np.testing.assert_array_equal(model.order, straggler.select_fastest(model.times, 50))
-        assert straggler.fastest_first(model, model.times) is model.order
+        np.testing.assert_array_equal(model.order, sort_oracle(model.times))
+        slots, _ = straggler.select_fastest(model, 3, 50)
+        assert np.shares_memory(slots, model.order)
         with pytest.raises(ValueError):
             model.order[0] = 1
 
@@ -44,9 +55,8 @@ class TestDrawRoundTimes:
         assert model.order is None
         for round_index in (3, 7):
             times = straggler.draw_round_times(model, round_index)
-            np.testing.assert_array_equal(
-                straggler.fastest_first(model, times), straggler.select_fastest(times, 50),
-            )
+            slots, _ = straggler.select_fastest(model, round_index, 50)
+            np.testing.assert_array_equal(slots, sort_oracle(times))
 
     def test_dynamic_fresh_every_round(self):
         model = SpeedModel.dynamic(10, comm_cost=0.0, seed=4)
@@ -68,36 +78,55 @@ class TestDrawRoundTimes:
 
 class TestSelectFastest:
     def test_hand_example(self):
-        np.testing.assert_array_equal(
-            straggler.select_fastest([3.0, 1.0, 2.0], 2), [1, 2]
-        )
+        slots, round_time = straggler.select_fastest(literal([3.0, 1.0, 2.0]), 1, 2)
+        np.testing.assert_array_equal(slots, [1, 2])
+        assert round_time == 2.0
 
     def test_all(self):
-        chosen = straggler.select_fastest([5.0, 1.0, 3.0], 3)
-        assert set(chosen.tolist()) == {0, 1, 2}
+        slots, round_time = straggler.select_fastest(literal([5.0, 1.0, 3.0]), 1, 3)
+        assert set(slots.tolist()) == {0, 1, 2}
+        assert round_time == 5.0
 
     def test_sort_oracle_seed6(self):
         times = np.random.default_rng(6).exponential(size=20)
-        chosen = straggler.select_fastest(times, 5)
-        oracle = sorted(range(20), key=lambda i: (times[i], i))[:5]
-        np.testing.assert_array_equal(chosen, oracle)
+        slots, _ = straggler.select_fastest(literal(times), 1, 5)
+        np.testing.assert_array_equal(slots, sort_oracle(times)[:5])
 
     def test_nested_prefix_property(self):
-        times = np.random.default_rng(8).exponential(size=30)
-        prev = straggler.select_fastest(times, 1)
+        model = literal(np.random.default_rng(8).exponential(size=30))
+        prev, _ = straggler.select_fastest(model, 1, 1)
         for n in range(2, 31):
-            cur = straggler.select_fastest(times, n)
+            cur, _ = straggler.select_fastest(model, 1, n)
             np.testing.assert_array_equal(cur[: n - 1], prev)
             prev = cur
 
     def test_tie_break_lowest_index(self):
-        np.testing.assert_array_equal(
-            straggler.select_fastest([1.0, 1.0, 1.0], 2), [0, 1]
-        )
+        slots, _ = straggler.select_fastest(literal([1.0, 1.0, 1.0]), 1, 2)
+        np.testing.assert_array_equal(slots, [0, 1])
 
     def test_too_large(self):
         with pytest.raises(SrpflError, match="cannot select 3 of 2 clients"):
-            straggler.select_fastest([1.0, 2.0], 3)
+            straggler.select_fastest(literal([1.0, 2.0]), 1, 3)
+
+    def test_fixed_slots_are_a_prefix_of_order(self, monkeypatch):
+        # the fixed model ranks its times once; no round re-ranks them
+        model = SpeedModel.fixed(20, lam=2.0, comm_cost=0.5, seed=4)
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: pytest.fail("re-ranked"))
+        for round_index, n in ((1, 1), (2, 7), (3, 20), (4, 7)):
+            slots, round_time = straggler.select_fastest(model, round_index, n)
+            np.testing.assert_array_equal(slots, model.order[:n])
+            assert round_time == float(np.max(model.times[slots])) + 0.5
+
+    def test_dynamic_ranks_each_rounds_fresh_times(self):
+        model = SpeedModel.dynamic(30, comm_cost=0.25, seed=4)
+        picks = []
+        for round_index in (1, 2):
+            times = straggler.draw_round_times(model, round_index)
+            slots, round_time = straggler.select_fastest(model, round_index, 10)
+            np.testing.assert_array_equal(slots, sort_oracle(times)[:10])
+            assert round_time == float(np.max(times[slots])) + 0.25
+            picks.append(slots)
+        assert not np.array_equal(*picks)
 
 
 class TestExpectedOrderStat:
