@@ -8,11 +8,10 @@ detects any nondeterminism.
 """
 
 import argparse
-import statistics
 import sys
 from pathlib import Path
 
-from . import checks, engine
+from . import engine
 from .config import load_config
 from .errors import ConfigError, NonConvergence, SrpflError
 
@@ -73,6 +72,8 @@ def cmd_run(config, out):
 
 
 def cmd_compare(config, out):
+    import statistics  # only compare's summary needs it
+
     seeds = [config.seed + i for i in range(config.sweep_seeds)]
     results = engine.run_sweep(config, seeds)
     rows = ["seed,algorithm,rounds,completion_time,final_dist,epsilon,a"]
@@ -120,6 +121,8 @@ def cmd_compare(config, out):
 
 
 def cmd_verify(config, out):
+    from . import checks  # only verify runs the self-checks
+
     named = [
         ("order_statistics_monte_carlo", checks.order_statistics),
         ("kernel_invariants", checks.kernel_invariants),

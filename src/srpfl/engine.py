@@ -14,7 +14,6 @@ fitted from a trace, and a deterministic multi-seed sweep helper.
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -362,13 +361,21 @@ def _sweep_worker(config):
 
 
 def sweep_threads():
-    """Worker cap for seed sweeps; the SRPFL_THREADS env var overrides."""
+    """Worker cap for seed sweeps: the CPUs this process may run on.
+
+    The SRPFL_THREADS env var overrides; it must be an integer >= 1.
+    """
     env = os.environ.get("SRPFL_THREADS", "").strip()
     if env:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError as exc:
             raise ConfigError(f"SRPFL_THREADS must be an integer, got {env!r}") from exc
+        if threads < 1:
+            raise ConfigError(f"SRPFL_THREADS must be >= 1, got {env!r}")
+        return threads
+    if hasattr(os, "sched_getaffinity"):  # counts a taskset or cpuset, unlike cpu_count
+        return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
 
 
@@ -383,6 +390,9 @@ def run_sweep(config, seeds):
     if workers <= 1:
         traces = [run(job) for job in jobs]
     else:
+        # only a pooled sweep (``srpfl compare``) needs the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_sweep_worker, jobs, chunksize=1))
     out = {}

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import statistics
@@ -373,16 +374,61 @@ def test_every_exported_name_resolves():
     assert [name for name in srpfl.__all__ if not hasattr(srpfl, name)] == []
 
 
-def run_module(*args):
+def run_python(*args, **env):
+    """``python *args`` in a fresh interpreter, with ``env`` added to the environment."""
     # the child must import the same package as this process, installed or not
-    env = dict(os.environ, PYTHONPATH=str(Path(srpfl.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-m", "srpfl", *args], capture_output=True, text=True, env=env)
+    env = dict(os.environ, PYTHONPATH=str(Path(srpfl.__file__).resolve().parents[1]), **env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(*args, **env):
+    return run_python("-m", "srpfl", *args, **env)
 
 
 def test_module_entry_point(config_path, tmp_path):
     proc = run_module("run", "--config", str(config_path), "--out", str(tmp_path / "cli_out"))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "cli_out" / "trace.csv").exists()
+
+
+# what run never needs: the process pool, compare's statistics, verify's checks
+LAZY_MODULES = ("concurrent.futures", "multiprocessing", "statistics", "srpfl.checks")
+IMPORT_BUDGET = """
+import json, sys
+lazy = sys.argv[1].split(",")
+loaded = lambda: [m for m in lazy if m in sys.modules]
+import srpfl, srpfl.cli
+steps = {"import": loaded()}
+rc = srpfl.cli.main(["run", "--config", sys.argv[2], "--out", sys.argv[3]])
+steps["run"] = loaded()
+verify_rc = srpfl.cli.main(["verify", "--config", sys.argv[2]])
+steps["verify"] = loaded()
+print(json.dumps({"rc": [rc, verify_rc], "steps": steps}))
+"""
+
+
+def test_run_and_verify_load_only_what_they_use(tmp_path):
+    proc = run_python("-c", IMPORT_BUDGET, ",".join(LAZY_MODULES), str(REFERENCE_CONFIG), str(tmp_path / "o"))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == [cli.EXIT_OK, cli.EXIT_OK]
+    assert result["steps"] == {"import": [], "run": [], "verify": ["srpfl.checks"]}
+
+
+def test_pooled_compare_in_a_fresh_process(config_path, tmp_path):
+    # the in-process determinism test shares the imports of every test before
+    # it; this one starts the pool from `python -m srpfl` in a fresh interpreter
+    args = ["--config", str(config_path), "--override", "fixed_rounds=60", "--override", "epsilon=0.1"]
+    outs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = run_module("compare", *args, "--out", str(out), SRPFL_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs[threads] = (out / "compare.csv").read_bytes()
+    assert outs["1"] == outs["2"]
+    rows = outs["2"].decode().strip().split("\n")
+    assert len(rows) == 1 + 2 * 2  # two seeds, two algorithms
+    assert_not_vacuous(rows)
 
 
 QR_NOT_FINITE = "error: stage 0, round 1: QR factor is not finite: the input is not, or its column norms overflow\n"

@@ -419,3 +419,20 @@ def test_sweep_threads_rejects_a_non_integer(monkeypatch):
     monkeypatch.setenv("SRPFL_THREADS", "abc")
     with pytest.raises(ConfigError, match="SRPFL_THREADS must be an integer, got 'abc'"):
         engine.sweep_threads()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_sweep_threads_rejects_fewer_than_one(monkeypatch, value):
+    monkeypatch.setenv("SRPFL_THREADS", value)
+    with pytest.raises(ConfigError, match=f"SRPFL_THREADS must be >= 1, got '{value}'"):
+        engine.sweep_threads()
+
+
+def test_sweep_threads_counts_the_cpus_this_process_may_use(monkeypatch):
+    # under taskset or a cpuset, cpu_count still counts the whole host
+    monkeypatch.delenv("SRPFL_THREADS", raising=False)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert engine.sweep_threads() == 1
+    monkeypatch.delattr(engine.os, "sched_getaffinity")  # hosts without it fall back
+    assert engine.sweep_threads() == 64
