@@ -76,9 +76,7 @@ def build_config(pairs):
     for key, text in pairs.items():
         name, parser, _ = _SCHEMA[key]
         kwargs[name] = parser(key, text)
-    config = RunConfig(**kwargs)
-    config.validate()
-    return config
+    return RunConfig(**kwargs)
 
 
 def load_config(path, overrides=(), seed=None):

@@ -54,9 +54,9 @@ RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
 PROBE_SUBSETS = 64  # sampled subsets per ladder size in the spectrum probe
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run; a run is a pure function of this.
+    """Everything that determines a run: checked once, when built (also by ``replace``), and frozen.
 
     ``eta``, ``a`` and ``epsilon`` may be None, in which case they are
     derived from the ground truth with oracle access: eta as
@@ -91,8 +91,11 @@ class RunConfig:
     max_rounds: int = 10_000
 
     def __post_init__(self):
-        if self.n_clients == 0:
-            self.n_clients = self.n_total
+        self.validate()
+
+    @property
+    def population(self):  # M, with n_clients = 0 read as N
+        return self.n_clients or self.n_total
 
     def validate(self):
         for f in fields(self):
@@ -102,11 +105,11 @@ class RunConfig:
         checks = [
             (1 <= self.k <= self.d, f"need 1 <= k <= d, got k={self.k}, d={self.d}"),
             (1 <= self.n0 <= self.n_total, f"need 1 <= n0 <= N, got n0={self.n0}, N={self.n_total}"),
-            (self.n_total <= self.n_clients, f"need N <= M, got N={self.n_total}, M={self.n_clients}"),
+            (self.n_total <= self.population, f"need N <= M, got N={self.n_total}, M={self.population}"),
             # with m = k each head fits its batch exactly and the representation never moves
             (self.m > self.k, f"need m > k, got m={self.m}, k={self.k}"),
             # fewer than k heads leave part of B* out of every label
-            (self.n_clients >= self.k, f"need M >= k, got M={self.n_clients}, k={self.k}"),
+            (self.population >= self.k, f"need M >= k, got M={self.population}, k={self.k}"),
             (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epsilon is None or self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}"),
@@ -131,7 +134,7 @@ class RunConfig:
         check_c_hat(self.c_hat)
 
     def digest(self):
-        canonical = "\n".join(f"{k}={v!r}" for k, v in sorted(vars(self).items()))
+        canonical = "\n".join(f"{k}={v!r}" for k, v in sorted((vars(self) | {"n_clients": self.population}).items()))
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -195,10 +198,10 @@ def measure_singular_extremes(w_active, n0, seed):
 
 def _sample_active(config, scope_index):
     """Ids of the N clients connected for one stage (or round)."""
-    if config.n_clients == config.n_total:
+    if config.population == config.n_total:
         return np.arange(config.n_total)
     rng = substream(config.seed, TAG_ACTIVE_SET, scope_index)
-    return rng.choice(config.n_clients, size=config.n_total, replace=False)
+    return rng.choice(config.population, size=config.n_total, replace=False)
 
 
 def run(config):
@@ -224,8 +227,7 @@ def run(config):
     raises an :class:`SrpflError` naming the stage and round; a failed
     warm start, one that says so.
     """
-    config.validate()
-    gt = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed)
+    gt = gen_ground_truth(config.d, config.k, config.population, config.sigma, config.seed)
     if config.speed_kind == SPEED_FIXED:
         speed = SpeedModel.fixed(config.n_total, config.lam, config.comm_cost, config.seed)
     else:

@@ -46,7 +46,7 @@ def config_path(tmp_path):
 class TestConfigFile:
     def test_load(self, config_path):
         cfg = load_config(config_path)
-        assert cfg.d == 10 and cfg.n_total == 8 and cfg.n_clients == 8
+        assert cfg.d == 10 and cfg.n_total == 8 and cfg.population == 8
         assert cfg.epsilon == 0.0 and cfg.eta is None
 
     def test_unknown_key_rejected(self):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srpfl import checks, cli, engine, straggler
 from srpfl.engine import RunConfig
@@ -292,7 +294,7 @@ class TestContractionCheck:
         config = RunConfig(d=12, k=2, n_total=16, n0=4, m=80, sigma=0.0, seed=4,
                            plan_mode="fixed", fixed_rounds=20, epsilon=0.0)
         trace = engine.run(config)
-        w_star = gen_ground_truth(config.d, config.k, config.n_clients, config.sigma, config.seed).w_star
+        w_star = gen_ground_truth(config.d, config.k, config.population, config.sigma, config.seed).w_star
         last, ids = trace.records[-1], trace.participants[-1]
         s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
         a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
@@ -436,3 +438,73 @@ def test_sweep_threads_counts_the_cpus_this_process_may_use(monkeypatch):
     assert engine.sweep_threads() == 1
     monkeypatch.delattr(engine.os, "sched_getaffinity")  # hosts without it fall back
     assert engine.sweep_threads() == 64
+
+
+class TestFrozenConfig:
+    @pytest.fixture
+    def base(self):
+        return RunConfig(d=8, k=2, n_total=8, n0=2, m=30, sigma=0.1)
+
+    def test_replace_over_n_keeps_m_equal_to_n(self, base):
+        cfg = dataclasses.replace(base, n_total=16)
+        assert cfg.population == 16
+        assert engine.run(cfg).records
+
+    def test_fields_cannot_be_assigned(self, base):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            base.seed = 1
+
+    def test_sweep_refuses_a_bad_seed_before_any_run(self, base, monkeypatch):
+        calls = []
+        monkeypatch.setattr(engine, "run", calls.append)
+        monkeypatch.setenv("SRPFL_THREADS", "1")
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            engine.run_sweep(base, [-1])
+        assert calls == []
+
+    def test_digest_hashes_the_resolved_population(self, base):
+        assert base.digest() == "07ec0d10aa10"
+        assert dataclasses.replace(base, n_clients=8).digest() == base.digest()
+
+
+def optional(*values):
+    return st.sampled_from((None, *values))
+
+
+@st.composite
+def config_kwargs(draw):
+    n_total = draw(st.integers(1, 24))
+    return dict(
+        d=draw(st.integers(1, 8)), k=draw(st.integers(1, 4)), n0=draw(st.integers(1, 8)),
+        n_total=n_total, n_clients=draw(st.sampled_from((0, n_total, n_total + 5))),
+        m=draw(st.integers(1, 60)), sigma=draw(st.sampled_from((0.0, 0.05, 0.5, 2.0))),
+        eta=draw(optional(0.01, 0.1, 1.0)), a=draw(optional(0.01, 0.05, 0.25)),
+        epsilon=draw(optional(0.0, 0.05, 0.5)),
+        algorithm=draw(st.sampled_from(engine.ALGORITHMS)),
+        plan_mode=draw(st.sampled_from(straggler.PLAN_MODES)),
+        init_mode=draw(st.sampled_from(engine.INIT_MODES)),
+        speed_kind=draw(st.sampled_from(straggler.SPEED_KINDS)),
+        resample_scope=draw(st.sampled_from(engine.RESAMPLE_SCOPES)),
+        seed=draw(st.integers(0, 50)), max_rounds=draw(st.integers(1, 150)),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config_kwargs())
+def test_random_config_is_refused_or_gives_a_sound_trace(kw):
+    try:
+        cfg = RunConfig(**kw)
+    except ConfigError:
+        return
+    try:
+        trace = engine.run(cfg)
+    except SrpflError:
+        return
+    assert trace.records
+    assert all(0.0 <= r.dist <= 1.0 for r in trace.records)
+    times = [r.cumulative_time for r in trace.records]
+    assert all(b > a for a, b in zip(times, times[1:]))
+    ns = [r.n for r in trace.records]
+    assert all(b >= a for a, b in zip(ns, ns[1:]))
+    assert trace.reached_target == (trace.final_dist <= trace.epsilon)
+    assert cli.trace_to_csv(engine.run(cfg)) == cli.trace_to_csv(trace)
