@@ -46,9 +46,10 @@ for seed, t_s, t_f, ratio in zip(seeds, t_s_all, t_f_all, ratios):
     print(f"{seed:>5} {t_s:>11.1f} {t_f:>8.1f} {ratio:>7.3f}")
 
 a_meas = statistics.median(measure_contraction_rate(t) for t in results[ALGO_FEDREP_FULL])
-upper, lower, ratio_bound = analytic_speedup_bound(cfg.n_total, cfg.c_hat, a_meas, cfg.comm_cost, cfg.lam)
+upper, lower, _ = analytic_speedup_bound(cfg.n_total, cfg.c_hat, a_meas, cfg.comm_cost, cfg.lam)
 print(f"\nmean ratio                = {statistics.fmean(ratios):.3f}")
 print(f"ratio of mean times       = {statistics.fmean(t_s_all) / statistics.fmean(t_f_all):.3f}")
 print(f"closed-form upper (adapt) = {upper:.0f} vs measured mean {statistics.fmean(t_s_all):.0f}")
 print(f"closed-form lower (full)  = {lower:.0f} vs measured mean {statistics.fmean(t_f_all):.0f}")
-print("(the lower bound's constants overstate any realized run; see README)")
+print("(the lower bound counts the rounds of a sqrt(N)/(c_hat-1)-fold shrink, more than")
+print(" the target asks for; see README and ROADMAP item 1)")

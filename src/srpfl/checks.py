@@ -25,7 +25,7 @@ def contraction(config):
     violation is at most 0.05.
     """
     trace = engine.run(config)
-    w_star = synthesis.gen_ground_truth(config.d, config.k, config.population, config.sigma, config.seed).w_star
+    w_star = trace.ground_truth.w_star
     dist_before, margins = trace.init_dist, []
     for record, ids in zip(trace.records, trace.participants):
         s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])

@@ -97,7 +97,7 @@ def cmd_compare(config, out):
     # the bound takes the rate of the runs' speed model, which for a
     # dynamic model is its mean slot rate, not config.lam
     mean_a = statistics.fmean(tr.a for tr in results[engine.ALGO_SRPFL])
-    lam = statistics.fmean(tr.lam for tr in results[engine.ALGO_SRPFL])
+    lam = statistics.fmean(tr.speed.lam for tr in results[engine.ALGO_SRPFL])
     upper, lower, ratio_bound = engine.analytic_speedup_bound(
         config.n_total, config.c_hat, mean_a, config.comm_cost, lam,
     )

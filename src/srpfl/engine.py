@@ -37,7 +37,7 @@ from .straggler import (
     select_fastest,
     target_accuracy,
 )
-from .synthesis import TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_SUBSET_PROBE, gen_ground_truth, substream
+from .synthesis import TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_SUBSET_PROBE, GroundTruthModel, gen_ground_truth, substream
 
 ALGO_SRPFL = "srpfl"
 ALGO_FEDREP_FULL = "fedrep_full"
@@ -150,7 +150,7 @@ class RoundRecord:
 
 @dataclass
 class RunTrace:
-    """Per-round log of one run plus the derived run-level quantities."""
+    """Per-round log of one run, its derived quantities, and the models it drew from its config."""
 
     records: list
     config_digest: str
@@ -159,7 +159,8 @@ class RunTrace:
     epsilon: float
     eta: float
     a: float
-    lam: float              # the speed model's rate; the mean slot rate when dynamic
+    ground_truth: GroundTruthModel  # B* and every client's head W*
+    speed: SpeedModel               # selected and priced each round; its lam is the bounds' rate
     sigma_min_star: float
     sigma_max_star: float
     reached_target: bool
@@ -259,8 +260,8 @@ def run(config):
 
     trace = RunTrace(
         records=[], config_digest=config.digest(), final_dist=init_dist, init_dist=init_dist,
-        epsilon=epsilon, eta=eta, a=a, lam=speed.lam, sigma_min_star=s_min, sigma_max_star=s_max,
-        reached_target=False,
+        epsilon=epsilon, eta=eta, a=a, ground_truth=gt, speed=speed,
+        sigma_min_star=s_min, sigma_max_star=s_max, reached_target=False,
     )
     b, cumulative, stage, first = b0, 0.0, 0, 0  # first: the rounds run before this stage
     while not trace.reached_target:
@@ -311,7 +312,7 @@ def analytic_speedup_bound(n_total, c_hat, a, comm_cost, lam):
 
     Upper bound on the adaptive scheme's time, lower bound on the
     full-participation baseline's, both for client times of rate ``lam``
-    and ``comm_cost`` per round, and their ratio bound
+    and ``comm_cost`` per round, and their quotient, the ratio bound
 
         (6(c+1) + 4 log(1/(c_hat-1))) / (log N + 2 log(1/(c_hat-1)))
 
@@ -328,8 +329,7 @@ def analytic_speedup_bound(n_total, c_hat, a, comm_cost, lam):
     rate = math.log(1.0 / (1.0 - a))
     upper_srpfl = log_n * (6.0 * (c + 1.0) + 4.0 * hardness) / rate
     lower_fedrep = log_n * (log_n + 2.0 * hardness) / rate
-    ratio_bound = (6.0 * (c + 1.0) + 4.0 * hardness) / (log_n + 2.0 * hardness)
-    return upper_srpfl / lam, lower_fedrep / lam, ratio_bound
+    return upper_srpfl / lam, lower_fedrep / lam, upper_srpfl / lower_fedrep
 
 
 def measure_contraction_rate(trace):

@@ -7,7 +7,7 @@ The schedule formulas are exact closed forms for the fixed exponential
 model: :func:`build_stage_plan` computes the expected order statistic of
 each rung of the participant ladder once and derives every doubling point
 and round budget from that list; :func:`target_accuracy` gives the target.
-Logarithms in the budget and bound formulas are natural logs.
+Budget logarithms are natural logs; the wall-clock bounds live in :mod:`srpfl.engine`.
 """
 
 import math

@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criterion 5 checks both closed-form wall-clock bounds against simulation
-with the contraction factor measured from the runs themselves; the
-baseline lower-bound half is known to sit ~20% above any realized run
-(see the repository notes), and its assertion states the criterion
-as written rather than a loosened version.
+with the contraction factor measured from the runs themselves.  The
+baseline lower-bound half is a known red: on its fixture the baseline's
+mean time is 483.5 against a lower bound of 603.5 at a = 0.0774, and 7
+of the 50 runs lie above the bound.  The cause is the target the runs
+are timed to, which asks for a smaller shrink than the bound counts
+(ROADMAP item 1).  Its assertion states the criterion as written rather
+than a loosened version.
 """
 
 import dataclasses

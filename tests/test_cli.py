@@ -10,7 +10,7 @@ import pytest
 
 import srpfl
 from srpfl import checks, cli, engine
-from srpfl.config import build_config, load_config, parse_pairs
+from srpfl.config import _SCHEMA, build_config, load_config, parse_pairs
 from srpfl.errors import ConfigError
 from srpfl.straggler import SpeedModel
 
@@ -48,6 +48,11 @@ class TestConfigFile:
         cfg = load_config(config_path)
         assert cfg.d == 10 and cfg.n_total == 8 and cfg.population == 8
         assert cfg.epsilon == 0.0 and cfg.eta is None
+
+    def test_reference_config_holds_every_key(self):
+        # README points to demos/reference.cfg as the full key list
+        with open(REFERENCE_CONFIG, encoding="utf-8") as fh:
+            assert sorted(parse_pairs(fh)) == sorted(_SCHEMA)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown field"):

@@ -288,6 +288,16 @@ class TestContractionCheck:
         config = RunConfig(**{"seed": 4, "plan_mode": "fixed", "fixed_rounds": 20, "epsilon": 0.0, **cfg})
         assert checks.contraction(config) == verdict
 
+    def test_reads_the_heads_the_run_drew(self, monkeypatch):
+        # engine imports gen_ground_truth by name, so only a second derivation would raise
+        def rebuilt(*args):
+            raise AssertionError("the hidden model was rebuilt from the config")
+
+        monkeypatch.setattr("srpfl.synthesis.gen_ground_truth", rebuilt)
+        config = RunConfig(d=12, k=2, n_total=16, n0=4, m=80, sigma=0.0, seed=4,
+                           plan_mode="fixed", fixed_rounds=20, epsilon=0.0)
+        assert checks.contraction(config) == (True, "60/60 rounds satisfied (1.000), worst violation 0.0000")
+
     def test_margin_inside_tolerance_holds(self, monkeypatch):
         # the last round of a real trace is moved to a margin of 5e-13,
         # inside the 1e-12 hold tolerance, so every round still holds
@@ -314,6 +324,11 @@ class TestAnalyticBound:
             assert upper == pytest.approx(355.39442448980185 / lam, rel=1e-12)
             assert lower == pytest.approx(168.93034069597874 / lam, rel=1e-12)
             assert ratio == pytest.approx(2.1037927409937542, rel=1e-12)
+
+    def test_ratio_is_the_quotient_of_the_bounds(self):
+        # bit for bit: a separately written ratio formula differs in the last bit here
+        upper, lower, ratio = engine.analytic_speedup_bound(64, 1.1, 0.01, 1.0, 1.0)
+        assert ratio == upper / lower
 
     def test_ratio_bound_vanishes_with_n(self):
         values = [
@@ -351,12 +366,52 @@ class TestSweep:
         assert out[engine.ALGO_SRPFL][1].records == direct.records
 
 
+def assert_same_models(trace, ground_truth, speed):
+    for carried, built in ((trace.ground_truth, ground_truth), (trace.speed, speed)):
+        for f in dataclasses.fields(built):
+            value, expected = getattr(carried, f.name), getattr(built, f.name)
+            assert expected is None and value is None or np.array_equal(value, expected), f.name
+
+
+class TestTraceCarriesModels:
+    # the fixed model, and the dynamic one over M > N clients resampled every round
+    CASES = {
+        "fixed": dict(),
+        "dynamic": dict(speed_kind="dynamic", n_clients=12, resample_scope="per_round"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_models_the_run_drew(self, case):
+        cfg = small_config(sigma=0.1, plan_mode="fixed", fixed_rounds=4, epsilon=0.0, **self.CASES[case])
+        trace = engine.run(cfg)
+        gt = gen_ground_truth(cfg.d, cfg.k, cfg.population, cfg.sigma, cfg.seed)
+        if case == "fixed":
+            speed = straggler.SpeedModel.fixed(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed)
+            assert trace.speed.lam == 1.0
+        else:
+            speed = straggler.SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed)
+            assert trace.speed.lam == np.mean(speed.per_client_rates) != 1.0
+        assert_same_models(trace, gt, speed)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pooled_sweep_carries_the_same_models(self, monkeypatch, case):
+        # the pool pickles each trace with its models
+        cfg = small_config(sigma=0.1, plan_mode="fixed", fixed_rounds=4, epsilon=0.0, **self.CASES[case])
+        monkeypatch.setenv("SRPFL_THREADS", "1")
+        serial = engine.run_sweep(cfg, [1, 2])
+        monkeypatch.setenv("SRPFL_THREADS", "2")
+        pooled = engine.run_sweep(cfg, [1, 2])
+        for alg, traces in serial.items():
+            for trace, pooled_trace in zip(traces, pooled[alg]):
+                assert_same_models(pooled_trace, trace.ground_truth, trace.speed)
+
+
 def synthetic_trace(dists):
     """A trace with one round of unit time per distance and no participant sets."""
     records = [engine.RoundRecord(0, t, 4, 1.0, float(t), dist) for t, dist in enumerate(dists, start=1)]
     return engine.RunTrace(
         records=records, config_digest="x", final_dist=records[-1].dist,
-        init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05, lam=1.0,
+        init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05, ground_truth=None, speed=None,
         sigma_min_star=1.0, sigma_max_star=1.0, reached_target=False,
     )
 
