@@ -64,7 +64,8 @@ class RunConfig:
     clamped into [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from
     the target-accuracy formula.  The sigma extremes are measured over
     sampled participant subsets of every ladder size, see
-    :func:`measure_singular_extremes`.  Every float must be finite.
+    :func:`measure_singular_extremes`.  Every float must be finite.  A value a layer
+    reads is refused by that layer's check, in the words a library call gives.
     """
 
     d: int
@@ -102,15 +103,15 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        participant_ladder(self.n_total, self.n0)
+        GroundTruthModel.check(self.d, self.k, self.population, self.sigma, self.seed)
+        SpeedModel.check(self.n_total, self.lam, self.comm_cost)
         checks = [
-            (1 <= self.k <= self.d, f"need 1 <= k <= d, got k={self.k}, d={self.d}"),
-            (1 <= self.n0 <= self.n_total, f"need 1 <= n0 <= N, got n0={self.n0}, N={self.n_total}"),
             (self.n_total <= self.population, f"need N <= M, got N={self.n_total}, M={self.population}"),
             # with m = k each head fits its batch exactly and the representation never moves
             (self.m > self.k, f"need m > k, got m={self.m}, k={self.k}"),
             # fewer than k heads leave part of B* out of every label
             (self.population >= self.k, f"need M >= k, got M={self.population}, k={self.k}"),
-            (self.sigma >= 0, f"sigma must be >= 0, got {self.sigma}"),
             (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epsilon is None or self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}"),
             (self.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
@@ -118,11 +119,8 @@ class RunConfig:
             (self.fixed_rounds >= 1, f"fixed_rounds must be >= 1, got {self.fixed_rounds}"),
             (self.init_mode in INIT_MODES, f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"),
             (self.speed_kind in SPEED_KINDS, f"speed_kind must be one of {SPEED_KINDS}, got {self.speed_kind!r}"),
-            (self.lam > 0, f"lam must be positive, got {self.lam}"),
-            (self.comm_cost >= 0, f"comm_cost must be >= 0, got {self.comm_cost}"),
             (self.resample_scope in RESAMPLE_SCOPES,
              f"resample_scope must be one of {RESAMPLE_SCOPES}, got {self.resample_scope!r}"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.sweep_seeds >= 1, f"sweep_seeds must be >= 1, got {self.sweep_seeds}"),
             (self.max_rounds >= 1, f"max_rounds must be >= 1, got {self.max_rounds}"),
         ]

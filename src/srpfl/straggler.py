@@ -1,4 +1,4 @@
-"""Client timing models, fastest-n selection, and the doubling schedule.
+"""Client timing models and the one check of their arguments, fastest-n selection, and the doubling schedule.
 
 Round times come from exponential laws: either one fixed draw per client
 reused every round, or fresh per-round draws with per-client rates; one
@@ -33,13 +33,6 @@ A_MIN = 1e-6
 A_MAX = 0.25
 
 
-def _check_slots(n_slots, comm_cost):
-    if n_slots < 1:
-        raise ConfigError(f"need at least one client slot, got {n_slots}")
-    if comm_cost < 0:
-        raise ConfigError(f"communication cost must be >= 0, got {comm_cost}")
-
-
 @dataclass(frozen=True)
 class SpeedModel:
     """Straggler timing law over ``n_slots`` client slots, plus the
@@ -61,10 +54,18 @@ class SpeedModel:
     per_client_rates: np.ndarray | None = None
 
     @staticmethod
-    def fixed(n_slots, lam=1.0, comm_cost=0.0, seed=0):
-        _check_slots(n_slots, comm_cost)
+    def check(n_slots, lam=1.0, comm_cost=0.0):
+        """Raise :class:`ConfigError` unless n_slots >= 1, lam > 0 and comm_cost >= 0."""
+        if n_slots < 1:
+            raise ConfigError(f"need at least one client slot, got {n_slots}")
         if lam <= 0:
-            raise ConfigError(f"exponential rate must be positive, got {lam}")
+            raise ConfigError(f"lam must be positive, got {lam}")
+        if comm_cost < 0:
+            raise ConfigError(f"comm_cost must be >= 0, got {comm_cost}")
+
+    @staticmethod
+    def fixed(n_slots, lam=1.0, comm_cost=0.0, seed=0):
+        SpeedModel.check(n_slots, lam, comm_cost)
         times = substream(seed, TAG_FIXED_TIMES).exponential(1.0 / lam, size=n_slots)
         order = _fastest_first(times)
         times.setflags(write=False)  # every round shares these arrays
@@ -73,7 +74,7 @@ class SpeedModel:
 
     @staticmethod
     def dynamic(n_slots, comm_cost=0.0, seed=0):
-        _check_slots(n_slots, comm_cost)
+        SpeedModel.check(n_slots, comm_cost=comm_cost)
         rates = substream(seed, TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
         return SpeedModel(
             lam=float(np.mean(rates)), comm_cost=float(comm_cost), seed=seed, per_client_rates=rates,
@@ -114,8 +115,7 @@ def expected_order_stat(n, j, lam):
     """
     if not 1 <= j <= n:
         raise SrpflError(f"order statistic j={j} outside 1..{n}")
-    if lam <= 0:
-        raise ConfigError(f"exponential rate must be positive, got {lam}")
+    SpeedModel.check(n, lam)
     return sum(1.0 / i for i in range(n - j + 1, n + 1)) / lam
 
 

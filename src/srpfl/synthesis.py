@@ -1,4 +1,4 @@
-"""Hidden ground-truth model, substreams and full-row client batches.
+"""Hidden ground-truth model with the one check of its arguments, substreams and client batches.
 
 Client ``i`` observes pairs ``(x, y)`` with ``x ~ N(0, I_d)`` and
 ``y = w_i*^T B*^T x + z``, ``z ~ N(0, sigma^2)``.  All randomness is
@@ -51,6 +51,18 @@ class GroundTruthModel:
     k: int
     n_clients: int
 
+    @staticmethod
+    def check(d, k, n_clients, sigma, seed):
+        """Raise :class:`ConfigError` unless 1 <= k <= d, n_clients >= 1, 0 <= sigma < inf and seed >= 0."""
+        if not 1 <= k <= d:
+            raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
+        if n_clients < 1:
+            raise ConfigError(f"need at least one client, got {n_clients}")
+        if not 0 <= sigma < math.inf:
+            raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -79,14 +91,7 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
     sqrt(k) (resampled in the measure-zero event of an exactly zero
     draw).
     """
-    if not 1 <= k <= d:
-        raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
-    if n_clients < 1:
-        raise ConfigError(f"need at least one client, got {n_clients}")
-    if not 0 <= sigma < math.inf:
-        raise ConfigError(f"noise std must be finite and >= 0, got {sigma}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    GroundTruthModel.check(d, k, n_clients, sigma, seed)
     rng = substream(seed, TAG_GROUND_TRUTH)
     b_star, _ = thin_qr(rng.standard_normal((d, k)))
     heads = rng.standard_normal((n_clients, k))

@@ -1,0 +1,21 @@
+"""The run configs of acceptance criteria 1, 2 and 4, written once for the
+acceptance suite and the mutation module."""
+
+from srpfl.engine import RunConfig
+
+CRITERION_1 = RunConfig(
+    d=20, k=2, n_total=64, n0=4, m=100, sigma=0.1, seed=11,
+    plan_mode="fixed", fixed_rounds=40, epsilon=0.0, comm_cost=1.0,
+)
+
+# it passes only when the run reaches 1e-6 within 200 rounds
+CRITERION_2 = RunConfig(
+    d=20, k=2, n_total=40, n0=40, m=50, sigma=0.0, seed=2,
+    algorithm="fedrep_full", plan_mode="fixed", fixed_rounds=200, epsilon=1e-6,
+)
+
+# at N = 64; the criterion also runs it with n_total = 256, and M follows N
+CRITERION_4 = RunConfig(
+    d=20, k=2, n_total=64, n0=2, m=100, sigma=0.05, seed=0,
+    comm_cost=1.0, lam=1.0, c_hat=1.2, plan_mode="analytic",
+)

@@ -20,6 +20,8 @@ import pytest
 from srpfl import checks, cli, engine, fedrep, linalg, synthesis
 from srpfl.engine import RunConfig
 
+from criteria import CRITERION_1, CRITERION_2, CRITERION_4
+
 
 def report(name, ok, detail, budget_s, elapsed_s):
     status = "PASS" if ok else "FAIL"
@@ -30,21 +32,13 @@ def report(name, ok, detail, budget_s, elapsed_s):
 
 def test_criterion_1_contraction():
     start = time.perf_counter()
-    cfg = RunConfig(
-        d=20, k=2, n_total=64, n0=4, m=100, sigma=0.1, seed=11,
-        plan_mode="fixed", fixed_rounds=40, epsilon=0.0, comm_cost=1.0,
-    )
-    ok, detail = checks.contraction(cfg)  # eta = 1/(8 sigma_max^2) measured from W*
+    ok, detail = checks.contraction(CRITERION_1)  # eta = 1/(8 sigma_max^2) measured from W*
     report("criterion 1 (contraction inequality)", ok, detail, 30, time.perf_counter() - start)
 
 
 def test_criterion_2_noiseless_exact_recovery():
     start = time.perf_counter()
-    cfg = RunConfig(
-        d=20, k=2, n_total=40, n0=40, m=50, sigma=0.0, seed=2,
-        algorithm="fedrep_full", plan_mode="fixed", fixed_rounds=200, epsilon=1e-6,
-    )
-    trace = engine.run(cfg)
+    trace = engine.run(CRITERION_2)
     dists = trace.dists()
     reached = trace.reached_target and len(dists) <= 200
     # log-linear fit after round 10
@@ -68,10 +62,7 @@ def test_criterion_3_order_statistics():
 
 
 def _speedup_ratios(n_total, seeds):
-    cfg = RunConfig(
-        d=20, k=2, n_total=n_total, n0=2, m=100, sigma=0.05, seed=0,
-        comm_cost=1.0, lam=1.0, c_hat=1.2, plan_mode="analytic",
-    )
+    cfg = dataclasses.replace(CRITERION_4, n_total=n_total)
     # an analytic plan runs until epsilon, so each run's completion time is its total time
     results = engine.run_sweep(cfg, seeds)
     return [

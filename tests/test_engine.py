@@ -304,7 +304,7 @@ class TestContractionCheck:
         config = RunConfig(d=12, k=2, n_total=16, n0=4, m=80, sigma=0.0, seed=4,
                            plan_mode="fixed", fixed_rounds=20, epsilon=0.0)
         trace = engine.run(config)
-        w_star = gen_ground_truth(config.d, config.k, config.population, config.sigma, config.seed).w_star
+        w_star = trace.ground_truth.w_star
         last, ids = trace.records[-1], trace.participants[-1]
         s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
         a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
@@ -520,6 +520,28 @@ class TestFrozenConfig:
     def test_digest_hashes_the_resolved_population(self, base):
         assert base.digest() == "07ec0d10aa10"
         assert dataclasses.replace(base, n_clients=8).digest() == base.digest()
+
+
+@pytest.mark.parametrize("key, value, message, layer_calls", [
+    ("k", 30, "need 1 <= k <= d, got k=30, d=20", [lambda: gen_ground_truth(20, 30, 64, 0.1, 0)]),
+    ("sigma", -1.0, "sigma must be finite and >= 0, got -1.0", [lambda: gen_ground_truth(20, 2, 64, -1.0, 0)]),
+    ("seed", -1, "seed must be >= 0, got -1", [lambda: gen_ground_truth(20, 2, 64, 0.1, -1)]),
+    ("n0", 100, "need 1 <= n0 <= N, got n0=100, N=64", [lambda: participant_ladder(64, 100)]),
+    ("lam", 0.0, "lam must be positive, got 0.0",
+     [lambda: straggler.SpeedModel.fixed(64, lam=0.0), lambda: straggler.expected_order_stat(4, 2, 0.0)]),
+    ("comm_cost", -1.0, "comm_cost must be >= 0, got -1.0",
+     [lambda: straggler.SpeedModel.fixed(64, comm_cost=-1.0),
+      lambda: straggler.SpeedModel.dynamic(64, comm_cost=-1.0)]),
+], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost"])
+def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, layer_calls):
+    # each rule is the check of the layer that reads the value; RunConfig calls that check
+    def config():
+        RunConfig(**{"d": 20, "k": 2, "n_total": 64, "n0": 4, "m": 100, "sigma": 0.1, key: value})
+
+    for call in (config, *layer_calls):
+        with pytest.raises(ConfigError) as refused:
+            call()
+        assert str(refused.value) == message
 
 
 def optional(*values):

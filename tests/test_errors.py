@@ -3,6 +3,7 @@
 
 import ast
 import builtins
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,36 @@ def test_no_unread_imports(path):
 def test_exports_are_the_package_imports():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(srpfl.__all__) == sorted(_imported_names(tree))
+
+
+def _template(node):
+    """A literal message with each ``{...}`` field as ``{}``; None where the message is not a literal."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+    return None
+
+
+def _messages(tree):
+    """Yield the message node of every error-type call and of every ``(condition, message)``
+    row of ``RunConfig.validate``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ERROR_TYPES:
+            yield from node.args[:1]
+        if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+            validate = next(f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "validate")
+            rows = [row for row in ast.walk(validate) if isinstance(row, ast.Tuple) and len(row.elts) == 2]
+            yield from (row.elts[1] for row in rows)
+
+
+def test_each_message_is_written_once():
+    # a rule restated outside the layer that reads the value shows up as its message written twice
+    sites = defaultdict(list)
+    for path in MODULES:
+        for node in _messages(ast.parse(path.read_text(encoding="utf-8"))):
+            template = _template(node)
+            if template is not None:
+                sites[template].append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 50  # the scan reads the package's messages, not an empty set
+    assert not {t: s for t, s in sites.items() if len(s) > 1}

@@ -25,9 +25,10 @@ import pytest
 
 from srpfl import checks, engine, straggler
 from srpfl.config import load_config
-from srpfl.engine import RunConfig
 from srpfl.errors import NonConvergence
 from srpfl.linalg import thin_qr
+
+from criteria import CRITERION_1, CRITERION_2, CRITERION_4
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
 
@@ -62,23 +63,13 @@ def round_mutant(request, monkeypatch):
 
 @pytest.mark.parametrize("round_mutant", ["random", "wrong_sign"], indirect=True)
 def test_criterion_1_catches(round_mutant):
-    # criterion 1's config
-    cfg = RunConfig(
-        d=20, k=2, n_total=64, n0=4, m=100, sigma=0.1, seed=11,
-        plan_mode="fixed", fixed_rounds=40, epsilon=0.0, comm_cost=1.0,
-    )
-    ok, detail = checks.contraction(cfg)
+    ok, detail = checks.contraction(CRITERION_1)
     assert not ok, detail
 
 
 @pytest.mark.parametrize("round_mutant", ["frozen", "random", "wrong_sign"], indirect=True)
 def test_criterion_2_catches(round_mutant):
-    # criterion 2's config: it passes only when the run reaches 1e-6 within 200 rounds
-    cfg = RunConfig(
-        d=20, k=2, n_total=40, n0=40, m=50, sigma=0.0, seed=2,
-        algorithm="fedrep_full", plan_mode="fixed", fixed_rounds=200, epsilon=1e-6,
-    )
-    trace = engine.run(cfg)
+    trace = engine.run(CRITERION_2)
     assert not trace.reached_target and trace.final_dist > 1e-6
 
 
@@ -87,12 +78,8 @@ def test_criterion_4_catches_slowest_n(monkeypatch):
     monkeypatch.setenv("SRPFL_THREADS", "1")
     means = {}
     for n_total in (64, 256):
-        # criterion 4's config and seeds
-        cfg = RunConfig(
-            d=20, k=2, n_total=n_total, n0=2, m=100, sigma=0.05, seed=0,
-            comm_cost=1.0, lam=1.0, c_hat=1.2, plan_mode="analytic",
-        )
-        results = engine.run_sweep(cfg, range(20))
+        # criterion 4's seeds
+        results = engine.run_sweep(dataclasses.replace(CRITERION_4, n_total=n_total), range(20))
         means[n_total] = statistics.fmean(
             s.total_time() / f.total_time()
             for s, f in zip(results[engine.ALGO_SRPFL], results[engine.ALGO_FEDREP_FULL])

@@ -305,12 +305,12 @@ class TestStagePlan:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: SpeedModel.fixed(4, lam=0.0), ConfigError, "exponential rate must be positive, got 0.0"),
-    (lambda: SpeedModel.fixed(4, comm_cost=-0.5), ConfigError, "communication cost must be >= 0, got -0.5"),
+    (lambda: SpeedModel.fixed(4, lam=0.0), ConfigError, "lam must be positive, got 0.0"),
+    (lambda: SpeedModel.fixed(4, comm_cost=-0.5), ConfigError, "comm_cost must be >= 0, got -0.5"),
     (lambda: SpeedModel.dynamic(0), ConfigError, "need at least one client slot, got 0"),
-    (lambda: SpeedModel.dynamic(4, comm_cost=-1.0), ConfigError, "communication cost must be >= 0"),
+    (lambda: SpeedModel.dynamic(4, comm_cost=-1.0), ConfigError, "comm_cost must be >= 0"),
     (lambda: SpeedModel.fixed(0), ConfigError, "need at least one client slot, got 0"),
-    (lambda: straggler.expected_order_stat(4, 2, -1.0), ConfigError, "exponential rate must be positive"),
+    (lambda: straggler.expected_order_stat(4, 2, -1.0), ConfigError, "lam must be positive"),
     (lambda: straggler.check_contraction_factor(0.0), ConfigError, r"must lie in \(0, 1/4\], got 0.0"),
     (lambda: straggler.check_contraction_factor(0.3), ConfigError, r"must lie in \(0, 1/4\], got 0.3"),
 ], ids=["fixed_lam", "fixed_comm", "dynamic_slots", "dynamic_comm", "no_clients",

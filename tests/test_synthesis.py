@@ -45,8 +45,8 @@ class TestGroundTruth:
             synthesis.gen_ground_truth(3, 1, 1, -0.5, seed=0)
 
     @pytest.mark.parametrize("sigma, seed, message", [
-        (math.inf, 0, "noise std must be finite"), (-math.inf, 0, "noise std must be finite"),
-        (math.nan, 0, "noise std must be finite"), (0.1, -1, "seed must be >= 0"),
+        (math.inf, 0, "sigma must be finite"), (-math.inf, 0, "sigma must be finite"),
+        (math.nan, 0, "sigma must be finite"), (0.1, -1, "seed must be >= 0"),
     ])
     def test_non_finite_sigma_or_negative_seed(self, sigma, seed, message):
         with pytest.raises(ConfigError, match=message):
