@@ -74,6 +74,7 @@ def cmd_run(config, out):
 def cmd_compare(config, out):
     import statistics  # only compare's summary needs it
 
+    engine.check_bound_n_total(config.n_total)  # before any seed runs
     seeds = [config.seed + i for i in range(config.sweep_seeds)]
     results = engine.run_sweep(config, seeds)
     rows = ["seed,algorithm,rounds,completion_time,final_dist,epsilon,a"]
@@ -94,8 +95,7 @@ def cmd_compare(config, out):
                 f"{_fmt(trace.final_dist)},{_fmt(trace.epsilon)},{_fmt(trace.a)}"
             )
     ratios = [t_s / t_b if t_b > 0 else 1.0 for t_s, t_b in zip(t_srpfl, t_base)]
-    # the bound takes the rate of the runs' speed model, which for a
-    # dynamic model is its mean slot rate, not config.lam
+    # the bound takes the runs' speed-model rate: for a dynamic model, lam times its mean Uniform[1/N, 1] draw
     mean_a = statistics.fmean(tr.a for tr in results[engine.ALGO_SRPFL])
     lam = statistics.fmean(tr.speed.lam for tr in results[engine.ALGO_SRPFL])
     upper, lower, ratio_bound = engine.analytic_speedup_bound(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, NonConvergence, SrpflError
-from .fedrep import fedrep_round, method_of_moments_init
+from .fedrep import check_batch_size, fedrep_round, method_of_moments_init
 from .linalg import principal_angle_dist, thin_qr
 from .straggler import (
     A_MAX,
@@ -62,10 +62,10 @@ class RunConfig:
     derived from the ground truth with oracle access: eta as
     1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2, E0 = 1 - init_dist^2,
     clamped into [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from
-    the target-accuracy formula.  The sigma extremes are measured over
-    sampled participant subsets of every ladder size, see
-    :func:`measure_singular_extremes`.  Every float must be finite.  A value a layer
-    reads is refused by that layer's check, in the words a library call gives.
+    the target-accuracy formula.  The sigma extremes are measured over sampled participant
+    subsets of every ladder size, see :func:`measure_singular_extremes`.  Every float must be
+    finite.  A value a layer reads is refused by that layer's check (``m > k`` by the round's
+    :func:`check_batch_size`), in the words a library call gives.
     """
 
     d: int
@@ -106,10 +106,9 @@ class RunConfig:
         participant_ladder(self.n_total, self.n0)
         GroundTruthModel.check(self.d, self.k, self.population, self.sigma, self.seed)
         SpeedModel.check(self.n_total, self.lam, self.comm_cost)
+        check_batch_size(self.m, self.k)
         checks = [
             (self.n_total <= self.population, f"need N <= M, got N={self.n_total}, M={self.population}"),
-            # with m = k each head fits its batch exactly and the representation never moves
-            (self.m > self.k, f"need m > k, got m={self.m}, k={self.k}"),
             # fewer than k heads leave part of B* out of every label
             (self.population >= self.k, f"need M >= k, got M={self.population}, k={self.k}"),
             (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
@@ -227,10 +226,7 @@ def run(config):
     warm start, one that says so.
     """
     gt = gen_ground_truth(config.d, config.k, config.population, config.sigma, config.seed)
-    if config.speed_kind == SPEED_FIXED:
-        speed = SpeedModel.fixed(config.n_total, config.lam, config.comm_cost, config.seed)
-    else:
-        speed = SpeedModel.dynamic(config.n_total, config.comm_cost, config.seed)
+    speed = getattr(SpeedModel, config.speed_kind)(config.n_total, config.lam, config.comm_cost, config.seed)
 
     active = _sample_active(config, 0)
     s_min, s_max = measure_singular_extremes(gt.w_star[active], config.n0, config.seed)
@@ -305,6 +301,12 @@ def run(config):
     return trace
 
 
+def check_bound_n_total(n_total):
+    """Raise :class:`ConfigError` unless N >= 2: at N = 1, log N = 0 and the ratio bound is 0/0."""
+    if not n_total >= 2:
+        raise ConfigError(f"bounds need N >= 2, got {n_total}")
+
+
 def analytic_speedup_bound(n_total, c_hat, a, comm_cost, lam):
     """Closed-form wall-clock bounds, in simulated time.
 
@@ -319,8 +321,7 @@ def analytic_speedup_bound(n_total, c_hat, a, comm_cost, lam):
     """
     check_c_hat(c_hat)
     check_contraction_factor(a)
-    if n_total < 2:
-        raise ConfigError(f"bounds need N >= 2, got {n_total}")
+    check_bound_n_total(n_total)
     c = comm_cost * lam
     log_n = math.log(n_total)
     hardness = math.log(1.0 / (c_hat - 1.0))

@@ -18,7 +18,7 @@ of ``X^T r`` outside ``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a standard
 Gaussian d-vector ``g``.  The rest is a function of the Bartlett factor of
 ``[A z]``, and a client's head, ``||r||`` and ``A^T r`` have, jointly, the
 law of three short formulas in k + 1 chi-squares and k(k-1)/2 + p + 1
-normals (see :func:`_client_statistics`), exact for every m.  The clients'
+normals (see :func:`_client_statistics`), exact for every m > k.  The clients'
 parts outside ``span(Q)`` sum to one d x min(n, k) Gaussian block times
 the R factor of their rows ``||r_i|| w_i`` (see :func:`_summed_move`).  So
 a round draws nine values per client at d = 20, k = 2, plus d k per round
@@ -33,11 +33,17 @@ start draws each participant's full rows with :func:`sample_batch`.
 
 import numpy as np
 
-from .errors import SrpflError
+from .errors import ConfigError, SrpflError
 from .linalg import rank_k_eig, span_basis, thin_qr
 from .synthesis import TAG_ROUND, Batch, sample_batch, substream
 
 GRAM_TOL = 1e-10
+
+
+def check_batch_size(m, k):
+    """Raise :class:`ConfigError` unless m > k: at m = k no residual is left, and below it no head is unique."""
+    if not m > k:
+        raise ConfigError(f"need m > k, got m={m}, k={k}")
 
 
 def _check_gram(gram, client_ids, m):
@@ -113,25 +119,20 @@ def method_of_moments_init(gt, participants, m, seed):
 def _draw_round(n, k, p, d, m, rng):
     """Every random value a round of n clients reads, clients last.
 
-    Returns ``(r_kk, xi, t, zeta, z)``.  ``r_kk`` (k, k, n) is each client's
-    leading k x k Bartlett triangle of m samples: entry (i, i) is
-    ``sqrt(chi2(m - i))``, the entries above it are standard normal, and
-    rows m and on are 0 when m < k.  ``t`` (n,) is ``sqrt(chi2(m - k))``,
-    0 when m <= k leaves no rows below the triangle.  ``xi`` (k, n), ``zeta``
-    (p+1-k, n) and ``z`` (d, min(n, k)) are standard normal.  One
-    chi-square call draws the k+1 roots of every client (none with m - i
-    <= 0) and one normal call the rest: per client k(k-1)/2 + p + 1 values,
-    in that order, then ``z``.
+    Returns ``(r_kk, xi, t, zeta, z)``.  ``r_kk`` (k, k, n) is each client's leading
+    k x k Bartlett triangle of m > k samples: entry (i, i) is ``sqrt(chi2(m - i))``
+    and the entries above it are standard normal.  ``t`` (n,) is ``sqrt(chi2(m - k))``.
+    ``xi`` (k, n), ``zeta`` (p+1-k, n) and ``z`` (d, min(n, k)) are standard normal.
+    One chi-square call draws the k+1 roots of every client and one normal call the
+    rest: per client k(k-1)/2 + p + 1 values, in that order, then ``z``.
     """
-    live = min(m, k + 1)
-    roots = np.zeros((k + 1, n))
-    np.sqrt(rng.chisquare(m - np.arange(live, dtype=float)[:, None], size=(live, n)), out=roots[:live])
+    roots = np.sqrt(rng.chisquare(m - np.arange(k + 1, dtype=float)[:, None], size=(k + 1, n)))
     upper = k * (k - 1) // 2
     normals = rng.standard_normal(n * (upper + p + 1) + d * min(n, k))
     per_client, z = normals[:n * (upper + p + 1)].reshape(-1, n), normals[n * (upper + p + 1):]
     r_kk = np.zeros((k, k, n))
     r_kk.reshape(k * k, n)[::k + 1] = roots[:k]
-    for i in range(min(m, k - 1)):  # row i's entries above the diagonal; none past row m
+    for i in range(k - 1):  # row i's entries above the diagonal
         start = i * (2 * k - i - 1) // 2
         r_kk[i, i + 1:] = per_client[start:start + k - 1 - i]
     return r_kk, per_client[upper:upper + k], roots[k], per_client[upper + k:], z.reshape(d, -1)
@@ -148,11 +149,10 @@ def _signal(gt, q, parts):
 def _heads(r_kk, lead, noise, ids, m):
     """Heads ``lead + R_kk^{-1} noise`` by back-substitution, clients last (k, n).
 
-    Column i is the least-squares head of client ``ids[i]`` on rows
-    ``R_kk`` and labels ``R_kk lead + noise``.  Raises as
-    :func:`head_update` does when ``R_kk^T R_kk / m`` is singular (always
-    when m < k); only clients whose lower bound ``det(R_kk)^2 / (m
-    ||R_kk||_F^(2k-2))`` on lambda_min does not clear :data:`GRAM_TOL` are
+    Column i is the least-squares head of client ``ids[i]`` on rows ``R_kk`` and
+    labels ``R_kk lead + noise``.  Raises as :func:`head_update` does when
+    ``R_kk^T R_kk / m`` is singular; only clients whose lower bound ``det(R_kk)^2
+    / (m ||R_kk||_F^(2k-2))`` on lambda_min does not clear :data:`GRAM_TOL` are
     checked, with ``eigvalsh`` on that Gram matrix.
     """
     k = len(lead)
@@ -239,18 +239,19 @@ def _summed_move(q, w, resid, tail, z):
 def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     """Run one communication round from representation ``b``; return the new one.
 
-    ``round_index`` is the 1-based round number.  Every id is checked
-    before the first draw.  The round's basis is ``span_basis(b, B*)``,
-    and one generator, keyed on ``(seed, round_index)``, draws what every
-    participant's step reads (see :func:`_draw_round`), so a participant's
-    draws depend on its place in the round while the trace stays a pure
-    function of the config.  Each participant solves its head afresh; the
-    updates are summed into one d x k move (see :func:`_summed_move`), and
-    the round returns the thin QR of ``b - eta/(m*n) move``.  Raises with
-    the offending client id when a local solve fails, and when the moved
-    ``b`` collapses or is not finite (see :func:`thin_qr`); an overflow on
-    the way there issues no numpy warning.
+    ``round_index`` is the 1-based round number.  ``m`` and every id are checked
+    before the first draw.  The round's basis is ``span_basis(b, B*)``, and one
+    generator, keyed on ``(seed, round_index)``, draws what every participant's
+    step reads (see :func:`_draw_round`), so a participant's draws depend on its
+    place in the round while the trace stays a pure function of the config.
+    Each participant solves its head afresh; the updates are summed into one
+    d x k move (see :func:`_summed_move`), and the round returns the thin QR
+    of ``b - eta/(m*n) move``.  Raises with the offending client id when a
+    local solve fails, and when the moved ``b`` collapses or is not finite
+    (see :func:`thin_qr`); an overflow on the way there issues no numpy
+    warning.
     """
+    check_batch_size(m, gt.k)
     parts = np.asarray(participants, dtype=int)
     if not parts.size:
         raise SrpflError("a round needs at least one participant")

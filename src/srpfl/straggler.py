@@ -1,13 +1,13 @@
 """Client timing models and the one check of their arguments, fastest-n selection, and the doubling schedule.
 
-Round times come from exponential laws: either one fixed draw per client
-reused every round, or fresh per-round draws with per-client rates; one
-call, :func:`select_fastest`, selects a round's slots and prices the round.
-The schedule formulas are exact closed forms for the fixed exponential
-model: :func:`build_stage_plan` computes the expected order statistic of
-each rung of the participant ladder once and derives every doubling point
-and round budget from that list; :func:`target_accuracy` gives the target.
-Budget logarithms are natural logs; the wall-clock bounds live in :mod:`srpfl.engine`.
+Round times come from exponential laws of rate ``lam``: either one fixed draw per
+client reused every round, or fresh per-round draws with slot rates
+``lam * Uniform[1/N, 1]``; one call, :func:`select_fastest`, selects a round's slots
+and prices the round.  The schedule formulas are exact closed forms for the fixed
+exponential model: :func:`build_stage_plan` computes the expected order statistic of
+each rung of the participant ladder once and derives every doubling point and round
+budget from that list; :func:`target_accuracy` gives the target.  Budget logarithms
+are natural logs; the wall-clock bounds live in :mod:`srpfl.engine`.
 """
 
 import math
@@ -25,7 +25,7 @@ PLAN_MODES = (MODE_ANALYTIC, MODE_THRESHOLD, MODE_FIXED)
 
 SPEED_FIXED = "fixed"
 SPEED_DYNAMIC = "dynamic"
-SPEED_KINDS = (SPEED_FIXED, SPEED_DYNAMIC)
+SPEED_KINDS = (SPEED_FIXED, SPEED_DYNAMIC)  # each names the SpeedModel constructor of its law
 
 # range of the contraction factor: A_MAX is the largest the schedule
 # formulas accept, A_MIN the floor for a measured factor
@@ -41,9 +41,9 @@ class SpeedModel:
     :meth:`fixed` draws one Exp(lam) time per slot once and holds it,
     read-only, in ``times`` and its stable fastest-first ``order``, reused
     every round.  :meth:`dynamic` draws slot rates once from
-    Uniform[1/n_slots, 1] into ``per_client_rates`` and fresh Exp(rate_i)
-    times each round.  ``lam`` is the rate the closed-form schedule
-    formulas use; for the dynamic model it is the mean slot rate.
+    ``lam * Uniform[1/n_slots, 1]`` into ``per_client_rates`` and fresh
+    Exp(rate_i) times each round.  ``lam`` is the rate the closed-form
+    schedule formulas use; for the dynamic model it is the mean slot rate.
     """
 
     lam: float
@@ -56,11 +56,11 @@ class SpeedModel:
     @staticmethod
     def check(n_slots, lam=1.0, comm_cost=0.0):
         """Raise :class:`ConfigError` unless n_slots >= 1, lam > 0 and comm_cost >= 0."""
-        if n_slots < 1:
+        if not n_slots >= 1:
             raise ConfigError(f"need at least one client slot, got {n_slots}")
-        if lam <= 0:
+        if not lam > 0:
             raise ConfigError(f"lam must be positive, got {lam}")
-        if comm_cost < 0:
+        if not comm_cost >= 0:
             raise ConfigError(f"comm_cost must be >= 0, got {comm_cost}")
 
     @staticmethod
@@ -73,12 +73,10 @@ class SpeedModel:
         return SpeedModel(lam=float(lam), comm_cost=float(comm_cost), seed=seed, times=times, order=order)
 
     @staticmethod
-    def dynamic(n_slots, comm_cost=0.0, seed=0):
-        SpeedModel.check(n_slots, comm_cost=comm_cost)
-        rates = substream(seed, TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
-        return SpeedModel(
-            lam=float(np.mean(rates)), comm_cost=float(comm_cost), seed=seed, per_client_rates=rates,
-        )
+    def dynamic(n_slots, lam=1.0, comm_cost=0.0, seed=0):
+        SpeedModel.check(n_slots, lam, comm_cost)
+        rates = lam * substream(seed, TAG_CLIENT_RATES).uniform(1.0 / n_slots, 1.0, size=n_slots)
+        return SpeedModel(lam=float(np.mean(rates)), comm_cost=float(comm_cost), seed=seed, per_client_rates=rates)
 
 
 def draw_round_times(model, round_index):

@@ -56,11 +56,11 @@ class GroundTruthModel:
         """Raise :class:`ConfigError` unless 1 <= k <= d, n_clients >= 1, 0 <= sigma < inf and seed >= 0."""
         if not 1 <= k <= d:
             raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
-        if n_clients < 1:
+        if not n_clients >= 1:
             raise ConfigError(f"need at least one client, got {n_clients}")
         if not 0 <= sigma < math.inf:
             raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
-        if seed < 0:
+        if not seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
 
 

@@ -1,4 +1,4 @@
-"""The run configs of acceptance criteria 1, 2 and 4, written once for the
+"""The run configs of acceptance criteria 1, 2, 4 and 5, written once for the
 acceptance suite and the mutation module."""
 
 from srpfl.engine import RunConfig
@@ -18,4 +18,10 @@ CRITERION_2 = RunConfig(
 CRITERION_4 = RunConfig(
     d=20, k=2, n_total=64, n0=2, m=100, sigma=0.05, seed=0,
     comm_cost=1.0, lam=1.0, c_hat=1.2, plan_mode="analytic",
+)
+
+# the base of criterion 5's 50-seed sweep; the criterion sets its a from pilot runs
+CRITERION_5 = RunConfig(
+    d=20, k=2, n_total=256, n0=2, m=100, sigma=0.5, seed=0,
+    comm_cost=1.0, lam=1.0, c_hat=1.2, init_mode="random", plan_mode="analytic",
 )

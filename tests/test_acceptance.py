@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 from srpfl import checks, cli, engine, fedrep, linalg, synthesis
-from srpfl.engine import RunConfig
 
-from criteria import CRITERION_1, CRITERION_2, CRITERION_4
+from criteria import CRITERION_1, CRITERION_2, CRITERION_4, CRITERION_5
 
 
 def report(name, ok, detail, budget_s, elapsed_s):
@@ -95,16 +94,12 @@ def bracket_runs():
     a from the 50 baseline trajectories for the bound evaluation.
     """
     start = time.perf_counter()
-    base = RunConfig(
-        d=20, k=2, n_total=256, n0=2, m=100, sigma=0.5, seed=0,
-        comm_cost=1.0, lam=1.0, c_hat=1.2, init_mode="random", plan_mode="analytic",
-    )
     pilots = [
-        engine.run(dataclasses.replace(base, algorithm=engine.ALGO_FEDREP_FULL, seed=s))
+        engine.run(dataclasses.replace(CRITERION_5, algorithm=engine.ALGO_FEDREP_FULL, seed=s))
         for s in (9001, 9002, 9003)
     ]
     a0 = statistics.median(engine.measure_contraction_rate(t) for t in pilots)
-    cfg = dataclasses.replace(base, a=a0)
+    cfg = dataclasses.replace(CRITERION_5, a=a0)
     seeds = list(range(50))
     results = engine.run_sweep(cfg, seeds)
     a_measured = statistics.median(

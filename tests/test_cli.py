@@ -309,8 +309,8 @@ class TestCompareVerify:
         assert_not_vacuous((out1 / "compare.csv").read_text().strip().split("\n"))
 
     def test_compare_bound_uses_the_speed_model_rate(self, config_path, tmp_path, capsys):
-        # the dynamic model ignores config.lam (here 1); the bound must use
-        # the mean slot rate of the runs' models
+        # the bound must use the mean slot rate of the runs' models, not
+        # config.lam (here 1)
         out = tmp_path / "cmp"
         rc = cli.main([
             "compare", "--config", str(config_path), "--out", str(out),
@@ -327,7 +327,7 @@ class TestCompareVerify:
             summary[key.strip()] = float(value)
         cfg = load_config(config_path)
         lam = statistics.fmean(
-            SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed + i).lam for i in range(cfg.sweep_seeds)
+            SpeedModel.dynamic(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed + i).lam for i in range(cfg.sweep_seeds)
         )
         assert summary["mean_lam"] == pytest.approx(lam, rel=1e-11) and abs(lam - 1.0) > 0.2
         upper, lower, ratio = engine.analytic_speedup_bound(
@@ -336,6 +336,21 @@ class TestCompareVerify:
         assert summary["analytic_upper_srpfl"] == pytest.approx(upper, rel=1e-9)
         assert summary["analytic_lower_fedrep"] == pytest.approx(lower, rel=1e-9)
         assert summary["analytic_ratio_bound"] == pytest.approx(ratio, rel=1e-9)
+
+    def test_compare_refuses_one_client_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # the bounds read log N, 0 at N = 1; a run at N = 1 stays valid
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(
+            "d = 6\nk = 1\nN = 1\nM = 2\nn0 = 1\nm = 20\nsigma = 0.1\na = 0.1\nepsilon = 0.3\nsweep_seeds = 3\n"
+        )
+        calls = []
+        monkeypatch.setattr(engine, "run", calls.append)
+        monkeypatch.setenv("SRPFL_THREADS", "1")
+        assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: bounds need N >= 2, got 1\n"
+        assert calls == [] and not (tmp_path / "o").exists()
+        monkeypatch.undo()
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == cli.EXIT_OK
 
     def test_verify_passes_on_reference_config(self, tmp_path, capsys):
         cfg = tmp_path / "verify.cfg"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srpfl import checks, cli, engine, straggler
+from srpfl import checks, cli, engine, fedrep, straggler
 from srpfl.engine import RunConfig
 from srpfl.errors import ConfigError, NonConvergence, SrpflError
 from srpfl.straggler import participant_ladder
@@ -73,7 +73,7 @@ class TestRun:
                            comm_cost=0.7, speed_kind=speed_kind)
         trace = engine.run(cfg)
         model = (straggler.SpeedModel.fixed(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed) if speed_kind == "fixed"
-                 else straggler.SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed))
+                 else straggler.SpeedModel.dynamic(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed))
         for record, ids in zip(trace.records, trace.participants):
             times = straggler.draw_round_times(model, record.round_index)
             fastest = sorted(range(cfg.n_total), key=lambda i: (times[i], i))[:record.n]
@@ -100,7 +100,7 @@ class TestRun:
         real_round = engine.fedrep_round
         monkeypatch.setattr(engine, "fedrep_round", lambda b, gt, ids, m, *rest: real_round(b, gt, ids, 1, *rest))
         cfg = small_config(plan_mode="fixed", fixed_rounds=3, epsilon=0.0)
-        with pytest.raises(SrpflError, match=r"stage 0, round 1: projected Gram matrix singular"):
+        with pytest.raises(SrpflError, match=r"stage 0, round 1: need m > k, got m=1, k=2"):
             engine.run(cfg)
 
     def test_stage_ladder_progression(self):
@@ -142,6 +142,18 @@ class TestRun:
         again = engine.run(small_config(speed_kind="dynamic", sigma=0.1,
                                         plan_mode="fixed", fixed_rounds=6, epsilon=0.0))
         assert trace.records == again.records
+
+    def test_dynamic_clock_scales_with_lam(self):
+        # slot rates lam * Uniform[1/N, 1]: at twice the rate every time halves
+        # exactly, so the same slots are chosen and the same rounds run
+        for s in range(3):
+            rates = straggler.SpeedModel.dynamic(8, lam=1.0, seed=s).per_client_rates
+            np.testing.assert_array_equal(straggler.SpeedModel.dynamic(8, lam=2.0, seed=s).per_client_rates, 2 * rates)
+        kw = dict(speed_kind="dynamic", sigma=0.1, plan_mode="fixed", fixed_rounds=4, epsilon=0.0, comm_cost=0.0)
+        slow, fast = engine.run(small_config(lam=1.0, **kw)), engine.run(small_config(lam=2.0, **kw))
+        assert [r.round_time / 2 for r in slow.records] == [r.round_time for r in fast.records]
+        assert slow.dists().tolist() == fast.dists().tolist()
+        assert cli.trace_to_csv(slow) != cli.trace_to_csv(fast)
 
     def test_threshold_mode_advances_stages(self):
         cfg = RunConfig(
@@ -389,7 +401,7 @@ class TestTraceCarriesModels:
             speed = straggler.SpeedModel.fixed(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed)
             assert trace.speed.lam == 1.0
         else:
-            speed = straggler.SpeedModel.dynamic(cfg.n_total, cfg.comm_cost, cfg.seed)
+            speed = straggler.SpeedModel.dynamic(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed)
             assert trace.speed.lam == np.mean(speed.per_client_rates) != 1.0
         assert_same_models(trace, gt, speed)
 
@@ -532,7 +544,10 @@ class TestFrozenConfig:
     ("comm_cost", -1.0, "comm_cost must be >= 0, got -1.0",
      [lambda: straggler.SpeedModel.fixed(64, comm_cost=-1.0),
       lambda: straggler.SpeedModel.dynamic(64, comm_cost=-1.0)]),
-], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost"])
+    ("m", 2, "need m > k, got m=2, k=2",
+     [lambda: fedrep.check_batch_size(2, 2),
+      lambda: fedrep.fedrep_round(np.eye(20, 2), gen_ground_truth(20, 2, 64, 0.1, 0), [0], 2, 0.1, 0, 1)]),
+], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost", "m"])
 def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, layer_calls):
     # each rule is the check of the layer that reads the value; RunConfig calls that check
     def config():

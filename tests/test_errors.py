@@ -121,3 +121,25 @@ def test_each_message_is_written_once():
                 sites[template].append(f"{path.name}:{node.lineno}")
     assert len(sites) > 50  # the scan reads the package's messages, not an empty set
     assert not {t: s for t, s in sites.items() if len(s) > 1}
+
+
+def _check_guards(tree):
+    """Yield ``(function name, test)`` for every ``if`` above a raise in a function named ``check`` or ``check_*``."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef) and (func.name == "check" or func.name.startswith("check_")):
+            for node in ast.walk(func):
+                if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+                    yield func.name, node.test
+
+
+def test_check_guards_refuse_nan():
+    # `lam <= 0` is false for NaN and lets it through; `not lam > 0` refuses it
+    guards = [
+        (path.name, *guard) for path in MODULES for guard in _check_guards(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(guards) >= 9  # the scan reads the package's checks, not an empty set
+    bad = [
+        f"{name} {func}: if {ast.unparse(test)}" for name, func, test in guards
+        if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not))
+    ]
+    assert not bad, bad

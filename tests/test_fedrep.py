@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srpfl import fedrep, linalg, synthesis
-from srpfl.errors import SrpflError
+from srpfl.errors import ConfigError, SrpflError
 
 
 def make_batch(x, y, client=0):
@@ -152,26 +152,31 @@ class TestFedrepRound:
         with pytest.raises(SrpflError, match="a round needs at least one participant"):
             fedrep.fedrep_round(gt.b_star, gt, [], m=20, eta=0.1, seed=14, round_index=1)
 
-    def test_singular_gram_names_client(self):
+    def test_singular_gram_names_client(self, monkeypatch):
+        # at m > k a singular R_kk is a null event, so one is planted in the
+        # round's draw: the second participant's, client 2's
+        real_draw = fedrep._draw_round
+
+        def planted(*args):
+            r_kk, *rest = real_draw(*args)
+            r_kk[1, 1, 1] = 0.0
+            return (r_kk, *rest)
+
+        monkeypatch.setattr(fedrep, "_draw_round", planted)
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=15)
-        with pytest.raises(SrpflError, match="projected Gram matrix singular .* for client"):
-            fedrep.fedrep_round(gt.b_star, gt, [0, 1], m=1, eta=0.1, seed=15, round_index=1)
+        with pytest.raises(SrpflError, match=r"^projected Gram matrix singular \(lambda_min=\S+\) for client 2 at m=20$"):
+            fedrep.fedrep_round(gt.b_star, gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=1)
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_batch_of_k_samples_does_not_move(self, sigma):
-        # m = k: every head fits its k samples exactly, so no residual is
-        # left and the step is b itself
-        gt = synthesis.gen_ground_truth(7, 3, 6, sigma, seed=16)
-        b, _ = linalg.thin_qr(np.random.default_rng(5).standard_normal((7, 3)))
-        new = fedrep.fedrep_round(b, gt, range(6), m=3, eta=0.5, seed=16, round_index=2)
-        assert linalg.principal_angle_dist(new, b) <= 1e-12
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_fewer_samples_than_k_names_the_first_participant(self, m):
+    def test_batch_of_at_most_k_samples_is_refused_before_any_draw(self, monkeypatch):
+        # at m = k no residual is left and below it no head is unique
         gt = synthesis.gen_ground_truth(7, 3, 6, 0.3, seed=17)
         b, _ = linalg.thin_qr(np.random.default_rng(6).standard_normal((7, 3)))
-        with pytest.raises(SrpflError, match=rf"^projected Gram matrix singular \(lambda_min=\S+\) for client 4 at m={m}$"):
-            fedrep.fedrep_round(b, gt, [4, 0, 5], m=m, eta=0.1, seed=17, round_index=1)
+        drawn = []
+        monkeypatch.setattr(fedrep, "substream", lambda *key: drawn.append(key))
+        for m in (3, 2, 1):
+            with pytest.raises(ConfigError, match=rf"^need m > k, got m={m}, k=3$"):
+                fedrep.fedrep_round(b, gt, [4, 0, 5], m=m, eta=0.1, seed=17, round_index=1)
+        assert drawn == []
 
 
 def row_batches(gt, m, draws, seed):
@@ -391,12 +396,11 @@ class TestBlockedRound:
         assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
         assert 1 <= calls["qr"] <= 3 and 1 <= calls["svd"] <= 2
 
-    @pytest.mark.parametrize("n, k, m, chi_squares", [(256, 2, 100, 256 * 3), (5, 3, 2, 5 * 2)])
+    @pytest.mark.parametrize("n, k, m, chi_squares", [(256, 2, 100, 256 * 3)])
     def test_round_draw_budget(self, monkeypatch, n, k, m, chi_squares):
-        # a round draws n(k+1) chi-squares, k+1 roots per client (only m
-        # when m <= k: a triangle of m samples has m rows), and n(k(k-1)/2 +
-        # p + 1) + d min(n, k) normals: at d=20, k=2 (p=4) nine values per
-        # client plus 40 per round, and no n x d block
+        # a round draws n(k+1) chi-squares, k+1 roots per client, and
+        # n(k(k-1)/2 + p + 1) + d min(n, k) normals: at d=20, k=2 (p=4) nine
+        # values per client plus 40 per round, and no n x d block
         d, p = 20, 2 * k
         gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=29)
         b, _ = linalg.thin_qr(np.random.default_rng(30).standard_normal((d, k)))
@@ -416,11 +420,7 @@ class TestBlockedRound:
 
         monkeypatch.setattr(fedrep, "substream", lambda *key: Counting(synthesis.substream(*key)))
         normals = n * (k * (k - 1) // 2 + p + 1) + d * min(n, k)
-        if m <= k:
-            with pytest.raises(SrpflError, match="projected Gram matrix singular"):
-                fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
-        else:
-            fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
+        fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
         assert drawn == [("chisquare", chi_squares), ("standard_normal", normals)]
 
     def test_one_singular_client_among_many_is_named(self):

@@ -313,8 +313,11 @@ class TestStagePlan:
     (lambda: straggler.expected_order_stat(4, 2, -1.0), ConfigError, "lam must be positive"),
     (lambda: straggler.check_contraction_factor(0.0), ConfigError, r"must lie in \(0, 1/4\], got 0.0"),
     (lambda: straggler.check_contraction_factor(0.3), ConfigError, r"must lie in \(0, 1/4\], got 0.3"),
+    (lambda: SpeedModel.fixed(4, lam=float("nan")), ConfigError, "lam must be positive, got nan"),
+    (lambda: SpeedModel.fixed(4, comm_cost=float("nan")), ConfigError, "comm_cost must be >= 0, got nan"),
+    (lambda: straggler.expected_order_stat(4, 2, float("nan")), ConfigError, "lam must be positive, got nan"),
 ], ids=["fixed_lam", "fixed_comm", "dynamic_slots", "dynamic_comm", "no_clients",
-        "order_stat_lam", "a_zero", "a_above_quarter"])
+        "order_stat_lam", "a_zero", "a_above_quarter", "fixed_lam_nan", "fixed_comm_nan", "order_stat_lam_nan"])
 def test_typed_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
