@@ -167,16 +167,27 @@ class TestFedrepRound:
         with pytest.raises(SrpflError, match=r"^projected Gram matrix singular \(lambda_min=\S+\) for client 2 at m=20$"):
             fedrep.fedrep_round(gt.b_star, gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=1)
 
-    def test_batch_of_at_most_k_samples_is_refused_before_any_draw(self, monkeypatch):
-        # at m = k no residual is left and below it no head is unique
-        gt = synthesis.gen_ground_truth(7, 3, 6, 0.3, seed=17)
-        b, _ = linalg.thin_qr(np.random.default_rng(6).standard_normal((7, 3)))
+    @staticmethod
+    def refused_before_any_draw(monkeypatch, gt, b, m, seed):
         drawn = []
         monkeypatch.setattr(fedrep, "substream", lambda *key: drawn.append(key))
-        for m in (3, 2, 1):
-            with pytest.raises(ConfigError, match=rf"^need m > k, got m={m}, k=3$"):
-                fedrep.fedrep_round(b, gt, [4, 0, 5], m=m, eta=0.1, seed=17, round_index=1)
+        with pytest.raises(ConfigError, match=rf"^need m > k, got m={m}, k={gt.k}$"):
+            fedrep.fedrep_round(b, gt, range(gt.n_clients), m=m, eta=0.5, seed=seed, round_index=1)
         assert drawn == []
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_batch_of_k_samples_is_refused_before_any_draw(self, monkeypatch, sigma):
+        # m = k: every head would fit its k samples exactly and leave no residual
+        gt = synthesis.gen_ground_truth(7, 3, 6, sigma, seed=16)
+        b, _ = linalg.thin_qr(np.random.default_rng(5).standard_normal((7, 3)))
+        self.refused_before_any_draw(monkeypatch, gt, b, m=3, seed=16)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_fewer_samples_than_k_is_refused_before_any_draw(self, monkeypatch, m):
+        # m < k: no head is unique
+        gt = synthesis.gen_ground_truth(7, 3, 6, 0.3, seed=17)
+        b, _ = linalg.thin_qr(np.random.default_rng(6).standard_normal((7, 3)))
+        self.refused_before_any_draw(monkeypatch, gt, b, m=m, seed=17)
 
 
 def row_batches(gt, m, draws, seed):
