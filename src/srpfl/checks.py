@@ -28,7 +28,7 @@ def contraction(config):
     w_star = trace.ground_truth.w_star
     dist_before, margins = trace.init_dist, []
     for record, ids in zip(trace.records, trace.participants):
-        s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
+        s_min = float(engine.head_spectrum(w_star, ids)[-1])
         a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
         shrink = math.sqrt(1.0 - a_t)
         rhs = shrink * dist_before + (1.0 - shrink) * straggler.noise_floor(a_t, record.n / config.n0)

@@ -25,13 +25,14 @@ from .straggler import (
     A_MAX,
     A_MIN,
     MODE_ANALYTIC,
-    PLAN_MODES,
     SPEED_FIXED,
     SPEED_KINDS,
     SpeedModel,
     build_stage_plan,
     check_c_hat,
     check_contraction_factor,
+    check_fixed_rounds,
+    check_plan_mode,
     contraction_factor,
     participant_ladder,
     select_fastest,
@@ -107,6 +108,8 @@ class RunConfig:
         GroundTruthModel.check(self.d, self.k, self.population, self.sigma, self.seed)
         SpeedModel.check(self.n_total, self.lam, self.comm_cost)
         check_batch_size(self.m, self.k)
+        check_plan_mode(self.plan_mode)
+        check_fixed_rounds(self.fixed_rounds)  # in every mode, though only the fixed plan reads it
         checks = [
             (self.n_total <= self.population, f"need N <= M, got N={self.n_total}, M={self.population}"),
             # fewer than k heads leave part of B* out of every label
@@ -114,8 +117,6 @@ class RunConfig:
             (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epsilon is None or self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}"),
             (self.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
-            (self.plan_mode in PLAN_MODES, f"plan_mode must be one of {PLAN_MODES}, got {self.plan_mode!r}"),
-            (self.fixed_rounds >= 1, f"fixed_rounds must be >= 1, got {self.fixed_rounds}"),
             (self.init_mode in INIT_MODES, f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"),
             (self.speed_kind in SPEED_KINDS, f"speed_kind must be one of {SPEED_KINDS}, got {self.speed_kind!r}"),
             (self.resample_scope in RESAMPLE_SCOPES,
@@ -170,6 +171,12 @@ class RunTrace:
         return np.array([r.dist for r in self.records])
 
 
+def head_spectrum(w, ids):
+    """Singular values, largest first, of (1/sqrt(n)) W_S: the rows ``ids`` of ``w``,
+    n of them.  ``ids`` of shape (..., n) gives one spectrum per slice."""
+    return np.linalg.svd(w[ids] / math.sqrt(np.shape(ids)[-1]), compute_uv=False)
+
+
 def measure_singular_extremes(w_active, n0, seed):
     """Sampled extremes of the singular values of (1/sqrt(n)) W restricted to subsets.
 
@@ -188,7 +195,7 @@ def measure_singular_extremes(w_active, n0, seed):
     s_min, s_max = math.inf, 0.0
     for n in participant_ladder(n_active, n0):
         subsets = np.arange(n_active)[None] if n == n_active else order[:, :n]
-        sv = np.linalg.svd(w_active[subsets] / math.sqrt(n), compute_uv=False)
+        sv = head_spectrum(w_active, subsets)
         s_min = min(s_min, float(sv[:, -1].min()))
         s_max = max(s_max, float(sv[:, 0].max()))
     return s_min, s_max

@@ -98,12 +98,11 @@ def method_of_moments_init(gt, participants, m, seed):
     Every participant draws one batch (round index 0) and forms
     ``P_i = (1/m) sum_j y_j^2 x_j x_j^T``; the ``P_i`` are summed in
     participant order and the top-k eigenspace of their average is
-    returned.  A sum that overflows issues no numpy warning;
-    :func:`rank_k_eig` refuses it.
+    returned.  Every id is checked before the first batch is drawn.  A sum
+    that overflows issues no numpy warning; :func:`rank_k_eig` refuses it.
     """
     parts = list(participants)
-    if not parts:
-        raise SrpflError("warm start needs at least one participant")
+    gt.check_participants(parts)
     p_bar = np.zeros((gt.d, gt.d))
     saw_signal = False
     for cid in parts:
@@ -252,12 +251,8 @@ def fedrep_round(b, gt, participants, m, eta, seed, round_index):
     warning.
     """
     check_batch_size(m, gt.k)
+    gt.check_participants(participants)
     parts = np.asarray(participants, dtype=int)
-    if not parts.size:
-        raise SrpflError("a round needs at least one participant")
-    bad = parts[(parts < 0) | (parts >= gt.n_clients)]
-    if bad.size:
-        raise SrpflError(f"participant {bad[0]} outside 0..{gt.n_clients - 1}")
     q = span_basis(b, gt.b_star)
     with np.errstate(all="ignore"):  # an overflow ends at thin_qr's finiteness check, a zero pivot at the head check
         draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))

@@ -1,4 +1,4 @@
-"""Client timing models and the one check of their arguments, fastest-n selection, and the doubling schedule.
+"""Client timing models and the one check of their arguments, fastest-n selection, and the doubling schedule and its checks.
 
 Round times come from exponential laws of rate ``lam``: either one fixed draw per
 client reused every round, or fresh per-round draws with slot rates
@@ -128,6 +128,18 @@ def check_contraction_factor(a):
         raise ConfigError(f"contraction factor a must lie in (0, 1/4], got {a}")
 
 
+def check_plan_mode(mode):
+    """Raise :class:`ConfigError` unless ``mode`` is one of :data:`PLAN_MODES`."""
+    if not mode in PLAN_MODES:
+        raise ConfigError(f"plan_mode must be one of {PLAN_MODES}, got {mode!r}")
+
+
+def check_fixed_rounds(fixed_rounds):
+    """Raise :class:`ConfigError` unless fixed mode's round budget is at least one; None is refused too."""
+    if not (fixed_rounds is not None and fixed_rounds >= 1):
+        raise ConfigError(f"fixed_rounds must be >= 1, got {fixed_rounds}")
+
+
 def check_c_hat(c_hat):
     """Raise :class:`ConfigError` unless 1 < c_hat < sqrt(2)."""
     if not 1.0 < c_hat < math.sqrt(2.0):
@@ -197,7 +209,7 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
 
           X_{r+1} = noise_floor(a, n_r/n0) * (1 + (t_r + C) (1 - 1/sqrt(2)) / g_r).
 
-    - Fixed mode uses a constant budget.
+    - Fixed mode uses a constant budget, ``fixed_rounds``, checked only in that mode.
 
     Each rung's order statistic is computed once, and only where a formula
     reads it.  A gap that is not positive and finite (the times overflowed)
@@ -206,16 +218,14 @@ def build_stage_plan(n_total, n0, a, model, c_hat, mode, fixed_rounds=None):
     """
     check_contraction_factor(a)
     check_c_hat(c_hat)
+    check_plan_mode(mode)
     ladder = participant_ladder(n_total, n0)
     last = len(ladder) - 1
     budgets = [None] * len(ladder)
     thresholds = [None] * len(ladder)
     if mode == MODE_FIXED:
-        if fixed_rounds is None or fixed_rounds < 1:
-            raise ConfigError(f"fixed plan mode needs a positive round budget, got {fixed_rounds}")
+        check_fixed_rounds(fixed_rounds)
         budgets = [int(fixed_rounds)] * len(ladder)
-    elif mode not in PLAN_MODES:
-        raise ConfigError(f"unknown plan mode {mode!r}")
     elif mode == MODE_ANALYTIC and last == 1:
         budgets[0] = _rounds_to_shrink(a, 1.0 / (c_hat - 1.0))
     elif last >= 1:

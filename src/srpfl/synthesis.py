@@ -1,4 +1,4 @@
-"""Hidden ground-truth model with the one check of its arguments, substreams and client batches.
+"""Hidden ground-truth model with the checks of its arguments and of a participant list, substreams and client batches.
 
 Client ``i`` observes pairs ``(x, y)`` with ``x ~ N(0, I_d)`` and
 ``y = w_i*^T B*^T x + z``, ``z ~ N(0, sigma^2)``.  All randomness is
@@ -63,6 +63,16 @@ class GroundTruthModel:
         if not seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
 
+    def check_participants(self, participants):
+        """Raise :class:`SrpflError` unless ``participants`` (one id or several) is not
+        empty and every id lies in 0..M-1."""
+        ids = np.asarray(participants, dtype=int).reshape(-1)
+        if not ids.size:
+            raise SrpflError("need at least one participant")
+        inside = (ids >= 0) & (ids < self.n_clients)
+        if not inside.all():
+            raise SrpflError(f"participant {ids[~inside][0]} outside 0..{self.n_clients - 1}")
+
 
 @dataclass(frozen=True)
 class Batch:
@@ -113,8 +123,7 @@ def sample_batch(gt, client, m, round_index, seed):
     identical triples yield bit-identical batches, distinct rounds yield
     independent ones.
     """
-    if not 0 <= client < gt.n_clients:
-        raise SrpflError(f"client {client} outside 0..{gt.n_clients - 1}")
+    gt.check_participants(client)
     if m < 1:
         raise ConfigError(f"batch size must be >= 1, got {m}")
     rng = substream(seed, TAG_BATCH, client, round_index)

@@ -1,6 +1,10 @@
-"""The run configs of acceptance criteria 1, 2, 4 and 5, written once for the
-acceptance suite and the mutation module."""
+"""The run configs of acceptance criteria 1, 2, 4 and 5, and criterion 4's
+statistic, written once for the acceptance suite and the mutation module."""
 
+import dataclasses
+import statistics
+
+from srpfl import engine
 from srpfl.engine import RunConfig
 
 CRITERION_1 = RunConfig(
@@ -19,6 +23,17 @@ CRITERION_4 = RunConfig(
     d=20, k=2, n_total=64, n0=2, m=100, sigma=0.05, seed=0,
     comm_cost=1.0, lam=1.0, c_hat=1.2, plan_mode="analytic",
 )
+
+
+def mean_speedup_ratio(n_total, seeds):
+    """Criterion 4's statistic at N = n_total: the mean over seeds of srpfl's time over fedrep_full's."""
+    results = engine.run_sweep(dataclasses.replace(CRITERION_4, n_total=n_total), seeds)
+    # an analytic plan runs until epsilon, so each run's completion time is its total time
+    return statistics.fmean(
+        s.total_time() / f.total_time()
+        for s, f in zip(results[engine.ALGO_SRPFL], results[engine.ALGO_FEDREP_FULL])
+    )
+
 
 # the base of criterion 5's 50-seed sweep; the criterion sets its a from pilot runs
 CRITERION_5 = RunConfig(

@@ -19,7 +19,7 @@ import pytest
 
 from srpfl import checks, cli, engine, fedrep, linalg, synthesis
 
-from criteria import CRITERION_1, CRITERION_2, CRITERION_4, CRITERION_5
+from criteria import CRITERION_1, CRITERION_2, CRITERION_5, mean_speedup_ratio
 
 
 def report(name, ok, detail, budget_s, elapsed_s):
@@ -60,21 +60,11 @@ def test_criterion_3_order_statistics():
     report("criterion 3 (exponential order statistics)", ok, detail, 5, time.perf_counter() - start)
 
 
-def _speedup_ratios(n_total, seeds):
-    cfg = dataclasses.replace(CRITERION_4, n_total=n_total)
-    # an analytic plan runs until epsilon, so each run's completion time is its total time
-    results = engine.run_sweep(cfg, seeds)
-    return [
-        tr_s.total_time() / tr_f.total_time()
-        for tr_s, tr_f in zip(results[engine.ALGO_SRPFL], results[engine.ALGO_FEDREP_FULL])
-    ]
-
-
 def test_criterion_4_speedup_trend():
     start = time.perf_counter()
     seeds = list(range(20))
-    mean_64 = statistics.fmean(_speedup_ratios(64, seeds))
-    mean_256 = statistics.fmean(_speedup_ratios(256, seeds))
+    mean_64 = mean_speedup_ratio(64, seeds)
+    mean_256 = mean_speedup_ratio(256, seeds)
     ok = mean_256 < mean_64 < 1.0
     report(
         "criterion 4 (speedup trend in N)", ok,

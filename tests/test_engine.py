@@ -72,10 +72,8 @@ class TestRun:
         cfg = small_config(sigma=0.2, plan_mode="fixed", fixed_rounds=3, epsilon=0.0,
                            comm_cost=0.7, speed_kind=speed_kind)
         trace = engine.run(cfg)
-        model = (straggler.SpeedModel.fixed(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed) if speed_kind == "fixed"
-                 else straggler.SpeedModel.dynamic(cfg.n_total, cfg.lam, cfg.comm_cost, cfg.seed))
         for record, ids in zip(trace.records, trace.participants):
-            times = straggler.draw_round_times(model, record.round_index)
+            times = straggler.draw_round_times(trace.speed, record.round_index)
             fastest = sorted(range(cfg.n_total), key=lambda i: (times[i], i))[:record.n]
             np.testing.assert_array_equal(ids, fastest)
             assert record.round_time == float(np.max(times[ids])) + 0.7
@@ -547,7 +545,11 @@ class TestFrozenConfig:
     ("m", 2, "need m > k, got m=2, k=2",
      [lambda: fedrep.check_batch_size(2, 2),
       lambda: fedrep.fedrep_round(np.eye(20, 2), gen_ground_truth(20, 2, 64, 0.1, 0), [0], 2, 0.1, 0, 1)]),
-], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost", "m"])
+    ("plan_mode", "bogus", "plan_mode must be one of ('analytic', 'distance_threshold', 'fixed'), got 'bogus'",
+     [lambda: straggler.build_stage_plan(64, 4, 0.2, straggler.SpeedModel.fixed(64), 1.2, "bogus")]),
+    ("fixed_rounds", 0, "fixed_rounds must be >= 1, got 0",
+     [lambda: straggler.build_stage_plan(64, 4, 0.2, straggler.SpeedModel.fixed(64), 1.2, straggler.MODE_FIXED, 0)]),
+], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost", "m", "plan_mode", "fixed_rounds"])
 def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, layer_calls):
     # each rule is the check of the layer that reads the value; RunConfig calls that check
     def config():

@@ -94,7 +94,7 @@ class TestMethodOfMoments:
 
     def test_no_participants(self):
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
-        with pytest.raises(SrpflError, match="warm start needs at least one participant"):
+        with pytest.raises(SrpflError, match="need at least one participant"):
             fedrep.method_of_moments_init(gt, [], 10, seed=0)
 
     def test_full_dimensional_subspace(self):
@@ -149,7 +149,7 @@ class TestFedrepRound:
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
         with pytest.raises(SrpflError, match=r"participant 9 outside 0\.\.3"):
             fedrep.fedrep_round(gt.b_star, gt, [0, 9], m=20, eta=0.1, seed=14, round_index=1)
-        with pytest.raises(SrpflError, match="a round needs at least one participant"):
+        with pytest.raises(SrpflError, match="need at least one participant"):
             fedrep.fedrep_round(gt.b_star, gt, [], m=20, eta=0.1, seed=14, round_index=1)
 
     def test_singular_gram_names_client(self, monkeypatch):
@@ -504,3 +504,30 @@ def test_round_is_a_pure_function_of_the_span(case):
     assert fedrep.fedrep_round(b, gt, range(n), m, 0.2, seed, round_index=3).tobytes() == new.tobytes()
     turned = fedrep.fedrep_round(b @ rot, gt, range(n), m, 0.2, seed, round_index=3)
     assert linalg.principal_angle_dist(new, turned) <= 1e-10
+
+
+def test_round_warm_start_and_batch_refuse_ids_in_the_same_words_before_any_draw(monkeypatch):
+    # the hidden model's one check of a participant list, run before the first draw
+    gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
+    drawn = []
+    real_substream = synthesis.substream
+
+    def recording(*key):
+        drawn.append(key)
+        return real_substream(*key)
+
+    monkeypatch.setattr(synthesis, "substream", recording)  # the warm start's batches
+    monkeypatch.setattr(fedrep, "substream", recording)     # the round's draw
+    calls = [
+        lambda ids: fedrep.fedrep_round(gt.b_star, gt, ids, m=20, eta=0.1, seed=14, round_index=1),
+        lambda ids: fedrep.method_of_moments_init(gt, ids, 20, seed=14),
+    ]
+    for ids, message in (([0, 9], "participant 9 outside 0..3"), ([], "need at least one participant")):
+        for call in calls:
+            with pytest.raises(SrpflError) as refused:
+                call(ids)
+            assert str(refused.value) == message
+    with pytest.raises(SrpflError) as refused:
+        synthesis.sample_batch(gt, 9, 20, 0, seed=14)
+    assert str(refused.value) == "participant 9 outside 0..3"
+    assert drawn == []

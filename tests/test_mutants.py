@@ -9,15 +9,16 @@ Each mutant replaces one engine step by monkeypatch:
 - ``slowest_n``: the selection keeps the slowest n slots, slowest first,
   and prices the round by the slowest chosen slot plus C.
 
-A pair is tested here only where its check goes red.  Some pairs stay
-green, and ROADMAP item 3 lists them: ``frozen`` passes criteria 1 and 4,
-and ``slowest_n`` passes criterion 1, verify's contraction check and, by
-construction (n = N), criterion 2.  Criterion 5a is left out: its fixture
-takes seconds per mutant, and its analytic plans run to the round cap.
+A pair whose check goes red is a plain test.  A pair whose check stays
+green, so that the check misses the mutant, is marked :data:`GREEN`, a
+strict xfail that ROADMAP item 3 lists: a change that makes the check
+catch its mutant turns the suite red until that mark is dropped.
+``slowest_n`` passes criterion 2 by construction (n = N), so that pair is
+left out.  Criterion 5a is left out too: its fixture takes seconds per
+mutant, and its analytic plans run to the round cap.
 """
 
 import dataclasses
-import statistics
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from srpfl.config import load_config
 from srpfl.errors import NonConvergence
 from srpfl.linalg import thin_qr
 
-from criteria import CRITERION_1, CRITERION_2, CRITERION_4
+from criteria import CRITERION_1, CRITERION_2, mean_speedup_ratio
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
 
@@ -53,43 +54,64 @@ def slowest_n(model, round_index, n):
     return slots, float(times[slots[0]]) + model.comm_cost
 
 
-ROUND_MUTANTS = {"frozen": frozen, "random": random_basis, "wrong_sign": wrong_sign}
+MUTANTS = {  # name -> (the engine step it replaces, the replacement)
+    "frozen": ("fedrep_round", frozen),
+    "random": ("fedrep_round", random_basis),
+    "wrong_sign": ("fedrep_round", wrong_sign),
+    "slowest_n": ("select_fastest", slowest_n),
+}
+
+GREEN = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3: the check still passes this mutant")
+
+
+def green(name):
+    return pytest.param(name, marks=GREEN)
 
 
 @pytest.fixture
-def round_mutant(request, monkeypatch):
-    monkeypatch.setattr(engine, "fedrep_round", ROUND_MUTANTS[request.param])
+def mutant(request, monkeypatch):
+    monkeypatch.setattr(engine, *MUTANTS[request.param])
 
 
-@pytest.mark.parametrize("round_mutant", ["random", "wrong_sign"], indirect=True)
-def test_criterion_1_catches(round_mutant):
+@pytest.mark.parametrize("mutant", [green("frozen"), "random", "wrong_sign", green("slowest_n")], indirect=True)
+def test_criterion_1_catches(mutant):
     ok, detail = checks.contraction(CRITERION_1)
     assert not ok, detail
 
 
-@pytest.mark.parametrize("round_mutant", ["frozen", "random", "wrong_sign"], indirect=True)
-def test_criterion_2_catches(round_mutant):
+@pytest.mark.parametrize("mutant", ["frozen", "random", "wrong_sign"], indirect=True)
+def test_criterion_2_catches(mutant):
     trace = engine.run(CRITERION_2)
     assert not trace.reached_target and trace.final_dist > 1e-6
 
 
-def test_criterion_4_catches_slowest_n(monkeypatch):
-    monkeypatch.setattr(engine, "select_fastest", slowest_n)
+def _criterion_4_goes_red(monkeypatch):
     monkeypatch.setenv("SRPFL_THREADS", "1")
-    means = {}
-    for n_total in (64, 256):
-        # criterion 4's seeds
-        results = engine.run_sweep(dataclasses.replace(CRITERION_4, n_total=n_total), range(20))
-        means[n_total] = statistics.fmean(
-            s.total_time() / f.total_time()
-            for s, f in zip(results[engine.ALGO_SRPFL], results[engine.ALGO_FEDREP_FULL])
-        )
+    mean_64, mean_256 = (mean_speedup_ratio(n_total, range(20)) for n_total in (64, 256))  # criterion 4's seeds
+    assert not mean_256 < mean_64 < 1.0, (mean_64, mean_256)
+
+
+def test_criterion_4_catches_slowest_n(monkeypatch):
     # every run of both algorithms ends after one round, so each ratio reads 1
-    assert not means[256] < means[64] < 1.0, means
+    monkeypatch.setattr(engine, "select_fastest", slowest_n)
+    _criterion_4_goes_red(monkeypatch)
 
 
-@pytest.mark.parametrize("round_mutant", ["frozen", "random", "wrong_sign"], indirect=True)
-def test_verify_contraction_catches(round_mutant):
+@GREEN
+def test_criterion_4_catches_frozen(monkeypatch):
+    monkeypatch.setattr(engine, "fedrep_round", frozen)
+    _criterion_4_goes_red(monkeypatch)
+
+
+@pytest.mark.parametrize("mutant", ["frozen", "random", "wrong_sign"], indirect=True)
+def test_verify_contraction_catches(mutant):
     cfg = dataclasses.replace(load_config(REFERENCE_CONFIG), max_rounds=300)
     with pytest.raises(NonConvergence, match="round cap 300"):
         checks.contraction(cfg)
+
+
+@GREEN
+def test_verify_contraction_catches_slowest_n(monkeypatch):
+    monkeypatch.setattr(engine, "select_fastest", slowest_n)
+    ok, detail = checks.contraction(load_config(REFERENCE_CONFIG))
+    assert not ok, detail

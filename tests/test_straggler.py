@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -298,9 +299,9 @@ class TestStagePlan:
         model = SpeedModel.fixed(4, lam=1.0)
         with pytest.raises(ConfigError):
             straggler.build_stage_plan(4, 8, 0.2, model, 1.2, straggler.MODE_ANALYTIC)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("plan_mode must be one of ('analytic', 'distance_threshold', 'fixed'), got 'bogus'")):
             straggler.build_stage_plan(8, 2, 0.2, model, 1.2, "bogus")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="fixed_rounds must be >= 1, got None"):
             straggler.build_stage_plan(8, 2, 0.2, model, 1.2, straggler.MODE_FIXED, fixed_rounds=None)
 
 

@@ -83,7 +83,7 @@ class TestSampleBatch:
 
     def test_client_out_of_range(self):
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
-        with pytest.raises(SrpflError, match=r"client 2 outside 0\.\.1"):
+        with pytest.raises(SrpflError, match=r"participant 2 outside 0\.\.1"):
             synthesis.sample_batch(gt, 2, 5, 0, seed=0)
 
     def test_empty_batch(self):
