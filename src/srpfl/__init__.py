@@ -8,6 +8,8 @@ Core layers: matrix kernels (:mod:`srpfl.linalg`), synthetic data
 (:mod:`srpfl.engine`), and the command-line surface (:mod:`srpfl.cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .engine import (
     ALGO_FEDREP_FULL,
     ALGO_SRPFL,
@@ -46,35 +48,7 @@ from .synthesis import Batch, GroundTruthModel, gen_ground_truth, sample_batch
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALGO_FEDREP_FULL",
-    "ALGO_SRPFL",
-    "Batch",
-    "GroundTruthModel",
-    "RunConfig",
-    "RunTrace",
-    "SpeedModel",
-    "analytic_speedup_bound",
-    "build_stage_plan",
-    "draw_round_times",
-    "expected_order_stat",
-    "fedrep_round",
-    "gen_ground_truth",
-    "head_update",
-    "is_orthonormal",
-    "measure_contraction_rate",
-    "measure_singular_extremes",
-    "method_of_moments_init",
-    "noise_floor",
-    "participant_ladder",
-    "principal_angle_dist",
-    "rank_k_eig",
-    "rep_gradient_step",
-    "run",
-    "run_sweep",
-    "sample_batch",
-    "select_fastest",
-    "span_basis",
-    "target_accuracy",
-    "thin_qr",
-]
+# the names the imports above bind, without the submodules they load
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -27,8 +27,8 @@ def contraction(config):
     trace = engine.run(config)
     w_star = trace.ground_truth.w_star
     dist_before, margins = trace.init_dist, []
-    for record, ids in zip(trace.records, trace.participants):
-        s_min = float(engine.head_spectrum(w_star, ids)[-1])
+    for record in trace.records:
+        s_min = float(engine.head_spectrum(w_star, record.ids)[-1])
         a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
         shrink = math.sqrt(1.0 - a_t)
         rhs = shrink * dist_before + (1.0 - shrink) * straggler.noise_floor(a_t, record.n / config.n0)

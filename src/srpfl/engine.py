@@ -15,6 +15,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -65,8 +66,8 @@ class RunConfig:
     clamped into [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from
     the target-accuracy formula.  The sigma extremes are measured over sampled participant
     subsets of every ladder size, see :func:`measure_singular_extremes`.  Every float must be
-    finite.  A value a layer reads is refused by that layer's check (``m > k`` by the round's
-    :func:`check_batch_size`), in the words a library call gives.
+    finite, and every int field integral.  A value a layer reads is refused by that layer's
+    check (``m > k`` by the round's :func:`check_batch_size`), in the words a library call gives.
     """
 
     d: int
@@ -104,6 +105,8 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            if f.type is int and not isinstance(value, Integral):  # numpy integers are Integral
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         participant_ladder(self.n_total, self.n0)
         GroundTruthModel.check(self.d, self.k, self.population, self.sigma, self.seed)
         SpeedModel.check(self.n_total, self.lam, self.comm_cost)
@@ -144,15 +147,16 @@ class RoundRecord:
     round_time: float
     cumulative_time: float
     dist: float
+    ids: np.ndarray | None = field(default=None, compare=False, repr=False)  # the round's participants
 
 
 @dataclass
 class RunTrace:
-    """Per-round log of one run, its derived quantities, and the models it drew from its config."""
+    """Per-round log of one run, what the run fixed before its first round, and the models it drew
+    from its config.  The last row is the run's result: ``final_dist`` and ``reached_target`` read it."""
 
     records: list
     config_digest: str
-    final_dist: float
     init_dist: float
     epsilon: float
     eta: float
@@ -161,8 +165,14 @@ class RunTrace:
     speed: SpeedModel               # selected and priced each round; its lam is the bounds' rate
     sigma_min_star: float
     sigma_max_star: float
-    reached_target: bool
-    participants: list = field(default_factory=list)
+
+    @property
+    def final_dist(self):
+        return self.records[-1].dist if self.records else self.init_dist
+
+    @property
+    def reached_target(self):
+        return bool(self.records) and self.records[-1].dist <= self.epsilon
 
     def total_time(self):
         return self.records[-1].cumulative_time if self.records else 0.0
@@ -260,9 +270,8 @@ def run(config):
     )
 
     trace = RunTrace(
-        records=[], config_digest=config.digest(), final_dist=init_dist, init_dist=init_dist,
-        epsilon=epsilon, eta=eta, a=a, ground_truth=gt, speed=speed,
-        sigma_min_star=s_min, sigma_max_star=s_max, reached_target=False,
+        records=[], config_digest=config.digest(), init_dist=init_dist, epsilon=epsilon,
+        eta=eta, a=a, ground_truth=gt, speed=speed, sigma_min_star=s_min, sigma_max_star=s_max,
     )
     b, cumulative, stage, first = b0, 0.0, 0, 0  # first: the rounds run before this stage
     while not trace.reached_target:
@@ -298,13 +307,10 @@ def run(config):
                 f"stage {stage}, round {round_index}: simulated time {cumulative!r} "
                 f"is not finite (round time {elapsed!r})"
             )
-        dist = principal_angle_dist(b, gt.b_star)
         trace.records.append(RoundRecord(
-            stage=stage, round_index=round_index, n=int(n_r),
-            round_time=elapsed, cumulative_time=cumulative, dist=dist,
+            stage=stage, round_index=round_index, n=int(n_r), round_time=elapsed,
+            cumulative_time=cumulative, dist=principal_angle_dist(b, gt.b_star), ids=ids,
         ))
-        trace.participants.append(ids)
-        trace.final_dist, trace.reached_target = dist, dist <= epsilon
     return trace
 
 

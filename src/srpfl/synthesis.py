@@ -41,15 +41,25 @@ class GroundTruthModel:
     """The hidden (B*, W*, sigma) triple that generates all client data.
 
     ``b_star`` is d x k with orthonormal columns; row ``i`` of ``w_star``
-    is the client head ``w_i*`` with Euclidean norm sqrt(k).
+    is the client head ``w_i*`` with Euclidean norm sqrt(k).  d, k and the
+    number of clients M are read from these shapes.
     """
 
     b_star: np.ndarray
     w_star: np.ndarray
     sigma: float
-    d: int
-    k: int
-    n_clients: int
+
+    @property
+    def d(self):
+        return self.b_star.shape[0]
+
+    @property
+    def k(self):
+        return self.b_star.shape[1]
+
+    @property
+    def n_clients(self):
+        return self.w_star.shape[0]
 
     @staticmethod
     def check(d, k, n_clients, sigma, seed):
@@ -65,10 +75,12 @@ class GroundTruthModel:
 
     def check_participants(self, participants):
         """Raise :class:`SrpflError` unless ``participants`` (one id or several) is not
-        empty and every id lies in 0..M-1."""
-        ids = np.asarray(participants, dtype=int).reshape(-1)
+        empty and every id is an integer in 0..M-1."""
+        ids = np.asarray(participants).reshape(-1)
         if not ids.size:
             raise SrpflError("need at least one participant")
+        if not issubclass(ids.dtype.type, np.integer):
+            raise SrpflError(f"participant ids must be integers, got {ids.tolist()}")
         inside = (ids >= 0) & (ids < self.n_clients)
         if not inside.all():
             raise SrpflError(f"participant {ids[~inside][0]} outside 0..{self.n_clients - 1}")
@@ -111,9 +123,7 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
         heads[bad] = rng.standard_normal((int(bad.sum()), k))
         norms = np.linalg.norm(heads, axis=1)
     w_star = heads * (np.sqrt(k) / norms)[:, None]
-    return GroundTruthModel(
-        b_star=b_star, w_star=w_star, sigma=float(sigma), d=d, k=k, n_clients=n_clients,
-    )
+    return GroundTruthModel(b_star=b_star, w_star=w_star, sigma=float(sigma))
 
 
 def sample_batch(gt, client, m, round_index, seed):

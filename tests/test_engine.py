@@ -72,11 +72,11 @@ class TestRun:
         cfg = small_config(sigma=0.2, plan_mode="fixed", fixed_rounds=3, epsilon=0.0,
                            comm_cost=0.7, speed_kind=speed_kind)
         trace = engine.run(cfg)
-        for record, ids in zip(trace.records, trace.participants):
+        for record in trace.records:
             times = straggler.draw_round_times(trace.speed, record.round_index)
             fastest = sorted(range(cfg.n_total), key=lambda i: (times[i], i))[:record.n]
-            np.testing.assert_array_equal(ids, fastest)
-            assert record.round_time == float(np.max(times[ids])) + 0.7
+            np.testing.assert_array_equal(record.ids, fastest)
+            assert record.round_time == float(np.max(times[record.ids])) + 0.7
 
     def test_noise_floor_shrinks_with_participation(self):
         # long-run plateau with all clients sits below the plateau with n0
@@ -126,9 +126,9 @@ class TestRun:
                   plan_mode="fixed", fixed_rounds=4, epsilon=0.0)
         per_stage = engine.run(small_config(**kw))
         per_round = engine.run(small_config(resample_scope="per_round", **kw))
-        assert all(p.max() < 20 for p in per_round.participants)
+        assert all(r.ids.max() < 20 for r in per_round.records)
         # per-round resampling draws different client sets round to round
-        sets = {tuple(sorted(p.tolist())) for p in per_round.participants}
+        sets = {tuple(sorted(r.ids.tolist())) for r in per_round.records}
         assert len(sets) > 1
         assert per_stage.records != per_round.records
 
@@ -315,8 +315,8 @@ class TestContractionCheck:
                            plan_mode="fixed", fixed_rounds=20, epsilon=0.0)
         trace = engine.run(config)
         w_star = trace.ground_truth.w_star
-        last, ids = trace.records[-1], trace.participants[-1]
-        s_min = float(np.linalg.svd(w_star[ids] / math.sqrt(len(ids)), compute_uv=False)[-1])
+        last = trace.records[-1]
+        s_min = float(np.linalg.svd(w_star[last.ids] / math.sqrt(len(last.ids)), compute_uv=False)[-1])
         a_t = straggler.contraction_factor(trace.eta, trace.init_dist, s_min)
         shrink = math.sqrt(1.0 - a_t)
         rhs = shrink * trace.records[-2].dist + (1.0 - shrink) * straggler.noise_floor(a_t, last.n / config.n0)
@@ -381,6 +381,8 @@ def assert_same_models(trace, ground_truth, speed):
         for f in dataclasses.fields(built):
             value, expected = getattr(carried, f.name), getattr(built, f.name)
             assert expected is None and value is None or np.array_equal(value, expected), f.name
+    carried, built = trace.ground_truth, ground_truth  # d, k and M are read from the arrays, not fields
+    assert (carried.d, carried.k, carried.n_clients) == (built.d, built.k, built.n_clients)
 
 
 class TestTraceCarriesModels:
@@ -417,12 +419,11 @@ class TestTraceCarriesModels:
 
 
 def synthetic_trace(dists):
-    """A trace with one round of unit time per distance and no participant sets."""
+    """A trace with one round of unit time per distance and no participant ids."""
     records = [engine.RoundRecord(0, t, 4, 1.0, float(t), dist) for t, dist in enumerate(dists, start=1)]
     return engine.RunTrace(
-        records=records, config_digest="x", final_dist=records[-1].dist,
-        init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05, ground_truth=None, speed=None,
-        sigma_min_star=1.0, sigma_max_star=1.0, reached_target=False,
+        records=records, config_digest="x", init_dist=0.9, epsilon=1e-6, eta=0.1, a=0.05,
+        ground_truth=None, speed=None, sigma_min_star=1.0, sigma_max_star=1.0,
     )
 
 
@@ -561,6 +562,22 @@ def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, 
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("key, value", [
+    ("fixed_rounds", 2.5), ("max_rounds", 3.5), ("sweep_seeds", 2.5), ("d", 8.0), ("n_total", 8.5), ("m", 30.5),
+])
+def test_integer_fields_refuse_a_fraction(key, value):
+    # unchecked, the fixed plan truncated 2.5 rounds to 2, and d = 8.0 failed as a bare TypeError
+    with pytest.raises(ConfigError) as refused:
+        RunConfig(**{"d": 8, "k": 2, "n_total": 8, "n0": 2, "m": 30, "sigma": 0.1, "plan_mode": "fixed", key: value})
+    assert str(refused.value) == f"{key} must be an integer, got {value!r}"
+
+
+def test_integer_fields_accept_numpy_integers():
+    kw = dict(d=8, k=2, n_total=8, n0=2, m=30, sigma=0.1, seed=3, plan_mode="fixed", fixed_rounds=2, epsilon=0.0)
+    as_numpy = RunConfig(**{key: np.int64(v) if type(v) is int else v for key, v in kw.items()})
+    assert cli.trace_to_csv(engine.run(as_numpy)) == cli.trace_to_csv(engine.run(RunConfig(**kw)))
+
+
 def optional(*values):
     return st.sampled_from((None, *values))
 
@@ -600,5 +617,10 @@ def test_random_config_is_refused_or_gives_a_sound_trace(kw):
     assert all(b > a for a, b in zip(times, times[1:]))
     ns = [r.n for r in trace.records]
     assert all(b >= a for a, b in zip(ns, ns[1:]))
-    assert trace.reached_target == (trace.final_dist <= trace.epsilon)
+    for r in trace.records:  # each row holds its round's n distinct participants out of M
+        assert len(set(r.ids.tolist())) == len(r.ids) == r.n
+        assert 0 <= r.ids.min() and r.ids.max() < cfg.population
+    last = trace.records[-1]
+    assert trace.final_dist == last.dist
+    assert trace.reached_target == (last.dist <= trace.epsilon)
     assert cli.trace_to_csv(engine.run(cfg)) == cli.trace_to_csv(trace)

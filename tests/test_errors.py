@@ -85,11 +85,6 @@ def test_no_unread_imports(path):
     assert not _imported_names(tree) - read
 
 
-def test_exports_are_the_package_imports():
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    assert sorted(srpfl.__all__) == sorted(_imported_names(tree))
-
-
 def _template(node):
     """A literal message with each ``{...}`` field as ``{}``; None where the message is not a literal."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):

@@ -522,12 +522,18 @@ def test_round_warm_start_and_batch_refuse_ids_in_the_same_words_before_any_draw
         lambda ids: fedrep.fedrep_round(gt.b_star, gt, ids, m=20, eta=0.1, seed=14, round_index=1),
         lambda ids: fedrep.method_of_moments_init(gt, ids, 20, seed=14),
     ]
-    for ids, message in (([0, 9], "participant 9 outside 0..3"), ([], "need at least one participant")):
+    cases = (
+        ([0, 9], "participant 9 outside 0..3"),
+        ([], "need at least one participant"),
+        ([1.7], "participant ids must be integers, got [1.7]"),  # not truncated to client 1
+    )
+    for ids, message in cases:
         for call in calls:
             with pytest.raises(SrpflError) as refused:
                 call(ids)
             assert str(refused.value) == message
-    with pytest.raises(SrpflError) as refused:
-        synthesis.sample_batch(gt, 9, 20, 0, seed=14)
-    assert str(refused.value) == "participant 9 outside 0..3"
+    for client, message in ((9, "participant 9 outside 0..3"), (1.5, "participant ids must be integers, got [1.5]")):
+        with pytest.raises(SrpflError) as refused:
+            synthesis.sample_batch(gt, client, 20, 0, seed=14)
+        assert str(refused.value) == message
     assert drawn == []

@@ -52,6 +52,14 @@ class TestGroundTruth:
         with pytest.raises(ConfigError, match=message):
             synthesis.gen_ground_truth(3, 1, 1, sigma, seed=seed)
 
+    def test_a_hand_built_model_reads_its_sizes_from_its_arrays(self):
+        # three heads: id 5 is refused by the check, not by an IndexError in a round
+        gt = synthesis.GroundTruthModel(b_star=np.eye(5, 2), w_star=np.ones((3, 2)), sigma=0.1)
+        assert (gt.d, gt.k, gt.n_clients) == (5, 2, 3)
+        with pytest.raises(SrpflError) as refused:
+            gt.check_participants([5])
+        assert str(refused.value) == "participant 5 outside 0..2"
+
 
 class TestSampleBatch:
     def test_noiseless_labels_follow_linear_model(self):
