@@ -122,10 +122,11 @@ def _draw_round(n, k, p, d, m, rng):
     k x k Bartlett triangle of m > k samples: entry (i, i) is ``sqrt(chi2(m - i))``
     and the entries above it are standard normal.  ``t`` (n,) is ``sqrt(chi2(m - k))``.
     ``xi`` (k, n), ``zeta`` (p+1-k, n) and ``z`` (d, min(n, k)) are standard normal.
-    One chi-square call draws the k+1 roots of every client and one normal call the
-    rest: per client k(k-1)/2 + p + 1 values, in that order, then ``z``.
+    k+1 scalar-df chi-square calls draw the roots, one degree of freedom at a time across
+    the clients, and one normal call the rest: per client k(k-1)/2 + p + 1 values, in that
+    order, then ``z``.
     """
-    roots = np.sqrt(rng.chisquare(m - np.arange(k + 1, dtype=float)[:, None], size=(k + 1, n)))
+    roots = np.sqrt([rng.chisquare(m - i, size=n) for i in range(k + 1)])
     upper = k * (k - 1) // 2
     normals = rng.standard_normal(n * (upper + p + 1) + d * min(n, k))
     per_client, z = normals[:n * (upper + p + 1)].reshape(-1, n), normals[n * (upper + p + 1):]

@@ -407,9 +407,9 @@ class TestBlockedRound:
         assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
         assert 1 <= calls["qr"] <= 3 and 1 <= calls["svd"] <= 2
 
-    @pytest.mark.parametrize("n, k, m, chi_squares", [(256, 2, 100, 256 * 3)])
-    def test_round_draw_budget(self, monkeypatch, n, k, m, chi_squares):
-        # a round draws n(k+1) chi-squares, k+1 roots per client, and
+    @pytest.mark.parametrize("n, k, m", [(256, 2, 100)])
+    def test_round_draw_budget(self, monkeypatch, n, k, m):
+        # a round draws n(k+1) chi-squares, k+1 roots per client in k+1 calls of n, and
         # n(k(k-1)/2 + p + 1) + d min(n, k) normals: at d=20, k=2 (p=4) nine
         # values per client plus 40 per round, and no n x d block
         d, p = 20, 2 * k
@@ -432,7 +432,7 @@ class TestBlockedRound:
         monkeypatch.setattr(fedrep, "substream", lambda *key: Counting(synthesis.substream(*key)))
         normals = n * (k * (k - 1) // 2 + p + 1) + d * min(n, k)
         fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
-        assert drawn == [("chisquare", chi_squares), ("standard_normal", normals)]
+        assert drawn == [("chisquare", n)] * (k + 1) + [("standard_normal", normals)]
 
     def test_one_singular_client_among_many_is_named(self):
         # 300 well-conditioned clients and one, id 1217, whose projected
