@@ -143,7 +143,7 @@ def kernel_invariants():
         m = int(rng.integers(k + 1, 12))
         gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=800 + i)
         b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
-        q = linalg.span_basis(b, gt.b_star)
+        q, _ = linalg.span_basis(b, gt.b_star)
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, rng)
         w, resid, tail = fedrep._client_statistics(gt, q, np.arange(n), m, draw)
         rows = fedrep._factor_rows(gt, q, np.arange(n), m, draw)

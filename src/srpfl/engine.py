@@ -20,8 +20,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError, NonConvergence, SrpflError
-from .fedrep import check_batch_size, fedrep_round, method_of_moments_init
-from .linalg import principal_angle_dist, thin_qr
+from .fedrep import check_batch_size, fedrep_round, method_of_moments_init, random_init
+from .linalg import span_basis
 from .straggler import (
     A_MAX,
     A_MIN,
@@ -39,7 +39,7 @@ from .straggler import (
     select_fastest,
     target_accuracy,
 )
-from .synthesis import TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_SUBSET_PROBE, GroundTruthModel, gen_ground_truth, substream
+from .synthesis import TAG_ACTIVE_SET, TAG_SUBSET_PROBE, GroundTruthModel, gen_ground_truth, substream
 
 ALGO_SRPFL = "srpfl"
 ALGO_FEDREP_FULL = "fedrep_full"
@@ -54,6 +54,8 @@ RESAMPLE_PER_ROUND = "per_round"
 RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
 
 PROBE_SUBSETS = 64  # sampled subsets per ladder size in the spectrum probe
+
+_CANONICAL = {int: int, float: float, float | None: float, str: str}  # field type -> what its value hashes as
 
 
 @dataclass(frozen=True)
@@ -135,8 +137,14 @@ class RunConfig:
         check_c_hat(self.c_hat)
 
     def digest(self):
-        canonical = "\n".join(f"{k}={v!r}" for k, v in sorted((vars(self) | {"n_clients": self.population}).items()))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        """12 hex digits of sha256 over every field, each as the Python value of its field's type,
+        so equal configs hash alike however their numbers were built (numpy scalars included)."""
+        def canonical(f):
+            value = self.population if f.name == "n_clients" else getattr(self, f.name)
+            return None if value is None else _CANONICAL[f.type](value)
+
+        text = "\n".join(f"{f.name}={canonical(f)!r}" for f in sorted(fields(self), key=lambda f: f.name))
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -225,8 +233,9 @@ def run(config):
     Stages follow :func:`build_stage_plan`; the full-participation
     baseline is the plan with n0 = N, a single stage.  Each round:
     :func:`select_fastest` keeps the fastest n slots and prices the round,
-    one communication round runs, the wall-clock accumulates, the oracle
-    distance is measured.  Before each round one rule decides, in this order:
+    one communication round runs on the run's basis (:func:`span_basis` of the
+    start and ``B*``) and returns the next basis with its oracle distance, and
+    the wall-clock accumulates.  Before each round one rule decides, in this order:
 
     1. the last round reached epsilon: the run ends;
     2. the stage is over, its distance at its exit threshold or its round
@@ -255,8 +264,8 @@ def run(config):
         except SrpflError as exc:
             raise type(exc)(f"warm start: {exc}") from exc
     else:
-        b0, _ = thin_qr(substream(config.seed, TAG_RANDOM_INIT).standard_normal((gt.d, gt.k)))
-    init_dist = principal_angle_dist(b0, gt.b_star)
+        b0 = random_init(gt, config.seed)
+    q, init_dist = span_basis(b0, gt.b_star)  # the first round's basis
     a = config.a if config.a is not None else contraction_factor(eta, init_dist, s_min)
     epsilon = (
         config.epsilon
@@ -273,7 +282,7 @@ def run(config):
         records=[], config_digest=config.digest(), init_dist=init_dist, epsilon=epsilon,
         eta=eta, a=a, ground_truth=gt, speed=speed, sigma_min_star=s_min, sigma_max_star=s_max,
     )
-    b, cumulative, stage, first = b0, 0.0, 0, 0  # first: the rounds run before this stage
+    cumulative, stage, first = 0.0, 0, 0  # first: the rounds run before this stage
     while not trace.reached_target:
         done = len(trace.records)
         n_r, tau_r, threshold = plan[stage]
@@ -298,7 +307,7 @@ def run(config):
         slots, elapsed = select_fastest(speed, round_index, n_r)
         ids = active[slots]
         try:
-            b = fedrep_round(b, gt, ids, config.m, eta, config.seed, round_index)
+            q, dist = fedrep_round(q, gt, ids, config.m, eta, config.seed, round_index)
         except SrpflError as exc:
             raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
         cumulative += elapsed
@@ -309,7 +318,7 @@ def run(config):
             )
         trace.records.append(RoundRecord(
             stage=stage, round_index=round_index, n=int(n_r), round_time=elapsed,
-            cumulative_time=cumulative, dist=principal_angle_dist(b, gt.b_star), ids=ids,
+            cumulative_time=cumulative, dist=dist, ids=ids,
         ))
     return trace
 

@@ -3,7 +3,7 @@
 Per participating client: solve the local head exactly by least squares
 against the frozen representation, then take a single gradient step on
 the representation.  The server averages the per-client representation
-updates and re-orthonormalizes with a thin QR.  Each client update
+updates and re-orthonormalizes.  Each client update
 carries the 1/m batch normalization and the server carries the 1/n
 average, so the composite step on the representation is eta/(m*n) times
 the summed gradient; a round forms that sum directly, as one d x k move.
@@ -25,17 +25,23 @@ a round draws nine values per client at d = 20, k = 2, plus d k per round
 (:func:`_draw_round`), all clients last from one generator per round, in
 participant order.
 
-Also provides the spectral warm start: average the per-client
-second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and keep the
-top-k eigenspace.  These are fourth moments of the rows, so the warm
-start draws each participant's full rows with :func:`sample_batch`.
+A round carries ``Q`` itself, not ``b``: ``b`` is ``Q``'s first k columns,
+and the round ends in one Householder QR of ``[step, B*]``
+(:func:`span_basis`), which orthonormalizes the step, checks it for
+collapse, measures its distance to ``B*`` and builds the next round's ``Q``.
+
+Also provides the two starts: the spectral warm start averages the
+per-client second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and
+keeps the top-k eigenspace.  These are fourth moments of the rows, so the
+warm start draws each participant's full rows with :func:`sample_batch`.
+The random start is the thin QR of a Gaussian (:func:`random_init`).
 """
 
 import numpy as np
 
 from .errors import ConfigError, SrpflError
 from .linalg import rank_k_eig, span_basis, thin_qr
-from .synthesis import TAG_ROUND, Batch, sample_batch, substream
+from .synthesis import TAG_RANDOM_INIT, TAG_ROUND, Batch, sample_batch, substream
 
 GRAM_TOL = 1e-10
 
@@ -90,6 +96,11 @@ def rep_gradient_step(b, w, batch, eta):
     m = batch.m
     resid = (batch.x @ (b @ w[..., None]))[..., 0] - batch.y
     return b - (eta / m) * (batch.x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
+
+
+def random_init(gt, seed):
+    """Random start for the shared representation: the thin QR of a d x k standard Gaussian."""
+    return thin_qr(substream(seed, TAG_RANDOM_INIT).standard_normal((gt.d, gt.k)))[0]
 
 
 def method_of_moments_init(gt, participants, m, seed):
@@ -184,7 +195,7 @@ def _client_statistics(gt, q, parts, m, draw):
     """
     r_kk, xi, t, zeta, _ = draw
     v, u = _signal(gt, q, parts)
-    size = np.sqrt((u * u).sum(axis=0))  # ||u||, in numpy so that an overflow ends at thin_qr
+    size = np.sqrt((u * u).sum(axis=0))  # ||u||, in numpy so that an overflow ends at span_basis
     w = _heads(r_kk, v[:gt.k], size * xi, parts, m)
     along = (u * zeta).sum(axis=0) / np.where(size > 0, size, 1.0)  # u_hat^T zeta
     tail = t * ((t - along) * u[:-1] + size * zeta[:-1])
@@ -223,9 +234,8 @@ def _summed_move(q, w, resid, tail, z):
     n x k matrix of rows ``||r_i|| w_i``; with ``C = Q_C R_C`` (thin QR),
     ``G^T Q_C`` is a d x min(n, k) standard Gaussian, so ``G^T C`` has the law
     of ``z R_C`` for every ``C``, zero included (``R_C = C`` when n <= k,
-    where ``z`` is ``G^T`` itself).  Times ``q[:, :k]^T b`` it is the move
-    in ``b``'s frame; :func:`rep_gradient_step` is the row form of one
-    client's.
+    where ``z`` is ``G^T`` itself).  It is the move of the representation
+    ``q[:, :k]``; :func:`rep_gradient_step` is the row form of one client's.
     """
     r_c = resid[:, None] * w
     if len(r_c) > z.shape[1]:  # n > k; for n <= k, C itself is a factor
@@ -236,27 +246,29 @@ def _summed_move(q, w, resid, tail, z):
     return outside - q @ (q.T @ outside) - q[:, w.shape[1]:] @ (tail @ w)
 
 
-def fedrep_round(b, gt, participants, m, eta, seed, round_index):
-    """Run one communication round from representation ``b``; return the new one.
+def fedrep_round(q, gt, participants, m, eta, seed, round_index):
+    """Run one communication round from basis ``q``; return the next basis and its distance.
 
-    ``round_index`` is the 1-based round number.  ``m`` and every id are checked
-    before the first draw.  The round's basis is ``span_basis(b, B*)``, and one
-    generator, keyed on ``(seed, round_index)``, draws what every participant's
-    step reads (see :func:`_draw_round`), so a participant's draws depend on its
-    place in the round while the trace stays a pure function of the config.
-    Each participant solves its head afresh; the updates are summed into one
-    d x k move (see :func:`_summed_move`), and the round returns the thin QR
-    of ``b - eta/(m*n) move``.  Raises with the offending client id when a
-    local solve fails, and when the moved ``b`` collapses or is not finite
-    (see :func:`thin_qr`); an overflow on the way there issues no numpy
-    warning.
+    ``q`` is the round's basis as :func:`span_basis` returns it: orthonormal,
+    its first k columns spanning the representation and its span holding
+    ``B*``.  ``round_index`` is the 1-based round number.  ``m`` and every id
+    are checked before the first draw.  One generator, keyed on ``(seed,
+    round_index)``, draws what every participant's step reads (see
+    :func:`_draw_round`), so a participant's draws depend on its place in the
+    round while the trace stays a pure function of the config.  Each
+    participant solves its head afresh in the frame of ``q[:, :k]``; the
+    updates are summed into one d x k move (see :func:`_summed_move`), and the
+    round returns ``span_basis(q[:, :k] - eta/(m*n) move, B*)``: the next
+    round's basis and the distance of the moved representation to ``B*``.
+    Raises with the offending client id when a local solve fails, and when the
+    moved representation collapses or is not finite (see :func:`span_basis`);
+    an overflow on the way there issues no numpy warning.
     """
     check_batch_size(m, gt.k)
     gt.check_participants(participants)
     parts = np.asarray(participants, dtype=int)
-    q = span_basis(b, gt.b_star)
-    with np.errstate(all="ignore"):  # an overflow ends at thin_qr's finiteness check, a zero pivot at the head check
+    with np.errstate(all="ignore"):  # an overflow ends at span_basis's finiteness check, a zero pivot at the head check
         draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))
-        move = _summed_move(q, *_client_statistics(gt, q, parts, m, draw), draw[-1]) @ (q[:, :gt.k].T @ b)
-        step = b - (eta / (m * parts.size)) * move
-    return thin_qr(step)[0]
+        move = _summed_move(q, *_client_statistics(gt, q, parts, m, draw), draw[-1])
+        step = q[:, :gt.k] - (eta / (m * parts.size)) * move
+    return span_basis(step, gt.b_star)

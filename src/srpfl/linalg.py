@@ -1,11 +1,11 @@
 """Dense matrix kernels used everywhere else in the package.
 
-Thin QR with a fixed sign convention, a basis of the sum of two spans,
-top-k symmetric eigenbasis, and the principal-angle distance between
-equal-rank subspaces.  Everything operates on plain
-float ndarrays; matrices are row-major ``(rows, cols)`` arrays and an
-"orthonormal basis" is a ``d x k`` array ``b`` with ``b.T @ b = I_k`` up
-to :data:`ORTHO_TOL`.
+Thin QR with a fixed sign convention, a basis of the sum of two spans
+together with their principal-angle distance, top-k symmetric eigenbasis,
+and the principal-angle distance between equal-rank subspaces.  Everything
+operates on plain float ndarrays; matrices are row-major ``(rows, cols)``
+arrays and an "orthonormal basis" is a ``d x k`` array ``b`` with
+``b.T @ b = I_k`` up to :data:`ORTHO_TOL`.
 """
 
 import warnings
@@ -54,37 +54,54 @@ def thin_qr(a):
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise SrpflError(f"thin_qr expects a tall d x k matrix, got shape {a.shape}")
     q, r = np.linalg.qr(a)
-    if not np.isfinite(r).all():
-        raise SrpflError("QR factor is not finite: the input is not, or its column norms overflow")
-    sv = np.linalg.svd(r, compute_uv=False)
-    if sv[-1] <= RANK_TOL * sv[0]:
-        raise SrpflError(f"column rank collapsed: sigma_min={sv[-1]:.3e} vs sigma_max={sv[0]:.3e}")
+    _checked_svd(r[None])
     # positive-diagonal convention so repeated runs are bit-identical
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
     return q * signs, signs[:, None] * r
 
 
-def span_basis(lead, other):
-    """Orthonormal basis of ``span(lead) + span(other)`` that starts with ``lead``.
+def _checked_svd(blocks):
+    """Left singular vectors of a stack of matrices whose first is the R factor of a QR.
 
-    ``lead`` and ``other`` are d x k and d x j orthonormal bases; returns
-    ``q`` of shape d x min(d, k + j).  With ``lead^T other = u s v^T``, the
-    first k columns are ``lead u``, ``lead``'s principal vectors toward
-    ``other``, and the rest span the part of ``other``'s principal vectors
-    ``other v`` outside ``span(lead)``, taken from the largest principal
-    angle down, so that when d < k + j the directions ``other`` shares with
-    ``lead`` are the ones left out.  When d >= k + j, ``q`` depends on each
-    input only through its span, up to rounding; below that, the spans share
-    directions, tied at principal angle 0, whose principal vectors are left to
-    rounding.  Each column's largest-magnitude entry is positive.  Built from a
-    Householder QR of ``[lead u, other v]``, so ``q`` stays orthonormal to
-    machine precision when ``other`` nearly lies in ``span(lead)``.
+    One SVD call for the whole stack.  Raises as :func:`thin_qr` does unless
+    that factor is finite and its singular values clear :data:`RANK_TOL`.
     """
-    u, _, vt = np.linalg.svd(lead.T @ other)
-    q = np.linalg.qr(np.hstack([lead @ u, other @ vt[::-1].T]))[0]
+    if not np.isfinite(blocks[0]).all():
+        raise SrpflError("QR factor is not finite: the input is not, or its column norms overflow")
+    u, sv, _ = np.linalg.svd(blocks)
+    if sv[0, -1] <= RANK_TOL * sv[0, 0]:
+        raise SrpflError(f"column rank collapsed: sigma_min={sv[0, -1]:.3e} vs sigma_max={sv[0, 0]:.3e}")
+    return u
+
+
+def span_basis(lead, other):
+    """Orthonormal basis of ``span(lead) + span(other)`` that starts with ``lead``, and their distance.
+
+    ``lead`` is any d x k full-rank matrix with d >= k, ``other`` a d x k
+    orthonormal basis.  One Householder QR ``[lead, other] = Q R`` does the
+    work.  ``R11``, ``lead``'s triangle, gets :func:`thin_qr`'s checks.  The
+    left singular vectors of ``R12`` turn ``Q1`` into ``lead``'s principal
+    vectors toward ``other``, the first k columns of ``q``.  ``R22``'s singular
+    values are the sines of the principal angles, and its left singular
+    vectors give the rest of ``q``, largest angle first, so that when d < 2k
+    the directions ``other`` shares with ``lead`` are the ones left out.
+    Returns ``(q, dist)``: ``q`` is d x min(d, 2k), each column's
+    largest-magnitude entry positive, and ``dist = sigma_max(R22)`` (0 when
+    d = k) is :func:`principal_angle_dist` up to rounding.  When d >= 2k,
+    ``q`` depends on each input only through its span, up to rounding; below
+    that, the spans share directions, tied at principal angle 0, whose
+    principal vectors are left to rounding.  ``q`` is a product of orthonormal
+    factors, so it stays orthonormal when ``other`` nearly lies in
+    ``span(lead)``.
+    """
+    k = lead.shape[1]
+    basis, r = np.linalg.qr(np.hstack([lead, other]))
+    u = _checked_svd(r[:k].reshape(k, 2, k).swapaxes(0, 1))[1]  # one call for [R11, R12]; keep R12's
+    u_rest, sines, _ = np.linalg.svd(r[k:, k:])  # R22 is min(d - k, k) x k, with no rows when d = k
+    q = np.hstack([basis[:, :k] @ u, basis[:, k:] @ u_rest])
     peaks = np.abs(q).argmax(axis=0)
-    return q * np.sign(q[peaks, np.arange(q.shape[1])])
+    return q * np.sign(q[peaks, np.arange(q.shape[1])]), min(1.0, float(sines.max(initial=0.0)))
 
 
 def rank_k_eig(s, k):

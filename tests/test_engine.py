@@ -96,7 +96,7 @@ class TestRun:
     def test_module_errors_carry_stage_and_round(self, monkeypatch):
         # validate rejects m < k, so one-sample batches are handed to the round itself
         real_round = engine.fedrep_round
-        monkeypatch.setattr(engine, "fedrep_round", lambda b, gt, ids, m, *rest: real_round(b, gt, ids, 1, *rest))
+        monkeypatch.setattr(engine, "fedrep_round", lambda q, gt, ids, m, *rest: real_round(q, gt, ids, 1, *rest))
         cfg = small_config(plan_mode="fixed", fixed_rounds=3, epsilon=0.0)
         with pytest.raises(SrpflError, match=r"stage 0, round 1: need m > k, got m=1, k=2"):
             engine.run(cfg)
@@ -531,6 +531,15 @@ class TestFrozenConfig:
     def test_digest_hashes_the_resolved_population(self, base):
         assert base.digest() == "07ec0d10aa10"
         assert dataclasses.replace(base, n_clients=8).digest() == base.digest()
+
+    def test_equal_configs_built_from_numpy_scalars_hash_alike(self, base):
+        numpy_built = RunConfig(d=np.int64(8), k=np.int32(2), n_total=8, n0=2, m=np.int64(30), sigma=np.float64(0.1),
+                                lam=np.float64(1.0), eta=np.float64(0.05), seed=np.int64(0))
+        python_built = dataclasses.replace(base, eta=0.05)
+        assert numpy_built == python_built
+        assert numpy_built.digest() == python_built.digest()
+        assert dataclasses.replace(base, sigma=1).digest() == dataclasses.replace(base, sigma=1.0).digest()
+        assert dataclasses.replace(base, seed=np.int64(3)).digest() != base.digest()
 
 
 @pytest.mark.parametrize("key, value, message, layer_calls", [

@@ -14,6 +14,11 @@ def make_batch(x, y, client=0):
     return synthesis.Batch(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float), client_id=client)
 
 
+def basis(b, gt):
+    """The round's basis for representation ``b``, as ``engine.run`` carries it."""
+    return linalg.span_basis(b, gt.b_star)[0]
+
+
 def local_loss(b, w, batch):
     resid = batch.y - batch.x @ (b @ w)
     return 0.5 * float(resid @ resid) / batch.x.shape[0]
@@ -115,34 +120,34 @@ class TestMethodOfMoments:
 class TestFedrepRound:
     def test_fixed_point_at_optimum(self):
         gt = synthesis.gen_ground_truth(6, 2, 8, 0.0, seed=10)
-        new = fedrep.fedrep_round(gt.b_star, gt, range(8), m=30, eta=0.1, seed=10, round_index=1)
-        assert linalg.principal_angle_dist(new, gt.b_star) <= 1e-9
+        new, dist = fedrep.fedrep_round(basis(gt.b_star, gt), gt, range(8), m=30, eta=0.1, seed=10, round_index=1)
+        assert linalg.principal_angle_dist(new[:, :2], gt.b_star) <= 1e-9
+        assert dist <= 1e-9
 
     def test_zero_step_preserves_span(self):
         gt = synthesis.gen_ground_truth(6, 2, 8, 0.0, seed=11)
         b, _ = linalg.thin_qr(np.random.default_rng(1).standard_normal((6, 2)))
-        new = fedrep.fedrep_round(b, gt, range(8), m=30, eta=0.0, seed=11, round_index=1)
-        assert linalg.principal_angle_dist(new, b) <= 1e-12
+        new, _ = fedrep.fedrep_round(basis(b, gt), gt, range(8), m=30, eta=0.0, seed=11, round_index=1)
+        assert linalg.principal_angle_dist(new[:, :2], b) <= 1e-12
 
     def test_monotone_decrease_noiseless_seed9(self):
         gt = synthesis.gen_ground_truth(10, 2, 8, 0.0, seed=9)
         b, _ = linalg.thin_qr(np.random.default_rng(2).standard_normal((10, 2)))
-        dists = [linalg.principal_angle_dist(b, gt.b_star)]
+        q, dists = basis(b, gt), [linalg.principal_angle_dist(b, gt.b_star)]
         for t in range(1, 6):
-            b = fedrep.fedrep_round(b, gt, range(8), m=60, eta=0.1, seed=9, round_index=t)
-            dists.append(linalg.principal_angle_dist(b, gt.b_star))
+            q, dist = fedrep.fedrep_round(q, gt, range(8), m=60, eta=0.1, seed=9, round_index=t)
+            assert abs(dist - linalg.principal_angle_dist(q[:, :2], gt.b_star)) <= 1e-13
+            dists.append(dist)
         assert all(b < a for a, b in zip(dists, dists[1:]))
 
     def test_rotation_invariant_trajectory(self):
         gt = synthesis.gen_ground_truth(8, 2, 6, 0.2, seed=13)
         b, _ = linalg.thin_qr(np.random.default_rng(3).standard_normal((8, 2)))
         rot, _ = linalg.thin_qr(np.random.default_rng(4).standard_normal((2, 2)))
-        s1, s2 = b, b @ rot
+        s1, s2 = basis(b, gt), basis(b @ rot, gt)
         for t in range(1, 5):
-            s1 = fedrep.fedrep_round(s1, gt, range(6), m=25, eta=0.1, seed=13, round_index=t)
-            s2 = fedrep.fedrep_round(s2, gt, range(6), m=25, eta=0.1, seed=13, round_index=t)
-            d1 = linalg.principal_angle_dist(s1, gt.b_star)
-            d2 = linalg.principal_angle_dist(s2, gt.b_star)
+            s1, d1 = fedrep.fedrep_round(s1, gt, range(6), m=25, eta=0.1, seed=13, round_index=t)
+            s2, d2 = fedrep.fedrep_round(s2, gt, range(6), m=25, eta=0.1, seed=13, round_index=t)
             assert abs(d1 - d2) <= 1e-8
 
     def test_bad_participant(self):
@@ -165,14 +170,14 @@ class TestFedrepRound:
         monkeypatch.setattr(fedrep, "_draw_round", planted)
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=15)
         with pytest.raises(SrpflError, match=r"^projected Gram matrix singular \(lambda_min=\S+\) for client 2 at m=20$"):
-            fedrep.fedrep_round(gt.b_star, gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=1)
+            fedrep.fedrep_round(basis(gt.b_star, gt), gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=1)
 
     @staticmethod
     def refused_before_any_draw(monkeypatch, gt, b, m, seed):
         drawn = []
         monkeypatch.setattr(fedrep, "substream", lambda *key: drawn.append(key))
         with pytest.raises(ConfigError, match=rf"^need m > k, got m={m}, k={gt.k}$"):
-            fedrep.fedrep_round(b, gt, range(gt.n_clients), m=m, eta=0.5, seed=seed, round_index=1)
+            fedrep.fedrep_round(basis(b, gt), gt, range(gt.n_clients), m=m, eta=0.5, seed=seed, round_index=1)
         assert drawn == []
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
@@ -229,21 +234,19 @@ class TestBlockedRound:
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
         # each client's rows are the (k+1)-row factor rebuilt from its draw,
         # X = R[:, :p] q^T, standing for m samples, so X^T r lies in span(q):
-        # the back-substituted head, turned into b's frame by vt = q[:, :k]^T b,
-        # ||r|| and the in-span part of the summed move are the row loop's.
-        # The rest, (I - q q^T) z R_C (d = 5 < 2k leaves none), must have
-        # R_C^T R_C = sum_i ||r_i||^2 w_i w_i^T, the covariance of
-        # sum_i ||r_i|| g_i w_i^T; the round is the thin QR of the average of
-        # b plus the row loop's moves plus that rest
+        # the back-substituted head, ||r|| and the in-span part of the summed
+        # move are the row loop's from b = q[:, :k].  The rest, (I - q q^T) z R_C
+        # (d = 5 < 2k leaves none), must have R_C^T R_C = sum_i ||r_i||^2 w_i w_i^T,
+        # the covariance of sum_i ||r_i|| g_i w_i^T; the round returns the basis
+        # and distance of span_basis of the average of b plus the row loop's
+        # moves plus that rest
         gt = synthesis.gen_ground_truth(d, k, 50, sigma, seed=21)
-        b, _ = linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))
+        q = basis(linalg.thin_qr(np.random.default_rng(n).standard_normal((d, k)))[0], gt)
+        b = q[:, :k]
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
-        q = linalg.span_basis(b, gt.b_star)
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
-        u, resid, tail = fedrep._client_statistics(gt, q, ids, m, draw)
+        w, resid, tail = fedrep._client_statistics(gt, q, ids, m, draw)
         factor = fedrep._factor_rows(gt, q, ids, m, draw)
-        vt = q[:, :k].T @ b
-        w = u @ vt
         row_moves, gram = np.zeros((d, k)), np.zeros((k, k))
         for i, cid in enumerate(ids):
             rows = synthesis.Batch(x=factor.x[i] @ q.T, y=factor.y[i], client_id=cid, m=m)
@@ -252,20 +255,20 @@ class TestBlockedRound:
             resid_rows = np.linalg.norm(rows.x @ (b @ w_rows) - rows.y)
             np.testing.assert_allclose(resid[i], resid_rows, rtol=1e-12, atol=1e-12)
             row_moves += fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
-            gram += resid_rows**2 * np.outer(u[i], u[i])
-        move = fedrep._summed_move(q, u, resid, tail, draw[-1])
+            gram += resid_rows**2 * np.outer(w[i], w[i])
+        move = fedrep._summed_move(q, w, resid, tail, draw[-1])
         inside = q @ (q.T @ move)
-        np.testing.assert_allclose(-(0.2 / m) * inside @ vt, row_moves, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(-(0.2 / m) * inside, row_moves, rtol=0, atol=1e-12)
         perp_z = draw[-1] - q @ (q.T @ draw[-1])
         if q.shape[1] < d:
             r_c = np.linalg.lstsq(perp_z, move - inside, rcond=None)[0]
             np.testing.assert_allclose(r_c.T @ r_c, gram, rtol=0, atol=1e-10 * max(1.0, np.abs(gram).max()))
         else:
             np.testing.assert_allclose(move - inside, 0.0, rtol=0, atol=1e-12)
-        expected, _ = linalg.thin_qr(b + (row_moves - (0.2 / m) * (move - inside) @ vt) / n)
-        np.testing.assert_allclose(
-            fedrep.fedrep_round(b, gt, ids, m, 0.2, seed=21, round_index=1), expected, rtol=0, atol=1e-12,
-        )
+        expected, expected_dist = linalg.span_basis(b + (row_moves - (0.2 / m) * (move - inside)) / n, gt.b_star)
+        new, dist = fedrep.fedrep_round(q, gt, ids, m, 0.2, seed=21, round_index=1)
+        np.testing.assert_allclose(new, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
     def test_step_distribution_matches_rows_monte_carlo(self):
         # one client's step, 20 000 reduced draws against 20 000 sample_batch
@@ -280,7 +283,7 @@ class TestBlockedRound:
         gt = synthesis.gen_ground_truth(d, k, 1, 0.5, seed=31)
         b, _ = linalg.thin_qr(gt.b_star + 0.07 * np.random.default_rng(32).standard_normal((d, k)))
         perp = np.linalg.svd(np.eye(d) - b @ b.T)[0][:, :d - k]
-        q = linalg.span_basis(b, gt.b_star)
+        q = basis(b, gt)
         vt = q[:, :k].T @ b
         rng = np.random.default_rng(33)
         reduced = []
@@ -313,7 +316,7 @@ class TestBlockedRound:
         d, k, draws = 20, 2, 20_000
         gt = synthesis.gen_ground_truth(d, k, 1, sigma, seed=41)
         b, _ = linalg.thin_qr(np.random.default_rng(42).standard_normal((d, k)))
-        q = linalg.span_basis(b, gt.b_star)
+        q = basis(b, gt)
         draw = fedrep._draw_round(draws, k, q.shape[1], d, m, np.random.default_rng(43))
         w, resid, tail = fedrep._client_statistics(gt, q, np.zeros(draws, dtype=int), m, draw)
         reduced = np.column_stack([w, resid, -tail.T])
@@ -392,10 +395,11 @@ class TestBlockedRound:
 
     def test_round_lapack_budget(self, monkeypatch):
         # one well-conditioned round at n=256: the heads are back-substitutions,
-        # so no solve or eigendecomposition runs; one qr and one svd build the
-        # basis, one qr is the off-span factor R_C, and one of each is thin_qr's
+        # so no solve or eigendecomposition runs; one qr is the off-span factor
+        # R_C, and one qr and two svds are span_basis's, which builds the next
+        # basis, checks the step for collapse and measures its distance
         gt = synthesis.gen_ground_truth(20, 2, 256, 0.5, seed=27)
-        b, _ = linalg.thin_qr(np.random.default_rng(28).standard_normal((20, 2)))
+        q = basis(linalg.thin_qr(np.random.default_rng(28).standard_normal((20, 2)))[0], gt)
         calls = {name: 0 for name in ("solve", "eigvalsh", "eigh", "qr", "svd")}
         for name in calls:
             def spy(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -403,12 +407,12 @@ class TestBlockedRound:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
-        fedrep.fedrep_round(b, gt, range(256), m=100, eta=0.1, seed=27, round_index=1)
+        fedrep.fedrep_round(q, gt, range(256), m=100, eta=0.1, seed=27, round_index=1)
         assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
-        assert 1 <= calls["qr"] <= 3 and 1 <= calls["svd"] <= 2
+        assert calls["qr"] == 2 and calls["svd"] == 2
 
-    @pytest.mark.parametrize("n, k, m", [(256, 2, 100)])
-    def test_round_draw_budget(self, monkeypatch, n, k, m):
+    @pytest.mark.parametrize("n, k, m, chi_squares", [(256, 2, 100, 256 * 3)])
+    def test_round_draw_budget(self, monkeypatch, n, k, m, chi_squares):
         # a round draws n(k+1) chi-squares, k+1 roots per client in k+1 calls of n, and
         # n(k(k-1)/2 + p + 1) + d min(n, k) normals: at d=20, k=2 (p=4) nine
         # values per client plus 40 per round, and no n x d block
@@ -431,8 +435,8 @@ class TestBlockedRound:
 
         monkeypatch.setattr(fedrep, "substream", lambda *key: Counting(synthesis.substream(*key)))
         normals = n * (k * (k - 1) // 2 + p + 1) + d * min(n, k)
-        fedrep.fedrep_round(b, gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
-        assert drawn == [("chisquare", n)] * (k + 1) + [("standard_normal", normals)]
+        fedrep.fedrep_round(basis(b, gt), gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
+        assert drawn == [("chisquare", chi_squares // (k + 1))] * (k + 1) + [("standard_normal", normals)]
 
     def test_one_singular_client_among_many_is_named(self):
         # 300 well-conditioned clients and one, id 1217, whose projected
@@ -499,11 +503,13 @@ def test_round_is_a_pure_function_of_the_span(case):
     rng = np.random.default_rng(seed)
     b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
     rot, _ = linalg.thin_qr(rng.standard_normal((k, k)))
-    new = fedrep.fedrep_round(b, gt, range(n), m, 0.2, seed, round_index=3)
-    assert new.shape == (d, k) and np.isfinite(new).all() and linalg.is_orthonormal(new)
-    assert fedrep.fedrep_round(b, gt, range(n), m, 0.2, seed, round_index=3).tobytes() == new.tobytes()
-    turned = fedrep.fedrep_round(b @ rot, gt, range(n), m, 0.2, seed, round_index=3)
-    assert linalg.principal_angle_dist(new, turned) <= 1e-10
+    new, dist = fedrep.fedrep_round(basis(b, gt), gt, range(n), m, 0.2, seed, round_index=3)
+    assert new.shape == (d, 2 * k) and np.isfinite(new).all() and linalg.is_orthonormal(new)
+    again, again_dist = fedrep.fedrep_round(basis(b, gt), gt, range(n), m, 0.2, seed, round_index=3)
+    assert again.tobytes() == new.tobytes() and again_dist == dist
+    turned, turned_dist = fedrep.fedrep_round(basis(b @ rot, gt), gt, range(n), m, 0.2, seed, round_index=3)
+    assert linalg.principal_angle_dist(new[:, :k], turned[:, :k]) <= 1e-10
+    assert abs(dist - turned_dist) <= 1e-10
 
 
 def test_round_warm_start_and_batch_refuse_ids_in_the_same_words_before_any_draw(monkeypatch):

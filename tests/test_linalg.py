@@ -62,33 +62,57 @@ class TestThinQR:
 
 class TestSpanBasis:
     # a round's basis: span_basis(b, B*) starts with the moving b, and its rest
-    # spans the part of the fixed B* outside span(b)
+    # spans the part of the fixed B* outside span(b); its distance is b's to B*
     @pytest.mark.parametrize("d, k", [(20, 2), (8, 3), (5, 3), (4, 4)])
     def test_orthonormal_and_spans_both(self, d, k):
         fixed, moving = random_orthonormal(d, k, 1), random_orthonormal(d, k, 2)
-        q = linalg.span_basis(moving, fixed)
+        q, dist = linalg.span_basis(moving, fixed)
         assert q.shape == (d, min(d, 2 * k))
         assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-13
         for b in (fixed, moving):
             assert np.linalg.norm(b - q @ (q.T @ b)) <= 1e-13
         np.testing.assert_allclose(q[:, :k] @ q[:, :k].T, moving @ moving.T, atol=1e-13)
         assert np.all(q[np.abs(q).argmax(axis=0), np.arange(q.shape[1])] > 0)
+        assert abs(dist - linalg.principal_angle_dist(moving, fixed)) <= 1e-13
 
     @pytest.mark.parametrize("d, k", [(20, 2), (8, 3), (5, 3)])
     def test_depends_on_moving_only_through_its_span(self, d, k):
         fixed, moving = random_orthonormal(d, k, 3), random_orthonormal(d, k, 4)
         rot = random_orthonormal(k, k, 5)
         np.testing.assert_allclose(
-            linalg.span_basis(moving @ rot, fixed), linalg.span_basis(moving, fixed), atol=1e-12,
+            linalg.span_basis(moving @ rot, fixed)[0], linalg.span_basis(moving, fixed)[0], atol=1e-12,
         )
+
+    @pytest.mark.parametrize("d, k", [(20, 2), (8, 3), (5, 3)])
+    def test_non_orthonormal_lead_gives_its_thin_qr_basis(self, d, k):
+        fixed = random_orthonormal(d, k, 9)
+        lead = random_orthonormal(d, k, 10) @ np.random.default_rng(11).standard_normal((k, k))
+        q, dist = linalg.span_basis(lead, fixed)
+        orthonormal = linalg.thin_qr(lead)[0]
+        np.testing.assert_allclose(q, linalg.span_basis(orthonormal, fixed)[0], atol=1e-12)
+        assert abs(dist - linalg.principal_angle_dist(orthonormal, fixed)) <= 1e-13
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-12, 0.0])
     def test_orthonormal_as_spans_meet(self, gap):
         fixed = random_orthonormal(20, 2, 6)
         moving, _ = np.linalg.qr(fixed @ random_orthonormal(2, 2, 7) + gap * random_orthonormal(20, 2, 8))
-        q = linalg.span_basis(moving, fixed)
+        q, dist = linalg.span_basis(moving, fixed)
         assert np.linalg.norm(q.T @ q - np.eye(4)) <= 1e-13
         assert np.linalg.norm(fixed - q @ (q.T @ fixed)) <= 1e-13
+        assert abs(dist - linalg.principal_angle_dist(moving, fixed)) <= 1e-13
+
+    def test_collapsed_lead_refused_as_thin_qr_refuses_it(self):
+        fixed = random_orthonormal(4, 2, 12)
+        for lead in (np.ones((4, 2)), np.zeros((4, 2))):
+            with pytest.raises(SrpflError, match="column rank collapsed"):
+                linalg.span_basis(lead, fixed)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e308], ids=["nan", "inf", "norm_overflows"])
+    def test_non_finite_lead_refused_as_thin_qr_refuses_it(self, entry):
+        lead = np.eye(4, 2)
+        lead[:, 0] = entry
+        with pytest.raises(SrpflError, match="QR factor is not finite"):
+            linalg.span_basis(lead, random_orthonormal(4, 2, 13))
 
 
 class TestRankKEig:

@@ -2,9 +2,10 @@
 
 Each mutant replaces one engine step by monkeypatch:
 
-- ``frozen``: the round returns ``b`` unchanged;
-- ``random``: the round returns the thin QR of a Gaussian seeded by the
-  round index;
+- ``frozen``: the round returns its basis unchanged, with the distance of its
+  representation;
+- ``random``: the round returns the basis of a Gaussian seeded by the
+  round index, with its distance;
 - ``wrong_sign``: the round steps with ``-eta``;
 - ``slowest_n``: the selection keeps the slowest n slots, slowest first,
   and prices the round by the slowest chosen slot plus C.
@@ -27,7 +28,7 @@ import pytest
 from srpfl import checks, engine, straggler
 from srpfl.config import load_config
 from srpfl.errors import NonConvergence
-from srpfl.linalg import thin_qr
+from srpfl.linalg import span_basis
 
 from criteria import CRITERION_1, CRITERION_2, mean_speedup_ratio
 
@@ -36,16 +37,16 @@ REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference.cf
 real_round = engine.fedrep_round
 
 
-def frozen(b, gt, participants, m, eta, seed, round_index):
-    return b
+def frozen(q, gt, participants, m, eta, seed, round_index):
+    return span_basis(q[:, :gt.k], gt.b_star)
 
 
-def random_basis(b, gt, participants, m, eta, seed, round_index):
-    return thin_qr(np.random.default_rng(round_index).standard_normal(b.shape))[0]
+def random_basis(q, gt, participants, m, eta, seed, round_index):
+    return span_basis(np.random.default_rng(round_index).standard_normal((len(q), gt.k)), gt.b_star)
 
 
-def wrong_sign(b, gt, participants, m, eta, seed, round_index):
-    return real_round(b, gt, participants, m, -eta, seed, round_index)
+def wrong_sign(q, gt, participants, m, eta, seed, round_index):
+    return real_round(q, gt, participants, m, -eta, seed, round_index)
 
 
 def slowest_n(model, round_index, n):
