@@ -33,17 +33,22 @@ collapse, measures its distance to ``B*`` and builds the next round's ``Q``.
 Also provides the two starts: the spectral warm start averages the
 per-client second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and
 keeps the top-k eigenspace.  These are fourth moments of the rows, so the
-warm start draws each participant's full rows with :func:`sample_batch`.
-The random start is the thin QR of a Gaussian (:func:`random_init`).
+warm start draws every participant's full rows, all from one generator
+per call, in blocks of at most :data:`WARM_START_ROWS` rows, and adds one
+weighted Gram product per block (:func:`_moment_sum`).  The random start
+is the thin QR of a Gaussian (:func:`random_init`).
 """
 
 import numpy as np
 
 from .errors import ConfigError, SrpflError
-from .linalg import rank_k_eig, span_basis, thin_qr
-from .synthesis import TAG_RANDOM_INIT, TAG_ROUND, Batch, sample_batch, substream
+from .linalg import ORTHO_TOL, rank_k_eig, span_basis, thin_qr
+from .synthesis import TAG_RANDOM_INIT, TAG_ROUND, TAG_WARM_START, Batch, check_sample_count, substream
 
 GRAM_TOL = 1e-10
+# rows per block of the warm start's draw, about 330 kB at d = 40: blocks of 2**14 rows
+# (5 MB) drew no faster at perfbench's dynamic_wide size and raised its peak memory by 6%
+WARM_START_ROWS = 2**10
 
 
 def check_batch_size(m, k):
@@ -106,24 +111,46 @@ def random_init(gt, seed):
 def method_of_moments_init(gt, participants, m, seed):
     """Spectral warm start for the shared representation.
 
-    Every participant draws one batch (round index 0) and forms
-    ``P_i = (1/m) sum_j y_j^2 x_j x_j^T``; the ``P_i`` are summed in
-    participant order and the top-k eigenspace of their average is
-    returned.  Every id is checked before the first batch is drawn.  A sum
-    that overflows issues no numpy warning; :func:`rank_k_eig` refuses it.
+    Every participant draws m fresh samples and forms ``P_i = (1/m) sum_j
+    y_j^2 x_j x_j^T``; the top-k eigenspace of the average of the ``P_i``
+    is returned.  One generator, keyed on ``seed``, draws every
+    participant's rows in participant order (see :func:`_moment_sum`), so a
+    participant listed twice draws two independent batches.  Every id and
+    ``m`` are checked before the first draw, and so are the labels: when
+    sigma is 0 and every participant's head is zero, every label would be.
+    A sum that overflows issues no numpy warning; :func:`rank_k_eig`
+    refuses it.
     """
-    parts = list(participants)
+    parts = np.asarray(list(participants))
     gt.check_participants(parts)
-    p_bar = np.zeros((gt.d, gt.d))
-    saw_signal = False
-    for cid in parts:
-        batch = sample_batch(gt, cid, m, 0, seed)
-        saw_signal = saw_signal or bool(np.any(batch.y != 0.0))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends at rank_k_eig's finiteness check
-            p_bar += (batch.x.T * batch.y**2) @ batch.x / m
-    if not saw_signal:
+    check_sample_count(m)
+    if not (gt.sigma > 0 or gt.w_star[parts].any()):
         raise SrpflError("every warm-start label was zero; nothing to estimate")
-    return rank_k_eig(p_bar / len(parts), gt.k)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends at rank_k_eig's finiteness check
+        p_sum = _moment_sum(gt, parts, m, substream(seed, TAG_WARM_START))
+    return rank_k_eig(p_sum / (m * parts.size), gt.k)
+
+
+def _moment_sum(gt, parts, m, rng):
+    """``sum_j y_j^2 x_j x_j^T`` over m fresh samples of each participant, drawn from ``rng``.
+
+    The rows of all participants, m each in participant order, are drawn
+    row-major in blocks of at most :data:`WARM_START_ROWS` rows of d + 1
+    standard normals: d features ``x`` and a noise ``z``, with the label ``y
+    = x^T B* w_i* + sigma z``.  Each block adds one weighted Gram product.
+    How the rows split into blocks does not change the draws.
+    """
+    heads = gt.w_star[parts]
+    total = parts.size * m
+    p_sum = np.zeros((gt.d, gt.d))
+    for start in range(0, total, WARM_START_ROWS):
+        rows = np.arange(start, min(start + WARM_START_ROWS, total))
+        block = rng.standard_normal((rows.size, gt.d + 1))
+        x = block[:, :-1]
+        y = ((x @ gt.b_star) * heads[rows // m]).sum(axis=1) + gt.sigma * block[:, -1]
+        x *= np.abs(y)[:, None]  # rows |y| x, whose Gram matrix is sum y^2 x x^T
+        p_sum += x.T @ x
+    return p_sum
 
 
 def _draw_round(n, k, p, d, m, rng):
@@ -149,9 +176,23 @@ def _draw_round(n, k, p, d, m, rng):
     return r_kk, per_client[upper:upper + k], roots[k], per_client[upper + k:], z.reshape(d, -1)
 
 
-def _signal(gt, q, parts):
-    """Each client's ``v = q^T B* w*`` (p, n) and ``u = (v[k:], sigma)`` (p+1-k, n)."""
-    v = (q.T @ gt.b_star) @ gt.w_star[parts].T
+def _overlap(gt, q):
+    """``q^T B*`` (p, k), the round's basis against ``B*``; raise unless ``span(q)`` holds ``B*``.
+
+    For an orthonormal ``q`` that holds ``B*``, ``||q^T B*||_F^2 = k``; a
+    basis that does not would drop the part of every label outside its span.
+    The check allows :data:`ORTHO_TOL` of rounding.
+    """
+    overlap = q.T @ gt.b_star
+    held = float(np.vdot(overlap, overlap))
+    if not abs(held - gt.k) <= ORTHO_TOL:
+        raise SrpflError(f"round basis does not hold B*: ||q^T B*||_F^2 = {held:.6g}, not k = {gt.k}")
+    return overlap
+
+
+def _signal(gt, overlap, parts):
+    """Each client's ``v = q^T B* w*`` (p, n) and ``u = (v[k:], sigma)`` (p+1-k, n), from ``overlap = q^T B*``."""
+    v = overlap @ gt.w_star[parts].T
     u = np.empty((len(v) - gt.k + 1, len(parts)))
     u[:-1], u[-1] = v[gt.k:], gt.sigma
     return v, u
@@ -179,13 +220,14 @@ def _heads(r_kk, lead, noise, ids, m):
     return lead + h
 
 
-def _client_statistics(gt, q, parts, m, draw):
+def _client_statistics(gt, overlap, parts, m, draw):
     """What a client's step reads of its batch: head, ``||r||`` and ``A^T r``.
 
     The rows of the Bartlett factor R of a client's block ``[A z]`` are
     independent.  Its head fits the leading k rows, and its residual lives on
     the trailing block, the factor of a rotation-invariant Wishart matrix
-    with m - k degrees of freedom.  So with ``u = (v[k:], sigma)``
+    with m - k degrees of freedom.  So with ``v = q^T B* w*``, read from
+    ``overlap = q^T B*`` (see :func:`_overlap`), ``u = (v[k:], sigma)``
     and the draws of :func:`_draw_round`, jointly in law: the head is ``w =
     v[:k] + R_kk^{-1} (||u|| xi)``, ``||r|| = ||u|| t``, and ``A^T r`` is 0
     on the first k columns of ``q`` and ``-||u|| t (t u_hat + (I - u_hat
@@ -194,7 +236,7 @@ def _client_statistics(gt, q, parts, m, draw):
     columns (p-k, n).  :func:`_factor_rows` is the row form.
     """
     r_kk, xi, t, zeta, _ = draw
-    v, u = _signal(gt, q, parts)
+    v, u = _signal(gt, overlap, parts)
     size = np.sqrt((u * u).sum(axis=0))  # ||u||, in numpy so that an overflow ends at span_basis
     w = _heads(r_kk, v[:gt.k], size * xi, parts, m)
     along = (u * zeta).sum(axis=0) / np.where(size > 0, size, 1.0)  # u_hat^T zeta
@@ -214,7 +256,7 @@ def _factor_rows(gt, q, parts, m, draw):
     """
     r_kk, xi, t, zeta, _ = draw
     k, p, n = gt.k, q.shape[1], len(parts)
-    v, u = _signal(gt, q, parts)
+    v, u = _signal(gt, q.T @ gt.b_star, parts)
     size = np.linalg.norm(u, axis=0)
     u_hat = np.where(size > 0, u / np.where(size > 0, size, 1.0), np.eye(len(u))[:, :1])
     factor = np.zeros((n, k + 1, p + 1))
@@ -251,15 +293,16 @@ def fedrep_round(q, gt, participants, m, eta, seed, round_index):
 
     ``q`` is the round's basis as :func:`span_basis` returns it: orthonormal,
     its first k columns spanning the representation and its span holding
-    ``B*``.  ``round_index`` is the 1-based round number.  ``m`` and every id
-    are checked before the first draw.  One generator, keyed on ``(seed,
-    round_index)``, draws what every participant's step reads (see
-    :func:`_draw_round`), so a participant's draws depend on its place in the
-    round while the trace stays a pure function of the config.  Each
-    participant solves its head afresh in the frame of ``q[:, :k]``; the
-    updates are summed into one d x k move (see :func:`_summed_move`), and the
-    round returns ``span_basis(q[:, :k] - eta/(m*n) move, B*)``: the next
-    round's basis and the distance of the moved representation to ``B*``.
+    ``B*``.  ``round_index`` is the 1-based round number.  ``m``, every id
+    and then the basis (see :func:`_overlap`) are checked before the first
+    draw.  One generator, keyed on ``(seed, round_index)``, draws what every
+    participant's step reads (see :func:`_draw_round`), so a participant's
+    draws depend on its place in the round while the trace stays a pure
+    function of the config.  Each participant solves its head afresh in the
+    frame of ``q[:, :k]``; the updates are summed into one d x k move (see
+    :func:`_summed_move`), and the round returns ``span_basis(q[:, :k] -
+    eta/(m*n) move, B*)``: the next round's basis and the distance of the
+    moved representation to ``B*``.
     Raises with the offending client id when a local solve fails, and when the
     moved representation collapses or is not finite (see :func:`span_basis`);
     an overflow on the way there issues no numpy warning.
@@ -267,8 +310,9 @@ def fedrep_round(q, gt, participants, m, eta, seed, round_index):
     check_batch_size(m, gt.k)
     gt.check_participants(participants)
     parts = np.asarray(participants, dtype=int)
+    overlap = _overlap(gt, q)
     with np.errstate(all="ignore"):  # an overflow ends at span_basis's finiteness check, a zero pivot at the head check
         draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))
-        move = _summed_move(q, *_client_statistics(gt, q, parts, m, draw), draw[-1])
+        move = _summed_move(q, *_client_statistics(gt, overlap, parts, m, draw), draw[-1])
         step = q[:, :gt.k] - (eta / (m * parts.size)) * move
     return span_basis(step, gt.b_star)

@@ -6,9 +6,9 @@ drawn from counter-based substreams keyed on the seed and a purpose key
 (see :func:`substream`), so every draw is a pure function of the config.
 Every purpose key starts with one of the ``TAG_*`` constants below.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
-draws a client's full rows; the warm start and the test oracles use it.
-A training round draws its clients' data itself, from one stream per
-round (see :mod:`srpfl.fedrep`).
+draws a client's full rows; the self-checks and the test oracles use it.
+The warm start and a training round draw their clients' data themselves,
+from one stream per call (see :mod:`srpfl.fedrep`).
 """
 
 import math
@@ -29,6 +29,7 @@ TAG_CLIENT_RATES = 0x13
 TAG_ACTIVE_SET = 0x21
 TAG_SUBSET_PROBE = 0x22
 TAG_RANDOM_INIT = 0x23
+TAG_WARM_START = 0x24
 
 
 def substream(seed, *key):
@@ -126,6 +127,12 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
     return GroundTruthModel(b_star=b_star, w_star=w_star, sigma=float(sigma))
 
 
+def check_sample_count(m):
+    """Raise :class:`ConfigError` unless a client draws m >= 1 samples."""
+    if not m >= 1:
+        raise ConfigError(f"batch size must be >= 1, got {m}")
+
+
 def sample_batch(gt, client, m, round_index, seed):
     """Fresh batch of ``m`` samples for ``client`` at the given round.
 
@@ -134,8 +141,7 @@ def sample_batch(gt, client, m, round_index, seed):
     independent ones.
     """
     gt.check_participants(client)
-    if m < 1:
-        raise ConfigError(f"batch size must be >= 1, got {m}")
+    check_sample_count(m)
     rng = substream(seed, TAG_BATCH, client, round_index)
     x = rng.standard_normal((m, gt.d))
     y = x @ (gt.b_star @ gt.w_star[client])

@@ -91,9 +91,11 @@ class TestMethodOfMoments:
         init = fedrep.method_of_moments_init(gt, [0], 100_000, seed=42)
         assert linalg.principal_angle_dist(init, gt.b_star) <= 0.1
 
-    def test_all_zero_labels(self):
+    def test_all_zero_labels(self, monkeypatch):
+        # sigma = 0 and zero heads: refused before any draw
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
         silent = dataclasses.replace(gt, w_star=np.zeros_like(gt.w_star))
+        monkeypatch.setattr(fedrep, "substream", None)
         with pytest.raises(SrpflError, match="every warm-start label was zero"):
             fedrep.method_of_moments_init(silent, [0, 1], 10, seed=0)
 
@@ -107,6 +109,32 @@ class TestMethodOfMoments:
         gt = synthesis.gen_ground_truth(3, 3, 4, 0.3, seed=6)
         init = fedrep.method_of_moments_init(gt, range(4), 50, seed=6)
         assert linalg.principal_angle_dist(init, gt.b_star) <= 1e-10
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.0])
+    def test_moment_sum_has_the_law_of_the_per_client_sum(self, sigma):
+        # 4000 bulk moment sums against 4000 sums of sample_batch rows, client
+        # by client (d=6, k=2, 3 clients, m=20), compared by two-sample
+        # Kolmogorov-Smirnov distance on tr(P), the B* block's entries and
+        # one diagonal entry off span(B*).  Largest distance 0.020 at sigma=1
+        # and 0.018 at 0 (two row samplers with different seeds read 0.028,
+        # and three other bulk seeds 0.022 to 0.028).  A sigma 10% too large
+        # reads 0.082, and one row fewer per client 0.097 (0.087 at sigma=0)
+        d, k, m, draws = 6, 2, 20, 4000
+        gt = synthesis.gen_ground_truth(d, k, 3, sigma, seed=51)
+        off_span = np.linalg.svd(np.eye(d) - gt.b_star @ gt.b_star.T)[0][:, 0]
+
+        def functionals(p):
+            block = gt.b_star.T @ p @ gt.b_star
+            return [np.trace(p), block[0, 0], block[0, 1], block[1, 1], off_span @ p @ off_span]
+
+        rng, parts = np.random.default_rng(53), np.arange(3)
+        bulk = np.array([functionals(fedrep._moment_sum(gt, parts, m, rng)) for _ in range(draws)])
+        rows = []
+        for t in range(draws):
+            batches = [synthesis.sample_batch(gt, cid, m, t, seed=51) for cid in parts]
+            rows.append(functionals(sum((b.x.T * b.y**2) @ b.x for b in batches)))
+        rows = np.array(rows)
+        assert max(ks_distance(bulk[:, i], rows[:, i]) for i in range(5)) <= 0.045
 
     @pytest.mark.parametrize("sigma", [1e3, 1e4, 1e5])
     def test_large_labels_pass_the_symmetry_check(self, sigma):
@@ -245,7 +273,7 @@ class TestBlockedRound:
         b = q[:, :k]
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
-        w, resid, tail = fedrep._client_statistics(gt, q, ids, m, draw)
+        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, ids, m, draw)
         factor = fedrep._factor_rows(gt, q, ids, m, draw)
         row_moves, gram = np.zeros((d, k)), np.zeros((k, k))
         for i, cid in enumerate(ids):
@@ -289,7 +317,7 @@ class TestBlockedRound:
         reduced = []
         for _ in range(draws // 2000):
             draw = fedrep._draw_round(2000, k, q.shape[1], d, m, rng)
-            stats = fedrep._client_statistics(gt, q, np.zeros(2000, dtype=int), m, draw)
+            stats = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(2000, dtype=int), m, draw)
             reduced.append(b - client_moves(q, *stats, rng.standard_normal((2000, d, 1))) @ vt / m)
         reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
         rows = (perp.T @ row_steps(gt, b, m, draws, seed=31)).reshape(draws, -1)
@@ -318,7 +346,7 @@ class TestBlockedRound:
         b, _ = linalg.thin_qr(np.random.default_rng(42).standard_normal((d, k)))
         q = basis(b, gt)
         draw = fedrep._draw_round(draws, k, q.shape[1], d, m, np.random.default_rng(43))
-        w, resid, tail = fedrep._client_statistics(gt, q, np.zeros(draws, dtype=int), m, draw)
+        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(draws, dtype=int), m, draw)
         reduced = np.column_stack([w, resid, -tail.T])
         rows = []
         for batch in row_batches(gt, m, draws, seed=41):
@@ -454,6 +482,21 @@ class TestBlockedRound:
         with pytest.raises(SrpflError, match=re.escape(f"(lambda_min={lam:.3e}) for client 1217 at m={m}")):
             fedrep.head_update(b, batch)
 
+    def test_basis_without_b_star_is_refused_before_any_draw(self, monkeypatch):
+        # a plain orthonormal b: the round would drop each label's part outside span(b)
+        gt = synthesis.gen_ground_truth(20, 2, 8, 0.1, seed=15)
+        b, _ = linalg.thin_qr(np.random.default_rng(16).standard_normal((20, 2)))
+        held = float(np.linalg.norm(b.T @ gt.b_star) ** 2)
+        monkeypatch.setattr(fedrep, "substream", None)
+        with pytest.raises(SrpflError) as refused:
+            fedrep.fedrep_round(b, gt, range(8), m=100, eta=0.1, seed=15, round_index=1)
+        assert str(refused.value) == f"round basis does not hold B*: ||q^T B*||_F^2 = {held:.6g}, not k = 2"
+        # m and the ids are checked first
+        with pytest.raises(ConfigError, match="need m > k"):
+            fedrep.fedrep_round(b, gt, range(8), m=2, eta=0.1, seed=15, round_index=1)
+        with pytest.raises(SrpflError, match="participant 9 outside"):
+            fedrep.fedrep_round(b, gt, [0, 9], m=100, eta=0.1, seed=15, round_index=1)
+
     def test_bad_participant_raises_before_any_draw(self, monkeypatch):
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
         drawn = []
@@ -471,15 +514,46 @@ class TestBlockedRound:
 
 
 def test_warm_start_matches_per_client_loop():
-    # m < d
+    # m < d; each client's rows, replayed from the warm start's one stream,
+    # summed client by client as the per-client moment matrices P_i; the
+    # bulk sum adds the same products in another order, so the two agree to
+    # rounding
     gt = synthesis.gen_ground_truth(12, 3, 40, 0.3, seed=23)
-    ids = list(range(35))
+    ids, m = list(range(35)), 8
+    rows = synthesis.substream(23, synthesis.TAG_WARM_START).standard_normal((len(ids) * m, 13))
     p_bar = np.zeros((12, 12))
-    for cid in ids:
-        batch = synthesis.sample_batch(gt, cid, 8, round_index=0, seed=23)
-        p_bar += (batch.x.T * batch.y**2) @ batch.x / 8
+    for i, cid in enumerate(ids):
+        x, z = rows[i * m:(i + 1) * m, :12], rows[i * m:(i + 1) * m, 12]
+        y = x @ (gt.b_star @ gt.w_star[cid]) + gt.sigma * z
+        p_bar += (x.T * y**2) @ x / m
     expected = linalg.rank_k_eig(p_bar / len(ids), 3)
-    assert np.array_equal(fedrep.method_of_moments_init(gt, ids, 8, seed=23), expected)
+    np.testing.assert_allclose(fedrep.method_of_moments_init(gt, ids, m, seed=23), expected, rtol=0, atol=1e-12)
+
+
+def test_warm_start_does_not_depend_on_its_block_size(monkeypatch):
+    # 280 rows in blocks of 7 rows, which straddle the clients' 8-row batches
+    gt = synthesis.gen_ground_truth(12, 3, 40, 0.3, seed=24)
+    default = fedrep.method_of_moments_init(gt, range(35), 8, seed=24)
+    monkeypatch.setattr(fedrep, "WARM_START_ROWS", 7)
+    np.testing.assert_allclose(fedrep.method_of_moments_init(gt, range(35), 8, seed=24), default, rtol=0, atol=1e-12)
+
+
+def test_warm_start_draws_from_one_stream(monkeypatch):
+    gt = synthesis.gen_ground_truth(10, 2, 200, 0.1, seed=25)
+    drawn = []
+
+    def recording(*key):
+        drawn.append(key)
+        return synthesis.substream(*key)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the warm start drew a sample_batch")
+
+    monkeypatch.setattr(fedrep, "substream", recording)
+    monkeypatch.setattr(synthesis, "sample_batch", refused)
+    monkeypatch.setattr(fedrep, "sample_batch", refused, raising=False)
+    fedrep.method_of_moments_init(gt, range(128), 30, seed=25)
+    assert drawn == [(25, synthesis.TAG_WARM_START)]
 
 
 @st.composite

@@ -120,5 +120,5 @@ class TestSampleBatch:
 
 def test_substream_tags_are_distinct():
     tags = {name: value for name, value in vars(synthesis).items() if name.startswith("TAG_")}
-    assert len(tags) == 9
+    assert len(tags) == 10
     assert len(set(tags.values())) == len(tags)
