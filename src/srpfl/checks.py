@@ -145,7 +145,7 @@ def kernel_invariants():
         b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
         q, _ = linalg.span_basis(b, gt.b_star)
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, rng)
-        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.arange(n), m, draw)
+        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.arange(n), draw)
         rows = fedrep._factor_rows(gt, q, np.arange(n), m, draw)
         vt = q[:, :k].T @ b
         move = fedrep._summed_move(q, w, resid, tail, np.zeros_like(draw[-1])) @ vt

@@ -17,13 +17,13 @@ Gaussian matrix, ``y = A v + sigma z`` with ``v = Q^T B* w*``, and the part
 of ``X^T r`` outside ``span(Q)`` is ``||r|| (I - Q Q^T) g`` for a standard
 Gaussian d-vector ``g``.  The rest is a function of the Bartlett factor of
 ``[A z]``, and a client's head, ``||r||`` and ``A^T r`` have, jointly, the
-law of three short formulas in k + 1 chi-squares and k(k-1)/2 + p + 1
-normals (see :func:`_client_statistics`), exact for every m > k.  The clients'
-parts outside ``span(Q)`` sum to one d x min(n, k) Gaussian block times
-the R factor of their rows ``||r_i|| w_i`` (see :func:`_summed_move`).  So
-a round draws nine values per client at d = 20, k = 2, plus d k per round
-(:func:`_draw_round`), all clients last from one generator per round, in
-participant order.
+law of three short formulas in two chi-squares and p + 1 normals, the head's
+error a multivariate t (see :func:`_client_statistics`), exact for every m >
+k.  The clients' parts outside ``span(Q)`` sum to one d x min(n, k) Gaussian
+block times the R factor of their rows ``||r_i|| w_i`` (see
+:func:`_summed_move`).  So a round draws seven values per client at d = 20,
+k = 2, plus d k per round (:func:`_draw_round`), all clients last from one
+generator per round, in participant order.
 
 A round carries ``Q`` itself, not ``b``: ``b`` is ``Q``'s first k columns,
 and the round ends in one Householder QR of ``[step, B*]``
@@ -57,17 +57,6 @@ def check_batch_size(m, k):
         raise ConfigError(f"need m > k, got m={m}, k={k}")
 
 
-def _check_gram(gram, client_ids, m):
-    """Raise naming the first client whose Gram slice has lambda_min <= :data:`GRAM_TOL`."""
-    eig_min = np.ravel(np.linalg.eigvalsh(gram)[..., 0])
-    first = np.argmax(eig_min <= GRAM_TOL)
-    if eig_min[first] <= GRAM_TOL:
-        raise SrpflError(
-            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
-            f"for client {np.ravel(client_ids)[first]} at m={m}"
-        )
-
-
 def head_update(b, batch):
     """Exact local head: the least-squares minimizer of ``||y - X b w||``.
 
@@ -84,7 +73,13 @@ def head_update(b, batch):
         too small (m < k) or degenerate.  The message names its first such client.
     """
     xb = batch.x @ b
-    _check_gram(xb.swapaxes(-1, -2) @ xb / batch.m, batch.client_id, batch.m)
+    eig_min = np.ravel(np.linalg.eigvalsh(xb.swapaxes(-1, -2) @ xb / batch.m)[..., 0])
+    first = np.argmax(eig_min <= GRAM_TOL)
+    if eig_min[first] <= GRAM_TOL:
+        raise SrpflError(
+            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
+            f"for client {np.ravel(batch.client_id)[first]} at m={batch.m}"
+        )
     q, r = np.linalg.qr(xb)  # not the normal equations, which square X b's condition number
     return np.linalg.solve(r, q.swapaxes(-1, -2) @ batch.y[..., None])[..., 0]
 
@@ -156,24 +151,18 @@ def _moment_sum(gt, parts, m, rng):
 def _draw_round(n, k, p, d, m, rng):
     """Every random value a round of n clients reads, clients last.
 
-    Returns ``(r_kk, xi, t, zeta, z)``.  ``r_kk`` (k, k, n) is each client's leading
-    k x k Bartlett triangle of m > k samples: entry (i, i) is ``sqrt(chi2(m - i))``
-    and the entries above it are standard normal.  ``t`` (n,) is ``sqrt(chi2(m - k))``.
-    ``xi`` (k, n), ``zeta`` (p+1-k, n) and ``z`` (d, min(n, k)) are standard normal.
-    k+1 scalar-df chi-square calls draw the roots, one degree of freedom at a time across
-    the clients, and one normal call the rest: per client k(k-1)/2 + p + 1 values, in that
-    order, then ``z``.
+    Returns ``(e, t, zeta, z)``.  ``e`` (k, n) is each client's head error per
+    unit of ``||u||``, ``g / rho`` for a standard normal k-vector ``g`` and ``rho =
+    sqrt(chi2(m - k + 1))``: a multivariate t with m - k + 1 degrees of freedom.
+    ``t`` (n,) is ``sqrt(chi2(m - k))``.  ``zeta`` (p+1-k, n) and ``z`` (d, min(n,
+    k)) are standard normal.  Two scalar-df chi-square calls of n draw ``rho`` and
+    then ``t``, and one normal call the rest: per client the k of ``g`` and the
+    p + 1 - k of ``zeta``, then ``z``.
     """
-    roots = np.sqrt([rng.chisquare(m - i, size=n) for i in range(k + 1)])
-    upper = k * (k - 1) // 2
-    normals = rng.standard_normal(n * (upper + p + 1) + d * min(n, k))
-    per_client, z = normals[:n * (upper + p + 1)].reshape(-1, n), normals[n * (upper + p + 1):]
-    r_kk = np.zeros((k, k, n))
-    r_kk.reshape(k * k, n)[::k + 1] = roots[:k]
-    for i in range(k - 1):  # row i's entries above the diagonal
-        start = i * (2 * k - i - 1) // 2
-        r_kk[i, i + 1:] = per_client[start:start + k - 1 - i]
-    return r_kk, per_client[upper:upper + k], roots[k], per_client[upper + k:], z.reshape(d, -1)
+    rho, t = np.sqrt([rng.chisquare(m - k + 1, size=n), rng.chisquare(m - k, size=n)])
+    normals = rng.standard_normal(n * (p + 1) + d * min(n, k))
+    per_client, z = normals[:n * (p + 1)].reshape(-1, n), normals[n * (p + 1):]
+    return per_client[:k] / rho, t, per_client[k:], z.reshape(d, -1)
 
 
 def _overlap(gt, q):
@@ -198,70 +187,52 @@ def _signal(gt, overlap, parts):
     return v, u
 
 
-def _heads(r_kk, lead, noise, ids, m):
-    """Heads ``lead + R_kk^{-1} noise`` by back-substitution, clients last (k, n).
-
-    Column i is the least-squares head of client ``ids[i]`` on rows ``R_kk`` and
-    labels ``R_kk lead + noise``.  Raises as :func:`head_update` does when
-    ``R_kk^T R_kk / m`` is singular; only clients whose lower bound ``det(R_kk)^2
-    / (m ||R_kk||_F^(2k-2))`` on lambda_min does not clear :data:`GRAM_TOL` are
-    checked, with ``eigvalsh`` on that Gram matrix.
-    """
-    k = len(lead)
-    h = noise.copy()
-    h[k - 1] /= r_kk[k - 1, k - 1]
-    for i in reversed(range(k - 1)):
-        h[i] = (h[i] - (r_kk[i, i + 1:] * h[i + 1:]).sum(axis=0)) / r_kk[i, i]
-    flat = r_kk.reshape(k * k, -1)
-    clear = flat[::k + 1].prod(0) ** 2 > GRAM_TOL * m * (flat * flat).sum(0) ** (k - 1)
-    if not clear.all():  # raises for a singular one
-        rows = r_kk[..., ~clear].transpose(2, 0, 1)
-        _check_gram(rows.swapaxes(-1, -2) @ rows / m, ids[~clear], m)
-    return lead + h
-
-
-def _client_statistics(gt, overlap, parts, m, draw):
+def _client_statistics(gt, overlap, parts, draw):
     """What a client's step reads of its batch: head, ``||r||`` and ``A^T r``.
 
     The rows of the Bartlett factor R of a client's block ``[A z]`` are
-    independent.  Its head fits the leading k rows, and its residual lives on
-    the trailing block, the factor of a rotation-invariant Wishart matrix
-    with m - k degrees of freedom.  So with ``v = q^T B* w*``, read from
-    ``overlap = q^T B*`` (see :func:`_overlap`), ``u = (v[k:], sigma)``
-    and the draws of :func:`_draw_round`, jointly in law: the head is ``w =
-    v[:k] + R_kk^{-1} (||u|| xi)``, ``||r|| = ||u|| t``, and ``A^T r`` is 0
-    on the first k columns of ``q`` and ``-||u|| t (t u_hat + (I - u_hat
-    u_hat^T) zeta)`` on the last p - k.  Returns the heads (n, k) in the
-    frame of ``q[:, :k]``, ``||r||`` (n,) and ``-A^T r`` on the last p - k
-    columns (p-k, n).  :func:`_factor_rows` is the row form.
+    independent.  Its head fits the leading k rows: given ``A_b``, the head's
+    error is normal with covariance ``||u||^2 (A_b^T A_b)^{-1}``, and ``A_b^T
+    A_b`` is Wishart(m, I_k), so the error is ``||u||`` times a multivariate t
+    with m - k + 1 degrees of freedom and scale ``I / (m - k + 1)``.  It reads
+    the noise only inside ``col(A_b)``; the residual reads it only outside, on
+    the trailing block, the factor of a rotation-invariant Wishart matrix with
+    m - k degrees of freedom.  So with ``v = q^T B* w*``, read from ``overlap
+    = q^T B*`` (see :func:`_overlap`), ``u = (v[k:], sigma)`` and the draws of
+    :func:`_draw_round`, jointly in law: the head is ``w = v[:k] + ||u|| e``,
+    ``||r|| = ||u|| t``, and ``A^T r`` is 0 on the first k columns of ``q``
+    and ``-||u|| t (t u_hat + (I - u_hat u_hat^T) zeta)`` on the last p - k.
+    Returns the heads (n, k) in the frame of ``q[:, :k]``, ``||r||`` (n,) and
+    ``-A^T r`` on the last p - k columns (p-k, n).  :func:`_factor_rows` is
+    the row form.
     """
-    r_kk, xi, t, zeta, _ = draw
+    e, t, zeta, _ = draw
     v, u = _signal(gt, overlap, parts)
     size = np.sqrt((u * u).sum(axis=0))  # ||u||, in numpy so that an overflow ends at span_basis
-    w = _heads(r_kk, v[:gt.k], size * xi, parts, m)
     along = (u * zeta).sum(axis=0) / np.where(size > 0, size, 1.0)  # u_hat^T zeta
     tail = t * ((t - along) * u[:-1] + size * zeta[:-1])
-    return w.T, size * t, tail
+    return (v[:gt.k] + size * e).T, size * t, tail
 
 
 def _factor_rows(gt, q, parts, m, draw):
     """The row form of a draw: each client's (k+1)-row factor batch in ``span(q)``.
 
-    The rows ``[[R_kk, xi u_hat^T], [0, t u_hat + (I - u_hat u_hat^T)
-    zeta]]`` (``u_hat = u / ||u||``, ``e_1`` when u = 0), as ``x`` (n, k+1,
-    p) and labels ``y = R (v, sigma)``, standing for m samples: on ``x
-    q^T``, :func:`head_update` and :func:`rep_gradient_step` find the heads,
+    The rows ``[[I_k, e u_hat^T], [0, t u_hat + (I - u_hat u_hat^T) zeta]]``
+    (``u_hat = u / ||u||``, ``e_1`` when u = 0; the leading triangle is
+    ``I_k`` because the head's error ``e`` is drawn whole), as ``x`` (n, k+1,
+    p) and labels ``y = R (v, sigma)``, standing for m samples: on ``x q^T``,
+    :func:`head_update` and :func:`rep_gradient_step` find the heads,
     ``||r||`` and ``A^T r`` of :func:`_client_statistics`.  The self-checks'
     and the tests' reference.
     """
-    r_kk, xi, t, zeta, _ = draw
+    e, t, zeta, _ = draw
     k, p, n = gt.k, q.shape[1], len(parts)
     v, u = _signal(gt, q.T @ gt.b_star, parts)
     size = np.linalg.norm(u, axis=0)
     u_hat = np.where(size > 0, u / np.where(size > 0, size, 1.0), np.eye(len(u))[:, :1])
     factor = np.zeros((n, k + 1, p + 1))
-    factor[:, :k, :k] = r_kk.transpose(2, 0, 1)
-    factor[:, :k, k:] = xi.T[:, :, None] * u_hat.T[:, None, :]
+    factor[:, :k, :k] = np.eye(k)
+    factor[:, :k, k:] = e.T[:, :, None] * u_hat.T[:, None, :]
     factor[:, k, k:] = (t * u_hat + zeta - u_hat * (u_hat * zeta).sum(axis=0)).T
     y = np.einsum("nij,jn->ni", factor, np.concatenate([v[:k], u]))
     return Batch(x=factor[..., :p], y=y, client_id=parts, m=m)
@@ -303,7 +274,7 @@ def fedrep_round(q, gt, participants, m, eta, seed, round_index):
     :func:`_summed_move`), and the round returns ``span_basis(q[:, :k] -
     eta/(m*n) move, B*)``: the next round's basis and the distance of the
     moved representation to ``B*``.
-    Raises with the offending client id when a local solve fails, and when the
+    A round draws no Gram matrix, so no local solve can fail.  Raises when the
     moved representation collapses or is not finite (see :func:`span_basis`);
     an overflow on the way there issues no numpy warning.
     """
@@ -311,8 +282,8 @@ def fedrep_round(q, gt, participants, m, eta, seed, round_index):
     gt.check_participants(participants)
     parts = np.asarray(participants, dtype=int)
     overlap = _overlap(gt, q)
-    with np.errstate(all="ignore"):  # an overflow ends at span_basis's finiteness check, a zero pivot at the head check
+    with np.errstate(all="ignore"):  # an overflow ends at span_basis's finiteness check
         draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))
-        move = _summed_move(q, *_client_statistics(gt, overlap, parts, m, draw), draw[-1])
+        move = _summed_move(q, *_client_statistics(gt, overlap, parts, draw), draw[-1])
         step = q[:, :gt.k] - (eta / (m * parts.size)) * move
     return span_basis(step, gt.b_star)

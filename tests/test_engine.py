@@ -175,20 +175,20 @@ class TestRun:
 
 
 # sha256 of cli.trace_to_csv for every algorithm x plan_mode on one small
-# config, recorded when rounds began drawing only the per-client statistics
-# a step reads and one d x k block for the clients' off-span sum.
+# config, recorded when rounds began drawing each head's error as one
+# multivariate t, where they had drawn a Bartlett triangle per client.
 # A change that moves one of them changes what a run computes and must say why.
 GUARD_CONFIG = dict(
     d=8, k=2, n_total=16, n0=2, m=40, sigma=0.1, seed=5, comm_cost=1.0,
     fixed_rounds=10, init_mode="random", a=0.1, epsilon=0.1,
 )
 TRACE_SHA256 = {
-    ("srpfl", "analytic"): "7d70aafc97efb533926b5e1a159eca8f4dfd8c331dce12a347fad82dc96df19c",
-    ("srpfl", "distance_threshold"): "86bc0d7ed1a298df8317eeddfd79503734f7be55e4b6e84263a89e9329ac3f85",
-    ("srpfl", "fixed"): "8e94efc842222d790bff78ad98ba99737634f1a62367a9babb507ced3195d229",
-    ("fedrep_full", "analytic"): "cda8798222a2997c4375eb8e30ea9e9a05d735ca7934ac790e2507c06b6057e3",
-    ("fedrep_full", "distance_threshold"): "cda8798222a2997c4375eb8e30ea9e9a05d735ca7934ac790e2507c06b6057e3",
-    ("fedrep_full", "fixed"): "a28bf61cdaaf6616ea1d55fa9802ca20b5f1e784ffbb865b346172c659d89dda",
+    ("srpfl", "analytic"): "332899d99ee25db6e7edbf94161afc16303c8c55b6a697caf3ce901f02457907",
+    ("srpfl", "distance_threshold"): "6313b23818ab0271182f2ec901abe283e748c76747f9bc627d5e2cea97a8e564",
+    ("srpfl", "fixed"): "06565cdac5aaf883edeaca943789d213be1c03e1775fe08918481cb37376dfeb",
+    ("fedrep_full", "analytic"): "007ad264a389de952ed1dfec1f0a3c2aa06e02f7a3865279cdab91d768f14302",
+    ("fedrep_full", "distance_threshold"): "007ad264a389de952ed1dfec1f0a3c2aa06e02f7a3865279cdab91d768f14302",
+    ("fedrep_full", "fixed"): "dcb797a97256b15e88b1dc838eb591f053ac5d5abf32fbb19f5f3c99757274c1",
 }
 
 
@@ -289,10 +289,10 @@ class TestContractionCheck:
          (True, "60/60 rounds satisfied (1.000), worst violation 0.0000")),
         # the grossly oversized step of test_cli's verify_bad config
         (dict(d=10, k=2, n_total=8, n0=2, m=40, sigma=0.3, fixed_rounds=15, eta=8.0),
-         (False, "44/45 rounds satisfied (0.978), worst violation 0.1004")),
-        # with n0 = 4 the noise floor's ratio n/n0 differs from n/2: 28/45 rounds hold with n/2
+         (False, "41/45 rounds satisfied (0.911), worst violation 0.0720")),
+        # with n0 = 4 the noise floor's ratio n/n0 differs from n/2: 39/45 rounds hold with n/2
         (dict(d=10, k=2, n_total=16, n0=4, m=40, sigma=0.3, fixed_rounds=15, eta=8.0),
-         (False, "38/45 rounds satisfied (0.844), worst violation 0.1648")),
+         (False, "44/45 rounds satisfied (0.978), worst violation 0.1337")),
     ], ids=["noiseless", "oversized_step", "oversized_step_n0_4"])
     def test_verdict(self, cfg, verdict):
         config = RunConfig(**{"seed": 4, "plan_mode": "fixed", "fixed_rounds": 20, "epsilon": 0.0, **cfg})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srpfl import fedrep, linalg, synthesis
+from srpfl import engine, fedrep, linalg, synthesis
 from srpfl.errors import ConfigError, SrpflError
 
 
@@ -185,20 +185,38 @@ class TestFedrepRound:
         with pytest.raises(SrpflError, match="need at least one participant"):
             fedrep.fedrep_round(gt.b_star, gt, [], m=20, eta=0.1, seed=14, round_index=1)
 
-    def test_singular_gram_names_client(self, monkeypatch):
-        # at m > k a singular R_kk is a null event, so one is planted in the
-        # round's draw: the second participant's, client 2's
-        real_draw = fedrep._draw_round
+    def test_planted_zero_rho_ends_at_the_finiteness_check(self, monkeypatch):
+        # rho = sqrt(chi2(m - k + 1)) > 0 almost surely, so a zero is planted in
+        # the round's first chi-square draw, at the second participant (client
+        # 2): its head is infinite, no local solve can fail, and the round ends
+        # at span_basis's finiteness check with no RuntimeWarning (this suite
+        # makes one an error); engine.run adds the stage and round
+        class Planted:
+            def __init__(self, rng, round_index):
+                self.rng, self.plant = rng, round_index == 3
 
-        def planted(*args):
-            r_kk, *rest = real_draw(*args)
-            r_kk[1, 1, 1] = 0.0
-            return (r_kk, *rest)
+            def chisquare(self, df, size):
+                roots = self.rng.chisquare(df, size)
+                if self.plant:
+                    roots[1], self.plant = 0.0, False
+                return roots
 
-        monkeypatch.setattr(fedrep, "_draw_round", planted)
-        gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=15)
-        with pytest.raises(SrpflError, match=r"^projected Gram matrix singular \(lambda_min=\S+\) for client 2 at m=20$"):
-            fedrep.fedrep_round(basis(gt.b_star, gt), gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=1)
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)
+
+        monkeypatch.setattr(fedrep, "substream", lambda *key: Planted(synthesis.substream(*key), key[-1]))
+        gt = synthesis.gen_ground_truth(5, 2, 4, 0.3, seed=15)
+        not_finite = "QR factor is not finite: the input is not, or its column norms overflow"
+        with pytest.raises(SrpflError) as raised:
+            fedrep.fedrep_round(basis(gt.b_star, gt), gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=3)
+        assert str(raised.value) == not_finite
+        config = engine.RunConfig(
+            d=8, k=2, n_total=8, n0=2, m=30, sigma=0.2, seed=1, comm_cost=0.5, lam=1.0, c_hat=1.2,
+            plan_mode="fixed", fixed_rounds=8, epsilon=0.0,
+        )
+        with pytest.raises(SrpflError) as raised:
+            engine.run(config)
+        assert str(raised.value) == f"stage 0, round 3: {not_finite}"
 
     @staticmethod
     def refused_before_any_draw(monkeypatch, gt, b, m, seed):
@@ -262,7 +280,7 @@ class TestBlockedRound:
     def test_matches_per_client_loop(self, n, d, k, m, sigma):
         # each client's rows are the (k+1)-row factor rebuilt from its draw,
         # X = R[:, :p] q^T, standing for m samples, so X^T r lies in span(q):
-        # the back-substituted head, ||r|| and the in-span part of the summed
+        # the drawn head, ||r|| and the in-span part of the summed
         # move are the row loop's from b = q[:, :k].  The rest, (I - q q^T) z R_C
         # (d = 5 < 2k leaves none), must have R_C^T R_C = sum_i ||r_i||^2 w_i w_i^T,
         # the covariance of sum_i ||r_i|| g_i w_i^T; the round returns the basis
@@ -273,7 +291,7 @@ class TestBlockedRound:
         b = q[:, :k]
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
-        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, ids, m, draw)
+        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, ids, draw)
         factor = fedrep._factor_rows(gt, q, ids, m, draw)
         row_moves, gram = np.zeros((d, k)), np.zeros((k, k))
         for i, cid in enumerate(ids):
@@ -317,7 +335,7 @@ class TestBlockedRound:
         reduced = []
         for _ in range(draws // 2000):
             draw = fedrep._draw_round(2000, k, q.shape[1], d, m, rng)
-            stats = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(2000, dtype=int), m, draw)
+            stats = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(2000, dtype=int), draw)
             reduced.append(b - client_moves(q, *stats, rng.standard_normal((2000, d, 1))) @ vt / m)
         reduced = (perp.T @ np.concatenate(reduced)).reshape(draws, -1)
         rows = (perp.T @ row_steps(gt, b, m, draws, seed=31)).reshape(draws, -1)
@@ -327,26 +345,34 @@ class TestBlockedRound:
         assert np.linalg.norm(cov - np.eye(len(cov))) / np.sqrt(len(cov)) <= 0.10
         assert np.max(np.abs(z.mean(axis=0))) * np.sqrt(draws / 2) <= 4.0
 
-    @pytest.mark.parametrize("m, sigma", [(100, 0.5), (3, 0.5), (3, 0.0)])
-    def test_statistics_have_the_joint_law_of_the_rows(self, m, sigma):
+    @pytest.mark.parametrize("d, k, m, sigma", [
+        (20, 2, 100, 0.5), (20, 2, 3, 0.5), (20, 2, 3, 0.0), (40, 4, 30, 0.1), (12, 3, 4, 0.5),
+    ], ids=["100-0.5", "3-0.5", "3-0.0", "dynamic_wide", "k3_m4"])
+    def test_statistics_have_the_joint_law_of_the_rows(self, d, k, m, sigma):
         # 20 000 clients' head, ||r|| and A^T r from round draws against the
         # same of 20 000 sample_batch row batches fitted by head_update, in
-        # the coordinates of q (d=20, k=2, p=4; m=3 < p+1 leaves one row
-        # below R_kk and a head with no finite variance, so the laws are
-        # compared by two-sample Kolmogorov-Smirnov distance): on each of the
-        # five numbers and on each product of two, which couples them.
-        # Largest distance 0.022, at m=100 (two row samplers with different
-        # seeds read 0.015 there, and two other reduced seeds 0.016).  A t
-        # with one degree of freedom too many reads 0.31 at m=3, R_kk's
-        # diagonal with one too many 0.077, ||u|| without sigma 0.36 and a 10%
-        # error in sigma 0.070 at m=100, ||r|| 5% too large 0.27, and zeta
-        # not projected off u_hat 0.050 to 0.20
-        d, k, draws = 20, 2, 20_000
+        # the coordinates of q (p = 2k), compared by two-sample
+        # Kolmogorov-Smirnov distance on each of the p + 1 numbers and on
+        # each product of two, which couples them.  At m = k + 1 the head's
+        # multivariate t has nu = m - k + 1 = 2 degrees of freedom and no
+        # finite variance.  (40, 4, 30) is dynamic_wide's shape, where one
+        # rho scales all four coordinates of a head.  Largest distance 0.016
+        # over the five cases (two row samplers with different seeds read
+        # 0.015 at m=100).  rho with nu + 1 degrees of freedom reads 0.078 at
+        # (20, 2, 3) and 0.092 at (12, 3, 4), with nu - 1 0.128 and 0.129;
+        # m = 100 and m = 30 see neither (0.013-0.017), nor one rho per
+        # coordinate at m = 30 (0.016; 0.039 and 0.047 at m = k + 1).  At
+        # d=20, k=2, measured on an earlier draw whose residual and A^T r
+        # terms were these: t with one degree of freedom too many read 0.31
+        # at m=3, ||u|| without sigma 0.36 and a 10% error in sigma 0.070 at
+        # m=100, ||r|| 5% too large 0.27, and zeta not projected off u_hat
+        # 0.050 to 0.20
+        draws = 20_000
         gt = synthesis.gen_ground_truth(d, k, 1, sigma, seed=41)
         b, _ = linalg.thin_qr(np.random.default_rng(42).standard_normal((d, k)))
         q = basis(b, gt)
         draw = fedrep._draw_round(draws, k, q.shape[1], d, m, np.random.default_rng(43))
-        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(draws, dtype=int), m, draw)
+        w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(draws, dtype=int), draw)
         reduced = np.column_stack([w, resid, -tail.T])
         rows = []
         for batch in row_batches(gt, m, draws, seed=41):
@@ -356,7 +382,7 @@ class TestBlockedRound:
             assert np.max(np.abs(a_r[:, :k])) <= 1e-9 * (1.0 + np.max(np.abs(a_r)))
             rows.append(np.column_stack([heads, np.linalg.norm(r, axis=1), a_r[:, k:]]))
         rows = np.concatenate(rows)
-        pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+        pairs = [(i, j) for i in range(reduced.shape[1]) for j in range(i, reduced.shape[1])]
         worst = max(
             ks_distance(reduced[:, i] * (reduced[:, j] if i != j else 1.0), rows[:, i] * (rows[:, j] if i != j else 1.0))
             for i, j in pairs
@@ -401,28 +427,30 @@ class TestBlockedRound:
 
     @pytest.mark.parametrize("corner, singular", [(1e7, True), (0.5, False)])
     def test_factor_head_check_is_not_diagonal_only(self, corner, singular):
-        # every R_kk has a unit diagonal; client 5's [[1, 1e7], [0, 1]] has
-        # sigma_min^2 / m = 1e-16 <= GRAM_TOL and must be named, while with
-        # the corner at 0.5 every head is the least-squares fit of labels
-        # R_kk lead + noise on rows R_kk
+        # three clients' rows are 2 x 2 triangles with a unit diagonal, standing
+        # for m samples; client 5's [[1, 1e7], [0, 1]] has sigma_min^2 / m =
+        # 1e-16 <= GRAM_TOL and must be named, while with the corner at 0.5
+        # every head is the least-squares fit of labels rows lead + noise
         m, k = 100, 2
         rng = np.random.default_rng(26)
-        r_kk = np.repeat(np.array([[1.0, 0.5], [0.0, 1.0]])[..., None], 3, axis=2)
-        r_kk[0, 1, 1] = corner
-        lead, noise = rng.standard_normal((2, k, 3))
+        rows = np.repeat(np.array([[[1.0, 0.5], [0.0, 1.0]]]), 3, axis=0)
+        rows[1, 0, 1] = corner
+        lead, noise = rng.standard_normal((2, 3, k))
+        batch = synthesis.Batch(
+            x=rows, y=(rows @ lead[..., None])[..., 0] + noise, client_id=np.array([4, 5, 6]), m=m,
+        )
         if singular:
             with pytest.raises(SrpflError, match=r"projected Gram matrix singular .* for client 5 at m=100"):
-                fedrep._heads(r_kk, lead, noise, np.array([4, 5, 6]), m)
+                fedrep.head_update(np.eye(k), batch)
             return
-        w = fedrep._heads(r_kk, lead, noise, np.array([4, 5, 6]), m)
+        w = fedrep.head_update(np.eye(k), batch)
         for i in range(3):
-            rows = r_kk[..., i]
             np.testing.assert_allclose(
-                w[:, i], np.linalg.lstsq(rows, rows @ lead[:, i] + noise[:, i], rcond=None)[0], rtol=1e-12, atol=0,
+                w[i], np.linalg.lstsq(rows[i], batch.y[i], rcond=None)[0], rtol=1e-12, atol=0,
             )
 
     def test_round_lapack_budget(self, monkeypatch):
-        # one well-conditioned round at n=256: the heads are back-substitutions,
+        # one well-conditioned round at n=256: the heads are drawn, not solved,
         # so no solve or eigendecomposition runs; one qr is the off-span factor
         # R_C, and one qr and two svds are span_basis's, which builds the next
         # basis, checks the step for collapse and measures its distance
@@ -439,12 +467,13 @@ class TestBlockedRound:
         assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
         assert calls["qr"] == 2 and calls["svd"] == 2
 
-    @pytest.mark.parametrize("n, k, m, chi_squares", [(256, 2, 100, 256 * 3)])
-    def test_round_draw_budget(self, monkeypatch, n, k, m, chi_squares):
-        # a round draws n(k+1) chi-squares, k+1 roots per client in k+1 calls of n, and
-        # n(k(k-1)/2 + p + 1) + d min(n, k) normals: at d=20, k=2 (p=4) nine
-        # values per client plus 40 per round, and no n x d block
-        d, p = 20, 2 * k
+    @pytest.mark.parametrize("n, k, m, d", [(256, 2, 100, 20), (256, 4, 30, 40)])
+    def test_round_draw_budget(self, monkeypatch, n, k, m, d):
+        # a round draws two chi-square calls of n, rho and then t, and n(p + 1)
+        # + d min(n, k) normals: per client k for the head and p + 1 - k for
+        # A^T r, seven values at d=20, k=2 (p=4) and eleven at d=40, k=4
+        # (p=8), plus d k per round, and no n x d block
+        p = 2 * k
         gt = synthesis.gen_ground_truth(d, k, n, 0.5, seed=29)
         b, _ = linalg.thin_qr(np.random.default_rng(30).standard_normal((d, k)))
         drawn = []
@@ -454,7 +483,7 @@ class TestBlockedRound:
                 self.rng = rng
 
             def chisquare(self, df, size):
-                drawn.append(("chisquare", int(np.prod(size))))
+                drawn.append(("chisquare", df, int(np.prod(size))))
                 return self.rng.chisquare(df, size)
 
             def standard_normal(self, size):
@@ -462,9 +491,10 @@ class TestBlockedRound:
                 return self.rng.standard_normal(size)
 
         monkeypatch.setattr(fedrep, "substream", lambda *key: Counting(synthesis.substream(*key)))
-        normals = n * (k * (k - 1) // 2 + p + 1) + d * min(n, k)
         fedrep.fedrep_round(basis(b, gt), gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
-        assert drawn == [("chisquare", chi_squares // (k + 1))] * (k + 1) + [("standard_normal", normals)]
+        assert drawn == [
+            ("chisquare", m - k + 1, n), ("chisquare", m - k, n), ("standard_normal", n * (p + 1) + d * min(n, k)),
+        ]
 
     def test_one_singular_client_among_many_is_named(self):
         # 300 well-conditioned clients and one, id 1217, whose projected
