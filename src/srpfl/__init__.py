@@ -44,7 +44,7 @@ from .straggler import (
     select_fastest,
     target_accuracy,
 )
-from .synthesis import Batch, GroundTruthModel, gen_ground_truth, sample_batch
+from .synthesis import GroundTruthModel, gen_ground_truth, sample_batch
 
 __version__ = "0.1.0"
 

@@ -67,13 +67,13 @@ def order_statistics():
     return ok, f"Monte Carlo rel err {worst_rel:.4f} (tol 0.02), telescoping err {worst_tel:.1e} (tol 1e-12)"
 
 
-def _rep_loss(b, w, batch):
-    resid = batch.y - batch.x @ (b @ w)
-    return 0.5 * float(resid @ resid) / len(batch.y)
+def _rep_loss(b, w, x, y):
+    resid = y - x @ (b @ w)
+    return 0.5 * float(resid @ resid) / len(y)
 
 
-def _summed_loss(b, q, w, batch):
-    resid = batch.y - (batch.x @ ((q.T @ b) @ w[..., None]))[..., 0]
+def _summed_loss(b, q, w, x, y):
+    resid = y - (x @ ((q.T @ b) @ w[..., None]))[..., 0]
     return 0.5 * float(np.sum(resid**2))
 
 
@@ -91,7 +91,7 @@ def _gradient_error(loss, b, grad):
 def kernel_invariants():
     """Kernel invariants on random instances.
 
-    Thin QR and principal-angle invariants, the representation gradient
+    Thin QR, principal-angle and span-basis invariants, the representation gradient
     against central differences in its row form and in the summed form a
     round runs, and the normal equations of the head solve.
     """
@@ -118,6 +118,13 @@ def kernel_invariants():
         rot = np.array([[-1.0]]) if k == 1 else linalg.thin_qr(rng.standard_normal((k, k)))[0]
         if abs(linalg.principal_angle_dist(q @ rot, b2) - dist) > 1e-10:
             failures.append(f"rotation invariance #{i}")
+        both, both_dist = linalg.span_basis(q, b2)
+        if not linalg.is_orthonormal(both):
+            failures.append(f"span basis orthonormality #{i}")
+        if not all(abs(float(np.vdot(both.T @ span, both.T @ span)) - k) <= linalg.ORTHO_TOL for span in (q, b2)):
+            failures.append(f"span basis holds both spans #{i}")
+        if not abs(both_dist - dist) <= 1e-13:
+            failures.append(f"span basis distance #{i}")
 
     worst_grad = 0.0
     for i in range(100):
@@ -126,9 +133,9 @@ def kernel_invariants():
         m = int(rng.integers(k + 1, 12))
         b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
         w = rng.standard_normal(k)
-        batch = synthesis.Batch(x=rng.standard_normal((m, d)), y=rng.standard_normal(m), client_id=0)
-        grad = b - fedrep.rep_gradient_step(b, w, batch, eta=1.0)
-        worst_grad = max(worst_grad, _gradient_error(lambda b_: _rep_loss(b_, w, batch), b, grad))
+        x, y = rng.standard_normal((m, d)), rng.standard_normal(m)
+        grad = b - fedrep.rep_gradient_step(b, w, x, y, eta=1.0)
+        worst_grad = max(worst_grad, _gradient_error(lambda b_: _rep_loss(b_, w, x, y), b, grad))
     if worst_grad > 1e-5:
         failures.append(f"finite differences ({worst_grad:.2e})")
 
@@ -146,10 +153,10 @@ def kernel_invariants():
         q, _ = linalg.span_basis(b, gt.b_star)
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, rng)
         w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.arange(n), draw)
-        rows = fedrep._factor_rows(gt, q, np.arange(n), m, draw)
+        x, y = fedrep._factor_rows(gt, q, np.arange(n), draw)
         vt = q[:, :k].T @ b
         move = fedrep._summed_move(q, w, resid, tail, np.zeros_like(draw[-1])) @ vt
-        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w @ vt, rows), b, move))
+        worst_summed = max(worst_summed, _gradient_error(lambda b_: _summed_loss(b_, q, w @ vt, x, y), b, move))
     if worst_summed > 1e-5:
         failures.append(f"summed-move finite differences ({worst_summed:.2e})")
 
@@ -157,10 +164,10 @@ def kernel_invariants():
     for i in range(50):
         gt = synthesis.gen_ground_truth(8, 3, 2, 0.6, seed=600 + i)
         b, _ = linalg.thin_qr(np.random.default_rng(700 + i).standard_normal((8, 3)))
-        batch = synthesis.sample_batch(gt, 0, 40, 1, seed=600 + i)
-        w = fedrep.head_update(b, batch)
-        grad = b.T @ batch.x.T @ (batch.x @ (b @ w) - batch.y)
-        scale = batch.x.shape[0] * (1.0 + np.linalg.norm(batch.y))
+        x, y = synthesis.sample_batch(gt, 0, 40, 1, seed=600 + i)
+        w = fedrep.head_update(b, x, y)
+        grad = b.T @ x.T @ (x @ (b @ w) - y)
+        scale = x.shape[0] * (1.0 + np.linalg.norm(y))
         worst_resid = max(worst_resid, float(np.linalg.norm(grad)) / scale)
     if worst_resid > 1e-8:
         failures.append(f"head optimality residual ({worst_resid:.2e})")

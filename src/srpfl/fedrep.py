@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, SrpflError
 from .linalg import ORTHO_TOL, rank_k_eig, span_basis, thin_qr
-from .synthesis import TAG_RANDOM_INIT, TAG_ROUND, TAG_WARM_START, Batch, check_sample_count, substream
+from .synthesis import TAG_RANDOM_INIT, TAG_ROUND, TAG_WARM_START, check_sample_count, substream
 
 GRAM_TOL = 1e-10
 # rows per block of the warm start's draw, about 330 kB at d = 40: blocks of 2**14 rows
@@ -57,45 +57,48 @@ def check_batch_size(m, k):
         raise ConfigError(f"need m > k, got m={m}, k={k}")
 
 
-def head_update(b, batch):
+def head_update(b, x, y, m=None):
     """Exact local head: the least-squares minimizer of ``||y - X b w||``.
 
     Returns ``w = ((1/m) b^T X^T X b)^{-1} (1/m) b^T X^T y``: shape (k,)
-    for a single batch (``x`` of shape (m, d)), (B, k) for a stacked one
-    (``x`` of shape (B, m, d)), one head per slice; ``m`` is ``batch.m``.
-    The row-form reference of the self-checks and the tests.
+    for a single batch (``x`` of shape (m, d), ``y`` (m,)), (B, k) for a
+    stacked one (``x`` of shape (B, m, d), ``y`` (B, m)), one head per
+    slice.  ``m`` is the number of samples the rows stand for, by default
+    the rows of ``x``.  The row-form reference of the self-checks and the tests.
 
     Raises
     ------
     SrpflError
-        If a projected Gram matrix has an eigenvalue at or below
-        :data:`GRAM_TOL`, checked per slice with ``eigvalsh``: the batch is
-        too small (m < k) or degenerate.  The message names its first such client.
+        Unless every projected Gram matrix has its eigenvalues above
+        :data:`GRAM_TOL`, checked per slice with ``eigvalsh``: the batch is too
+        small (m < k), degenerate or not finite.  The message names the first
+        such slice by its position in the stack.
     """
-    xb = batch.x @ b
-    eig_min = np.ravel(np.linalg.eigvalsh(xb.swapaxes(-1, -2) @ xb / batch.m)[..., 0])
-    first = np.argmax(eig_min <= GRAM_TOL)
-    if eig_min[first] <= GRAM_TOL:
+    m = x.shape[-2] if m is None else m
+    xb = x @ b
+    eig_min = np.ravel(np.linalg.eigvalsh(xb.swapaxes(-1, -2) @ xb / m)[..., 0])
+    first = np.argmax(~(eig_min > GRAM_TOL))
+    if not eig_min[first] > GRAM_TOL:
         raise SrpflError(
-            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) "
-            f"for client {np.ravel(batch.client_id)[first]} at m={batch.m}"
+            f"projected Gram matrix singular (lambda_min={eig_min[first]:.3e}) for slice {first} at m={m}"
         )
     q, r = np.linalg.qr(xb)  # not the normal equations, which square X b's condition number
-    return np.linalg.solve(r, q.swapaxes(-1, -2) @ batch.y[..., None])[..., 0]
+    return np.linalg.solve(r, q.swapaxes(-1, -2) @ y[..., None])[..., 0]
 
 
-def rep_gradient_step(b, w, batch, eta):
+def rep_gradient_step(b, w, x, y, eta, m=None):
     """One descent step on the representation, per client.
 
     Returns ``b - (eta/m) X^T (X b w - y) w^T``: shape (d, k) for a
     single batch and head, (B, d, k) for a stacked batch with heads of
-    shape (B, k).  The server-side 1/n average completes the eta/(m*n)
-    composite step.  A round takes this step in the summed form of
-    :func:`_summed_move`; the self-checks and the tests use this one.
+    shape (B, k); ``m`` is as in :func:`head_update`.  The server-side 1/n
+    average completes the eta/(m*n) composite step.  A round takes this
+    step in the summed form of :func:`_summed_move`; the self-checks and
+    the tests use this one.
     """
-    m = batch.m
-    resid = (batch.x @ (b @ w[..., None]))[..., 0] - batch.y
-    return b - (eta / m) * (batch.x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
+    m = x.shape[-2] if m is None else m
+    resid = (x @ (b @ w[..., None]))[..., 0] - y
+    return b - (eta / m) * (x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
 
 
 def random_init(gt, seed):
@@ -116,8 +119,7 @@ def method_of_moments_init(gt, participants, m, seed):
     A sum that overflows issues no numpy warning; :func:`rank_k_eig`
     refuses it.
     """
-    parts = np.asarray(list(participants))
-    gt.check_participants(parts)
+    parts = gt.check_participants(participants)
     check_sample_count(m)
     if not (gt.sigma > 0 or gt.w_star[parts].any()):
         raise SrpflError("every warm-start label was zero; nothing to estimate")
@@ -214,13 +216,14 @@ def _client_statistics(gt, overlap, parts, draw):
     return (v[:gt.k] + size * e).T, size * t, tail
 
 
-def _factor_rows(gt, q, parts, m, draw):
-    """The row form of a draw: each client's (k+1)-row factor batch in ``span(q)``.
+def _factor_rows(gt, q, parts, draw):
+    """The row form of a draw: each client's (k+1)-row factor batch ``(x, y)`` in ``span(q)``.
 
     The rows ``[[I_k, e u_hat^T], [0, t u_hat + (I - u_hat u_hat^T) zeta]]``
     (``u_hat = u / ||u||``, ``e_1`` when u = 0; the leading triangle is
     ``I_k`` because the head's error ``e`` is drawn whole), as ``x`` (n, k+1,
-    p) and labels ``y = R (v, sigma)``, standing for m samples: on ``x q^T``,
+    p) and labels ``y = R (v, sigma)`` (n, k+1).  The rows stand for the m
+    samples the draw was made for: on ``x q^T``, with that m passed,
     :func:`head_update` and :func:`rep_gradient_step` find the heads,
     ``||r||`` and ``A^T r`` of :func:`_client_statistics`.  The self-checks'
     and the tests' reference.
@@ -235,7 +238,7 @@ def _factor_rows(gt, q, parts, m, draw):
     factor[:, :k, k:] = e.T[:, :, None] * u_hat.T[:, None, :]
     factor[:, k, k:] = (t * u_hat + zeta - u_hat * (u_hat * zeta).sum(axis=0)).T
     y = np.einsum("nij,jn->ni", factor, np.concatenate([v[:k], u]))
-    return Batch(x=factor[..., :p], y=y, client_id=parts, m=m)
+    return factor[..., :p], y
 
 
 def _summed_move(q, w, resid, tail, z):
@@ -279,8 +282,7 @@ def fedrep_round(q, gt, participants, m, eta, seed, round_index):
     an overflow on the way there issues no numpy warning.
     """
     check_batch_size(m, gt.k)
-    gt.check_participants(participants)
-    parts = np.asarray(participants, dtype=int)
+    parts = gt.check_participants(participants)
     overlap = _overlap(gt, q)
     with np.errstate(all="ignore"):  # an overflow ends at span_basis's finiteness check
         draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))

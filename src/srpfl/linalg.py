@@ -70,7 +70,7 @@ def _checked_svd(blocks):
     if not np.isfinite(blocks[0]).all():
         raise SrpflError("QR factor is not finite: the input is not, or its column norms overflow")
     u, sv, _ = np.linalg.svd(blocks)
-    if sv[0, -1] <= RANK_TOL * sv[0, 0]:
+    if not sv[0, -1] > RANK_TOL * sv[0, 0]:
         raise SrpflError(f"column rank collapsed: sigma_min={sv[0, -1]:.3e} vs sigma_max={sv[0, 0]:.3e}")
     return u
 

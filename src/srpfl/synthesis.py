@@ -6,7 +6,7 @@ drawn from counter-based substreams keyed on the seed and a purpose key
 (see :func:`substream`), so every draw is a pure function of the config.
 Every purpose key starts with one of the ``TAG_*`` constants below.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
-draws a client's full rows; the self-checks and the test oracles use it.
+draws one client's full rows ``(x, y)``; the self-checks and the test oracles use it.
 The warm start and a training round draw their clients' data themselves,
 from one stream per call (see :mod:`srpfl.fedrep`).
 """
@@ -75,8 +75,12 @@ class GroundTruthModel:
             raise ConfigError(f"seed must be >= 0, got {seed}")
 
     def check_participants(self, participants):
-        """Raise :class:`SrpflError` unless ``participants`` (one id or several) is not
-        empty and every id is an integer in 0..M-1."""
+        """The ids of ``participants`` (one id or several) as a 1-D integer array.
+
+        Raises :class:`SrpflError` unless the list is not empty and every id is
+        an integer in 0..M-1.  Every draw indexes with this array, so none
+        converts the list again.
+        """
         ids = np.asarray(participants).reshape(-1)
         if not ids.size:
             raise SrpflError("need at least one participant")
@@ -85,25 +89,7 @@ class GroundTruthModel:
         inside = (ids >= 0) & (ids < self.n_clients)
         if not inside.all():
             raise SrpflError(f"participant {ids[~inside][0]} outside 0..{self.n_clients - 1}")
-
-
-@dataclass(frozen=True)
-class Batch:
-    """One fresh batch for one client: rows of ``x`` are samples.
-
-    A stacked batch of B clients has ``x`` of shape (B, m, d), ``y`` of
-    shape (B, m) and ``client_id`` an array of the B ids.  ``m`` is the
-    number of samples the batch stands for, by default the rows of ``x``.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    client_id: int | np.ndarray
-    m: int | None = None
-
-    def __post_init__(self):
-        if self.m is None:
-            object.__setattr__(self, "m", self.x.shape[-2])
+        return ids
 
 
 def gen_ground_truth(d, k, n_clients, sigma, seed):
@@ -134,18 +120,21 @@ def check_sample_count(m):
 
 
 def sample_batch(gt, client, m, round_index, seed):
-    """Fresh batch of ``m`` samples for ``client`` at the given round.
+    """Fresh batch ``(x, y)`` of ``m`` samples for one ``client`` at the given round.
 
-    The stream is a pure function of ``(seed, client, round_index)``:
+    ``x`` is (m, d) and ``y`` (m,).  ``client`` is one id, alone or in a
+    list.  The stream is a pure function of ``(seed, client, round_index)``:
     identical triples yield bit-identical batches, distinct rounds yield
     independent ones.
     """
-    gt.check_participants(client)
+    ids = gt.check_participants(client)
+    if not ids.size == 1:
+        raise SrpflError(f"sample_batch draws one client's batch, got {ids.size} ids")
     check_sample_count(m)
-    rng = substream(seed, TAG_BATCH, client, round_index)
+    rng = substream(seed, TAG_BATCH, ids[0], round_index)
     x = rng.standard_normal((m, gt.d))
-    y = x @ (gt.b_star @ gt.w_star[client])
+    y = x @ (gt.b_star @ gt.w_star[ids[0]])
     if gt.sigma > 0:
         y = y + gt.sigma * rng.standard_normal(m)
-    return Batch(x=x, y=y, client_id=client)
+    return x, y
 

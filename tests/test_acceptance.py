@@ -3,9 +3,8 @@
 Criterion 5 checks both closed-form wall-clock bounds against simulation
 with the contraction factor measured from the runs themselves.  The
 baseline lower-bound half is a known red: on its fixture the baseline's
-mean time is 483.5 against a lower bound of 603.5 at a = 0.0774, and 7
-of the 50 runs lie above the bound.  The cause is the target the runs
-are timed to, which asks for a smaller shrink than the bound counts
+mean time lies below the lower bound, by the figures its failure message
+states.  The cause is the target the runs are timed to, which asks for a smaller shrink than the bound counts
 (ROADMAP item 1).  Its assertion states the criterion as written rather
 than a loosened version.
 """

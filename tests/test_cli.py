@@ -454,8 +454,9 @@ def test_pooled_compare_in_a_fresh_process(config_path, tmp_path):
 QR_NOT_FINITE = "QR factor is not finite: the input is not, or its column norms overflow\n"
 MOMENTS_NOT_FINITE = "error: warm start: expected a finite matrix, got an inf or nan entry\n"
 OVERFLOWS = [
-    # the step sits near the largest float: here round 1's (largest entry 7.6e307) passes, round 2's overflows
-    pytest.param(("eta=1e300", "sigma=1e5"), "error: stage 0, round 2: " + QR_NOT_FINITE, id="eta_and_sigma"),
+    # overflows in the step, not the move: round 1's largest step entry is about 1e8 eta (6e7 to 1.6e8
+    # over seeds 0-9), five orders above the largest float, while the summed move stays near 4e10
+    pytest.param(("eta=1e306", "sigma=1e5"), "error: stage 0, round 1: " + QR_NOT_FINITE, id="eta_and_sigma"),
     pytest.param(("sigma=1e200",), "error: stage 0, round 1: " + QR_NOT_FINITE, id="sigma"),  # overflows in the summed move
     # a nan moment matrix passes the symmetry test; unchecked, eigh raises LinAlgError
     pytest.param(("init_mode=moments", "sigma=1e200"), MOMENTS_NOT_FINITE, id="warm_start"),

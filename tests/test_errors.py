@@ -138,3 +138,26 @@ def test_check_guards_refuse_nan():
         if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not))
     ]
     assert not bad, bad
+
+
+def _tolerance_guards(tree):
+    """Yield every ``if`` above a raise whose test reads a ``*_TOL`` constant."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body):
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.test)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            if any(name.endswith("_TOL") for name in names):
+                yield node.test
+
+
+def test_tolerance_guards_refuse_nan():
+    # `lam <= GRAM_TOL` is false for NaN and lets it through; `not lam > GRAM_TOL` refuses it
+    guards = [
+        (path.name, test) for path in MODULES for test in _tolerance_guards(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert len(guards) >= 3  # the scan reads the package's tolerance guards, not an empty set
+    bad = [
+        f"{name}: if {ast.unparse(test)}" for name, test in guards
+        if not (isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not))
+    ]
+    assert not bad, bad

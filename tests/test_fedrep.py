@@ -10,70 +10,62 @@ from srpfl import engine, fedrep, linalg, synthesis
 from srpfl.errors import ConfigError, SrpflError
 
 
-def make_batch(x, y, client=0):
-    return synthesis.Batch(x=np.asarray(x, dtype=float), y=np.asarray(y, dtype=float), client_id=client)
-
-
 def basis(b, gt):
     """The round's basis for representation ``b``, as ``engine.run`` carries it."""
     return linalg.span_basis(b, gt.b_star)[0]
 
 
-def local_loss(b, w, batch):
-    resid = batch.y - batch.x @ (b @ w)
-    return 0.5 * float(resid @ resid) / batch.x.shape[0]
+def local_loss(b, w, x, y):
+    resid = y - x @ (b @ w)
+    return 0.5 * float(resid @ resid) / x.shape[0]
 
 
 class TestHeadUpdate:
     def test_hand_normal_equations(self):
         # Gram = (1 + 4)/2 = 2.5, rhs = (3 + 12)/2 = 7.5 -> w = 3
         b = np.array([[1.0], [0.0]])
-        batch = make_batch([[1.0, 0.0], [2.0, 0.0]], [3.0, 6.0])
-        w = fedrep.head_update(b, batch)
+        w = fedrep.head_update(b, np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([3.0, 6.0]))
         assert w[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_exact_recovery_at_optimum(self):
         gt = synthesis.gen_ground_truth(6, 2, 3, 0.0, seed=0)
-        batch = synthesis.sample_batch(gt, 1, 10, 1, seed=0)
-        w = fedrep.head_update(gt.b_star, batch)
+        w = fedrep.head_update(gt.b_star, *synthesis.sample_batch(gt, 1, 10, 1, seed=0))
         np.testing.assert_allclose(w, gt.w_star[1], rtol=1e-9, atol=1e-11)
 
     def test_singular_gram(self):
         # every sample orthogonal to span(b)
         b = np.array([[1.0], [0.0]])
-        batch = make_batch([[0.0, 1.0], [0.0, 2.0]], [1.0, 2.0])
         with pytest.raises(SrpflError, match="projected Gram matrix singular"):
-            fedrep.head_update(b, batch)
+            fedrep.head_update(b, np.array([[0.0, 1.0], [0.0, 2.0]]), np.array([1.0, 2.0]))
 
     def test_residual_gradient_small(self):
         gt = synthesis.gen_ground_truth(8, 3, 2, 0.7, seed=4)
         b, _ = linalg.thin_qr(np.random.default_rng(8).standard_normal((8, 3)))
-        batch = synthesis.sample_batch(gt, 0, 40, 2, seed=4)
-        w = fedrep.head_update(b, batch)
-        m = batch.x.shape[0]
-        grad = b.T @ batch.x.T @ (batch.x @ (b @ w) - batch.y)
-        assert np.linalg.norm(grad) <= 1e-8 * m * (1 + np.linalg.norm(batch.y))
+        x, y = synthesis.sample_batch(gt, 0, 40, 2, seed=4)
+        w = fedrep.head_update(b, x, y)
+        grad = b.T @ x.T @ (x @ (b @ w) - y)
+        assert np.linalg.norm(grad) <= 1e-8 * len(y) * (1 + np.linalg.norm(y))
 
 
 class TestRepGradientStep:
     def test_zero_step(self):
         gt = synthesis.gen_ground_truth(5, 2, 1, 0.3, seed=1)
-        batch = synthesis.sample_batch(gt, 0, 12, 1, seed=1)
-        out = fedrep.rep_gradient_step(gt.b_star, gt.w_star[0], batch, eta=0.0)
+        x, y = synthesis.sample_batch(gt, 0, 12, 1, seed=1)
+        out = fedrep.rep_gradient_step(gt.b_star, gt.w_star[0], x, y, eta=0.0)
         np.testing.assert_array_equal(out, gt.b_star)
 
     def test_stationary_at_zero_residual(self):
         gt = synthesis.gen_ground_truth(5, 2, 1, 0.0, seed=2)
-        batch = synthesis.sample_batch(gt, 0, 12, 1, seed=2)
-        out = fedrep.rep_gradient_step(gt.b_star, gt.w_star[0], batch, eta=0.5)
+        x, y = synthesis.sample_batch(gt, 0, 12, 1, seed=2)
+        out = fedrep.rep_gradient_step(gt.b_star, gt.w_star[0], x, y, eta=0.5)
         np.testing.assert_allclose(out, gt.b_star, atol=1e-12)
 
     def test_finite_difference_oracle_seed4(self):
         rng = np.random.default_rng(4)
         b, _ = linalg.thin_qr(rng.standard_normal((3, 1)))
         w = rng.standard_normal(1)
-        batch = make_batch(rng.standard_normal((2, 3)), rng.standard_normal(2))
-        step = fedrep.rep_gradient_step(b, w, batch, eta=1.0)
+        x, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        step = fedrep.rep_gradient_step(b, w, x, y, eta=1.0)
         grad = (b - step)  # eta = 1 so b - output is exactly the gradient
         h = 1e-6
         fd = np.zeros_like(grad)
@@ -81,7 +73,7 @@ class TestRepGradientStep:
             for j in range(1):
                 e = np.zeros_like(b)
                 e[i, j] = h
-                fd[i, j] = (local_loss(b + e, w, batch) - local_loss(b - e, w, batch)) / (2 * h)
+                fd[i, j] = (local_loss(b + e, w, x, y) - local_loss(b - e, w, x, y)) / (2 * h)
         assert np.linalg.norm(fd - grad) <= 1e-5 * max(1.0, np.linalg.norm(grad))
 
 
@@ -132,7 +124,7 @@ class TestMethodOfMoments:
         rows = []
         for t in range(draws):
             batches = [synthesis.sample_batch(gt, cid, m, t, seed=51) for cid in parts]
-            rows.append(functionals(sum((b.x.T * b.y**2) @ b.x for b in batches)))
+            rows.append(functionals(sum((x.T * y**2) @ x for x, y in batches)))
         rows = np.array(rows)
         assert max(ks_distance(bulk[:, i], rows[:, i]) for i in range(5)) <= 0.045
 
@@ -242,19 +234,16 @@ class TestFedrepRound:
 
 
 def row_batches(gt, m, draws, seed):
-    """``draws`` independent ``sample_batch`` row batches of client 0, stacked 2000 at a time."""
+    """``draws`` independent ``sample_batch`` row batches ``(x, y)`` of client 0, stacked 2000 at a time."""
     for start in range(1, draws + 1, 2000):
-        batches = [synthesis.sample_batch(gt, 0, m, t, seed) for t in range(start, start + 2000)]
-        yield synthesis.Batch(
-            x=np.stack([x.x for x in batches]), y=np.stack([x.y for x in batches]),
-            client_id=np.zeros(len(batches), dtype=int),
-        )
+        x, y = zip(*(synthesis.sample_batch(gt, 0, m, t, seed) for t in range(start, start + 2000)))
+        yield np.stack(x), np.stack(y)
 
 
 def row_steps(gt, b, m, draws, seed):
     """One client's step on ``draws`` independent ``sample_batch`` row batches."""
     return np.concatenate([
-        fedrep.rep_gradient_step(b, fedrep.head_update(b, rows), rows, 1.0) for rows in row_batches(gt, m, draws, seed)
+        fedrep.rep_gradient_step(b, fedrep.head_update(b, x, y), x, y, 1.0) for x, y in row_batches(gt, m, draws, seed)
     ])
 
 
@@ -292,15 +281,15 @@ class TestBlockedRound:
         ids = np.random.default_rng(n + 1).permutation(50)[:n]
         draw = fedrep._draw_round(n, k, q.shape[1], d, m, synthesis.substream(21, synthesis.TAG_ROUND, 1))
         w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, ids, draw)
-        factor = fedrep._factor_rows(gt, q, ids, m, draw)
+        factor_x, factor_y = fedrep._factor_rows(gt, q, ids, draw)
         row_moves, gram = np.zeros((d, k)), np.zeros((k, k))
-        for i, cid in enumerate(ids):
-            rows = synthesis.Batch(x=factor.x[i] @ q.T, y=factor.y[i], client_id=cid, m=m)
-            w_rows = fedrep.head_update(b, rows)
+        for i in range(n):
+            x, y = factor_x[i] @ q.T, factor_y[i]
+            w_rows = fedrep.head_update(b, x, y, m)
             np.testing.assert_allclose(w[i], w_rows, rtol=0, atol=1e-12)
-            resid_rows = np.linalg.norm(rows.x @ (b @ w_rows) - rows.y)
+            resid_rows = np.linalg.norm(x @ (b @ w_rows) - y)
             np.testing.assert_allclose(resid[i], resid_rows, rtol=1e-12, atol=1e-12)
-            row_moves += fedrep.rep_gradient_step(b, w_rows, rows, 0.2) - b
+            row_moves += fedrep.rep_gradient_step(b, w_rows, x, y, 0.2, m) - b
             gram += resid_rows**2 * np.outer(w[i], w[i])
         move = fedrep._summed_move(q, w, resid, tail, draw[-1])
         inside = q @ (q.T @ move)
@@ -375,10 +364,10 @@ class TestBlockedRound:
         w, resid, tail = fedrep._client_statistics(gt, q.T @ gt.b_star, np.zeros(draws, dtype=int), draw)
         reduced = np.column_stack([w, resid, -tail.T])
         rows = []
-        for batch in row_batches(gt, m, draws, seed=41):
-            heads = fedrep.head_update(q[:, :k], batch)
-            r = (batch.x @ (q[:, :k] @ heads[..., None]))[..., 0] - batch.y
-            a_r = (np.einsum("nij,ni->nj", batch.x, r)) @ q
+        for x, y in row_batches(gt, m, draws, seed=41):
+            heads = fedrep.head_update(q[:, :k], x, y)
+            r = (x @ (q[:, :k] @ heads[..., None]))[..., 0] - y
+            a_r = (np.einsum("nij,ni->nj", x, r)) @ q
             assert np.max(np.abs(a_r[:, :k])) <= 1e-9 * (1.0 + np.max(np.abs(a_r)))
             rows.append(np.column_stack([heads, np.linalg.norm(r, axis=1), a_r[:, k:]]))
         rows = np.concatenate(rows)
@@ -390,15 +379,22 @@ class TestBlockedRound:
         assert worst <= 0.03
 
     def test_stacked_singular_gram_names_its_client(self):
+        # the client is named by its slice of the stack
         rng = np.random.default_rng(22)
         b = np.array([[1.0], [0.0]])
         x = rng.standard_normal((3, 4, 2))
         x[2, :, 0] = 0.0  # only the last client's samples are orthogonal to span(b)
-        batch = synthesis.Batch(
-            x=x, y=rng.standard_normal((3, 4)), client_id=np.array([7, 3, 9]),
-        )
-        with pytest.raises(SrpflError, match="client 9"):
-            fedrep.head_update(b, batch)
+        with pytest.raises(SrpflError, match="for slice 2 at m=4"):
+            fedrep.head_update(b, x, rng.standard_normal((3, 4)))
+
+    def test_stacked_nan_row_is_refused(self):
+        # a NaN Gram eigenvalue fails `lambda_min > GRAM_TOL`; unrefused, the
+        # second client's head would be NaN
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((3, 20, 4))
+        x[1, 5, 2] = np.nan
+        with pytest.raises(SrpflError, match=re.escape("(lambda_min=nan) for slice 1 at m=20")):
+            fedrep.head_update(np.eye(4, 2), x, rng.standard_normal((3, 20)))
 
     def test_gershgorin_miss_is_still_solved(self, monkeypatch):
         # client 1's Gram [[1, .5], [.5, .3]] fails the Gershgorin bound
@@ -419,7 +415,7 @@ class TestBlockedRound:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        w = fedrep.head_update(b, synthesis.Batch(x=x, y=y, client_id=np.array([4, 5, 6])))
+        w = fedrep.head_update(b, x, y)
         assert len(checked) == 1 and checked[0].shape == (3, 2, 2)
         np.testing.assert_allclose(checked[0][1], [[1.0, 0.5], [0.5, 0.3]], rtol=0, atol=1e-12)
         for i in range(3):
@@ -428,26 +424,22 @@ class TestBlockedRound:
     @pytest.mark.parametrize("corner, singular", [(1e7, True), (0.5, False)])
     def test_factor_head_check_is_not_diagonal_only(self, corner, singular):
         # three clients' rows are 2 x 2 triangles with a unit diagonal, standing
-        # for m samples; client 5's [[1, 1e7], [0, 1]] has sigma_min^2 / m =
-        # 1e-16 <= GRAM_TOL and must be named, while with the corner at 0.5
-        # every head is the least-squares fit of labels rows lead + noise
+        # for m samples; the second client's [[1, 1e7], [0, 1]] has sigma_min^2
+        # / m = 1e-16 <= GRAM_TOL and must be named by its slice, while with the
+        # corner at 0.5 every head is the least-squares fit of labels rows lead + noise
         m, k = 100, 2
         rng = np.random.default_rng(26)
         rows = np.repeat(np.array([[[1.0, 0.5], [0.0, 1.0]]]), 3, axis=0)
         rows[1, 0, 1] = corner
         lead, noise = rng.standard_normal((2, 3, k))
-        batch = synthesis.Batch(
-            x=rows, y=(rows @ lead[..., None])[..., 0] + noise, client_id=np.array([4, 5, 6]), m=m,
-        )
+        y = (rows @ lead[..., None])[..., 0] + noise
         if singular:
-            with pytest.raises(SrpflError, match=r"projected Gram matrix singular .* for client 5 at m=100"):
-                fedrep.head_update(np.eye(k), batch)
+            with pytest.raises(SrpflError, match=r"projected Gram matrix singular .* for slice 1 at m=100"):
+                fedrep.head_update(np.eye(k), rows, y, m)
             return
-        w = fedrep.head_update(np.eye(k), batch)
+        w = fedrep.head_update(np.eye(k), rows, y, m)
         for i in range(3):
-            np.testing.assert_allclose(
-                w[i], np.linalg.lstsq(rows[i], batch.y[i], rcond=None)[0], rtol=1e-12, atol=0,
-            )
+            np.testing.assert_allclose(w[i], np.linalg.lstsq(rows[i], y[i], rcond=None)[0], rtol=1e-12, atol=0)
 
     def test_round_lapack_budget(self, monkeypatch):
         # one well-conditioned round at n=256: the heads are drawn, not solved,
@@ -497,7 +489,7 @@ class TestBlockedRound:
         ]
 
     def test_one_singular_client_among_many_is_named(self):
-        # 300 well-conditioned clients and one, id 1217, whose projected
+        # 300 well-conditioned clients and one, slice 217, whose projected
         # samples are collinear; the message carries its eigvalsh lambda_min
         m, b = 50, np.eye(3)[:, :2]
         rng = np.random.default_rng(25)
@@ -506,11 +498,8 @@ class TestBlockedRound:
         xb = x @ b
         lam = np.linalg.eigvalsh(xb[217].T @ xb[217] / m)[0]
         assert lam <= fedrep.GRAM_TOL
-        batch = synthesis.Batch(
-            x=x, y=rng.standard_normal((301, m)), client_id=np.arange(1000, 1301),
-        )
-        with pytest.raises(SrpflError, match=re.escape(f"(lambda_min={lam:.3e}) for client 1217 at m={m}")):
-            fedrep.head_update(b, batch)
+        with pytest.raises(SrpflError, match=re.escape(f"(lambda_min={lam:.3e}) for slice 217 at m={m}")):
+            fedrep.head_update(b, x, rng.standard_normal((301, m)))
 
     def test_basis_without_b_star_is_refused_before_any_draw(self, monkeypatch):
         # a plain orthonormal b: the round would drop each label's part outside span(b)
@@ -642,8 +631,25 @@ def test_round_warm_start_and_batch_refuse_ids_in_the_same_words_before_any_draw
             with pytest.raises(SrpflError) as refused:
                 call(ids)
             assert str(refused.value) == message
-    for client, message in ((9, "participant 9 outside 0..3"), (1.5, "participant ids must be integers, got [1.5]")):
+    for client, message in (
+        (9, "participant 9 outside 0..3"),
+        (1.5, "participant ids must be integers, got [1.5]"),
+        ([0, 1], "sample_batch draws one client's batch, got 2 ids"),
+    ):
         with pytest.raises(SrpflError) as refused:
             synthesis.sample_batch(gt, client, 20, 0, seed=14)
         assert str(refused.value) == message
     assert drawn == []
+
+
+def test_one_id_alone_or_in_a_list_is_one_participant_at_every_draw():
+    # each draw indexes with the ids the participant check returns, so a
+    # scalar id and a one-id list draw alike
+    gt = synthesis.gen_ground_truth(5, 2, 4, 0.3, seed=14)
+    q = basis(gt.b_star, gt)
+    for draw in (
+        lambda ids: fedrep.fedrep_round(q, gt, ids, m=20, eta=0.1, seed=14, round_index=1)[0],
+        lambda ids: fedrep.method_of_moments_init(gt, ids, 20, seed=14),
+        lambda ids: synthesis.sample_batch(gt, ids, 20, 0, seed=14)[1],
+    ):
+        assert draw(3).tobytes() == draw([3]).tobytes() == draw(np.array([3])).tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srpfl import linalg
+from srpfl import checks, linalg
 from srpfl.errors import EigenGapDegenerateWarning, SrpflError
 
 
@@ -113,6 +113,19 @@ class TestSpanBasis:
         lead[:, 0] = entry
         with pytest.raises(SrpflError, match="QR factor is not finite"):
             linalg.span_basis(lead, random_orthonormal(4, 2, 13))
+
+    def test_kernel_invariants_catch_a_distance_off_by_1e_9(self, monkeypatch):
+        # criterion 7 holds each span_basis distance to principal_angle_dist within 1e-13
+        real = linalg.span_basis
+
+        def off(lead, other):
+            q, dist = real(lead, other)
+            return q, dist + 1e-9
+
+        monkeypatch.setattr(linalg, "span_basis", off)
+        ok, detail = checks.kernel_invariants()
+        assert not ok
+        assert "'span basis distance #0'" in detail and "span basis orthonormality" not in detail
 
 
 class TestRankKEig:

@@ -64,30 +64,29 @@ class TestGroundTruth:
 class TestSampleBatch:
     def test_noiseless_labels_follow_linear_model(self):
         gt = synthesis.gen_ground_truth(4, 2, 3, 0.0, seed=1)
-        batch = synthesis.sample_batch(gt, 2, 16, 3, seed=1)
-        expected = batch.x @ (gt.b_star @ gt.w_star[2])
-        np.testing.assert_allclose(batch.y, expected, atol=1e-12)
+        x, y = synthesis.sample_batch(gt, 2, 16, 3, seed=1)
+        np.testing.assert_allclose(y, x @ (gt.b_star @ gt.w_star[2]), atol=1e-12)
 
     def test_identity_model_1d(self):
         # d = k = 1: y = (b* w*) x with b* w* = +-1, so |y| = |x| exactly
         gt = synthesis.gen_ground_truth(1, 1, 1, 0.0, seed=3)
-        batch = synthesis.sample_batch(gt, 0, 8, 0, seed=3)
+        x, y = synthesis.sample_batch(gt, 0, 8, 0, seed=3)
         gain = float(gt.b_star[0, 0] * gt.w_star[0, 0])
         assert abs(abs(gain) - 1.0) <= 1e-12
-        np.testing.assert_allclose(batch.y, gain * batch.x[:, 0], atol=1e-12)
+        np.testing.assert_allclose(y, gain * x[:, 0], atol=1e-12)
 
     def test_determinism_bit_identical(self):
         gt = synthesis.gen_ground_truth(6, 2, 5, 0.4, seed=9)
-        b1 = synthesis.sample_batch(gt, 3, 10, 7, seed=9)
-        b2 = synthesis.sample_batch(gt, 3, 10, 7, seed=9)
-        np.testing.assert_array_equal(b1.x, b2.x)
-        np.testing.assert_array_equal(b1.y, b2.y)
+        x1, y1 = synthesis.sample_batch(gt, 3, 10, 7, seed=9)
+        x2, y2 = synthesis.sample_batch(gt, 3, 10, 7, seed=9)
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(y1, y2)
 
     def test_distinct_rounds_are_fresh(self):
         gt = synthesis.gen_ground_truth(6, 2, 5, 0.0, seed=9)
-        b1 = synthesis.sample_batch(gt, 3, 10, 7, seed=9)
-        b2 = synthesis.sample_batch(gt, 3, 10, 8, seed=9)
-        assert not np.array_equal(b1.x, b2.x)
+        x1, _ = synthesis.sample_batch(gt, 3, 10, 7, seed=9)
+        x2, _ = synthesis.sample_batch(gt, 3, 10, 8, seed=9)
+        assert not np.array_equal(x1, x2)
 
     def test_client_out_of_range(self):
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
@@ -102,18 +101,18 @@ class TestSampleBatch:
     def test_first_moment_monte_carlo(self):
         # E[y x] = B* w*; sample mean within 3% of it in norm at m = 1e5
         gt = synthesis.gen_ground_truth(5, 2, 1, 0.0, seed=13)
-        batch = synthesis.sample_batch(gt, 0, 100_000, 0, seed=13)
+        x, y = synthesis.sample_batch(gt, 0, 100_000, 0, seed=13)
         target = gt.b_star @ gt.w_star[0]
-        observed = batch.x.T @ batch.y / len(batch.y)
+        observed = x.T @ y / len(y)
         assert np.linalg.norm(observed - target) <= 0.03 * np.linalg.norm(target)
 
     def test_second_moment_identity_monte_carlo(self):
         # E[y^2 x x^T] = 2 B* w* w*^T B*^T + (|w*|^2 + sigma^2) I
         gt = synthesis.gen_ground_truth(4, 2, 1, 0.5, seed=17)
-        batch = synthesis.sample_batch(gt, 0, 200_000, 0, seed=17)
+        x, y = synthesis.sample_batch(gt, 0, 200_000, 0, seed=17)
         v = gt.b_star @ gt.w_star[0]
         target = 2 * np.outer(v, v) + (v @ v + gt.sigma**2) * np.eye(4)
-        observed = (batch.x.T * batch.y**2) @ batch.x / len(batch.y)
+        observed = (x.T * y**2) @ x / len(y)
         err = np.linalg.norm(observed - target, 2) / np.linalg.norm(target, 2)
         assert err <= 0.05
 
