@@ -2,48 +2,34 @@
 
 One ``key = value`` pair per line, ``#`` comments, unknown and duplicate
 keys rejected.  Times are abstract time units, rates are per time unit.
+Each value is read by the type of its ``RunConfig`` field, in one function.
 ``eta``, ``a`` and ``epsilon`` accept the literal ``auto`` (any case) to
 let the engine derive them with oracle access to the ground truth.
 """
 
 from dataclasses import MISSING, fields
 
-from .engine import RunConfig
+from .engine import _FIELD_KINDS, RunConfig
 from .errors import ConfigError
 
 
-def _as_int(key, text):
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"field {key!r}: expected an integer, got {text!r}") from exc
-
-
-def _as_float(key, text):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"field {key!r}: expected a number, got {text!r}") from exc
-
-
-def _as_optional_float(key, text):
-    if text.lower() == "auto":
+def _parse(key, kind, text):
+    """``text`` as a value of field type ``kind``; ``auto`` (any case) is None where ``kind`` allows None."""
+    if kind == float | None and text.lower() == "auto":
         return None
-    return _as_float(key, text)
+    _, convert, noun = _FIELD_KINDS[kind]
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"field {key!r}: expected {noun}, got {text!r}") from exc
 
-
-def _as_str(key, text):
-    return text
-
-
-_PARSERS = {int: _as_int, float: _as_float, float | None: _as_optional_float, str: _as_str}
 
 # config-file keys that differ from their RunConfig field
 _FILE_KEY = {"n_total": "N", "n_clients": "M"}
 
-# config-file key -> (RunConfig field, parser, required)
+# config-file key -> (RunConfig field, its type, required)
 _SCHEMA = {
-    _FILE_KEY.get(f.name, f.name): (f.name, _PARSERS[f.type], f.default is MISSING)
+    _FILE_KEY.get(f.name, f.name): (f.name, f.type, f.default is MISSING)
     for f in fields(RunConfig)
 }
 
@@ -74,8 +60,8 @@ def build_config(pairs):
         raise ConfigError(f"missing required field(s): {', '.join(missing)}")
     kwargs = {}
     for key, text in pairs.items():
-        name, parser, _ = _SCHEMA[key]
-        kwargs[name] = parser(key, text)
+        name, kind, _ = _SCHEMA[key]
+        kwargs[name] = _parse(key, kind, text)
     return RunConfig(**kwargs)
 
 

@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -55,7 +55,10 @@ RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
 
 PROBE_SUBSETS = 64  # sampled subsets per ladder size in the spectrum probe
 
-_CANONICAL = {int: int, float: float, float | None: float, str: str}  # field type -> what its value hashes as
+# field type -> (the values it takes, the Python type it stores them as, what a refused value must be);
+# numpy scalars are Integral and Real
+_FIELD_KINDS = {int: (Integral, int, "an integer"), float: (Real, float, "a number"),
+                float | None: (Real, float, "a number"), str: (str, str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,12 @@ class RunConfig:
     1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2, E0 = 1 - init_dist^2,
     clamped into [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from
     the target-accuracy formula.  The sigma extremes are measured over sampled participant
-    subsets of every ladder size, see :func:`measure_singular_extremes`.  Every float must be
-    finite, and every int field integral.  A value a layer reads is refused by that layer's
-    check (``m > k`` by the round's :func:`check_batch_size`), in the words a library call gives.
+    subsets of every ladder size, see :func:`measure_singular_extremes`.  Each field holds the
+    Python value of its type: a number of any numeric type (numpy scalars included) is stored as
+    the ``int`` or ``float`` it equals, a ``str`` subclass as a ``str``.  Any other kind of value,
+    a fraction in an int field or a float that is not finite is refused, naming the field.  A
+    value a layer reads is refused by that layer's check (``m > k`` by the round's
+    :func:`check_batch_size`), in the words a library call gives.
     """
 
     d: int
@@ -96,6 +102,20 @@ class RunConfig:
     max_rounds: int = 10_000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.type == float | None:
+                continue
+            takes, kind, noun = _FIELD_KINDS[f.type]
+            if not isinstance(value, takes):
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+            try:
+                value = kind(value)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf if value > 0 else -math.inf
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, value)
         self.validate()
 
     @property
@@ -103,12 +123,6 @@ class RunConfig:
         return self.n_clients or self.n_total
 
     def validate(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-            if f.type is int and not isinstance(value, Integral):  # numpy integers are Integral
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         participant_ladder(self.n_total, self.n0)
         GroundTruthModel.check(self.d, self.k, self.population, self.sigma, self.seed)
         SpeedModel.check(self.n_total, self.lam, self.comm_cost)
@@ -137,13 +151,11 @@ class RunConfig:
         check_c_hat(self.c_hat)
 
     def digest(self):
-        """12 hex digits of sha256 over every field, each as the Python value of its field's type,
-        so equal configs hash alike however their numbers were built (numpy scalars included)."""
-        def canonical(f):
-            value = self.population if f.name == "n_clients" else getattr(self, f.name)
-            return None if value is None else _CANONICAL[f.type](value)
-
-        text = "\n".join(f"{f.name}={canonical(f)!r}" for f in sorted(fields(self), key=lambda f: f.name))
+        """12 hex digits of sha256 over the stored fields, with ``n_clients`` read as ``population``.
+        Construction stores each value as the Python value of its field's type, so equal configs
+        hash alike however their numbers were built (numpy scalars included)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)} | {"n_clients": self.population}
+        text = "\n".join(f"{name}={value!r}" for name, value in sorted(values.items()))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 

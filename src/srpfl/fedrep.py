@@ -39,6 +39,8 @@ weighted Gram product per block (:func:`_moment_sum`).  The random start
 is the thin QR of a Gaussian (:func:`random_init`).
 """
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import ConfigError, SrpflError
@@ -52,8 +54,9 @@ WARM_START_ROWS = 2**10
 
 
 def check_batch_size(m, k):
-    """Raise :class:`ConfigError` unless m > k: at m = k no residual is left, and below it no head is unique."""
-    if not m > k:
+    """Raise :class:`ConfigError` unless m is an integer (numpy's included) and m > k: at m = k no
+    residual is left, and below it no head is unique."""
+    if not (isinstance(m, Integral) and m > k):
         raise ConfigError(f"need m > k, got m={m}, k={k}")
 
 

@@ -12,6 +12,7 @@ are natural logs; the wall-clock bounds live in :mod:`srpfl.engine`.
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class SpeedModel:
 
     @staticmethod
     def check(n_slots, lam=1.0, comm_cost=0.0):
-        """Raise :class:`ConfigError` unless n_slots >= 1, lam > 0 and comm_cost >= 0."""
-        if not n_slots >= 1:
+        """Raise :class:`ConfigError` unless n_slots >= 1, lam > 0 and comm_cost >= 0, with n_slots
+        an integer (numpy's included)."""
+        if not (isinstance(n_slots, Integral) and n_slots >= 1):
             raise ConfigError(f"need at least one client slot, got {n_slots}")
         if not lam > 0:
             raise ConfigError(f"lam must be positive, got {lam}")
@@ -98,10 +100,12 @@ def _fastest_first(times):
 def select_fastest(model, round_index, n):
     """``(slots, round_time)`` of the times :func:`draw_round_times` draws: the
     ``n`` fastest slots, fastest first, ties by lowest index (a prefix of a
-    fixed model's ``order``), and the slowest one's time plus ``comm_cost``."""
+    fixed model's ``order``), and the slowest one's time plus ``comm_cost``.
+    An ``n`` that is not an integer in 1..slots is refused before the draw."""
+    n_slots = (model.times if model.times is not None else model.per_client_rates).size
+    if not (isinstance(n, Integral) and 1 <= n <= n_slots):
+        raise SrpflError(f"cannot select {n} of {n_slots} clients")
     times = draw_round_times(model, round_index)
-    if not 1 <= n <= times.size:
-        raise SrpflError(f"cannot select {n} of {times.size} clients")
     slots = (model.order if model.order is not None else _fastest_first(times))[:n]
     return slots, float(times[slots[-1]]) + model.comm_cost
 
@@ -110,8 +114,9 @@ def expected_order_stat(n, j, lam):
     """Mean of the j-th smallest of n i.i.d. Exp(lam) variables.
 
     Equals ``(1/lam) * sum_{i=n-j+1}^{n} 1/i``; strictly increasing in j.
+    Refuses a j or n that is not an integer (numpy's included).
     """
-    if not 1 <= j <= n:
+    if not (isinstance(j, Integral) and isinstance(n, Integral) and 1 <= j <= n):
         raise SrpflError(f"order statistic j={j} outside 1..{n}")
     SpeedModel.check(n, lam)
     return sum(1.0 / i for i in range(n - j + 1, n + 1)) / lam
@@ -135,8 +140,9 @@ def check_plan_mode(mode):
 
 
 def check_fixed_rounds(fixed_rounds):
-    """Raise :class:`ConfigError` unless fixed mode's round budget is at least one; None is refused too."""
-    if not (fixed_rounds is not None and fixed_rounds >= 1):
+    """Raise :class:`ConfigError` unless fixed mode's round budget is an integer (numpy's included)
+    of at least one; None is refused too."""
+    if not (isinstance(fixed_rounds, Integral) and fixed_rounds >= 1):
         raise ConfigError(f"fixed_rounds must be >= 1, got {fixed_rounds}")
 
 
@@ -175,8 +181,8 @@ def target_accuracy(a, n_total, n0, c_hat):
 
 
 def participant_ladder(n_total, n0):
-    """Doubling ladder n0, 2*n0, ... capped at n_total."""
-    if not 1 <= n0 <= n_total:
+    """Doubling ladder n0, 2*n0, ... capped at n_total; both must be integers (numpy's included)."""
+    if not (isinstance(n0, Integral) and isinstance(n_total, Integral) and 1 <= n0 <= n_total):
         raise ConfigError(f"need 1 <= n0 <= N, got n0={n0}, N={n_total}")
     ladder = [n0]
     while ladder[-1] < n_total:

@@ -13,6 +13,7 @@ from one stream per call (see :mod:`srpfl.fedrep`).
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -64,14 +65,15 @@ class GroundTruthModel:
 
     @staticmethod
     def check(d, k, n_clients, sigma, seed):
-        """Raise :class:`ConfigError` unless 1 <= k <= d, n_clients >= 1, 0 <= sigma < inf and seed >= 0."""
-        if not 1 <= k <= d:
+        """Raise :class:`ConfigError` unless 1 <= k <= d, n_clients >= 1, 0 <= sigma < inf and seed >= 0,
+        with d, k, n_clients and seed integers (numpy's included)."""
+        if not (isinstance(d, Integral) and isinstance(k, Integral) and 1 <= k <= d):
             raise ConfigError(f"need 1 <= k <= d, got k={k}, d={d}")
-        if not n_clients >= 1:
+        if not (isinstance(n_clients, Integral) and n_clients >= 1):
             raise ConfigError(f"need at least one client, got {n_clients}")
         if not 0 <= sigma < math.inf:
             raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
-        if not seed >= 0:
+        if not (isinstance(seed, Integral) and seed >= 0):
             raise ConfigError(f"seed must be >= 0, got {seed}")
 
     def check_participants(self, participants):
@@ -114,8 +116,8 @@ def gen_ground_truth(d, k, n_clients, sigma, seed):
 
 
 def check_sample_count(m):
-    """Raise :class:`ConfigError` unless a client draws m >= 1 samples."""
-    if not m >= 1:
+    """Raise :class:`ConfigError` unless a client draws m >= 1 samples, m an integer (numpy's included)."""
+    if not (isinstance(m, Integral) and m >= 1):
         raise ConfigError(f"batch size must be >= 1, got {m}")
 
 

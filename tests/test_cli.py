@@ -84,6 +84,18 @@ class TestConfigFile:
     def test_auto_in_any_case(self, config_path, value):
         assert load_config(config_path, overrides=[f"epsilon = {value}"]).epsilon is None
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("sigma", "auto", "field 'sigma': expected a number, got 'auto'"),
+        ("lam", "AUTO", "field 'lam': expected a number, got 'AUTO'"),
+        ("d", "auto", "field 'd': expected an integer, got 'auto'"),
+        ("algorithm", "AUTO", "algorithm must be one of ('srpfl', 'fedrep_full'), got 'AUTO'"),
+    ], ids=["sigma", "lam", "d", "algorithm"])
+    def test_auto_is_read_only_by_eta_a_and_epsilon(self, config_path, key, value, message):
+        # only a `float | None` field reads `auto` as None; a text field keeps it as text for its choice rule
+        with pytest.raises(ConfigError) as refused:
+            load_config(config_path, overrides=[f"{key} = {value}"])
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("value", ["none", ""])
     def test_auto_is_the_only_spelling(self, config_path, tmp_path, capsys, value):
         path = tmp_path / "blank.cfg"

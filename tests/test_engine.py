@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srpfl import checks, cli, engine, fedrep, straggler
+from srpfl import checks, cli, engine, fedrep, straggler, synthesis
 from srpfl.engine import RunConfig
 from srpfl.errors import ConfigError, NonConvergence, SrpflError
 from srpfl.straggler import participant_ladder
+from srpfl.linalg import span_basis
 from srpfl.synthesis import TAG_SUBSET_PROBE, gen_ground_truth, substream
 
 
@@ -571,6 +572,54 @@ def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, 
         assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 2.5, 0.1, 1, 1), ConfigError,
+     "need m > k, got m=2.5, k=2"),
+    (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 2.5, 1), ConfigError,
+     "batch size must be >= 1, got 2.5"),
+    (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 2.5, 1, 1), ConfigError, "batch size must be >= 1, got 2.5"),
+    (lambda gt, q, speed: straggler.build_stage_plan(8, 2, 0.1, speed, 1.2, straggler.MODE_FIXED, 2.5), ConfigError,
+     "fixed_rounds must be >= 1, got 2.5"),
+    (lambda gt, q, speed: participant_ladder(8, 2.5), ConfigError, "need 1 <= n0 <= N, got n0=2.5, N=8"),
+    (lambda gt, q, speed: participant_ladder(8.0, 2), ConfigError, "need 1 <= n0 <= N, got n0=2, N=8.0"),
+    (lambda gt, q, speed: gen_ground_truth(8.0, 2, 6, 0.3, 1), ConfigError, "need 1 <= k <= d, got k=2, d=8.0"),
+    (lambda gt, q, speed: gen_ground_truth(8, 2.0, 6, 0.3, 1), ConfigError, "need 1 <= k <= d, got k=2.0, d=8"),
+    (lambda gt, q, speed: gen_ground_truth(8, 2, 6.5, 0.3, 1), ConfigError, "need at least one client, got 6.5"),
+    (lambda gt, q, speed: gen_ground_truth(8, 2, 6, 0.3, 1.5), ConfigError, "seed must be >= 0, got 1.5"),
+    (lambda gt, q, speed: straggler.SpeedModel.fixed(2.5), ConfigError, "need at least one client slot, got 2.5"),
+    (lambda gt, q, speed: straggler.select_fastest(speed, 1, 2.5), SrpflError, "cannot select 2.5 of 8 clients"),
+    (lambda gt, q, speed: straggler.expected_order_stat(8, 2.5, 1.0), SrpflError, "order statistic j=2.5 outside 1..8"),
+    (lambda gt, q, speed: straggler.expected_order_stat(8.0, 2, 1.0), SrpflError,
+     "order statistic j=2 outside 1..8.0"),
+], ids=["fedrep_round", "warm_start", "sample_batch", "fixed_rounds", "ladder_n0", "ladder_n_total", "gt_d", "gt_k",
+        "gt_clients", "gt_seed", "speed_slots", "select_fastest", "order_stat_j", "order_stat_n"])
+def test_layer_checks_refuse_a_fractional_count_before_any_draw(monkeypatch, call, error, message):
+    # a config refused m = 2.5, but the round drew at 1.5 and 0.5 degrees of freedom and the fixed plan
+    # ran 2 rounds a stage; the other calls ended in a raw TypeError
+    gt = gen_ground_truth(8, 2, 6, 0.3, 1)
+    q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
+    speed = straggler.SpeedModel.dynamic(8, seed=1)  # draws its times in select_fastest
+    for module in (synthesis, fedrep, straggler):
+        monkeypatch.setattr(module, "substream", lambda *key: pytest.fail(f"drew {key}"))
+    with pytest.raises(error) as refused:
+        call(gt, q, speed)
+    assert str(refused.value) == message
+
+
+def test_layer_checks_take_numpy_integer_counts():
+    i = np.int64
+    assert participant_ladder(i(8), i(2)) == [2, 4, 8]
+    assert straggler.expected_order_stat(i(8), i(2), 1.0) == straggler.expected_order_stat(8, 2, 1.0)
+    gt = gen_ground_truth(i(8), i(2), i(6), 0.3, i(1))
+    np.testing.assert_array_equal(gt.w_star, gen_ground_truth(8, 2, 6, 0.3, 1).w_star)
+    q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
+    _, dist = fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, 1)
+    assert fedrep.fedrep_round(q, gt, range(6), i(30), 0.1, 1, 1)[1] == dist
+    speed = straggler.SpeedModel.fixed(i(8), seed=1)
+    assert straggler.select_fastest(speed, 1, i(3))[1] == straggler.select_fastest(speed, 1, 3)[1]
+    assert straggler.build_stage_plan(8, 2, 0.1, speed, 1.2, straggler.MODE_FIXED, i(4))[0][1] == 4
+
+
 @pytest.mark.parametrize("key, value", [
     ("fixed_rounds", 2.5), ("max_rounds", 3.5), ("sweep_seeds", 2.5), ("d", 8.0), ("n_total", 8.5), ("m", 30.5),
 ])
@@ -585,6 +634,60 @@ def test_integer_fields_accept_numpy_integers():
     kw = dict(d=8, k=2, n_total=8, n0=2, m=30, sigma=0.1, seed=3, plan_mode="fixed", fixed_rounds=2, epsilon=0.0)
     as_numpy = RunConfig(**{key: np.int64(v) if type(v) is int else v for key, v in kw.items()})
     assert cli.trace_to_csv(engine.run(as_numpy)) == cli.trace_to_csv(engine.run(RunConfig(**kw)))
+
+
+def test_every_field_has_a_type_both_readers_know():
+    # RunConfig's construction pass and config.py's parser read these four types; a field of
+    # another type would be stored and parsed by a rule written for one of them
+    assert {f.name: f.type for f in dataclasses.fields(RunConfig)
+            if f.type not in (int, float, float | None, str)} == {}
+
+
+MOTIVATION = dict(d=8, k=2, n_total=8, n0=2, m=30, sigma=0.2, seed=1)
+
+
+def as_numpy(kw, floats=np.float32, ints=np.int32):
+    return {key: ints(v) if type(v) is int else floats(v) if type(v) is float else v for key, v in kw.items()}
+
+
+def as_python(kw):
+    return {key: int(v) if isinstance(v, np.integer) else float(v) if isinstance(v, np.floating) else v
+            for key, v in kw.items()}
+
+
+@pytest.mark.parametrize("kw", [
+    dict(MOTIVATION, plan_mode="fixed", fixed_rounds=6, epsilon=0.0, eta=0.05),
+    dict(MOTIVATION, plan_mode="fixed", fixed_rounds=6, epsilon=0.0, lam=1.5),
+    dict(MOTIVATION, c_hat=1.2),
+], ids=["eta", "lam", "c_hat"])
+def test_configs_with_equal_digests_run_alike(kw):
+    # numpy values were kept as given, so float32 eta, lam and c_hat moved the trace or epsilon under one digest
+    numpy_built = RunConfig(**as_numpy(kw))
+    python_built = RunConfig(**as_python(as_numpy(kw)))
+    assert numpy_built == python_built and numpy_built.digest() == python_built.digest()
+    assert all(type(getattr(numpy_built, f.name)) in (int, float, str, type(None))
+               for f in dataclasses.fields(RunConfig))
+    numpy_trace, python_trace = engine.run(numpy_built), engine.run(python_built)
+    assert cli.trace_to_csv(numpy_trace) == cli.trace_to_csv(python_trace)
+    assert cli.summary_block(numpy_trace) == cli.summary_block(python_trace)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilon", np.float32("inf"), "epsilon must be finite, got inf"),
+    ("lam", np.float32("inf"), "lam must be finite, got inf"),
+    ("comm_cost", np.float32("-inf"), "comm_cost must be finite, got -inf"),
+    ("sigma", -10**400, "sigma must be finite, got -inf"),
+    ("sigma", "0.1", "sigma must be a number, got '0.1'"),
+    ("lam", "1", "lam must be a number, got '1'"),
+    ("eta", "auto", "eta must be a number, got 'auto'"),
+    ("d", np.float64(8.0), f"d must be an integer, got {np.float64(8.0)!r}"),
+    ("algorithm", None, "algorithm must be a string, got None"),
+], ids=["epsilon_inf", "lam_inf", "comm_cost_inf", "sigma_huge_int", "sigma_text", "lam_text", "eta_text",
+        "d_numpy_float", "algorithm_none"])
+def test_config_refuses_a_value_of_another_kind_naming_its_field(key, value, message):
+    with pytest.raises(ConfigError) as refused:
+        RunConfig(**dict(MOTIVATION, **{key: value}))
+    assert str(refused.value) == message
 
 
 def optional(*values):
@@ -607,6 +710,26 @@ def config_kwargs(draw):
         resample_scope=draw(st.sampled_from(engine.RESAMPLE_SCOPES)),
         seed=draw(st.integers(0, 50)), max_rounds=draw(st.integers(1, 150)),
     )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(config_kwargs(), st.data())
+def test_random_config_built_from_numpy_scalars_is_the_python_config(kw, data):
+    numpy_kw = {
+        key: data.draw(st.sampled_from((np.int32, np.int64)))(v) if type(v) is int
+        else data.draw(st.sampled_from((np.float32, np.float64)))(v) if type(v) is float else v
+        for key, v in kw.items()
+    }
+    try:
+        expected = RunConfig(**as_python(numpy_kw))
+    except ConfigError as exc:
+        with pytest.raises(ConfigError) as refused:
+            RunConfig(**numpy_kw)
+        assert str(refused.value) == str(exc)
+        return
+    cfg = RunConfig(**numpy_kw)
+    assert cfg == expected and cfg.digest() == expected.digest()
+    assert all(type(getattr(cfg, key)) in (int, float) for key, v in numpy_kw.items() if isinstance(v, np.generic))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
