@@ -17,7 +17,6 @@ from .engine import (
     RunTrace,
     analytic_speedup_bound,
     measure_contraction_rate,
-    measure_singular_extremes,
     run,
     run_sweep,
 )

@@ -39,7 +39,7 @@ from .straggler import (
     select_fastest,
     target_accuracy,
 )
-from .synthesis import TAG_ACTIVE_SET, TAG_SUBSET_PROBE, GroundTruthModel, gen_ground_truth, substream
+from .synthesis import TAG_ACTIVE_SET, GroundTruthModel, gen_ground_truth, substream
 
 ALGO_SRPFL = "srpfl"
 ALGO_FEDREP_FULL = "fedrep_full"
@@ -52,8 +52,6 @@ INIT_MODES = (INIT_MOMENTS, INIT_RANDOM)
 RESAMPLE_PER_STAGE = "per_stage"
 RESAMPLE_PER_ROUND = "per_round"
 RESAMPLE_SCOPES = (RESAMPLE_PER_STAGE, RESAMPLE_PER_ROUND)
-
-PROBE_SUBSETS = 64  # sampled subsets per ladder size in the spectrum probe
 
 # field type -> (the values it takes, the Python type it stores them as, what a refused value must be);
 # numpy scalars are Integral and Real
@@ -69,8 +67,8 @@ class RunConfig:
     derived from the ground truth with oracle access: eta as
     1/(8 sigma_max^2), a as (1/2) eta E0 sigma_min^2, E0 = 1 - init_dist^2,
     clamped into [A_MIN, A_MAX] (:func:`contraction_factor`), epsilon from
-    the target-accuracy formula.  The sigma extremes are measured over sampled participant
-    subsets of every ladder size, see :func:`measure_singular_extremes`.  Each field holds the
+    the target-accuracy formula.  The sigma extremes are bounds that hold for every participant
+    subset of every ladder size, see :func:`subset_spectrum_bounds`.  Each field holds the
     Python value of its type: a number of any numeric type (numpy scalars included) is stored as
     the ``int`` or ``float`` it equals, a ``str`` subclass as a ``str``.  Any other kind of value,
     a fraction in an int field or a float that is not finite is refused, naming the field.  A
@@ -203,32 +201,28 @@ class RunTrace:
 
 def head_spectrum(w, ids):
     """Singular values, largest first, of (1/sqrt(n)) W_S: the rows ``ids`` of ``w``,
-    n of them.  ``ids`` of shape (..., n) gives one spectrum per slice."""
-    return np.linalg.svd(w[ids] / math.sqrt(np.shape(ids)[-1]), compute_uv=False)
+    n of them.  There are always k of them: below n = k the last k - n are zero."""
+    sv = np.linalg.svd(w[ids] / math.sqrt(len(ids)), compute_uv=False)
+    return np.pad(sv, (0, w.shape[1] - len(sv)))
 
 
-def measure_singular_extremes(w_active, n0, seed):
-    """Sampled extremes of the singular values of (1/sqrt(n)) W restricted to subsets.
+def subset_spectrum_bounds(w_active, n0):
+    """Bounds ``(lower, upper)`` on the extreme squared singular values of (1/sqrt(n)) W_S over
+    every subset S of n >= n0 of the N active heads, from their one :func:`head_spectrum`.
 
-    Scans every ladder size from n0 up to the full active set; the full
-    set is evaluated exactly, smaller sizes over :data:`PROBE_SUBSETS`
-    random subsets, stacked into one SVD call per size.  The subsets
-    come from one draw: :data:`PROBE_SUBSETS` uniform permutations of the
-    active clients (an argsort of uniform variates), and size n takes
-    the first n entries of each, so each size's subsets are uniform
-    n-subsets, nested across sizes.  The exact extremes range over all
-    subsets, which is combinatorially out of reach; the sampled values
-    are what the automatic step size and contraction factor use.
+    Every head has squared norm k and W_S^T W_S <= W^T W, so with the active set's
+    extremes s_min and s_max,
+
+        sigma_max^2(S) <= min(k, (N/n0) s_max^2)
+        sigma_min^2(S) >= max(0, s_min^2 - ((N - n0)/n0) (k - s_min^2)),
+
+    the heads left out taking at most (N - n0) k off the Gram's least eigenvalue.  Both
+    bounds are loosest at n = n0.  At n0 = N they are the active set's own extremes.
     """
-    n_active = w_active.shape[0]
-    order = substream(seed, TAG_SUBSET_PROBE).random((PROBE_SUBSETS, n_active)).argsort(axis=1)
-    s_min, s_max = math.inf, 0.0
-    for n in participant_ladder(n_active, n0):
-        subsets = np.arange(n_active)[None] if n == n_active else order[:, :n]
-        sv = head_spectrum(w_active, subsets)
-        s_min = min(s_min, float(sv[:, -1].min()))
-        s_max = max(s_max, float(sv[:, 0].max()))
-    return s_min, s_max
+    n_active, k = w_active.shape
+    s_min2, s_max2 = head_spectrum(w_active, np.arange(n_active))[[-1, 0]] ** 2
+    left_out = (n_active - n0) / n0
+    return float(max(0.0, s_min2 - left_out * (k - s_min2))), float(min(k, (n_active / n0) * s_max2))
 
 
 def _sample_active(config, scope_index):
@@ -267,8 +261,9 @@ def run(config):
     speed = getattr(SpeedModel, config.speed_kind)(config.n_total, config.lam, config.comm_cost, config.seed)
 
     active = _sample_active(config, 0)
-    s_min, s_max = measure_singular_extremes(gt.w_star[active], config.n0, config.seed)
-    eta = config.eta if config.eta is not None else 1.0 / (8.0 * s_max**2)
+    lower, upper = subset_spectrum_bounds(gt.w_star[active], config.n0)
+    s_min, s_max = math.sqrt(lower), math.sqrt(upper)
+    eta = config.eta if config.eta is not None else 1.0 / (8.0 * upper)
 
     if config.init_mode == INIT_MOMENTS:
         try:

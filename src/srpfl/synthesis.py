@@ -28,7 +28,6 @@ TAG_FIXED_TIMES = 0x11
 TAG_DYNAMIC_TIMES = 0x12
 TAG_CLIENT_RATES = 0x13
 TAG_ACTIVE_SET = 0x21
-TAG_SUBSET_PROBE = 0x22
 TAG_RANDOM_INIT = 0x23
 TAG_WARM_START = 0x24
 

@@ -30,7 +30,7 @@ def report(name, ok, detail, budget_s, elapsed_s):
 
 def test_criterion_1_contraction():
     start = time.perf_counter()
-    ok, detail = checks.contraction(CRITERION_1)  # eta = 1/(8 sigma_max^2) measured from W*
+    ok, detail = checks.contraction(CRITERION_1)  # eta = 1/(8 sigma_max^2), bounded from W*'s spectrum
     report("criterion 1 (contraction inequality)", ok, detail, 30, time.perf_counter() - start)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from srpfl.engine import RunConfig
 from srpfl.errors import ConfigError, NonConvergence, SrpflError
 from srpfl.straggler import participant_ladder
 from srpfl.linalg import span_basis
-from srpfl.synthesis import TAG_SUBSET_PROBE, gen_ground_truth, substream
+from srpfl.synthesis import gen_ground_truth
 
 
 def small_config(**kw):
@@ -176,20 +177,21 @@ class TestRun:
 
 
 # sha256 of cli.trace_to_csv for every algorithm x plan_mode on one small
-# config, recorded when rounds began drawing each head's error as one
-# multivariate t, where they had drawn a Bartlett triangle per client.
+# config, recorded when the auto step size came from the closed-form bound on
+# the head spectrum over every n0-subset: the config's auto eta went from
+# 0.06250265 (sampled over 64 subsets) to 1/(8k) = 0.0625.
 # A change that moves one of them changes what a run computes and must say why.
 GUARD_CONFIG = dict(
     d=8, k=2, n_total=16, n0=2, m=40, sigma=0.1, seed=5, comm_cost=1.0,
     fixed_rounds=10, init_mode="random", a=0.1, epsilon=0.1,
 )
 TRACE_SHA256 = {
-    ("srpfl", "analytic"): "332899d99ee25db6e7edbf94161afc16303c8c55b6a697caf3ce901f02457907",
-    ("srpfl", "distance_threshold"): "6313b23818ab0271182f2ec901abe283e748c76747f9bc627d5e2cea97a8e564",
-    ("srpfl", "fixed"): "06565cdac5aaf883edeaca943789d213be1c03e1775fe08918481cb37376dfeb",
-    ("fedrep_full", "analytic"): "007ad264a389de952ed1dfec1f0a3c2aa06e02f7a3865279cdab91d768f14302",
-    ("fedrep_full", "distance_threshold"): "007ad264a389de952ed1dfec1f0a3c2aa06e02f7a3865279cdab91d768f14302",
-    ("fedrep_full", "fixed"): "dcb797a97256b15e88b1dc838eb591f053ac5d5abf32fbb19f5f3c99757274c1",
+    ("srpfl", "analytic"): "4fb2ca1a42169733c8b657220f8b756510439d97aed161ad45621750874db48c",
+    ("srpfl", "distance_threshold"): "3e033328cd7621e109078845fa30b82732bf329d9c52b91533f4c928ea0f9303",
+    ("srpfl", "fixed"): "8dbbef4259681c879cd363f00e3cf69d3d32e5366c65bb5135d305e332520744",
+    ("fedrep_full", "analytic"): "e4df8a01ea0c1cdddd7926b22b22f67f9b73d11d8e94d1428db7ef1c9d16017f",
+    ("fedrep_full", "distance_threshold"): "e4df8a01ea0c1cdddd7926b22b22f67f9b73d11d8e94d1428db7ef1c9d16017f",
+    ("fedrep_full", "fixed"): "a49fa44cdd546ae783579dcba27f84b60dce4d9e58dc20eeb905df7023402b83",
 }
 
 
@@ -325,6 +327,29 @@ class TestContractionCheck:
         monkeypatch.setattr(checks.engine, "run", lambda cfg: trace)
         assert checks.contraction(config) == (True, "60/60 rounds satisfied (1.000), worst violation 0.0000")
 
+    def test_rounds_of_fewer_heads_than_k_read_sigma_min_zero(self, monkeypatch):
+        # two heads span 2 of k = 4 directions, so their spectrum ends in two zeros
+        # and the check's a_t for such a round is A_MIN
+        config = RunConfig(d=10, k=4, n_total=16, n0=2, m=40, sigma=0.1, seed=1,
+                           plan_mode="fixed", fixed_rounds=5, epsilon=0.0)
+        trace = engine.run(config)
+        pairs = [r for r in trace.records if r.n == 2]
+        assert len(pairs) == 5
+        for record in pairs:
+            sv = engine.head_spectrum(trace.ground_truth.w_star, record.ids)
+            assert sv.shape == (4,) and sv[1] > 0 and sv[2:].tolist() == [0.0, 0.0]
+        factors = []
+        original = straggler.contraction_factor
+
+        def recorded(*args):
+            factors.append(original(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(straggler, "contraction_factor", recorded)
+        monkeypatch.setattr(checks.engine, "run", lambda cfg: trace)
+        checks.contraction(config)
+        assert [a_t for a_t, r in zip(factors, trace.records) if r.n == 2] == [straggler.A_MIN] * 5
+
 
 class TestAnalyticBound:
     def test_plug_in_values(self):
@@ -458,20 +483,21 @@ def test_pooled_sweep_uses_replaced_run(monkeypatch):
         assert all(getattr(t, "wrapped", False) for t in pooled[alg])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_singular_extremes_match_per_subset_loop(seed):
-    w = gen_ground_truth(6, 3, 40, 0.0, seed).w_star
-    # 64 uniform permutations of the 40 clients; size n takes the first n
-    # entries of each, and the full set is taken once, exactly
-    order = substream(seed, TAG_SUBSET_PROBE).random((64, 40)).argsort(axis=1)
-    assert all(np.array_equal(np.sort(row), np.arange(40)) for row in order)
-    s_min, s_max = math.inf, 0.0
-    for n in participant_ladder(40, 3):
-        subsets = [np.arange(40)] if n == 40 else [row[:n] for row in order]
-        for idx in subsets:
-            sv = np.linalg.svd(w[idx] / math.sqrt(n), compute_uv=False)
-            s_min, s_max = min(s_min, float(sv[-1])), max(s_max, float(sv[0]))
-    assert engine.measure_singular_extremes(w, 3, seed) == (s_min, s_max)
+@pytest.mark.parametrize("n0", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_subset_spectrum_bounds_hold_for_every_subset(k, n0):
+    # every subset of every ladder size of N = 10 heads, enumerated
+    w = gen_ground_truth(6, k, 10, 0.0, seed=k).w_star
+    lower, upper = engine.subset_spectrum_bounds(w, n0)
+    for n in participant_ladder(10, n0):
+        for subset in itertools.combinations(range(10), n):
+            sv = engine.head_spectrum(w, list(subset))
+            assert lower <= sv[-1] ** 2 + 1e-12 and sv[0] ** 2 <= upper + 1e-12
+    spectrum = engine.head_spectrum(w, np.arange(10))
+    if n0 == 10:
+        assert (lower, upper) == (spectrum[-1] ** 2, spectrum[0] ** 2)
+    if k == 1:  # every head is +-1, so every subset's one singular value is 1
+        assert (lower, upper) == (1.0, 1.0)
 
 
 @pytest.mark.parametrize("call, message", [

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,5 +121,7 @@ class TestSampleBatch:
 
 def test_substream_tags_are_distinct():
     tags = {name: value for name, value in vars(synthesis).items() if name.startswith("TAG_")}
-    assert len(tags) == 10
     assert len(set(tags.values())) == len(tags)
+    # each keys some draw: its name appears in the package beyond its own definition
+    source = "\n".join(path.read_text() for path in Path(synthesis.__file__).parent.glob("*.py"))
+    assert [name for name in tags if len(re.findall(rf"\b{name}\b", source)) < 2] == []
