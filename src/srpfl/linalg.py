@@ -62,7 +62,7 @@ def thin_qr(a):
 
 
 def _checked_svd(blocks):
-    """Left singular vectors of a stack of matrices whose first is the R factor of a QR.
+    """Left singular vectors and singular values of a stack of matrices whose first is the R factor of a QR.
 
     One SVD call for the whole stack.  Raises as :func:`thin_qr` does unless
     that factor is finite and its singular values clear :data:`RANK_TOL`.
@@ -72,7 +72,7 @@ def _checked_svd(blocks):
     u, sv, _ = np.linalg.svd(blocks)
     if not sv[0, -1] > RANK_TOL * sv[0, 0]:
         raise SrpflError(f"column rank collapsed: sigma_min={sv[0, -1]:.3e} vs sigma_max={sv[0, 0]:.3e}")
-    return u
+    return u, sv
 
 
 def span_basis(lead, other):
@@ -85,7 +85,9 @@ def span_basis(lead, other):
     vectors toward ``other``, the first k columns of ``q``.  ``R22``'s singular
     values are the sines of the principal angles, and its left singular
     vectors give the rest of ``q``, largest angle first, so that when d < 2k
-    the directions ``other`` shares with ``lead`` are the ones left out.
+    the directions ``other`` shares with ``lead`` are the ones left out.  One
+    SVD call takes the three blocks when d >= 2k; below that ``R22`` is not
+    square and takes a second.
     Returns ``(q, dist)``: ``q`` is d x min(d, 2k), each column's
     largest-magnitude entry positive, and ``dist = sigma_max(R22)`` (0 when
     d = k) is :func:`principal_angle_dist` up to rounding.  When d >= 2k,
@@ -96,10 +98,14 @@ def span_basis(lead, other):
     ``span(lead)``.
     """
     k = lead.shape[1]
-    basis, r = np.linalg.qr(np.hstack([lead, other]))
-    u = _checked_svd(r[:k].reshape(k, 2, k).swapaxes(0, 1))[1]  # one call for [R11, R12]; keep R12's
-    u_rest, sines, _ = np.linalg.svd(r[k:, k:])  # R22 is min(d - k, k) x k, with no rows when d = k
-    q = np.hstack([basis[:, :k] @ u, basis[:, k:] @ u_rest])
+    basis, r = np.linalg.qr(np.concatenate([lead, other], axis=1))
+    if r.shape[0] == 2 * k:  # d >= 2k: R22 is k x k, and one call takes [R11, R12, R22]
+        u, sv = _checked_svd(r.reshape(2, k, 2, k).swapaxes(1, 2)[[0, 0, 1], [0, 1, 1]])
+        u_rest, sines = u[2], sv[2]
+    else:  # R22 is (d - k) x k, with no rows when d = k: a call of its own
+        u, _ = _checked_svd(r[:k].reshape(k, 2, k).swapaxes(0, 1))
+        u_rest, sines, _ = np.linalg.svd(r[k:, k:])
+    q = np.concatenate([basis[:, :k] @ u[1], basis[:, k:] @ u_rest], axis=1)
     peaks = np.abs(q).argmax(axis=0)
     return q * np.sign(q[peaks, np.arange(q.shape[1])]), min(1.0, float(sines.max(initial=0.0)))
 

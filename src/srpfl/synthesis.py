@@ -5,13 +5,20 @@ Client ``i`` observes pairs ``(x, y)`` with ``x ~ N(0, I_d)`` and
 drawn from counter-based substreams keyed on the seed and a purpose key
 (see :func:`substream`), so every draw is a pure function of the config.
 Every purpose key starts with one of the ``TAG_*`` constants below.
+:func:`substream` returns numpy's ``default_rng(SeedSequence(seed,
+spawn_key=key))`` bit for bit without building the ``SeedSequence``: it
+runs that class's published entropy hash itself, memoizing the mixed pool
+of ``(seed, key[:-1])``, and the tests hold it to numpy's class as the
+oracle.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
 draws one client's full rows ``(x, y)``; the self-checks and the test oracles use it.
 The warm start and a training round draw their clients' data themselves,
 from one stream per call (see :mod:`srpfl.fedrep`).
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -32,9 +39,138 @@ TAG_RANDOM_INIT = 0x23
 TAG_WARM_START = 0x24
 
 
+# numpy's SeedSequence hash: entropy words are hashed into a pool of four
+# 32-bit words, and the pool is hashed into a bit generator's state words
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy words
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# the state hash's constants INIT_B * MULT_B**i: PCG64 reads eight 32-bit words, and word i
+# is pool[i % 4] xor-ed with constant i and multiplied by constant i + 1
+_STATE_HASH = tuple(0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9))
+
+
+def check_seed(seed):
+    """Raise :class:`ConfigError` unless the seed is an integer >= 0 (numpy's included)."""
+    if not _is_natural(seed):
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def _is_natural(value):
+    """True for an integer >= 0, numpy's included."""
+    try:
+        return operator.index(value) >= 0  # a tenth of the cost of isinstance(value, Integral)
+    except TypeError:
+        return False
+
+
 def substream(seed, *key):
-    """Independent generator for the given purpose key under a master seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    """Independent generator for the given purpose key under a master seed.
+
+    Bit for bit ``np.random.default_rng(np.random.SeedSequence(seed,
+    spawn_key=key))``, with no ``SeedSequence`` built: the seed, zero-padded
+    to the pool size, and each key element enter SeedSequence's entropy hash
+    as 32-bit little-endian words, and the pool's output hash gives PCG64 its
+    state.  The pool of ``(seed, key[:-1])`` is memoized; ``key[-1]``, the
+    round or id that changes from call to call, is mixed in and the state
+    hashed on every call.  Refuses a seed or key element that is not an
+    integer >= 0 (numpy's included) before anything is drawn.
+    """
+    check_seed(seed)
+    for part in key:
+        if not _is_natural(part):
+            raise ConfigError(f"substream key must hold integers >= 0, got {part}")
+    pool, hash_const = _prefix_pool(operator.index(seed), tuple(map(operator.index, key[:-1])))
+    if key:
+        pool = _absorb(pool, hash_const, _words(operator.index(key[-1])))[0]
+    return np.random.Generator(np.random.PCG64(_state_sequence()(_pcg64_state(pool))))
+
+
+def _words(n):
+    """The 32-bit words of an integer n >= 0, least significant first; 0 is one word."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value, hash_const):
+    """SeedSequence's ``hashmix`` of one word, and the hash constant it leaves."""
+    value ^= hash_const
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two words."""
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _absorb(pool, hash_const, words):
+    """SeedSequence's mix of entropy words beyond the pool size into every pool word,
+    and the hash constant it leaves."""
+    for word in words:
+        mixed = []
+        for value in pool:
+            hashed, hash_const = _hashmix(word, hash_const)
+            mixed.append(_mix(value, hashed))
+        pool = mixed
+    return pool, hash_const
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_pool(seed, prefix):
+    """SeedSequence's pool, as a tuple, and its hash constant after the seed's words,
+    zero-padded to the pool size, and the words of each element of ``prefix``."""
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + [word for part in prefix for word in _words(part)]
+    pool, hash_const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):  # every word into every other, so late words reach early ones
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    pool, hash_const = _absorb(pool, hash_const, entropy[_POOL_SIZE:])
+    return tuple(pool), hash_const
+
+
+def _pcg64_state(pool):
+    """The pool's state hash as PCG64's four uint64 state words, low word first."""
+    p0, p1, p2, p3 = pool
+    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_HASH
+    w0 = (p0 ^ c0) * c1 & _MASK32  # unrolled: twice as fast as a loop over the 8 words
+    w1 = (p1 ^ c1) * c2 & _MASK32
+    w2 = (p2 ^ c2) * c3 & _MASK32
+    w3 = (p3 ^ c3) * c4 & _MASK32
+    w4 = (p0 ^ c4) * c5 & _MASK32
+    w5 = (p1 ^ c5) * c6 & _MASK32
+    w6 = (p2 ^ c6) * c7 & _MASK32
+    w7 = (p3 ^ c7) * c8 & _MASK32
+    return np.array([w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
+                     w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32, w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32], dtype=np.uint64)
+
+
+@functools.cache
+def _state_sequence():
+    """The seed-sequence type through which PCG64 takes ready state words.
+
+    It subclasses numpy's public ``ISeedSequence``, so defining it loads
+    ``numpy.random``; that happens at the first draw, not on import.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSequence(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if not (n_words == self.state.size and np.dtype(dtype) == self.state.dtype):
+                raise SrpflError(f"holds {self.state.size} {self.state.dtype} state words, not {n_words} {dtype}")
+            return self.state
+
+    return StateSequence
 
 
 @dataclass(frozen=True)
@@ -72,8 +208,7 @@ class GroundTruthModel:
             raise ConfigError(f"need at least one client, got {n_clients}")
         if not 0 <= sigma < math.inf:
             raise ConfigError(f"sigma must be finite and >= 0, got {sigma}")
-        if not (isinstance(seed, Integral) and seed >= 0):
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        check_seed(seed)
 
     def check_participants(self, participants):
         """The ids of ``participants`` (one id or several) as a 1-D integer array.

@@ -424,7 +424,8 @@ def test_module_entry_point(config_path, tmp_path):
 
 
 # what run never needs: the process pool, compare's statistics, verify's checks
-LAZY_MODULES = ("concurrent.futures", "multiprocessing", "statistics", "srpfl.checks")
+# numpy.random is loaded by the first draw, not by importing srpfl
+LAZY_MODULES = ("concurrent.futures", "multiprocessing", "statistics", "srpfl.checks", "numpy.random")
 IMPORT_BUDGET = """
 import json, sys
 lazy = sys.argv[1].split(",")
@@ -444,7 +445,7 @@ def test_run_and_verify_load_only_what_they_use(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["rc"] == [cli.EXIT_OK, cli.EXIT_OK]
-    assert result["steps"] == {"import": [], "run": [], "verify": ["srpfl.checks"]}
+    assert result["steps"] == {"import": [], "run": ["numpy.random"], "verify": ["srpfl.checks", "numpy.random"]}
 
 
 def test_pooled_compare_in_a_fresh_process(config_path, tmp_path):

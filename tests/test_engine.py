@@ -632,6 +632,49 @@ def test_layer_checks_refuse_a_fractional_count_before_any_draw(monkeypatch, cal
     assert str(refused.value) == message
 
 
+KEY_MESSAGE = "substream key must hold integers >= 0, got {}"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, -1, 1), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1.5, 1), "seed must be >= 0, got 1.5"),
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, 1.5), KEY_MESSAGE.format(1.5)),
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, -1), KEY_MESSAGE.format(-1)),
+    (lambda gt, q, speed: straggler.SpeedModel.fixed(8, seed=-1), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: straggler.SpeedModel.dynamic(8, seed=np.int64(-1)), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: fedrep.random_init(gt, -1), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 30, -1), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 5, 1, -1), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 5, np.float64(2.0), 1), KEY_MESSAGE.format(2.0)),
+    (lambda gt, q, speed: straggler.draw_round_times(speed, -1), KEY_MESSAGE.format(-1)),
+    (lambda gt, q, speed: straggler.select_fastest(speed, 0.5, 2), KEY_MESSAGE.format(0.5)),
+    (lambda gt, q, speed: synthesis.substream(None, synthesis.TAG_ROUND), "seed must be >= 0, got None"),
+], ids=["round_seed", "round_seed_fraction", "round_index_fraction", "round_index_negative", "fixed_speed",
+        "dynamic_speed_numpy", "random_init", "warm_start", "sample_batch_seed", "sample_batch_round",
+        "round_times", "select_fastest_round", "substream_seed_none"])
+def test_draws_refuse_a_bad_seed_or_key_before_any_draw(monkeypatch, call, message):
+    # numpy's SeedSequence refused these with its own ValueError or TypeError
+    gt = gen_ground_truth(8, 2, 6, 0.3, 1)
+    q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
+    speed = straggler.SpeedModel.dynamic(8, seed=1)  # draws its times in select_fastest
+    monkeypatch.setattr(np.random, "PCG64", lambda *args: pytest.fail("built a bit generator"))
+    with pytest.raises(ConfigError) as refused:
+        call(gt, q, speed)
+    assert str(refused.value) == message
+
+
+def test_a_run_builds_no_seed_sequence(monkeypatch):
+    # substream hashes numpy's SeedSequence pool itself: building one per draw was most of a draw's cost
+    built, generators, real = [], [], (np.random.SeedSequence, np.random.PCG64)
+    monkeypatch.setattr(np.random, "SeedSequence", lambda *args, **kwargs: built.append(args) or real[0](*args, **kwargs))
+    monkeypatch.setattr(np.random, "PCG64", lambda *args: generators.append(args) or real[1](*args))
+    trace = engine.run(small_config(n_clients=12, speed_kind="dynamic", resample_scope="per_round",
+                                    init_mode="moments", sigma=0.2, plan_mode="fixed", fixed_rounds=4, epsilon=0.0))
+    # the model, the slot rates, the warm start and its active set, then per round its active set, times and draw
+    assert len(generators) == 4 + 3 * len(trace.records) == 40
+    assert built == []
+
+
 def test_layer_checks_take_numpy_integer_counts():
     i = np.int64
     assert participant_ladder(i(8), i(2)) == [2, 4, 8]
@@ -641,6 +684,7 @@ def test_layer_checks_take_numpy_integer_counts():
     q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
     _, dist = fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, 1)
     assert fedrep.fedrep_round(q, gt, range(6), i(30), 0.1, 1, 1)[1] == dist
+    assert fedrep.fedrep_round(q, gt, range(6), 30, 0.1, i(1), np.uint8(1))[1] == dist
     speed = straggler.SpeedModel.fixed(i(8), seed=1)
     assert straggler.select_fastest(speed, 1, i(3))[1] == straggler.select_fastest(speed, 1, 3)[1]
     assert straggler.build_stage_plan(8, 2, 0.1, speed, 1.2, straggler.MODE_FIXED, i(4))[0][1] == 4

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srpfl import linalg, synthesis
 from srpfl.errors import ConfigError, SrpflError
@@ -125,3 +127,32 @@ def test_substream_tags_are_distinct():
     # each keys some draw: its name appears in the package beyond its own definition
     source = "\n".join(path.read_text() for path in Path(synthesis.__file__).parent.glob("*.py"))
     assert [name for name in tags if len(re.findall(rf"\b{name}\b", source)) < 2] == []
+
+
+TAGS = sorted(value for name, value in vars(synthesis).items() if name.startswith("TAG_"))
+ORACLE_SEEDS = [0, 1, 41, 2**32 - 1, 2**32, 2**64 + 5, 10**20]
+# the seed's words are zero-padded before a key, and an element of 2**32 or more is two words
+ORACLE_PARTS = [0, 2**32 - 1, 2**32, 2**40, np.int64(7), np.uint64(2**63)] + TAGS
+ORACLE_KEYS = ([(part,) for part in ORACLE_PARTS] + [(tag, part) for tag in TAGS for part in ORACLE_PARTS]
+               + [(synthesis.TAG_BATCH, part, 2**32 + 3) for part in ORACLE_PARTS])
+
+
+def assert_substream_is_numpys(seed, key):
+    ours = synthesis.substream(seed, *key)
+    oracle = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    assert ours.bit_generator.state == oracle.bit_generator.state
+    np.testing.assert_array_equal(ours.standard_normal(5), oracle.standard_normal(5))
+    np.testing.assert_array_equal(ours.integers(0, 2**62, 3), oracle.integers(0, 2**62, 3))
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS)
+def test_substream_is_numpys_seed_sequence_stream(seed):
+    for key in ORACLE_KEYS:
+        assert_substream_is_numpys(seed, key)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**130), st.lists(st.integers(0, 2**70), min_size=0, max_size=4))
+def test_substream_is_numpys_for_any_seed_and_key(seed, key):
+    # an empty key leaves the seed unpadded, and words past the pool size are mixed in late
+    assert_substream_is_numpys(seed, tuple(key))
