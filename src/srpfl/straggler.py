@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import ConfigError, SrpflError
-from .synthesis import TAG_CLIENT_RATES, TAG_DYNAMIC_TIMES, TAG_FIXED_TIMES, substream
+from .synthesis import TAG_CLIENT_RATES, TAG_DYNAMIC_TIMES, TAG_FIXED_TIMES, _is_natural, substream
 
 MODE_ANALYTIC = "analytic"
 MODE_THRESHOLD = "distance_threshold"
@@ -86,7 +86,11 @@ def draw_round_times(model, round_index):
 
     Fixed model: its read-only ``times``, the same every round.  Dynamic
     model: fresh Exp(rate_i) draws, deterministic in ``(seed, round_index)``.
+    Both refuse a round index that is not an integer >= 0 (numpy's included)
+    with :class:`ConfigError`, before any draw.
     """
+    if not _is_natural(round_index):
+        raise ConfigError(f"round index must be an integer >= 0, got {round_index}")
     if model.times is not None:
         return model.times
     rng = substream(model.seed, TAG_DYNAMIC_TIMES, round_index)
@@ -101,7 +105,8 @@ def select_fastest(model, round_index, n):
     """``(slots, round_time)`` of the times :func:`draw_round_times` draws: the
     ``n`` fastest slots, fastest first, ties by lowest index (a prefix of a
     fixed model's ``order``), and the slowest one's time plus ``comm_cost``.
-    An ``n`` that is not an integer in 1..slots is refused before the draw."""
+    An ``n`` that is not an integer in 1..slots is refused before the draw, and
+    so is a round index that :func:`draw_round_times` refuses."""
     n_slots = (model.times if model.times is not None else model.per_client_rates).size
     if not (isinstance(n, Integral) and 1 <= n <= n_slots):
         raise SrpflError(f"cannot select {n} of {n_slots} clients")

@@ -8,8 +8,12 @@ Every purpose key starts with one of the ``TAG_*`` constants below.
 :func:`substream` returns numpy's ``default_rng(SeedSequence(seed,
 spawn_key=key))`` bit for bit without building the ``SeedSequence``: it
 runs that class's published entropy hash itself, memoizing the mixed pool
-of ``(seed, key[:-1])``, and the tests hold it to numpy's class as the
-oracle.
+of ``(seed, key[:-1])``, and hashes the PCG64 states of the 64 aligned
+values of ``key[-1]`` that share that pool at once, as one array, into a
+block table (:func:`_block_states`) that holds a run's live blocks, so a
+round's generator only indexes a row.  The hash is written once,
+elementwise, for Python ints and uint64 arrays alike, and the tests hold
+it to numpy's class as the oracle.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
 draws one client's full rows ``(x, y)``; the self-checks and the test oracles use it.
 The warm start and a training round draw their clients' data themselves,
@@ -47,7 +51,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix of the entropy words
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # the state hash's constants INIT_B * MULT_B**i: PCG64 reads eight 32-bit words, and word i
 # is pool[i % 4] xor-ed with constant i and multiplied by constant i + 1
-_STATE_HASH = tuple(0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9))
+_STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9)], dtype=np.uint64)
+# substream hashes the PCG64 states of 64 consecutive values of a key's last element at
+# once.  The cache holds a block for each of the four key prefixes a run draws from in
+# turn (single tags, rounds, active sets, timing draws), not a sweep's blocks: the next
+# run's blocks evict them
+_BLOCK = 64
+_LIVE_BLOCKS = 4
 
 
 def check_seed(seed):
@@ -71,19 +81,23 @@ def substream(seed, *key):
     spawn_key=key))``, with no ``SeedSequence`` built: the seed, zero-padded
     to the pool size, and each key element enter SeedSequence's entropy hash
     as 32-bit little-endian words, and the pool's output hash gives PCG64 its
-    state.  The pool of ``(seed, key[:-1])`` is memoized; ``key[-1]``, the
-    round or id that changes from call to call, is mixed in and the state
-    hashed on every call.  Refuses a seed or key element that is not an
-    integer >= 0 (numpy's included) before anything is drawn.
+    state.  The state words come from :func:`_block_states`, which hashes
+    them for the 64 aligned values of ``key[-1]`` (the round or id that
+    changes from call to call) that share ``seed`` and ``key[:-1]`` at once,
+    so a run's rounds pay one hash per 64 rounds and a call only indexes a
+    row.  Refuses a seed or key element that is not an integer >= 0 (numpy's
+    included) before anything is drawn.
     """
     check_seed(seed)
     for part in key:
         if not _is_natural(part):
             raise ConfigError(f"substream key must hold integers >= 0, got {part}")
-    pool, hash_const = _prefix_pool(operator.index(seed), tuple(map(operator.index, key[:-1])))
+    seed, key = operator.index(seed), tuple(map(operator.index, key))
     if key:
-        pool = _absorb(pool, hash_const, _words(operator.index(key[-1])))[0]
-    return np.random.Generator(np.random.PCG64(_state_sequence()(_pcg64_state(pool))))
+        state = _block_states(seed, key[:-1], key[-1] // _BLOCK)[key[-1] % _BLOCK]
+    else:
+        state = _pcg64_state(_prefix_pool(seed, ())[0])
+    return np.random.Generator(np.random.PCG64(_state_sequence()(state)))
 
 
 def _words(n):
@@ -91,9 +105,14 @@ def _words(n):
     return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
 
 
+# The hash below is elementwise: a word is a Python int or a uint64 array of 32-bit
+# values, whose products of two words fit in 64 bits and whose differences wrap
+# modulo 2**64, so masking to 32 bits gives both the same result.  No step updates
+# its input words in place, since one key word's array is hashed into every pool word.
+
 def _hashmix(value, hash_const):
     """SeedSequence's ``hashmix`` of one word, and the hash constant it leaves."""
-    value ^= hash_const
+    value = value ^ hash_const
     hash_const = hash_const * _MULT_A & _MASK32
     value = value * hash_const & _MASK32
     return value ^ value >> 16, hash_const
@@ -137,19 +156,31 @@ def _prefix_pool(seed, prefix):
 
 
 def _pcg64_state(pool):
-    """The pool's state hash as PCG64's four uint64 state words, low word first."""
-    p0, p1, p2, p3 = pool
-    c0, c1, c2, c3, c4, c5, c6, c7, c8 = _STATE_HASH
-    w0 = (p0 ^ c0) * c1 & _MASK32  # unrolled: twice as fast as a loop over the 8 words
-    w1 = (p1 ^ c1) * c2 & _MASK32
-    w2 = (p2 ^ c2) * c3 & _MASK32
-    w3 = (p3 ^ c3) * c4 & _MASK32
-    w4 = (p0 ^ c4) * c5 & _MASK32
-    w5 = (p1 ^ c5) * c6 & _MASK32
-    w6 = (p2 ^ c6) * c7 & _MASK32
-    w7 = (p3 ^ c7) * c8 & _MASK32
-    return np.array([w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
-                     w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32, w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32], dtype=np.uint64)
+    """The pool's state hash as PCG64's four uint64 state words, low word first: a
+    4-vector, or one row of four per element for a pool of word arrays."""
+    words = np.stack([np.asarray(pool[i % _POOL_SIZE], dtype=np.uint64) for i in range(8)], axis=-1)
+    words = (words ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _MASK32
+    words ^= words >> 16
+    return words[..., 0::2] | words[..., 1::2] << 32
+
+
+@functools.lru_cache(maxsize=_LIVE_BLOCKS)
+def _block_states(seed, prefix, block):
+    """PCG64's state words for the keys ``prefix + (value,)`` with ``value`` in
+    ``block * 64 .. block * 64 + 63``, as a read-only C-contiguous 64 x 4 uint64
+    array whose row ``value % 64`` is that key's state (PCG64 reads a row's memory
+    as it lies, so a strided row would be misread).
+
+    2**32 is a multiple of the block size, so the values of a block share every
+    word but the lowest, which is hashed as one array.
+    """
+    pool, hash_const = _prefix_pool(seed, prefix)
+    first = block * _BLOCK
+    low = np.arange(first & _MASK32, (first & _MASK32) + _BLOCK, dtype=np.uint64)
+    pool, _ = _absorb(pool, hash_const, [low] + _words(first)[1:])
+    states = _pcg64_state(pool)
+    states.setflags(write=False)
+    return states
 
 
 @functools.cache

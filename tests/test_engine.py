@@ -633,6 +633,9 @@ def test_layer_checks_refuse_a_fractional_count_before_any_draw(monkeypatch, cal
 
 
 KEY_MESSAGE = "substream key must hold integers >= 0, got {}"
+ROUND_MESSAGE = "round index must be an integer >= 0, got {}"
+# a fixed model built by hand, so that building it draws nothing; its times are the same every round
+FIXED_SPEED = straggler.SpeedModel(lam=1.0, comm_cost=0.0, seed=1, times=np.arange(1.0, 9.0), order=np.arange(8))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -646,12 +649,16 @@ KEY_MESSAGE = "substream key must hold integers >= 0, got {}"
     (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 30, -1), "seed must be >= 0, got -1"),
     (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 5, 1, -1), "seed must be >= 0, got -1"),
     (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 5, np.float64(2.0), 1), KEY_MESSAGE.format(2.0)),
-    (lambda gt, q, speed: straggler.draw_round_times(speed, -1), KEY_MESSAGE.format(-1)),
-    (lambda gt, q, speed: straggler.select_fastest(speed, 0.5, 2), KEY_MESSAGE.format(0.5)),
+    (lambda gt, q, speed: straggler.draw_round_times(speed, -1), ROUND_MESSAGE.format(-1)),
+    (lambda gt, q, speed: straggler.select_fastest(speed, 0.5, 2), ROUND_MESSAGE.format(0.5)),
+    (lambda gt, q, speed: straggler.draw_round_times(FIXED_SPEED, -1), ROUND_MESSAGE.format(-1)),
+    (lambda gt, q, speed: straggler.draw_round_times(FIXED_SPEED, np.float64(2.0)), ROUND_MESSAGE.format(2.0)),
+    (lambda gt, q, speed: straggler.select_fastest(FIXED_SPEED, 1.5, 2), ROUND_MESSAGE.format(1.5)),
     (lambda gt, q, speed: synthesis.substream(None, synthesis.TAG_ROUND), "seed must be >= 0, got None"),
 ], ids=["round_seed", "round_seed_fraction", "round_index_fraction", "round_index_negative", "fixed_speed",
         "dynamic_speed_numpy", "random_init", "warm_start", "sample_batch_seed", "sample_batch_round",
-        "round_times", "select_fastest_round", "substream_seed_none"])
+        "round_times", "select_fastest_round", "fixed_round_times", "fixed_round_times_numpy_float",
+        "fixed_select_fastest_round", "substream_seed_none"])
 def test_draws_refuse_a_bad_seed_or_key_before_any_draw(monkeypatch, call, message):
     # numpy's SeedSequence refused these with its own ValueError or TypeError
     gt = gen_ground_truth(8, 2, 6, 0.3, 1)
@@ -673,6 +680,21 @@ def test_a_run_builds_no_seed_sequence(monkeypatch):
     # the model, the slot rates, the warm start and its active set, then per round its active set, times and draw
     assert len(generators) == 4 + 3 * len(trace.records) == 40
     assert built == []
+
+
+@pytest.mark.parametrize("overrides, per_round_prefixes", [
+    ({}, 1),
+    (dict(plan_mode="fixed", fixed_rounds=40), 1),
+    (dict(plan_mode="fixed", fixed_rounds=40, speed_kind="dynamic", n_clients=32, resample_scope="per_round"), 3),
+], ids=["guard", "guard_160_rounds", "dynamic_160_rounds"])
+def test_a_run_hashes_each_block_of_stream_states_once(overrides, per_round_prefixes):
+    # rounds 1..R fall in R // 64 + 1 blocks of each per-round prefix (rounds, and with a dynamic model
+    # and a sampled active set also timing draws and active sets), and every single-tag key in one block;
+    # hashing each call, or a cache too small for the prefixes a run draws from in turn, misses more often
+    synthesis._block_states.cache_clear()
+    trace = engine.run(RunConfig(**{**GUARD_CONFIG, **overrides}))
+    rounds = len(trace.records)
+    assert synthesis._block_states.cache_info().misses == 1 + per_round_prefixes * (rounds // 64 + 1)
 
 
 def test_layer_checks_take_numpy_integer_counts():

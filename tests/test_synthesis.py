@@ -131,8 +131,11 @@ def test_substream_tags_are_distinct():
 
 TAGS = sorted(value for name, value in vars(synthesis).items() if name.startswith("TAG_"))
 ORACLE_SEEDS = [0, 1, 41, 2**32 - 1, 2**32, 2**64 + 5, 10**20]
-# the seed's words are zero-padded before a key, and an element of 2**32 or more is two words
-ORACLE_PARTS = [0, 2**32 - 1, 2**32, 2**40, np.int64(7), np.uint64(2**63)] + TAGS
+# the seed's words are zero-padded before a key, and an element of 2**32 or more is two words;
+# the last element's states are hashed in blocks of 64 values, so both sides of each block and
+# word boundary are held to the oracle
+ORACLE_PARTS = ([0, 63, 64, 65, 2**32 - 64, 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64, np.int64(7), np.uint64(2**63)]
+                + TAGS)
 ORACLE_KEYS = ([(part,) for part in ORACLE_PARTS] + [(tag, part) for tag in TAGS for part in ORACLE_PARTS]
                + [(synthesis.TAG_BATCH, part, 2**32 + 3) for part in ORACLE_PARTS])
 
@@ -156,3 +159,32 @@ def test_substream_is_numpys_seed_sequence_stream(seed):
 def test_substream_is_numpys_for_any_seed_and_key(seed, key):
     # an empty key leaves the seed unpadded, and words past the pool size are mixed in late
     assert_substream_is_numpys(seed, tuple(key))
+
+
+def oracle_state(seed, key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("prefix, block", [
+    ((), 0), ((synthesis.TAG_ROUND,), 0), ((synthesis.TAG_ROUND,), 2**26 - 1), ((synthesis.TAG_ROUND,), 2**26),
+    ((synthesis.TAG_BATCH, 2**40), 2**58), ((synthesis.TAG_BATCH, 5), 2**70),
+], ids=["tags", "rounds", "below_2_32", "from_2_32", "from_2_64", "from_2_76"])
+def test_a_block_of_states_is_read_only_contiguous_and_numpys(prefix, block):
+    # PCG64 reads a state row's memory as it lies, so a strided row would be misread; every call shares the block
+    states = synthesis._block_states(41, prefix, block)
+    assert states.shape == (synthesis._BLOCK, 4) and states.dtype == np.uint64
+    assert states.flags.c_contiguous and not states.flags.writeable
+    for row, state in enumerate(states):
+        np.testing.assert_array_equal(state, oracle_state(41, prefix + (block * synthesis._BLOCK + row,)))
+
+
+def test_an_evicted_block_is_hashed_again_bit_for_bit():
+    cache = synthesis._block_states
+    key = (synthesis.TAG_ROUND, 70)
+    first = synthesis.substream(3, *key).standard_normal(4)
+    for block in range(cache.cache_info().maxsize):
+        cache(4, (synthesis.TAG_ROUND,), block)
+    misses = cache.cache_info().misses
+    assert_substream_is_numpys(3, key)
+    assert cache.cache_info().misses == misses + 1
+    np.testing.assert_array_equal(synthesis.substream(3, *key).standard_normal(4), first)
