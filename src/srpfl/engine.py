@@ -346,11 +346,13 @@ def analytic_speedup_bound(n_total, c_hat, a, comm_cost, lam):
         (6(c+1) + 4 log(1/(c_hat-1))) / (log N + 2 log(1/(c_hat-1)))
 
     with natural logarithms and c = comm_cost * lam the communication
-    cost in units of the mean client time 1/lam.
+    cost in units of the mean client time 1/lam.  N, lam and comm_cost are
+    checked as a speed model's are (:meth:`SpeedModel.check`), and N >= 2.
     """
     check_c_hat(c_hat)
     check_contraction_factor(a)
     check_bound_n_total(n_total)
+    SpeedModel.check(n_total, lam, comm_cost)
     c = comm_cost * lam
     log_n = math.log(n_total)
     hardness = math.log(1.0 / (c_hat - 1.0))

@@ -258,9 +258,7 @@ def _summed_move(q, w, resid, tail, z):
     """
     r_c = resid[:, None] * w
     if len(r_c) > z.shape[1]:  # n > k; for n <= k, C itself is a factor
-        r_c = np.linalg.qr(r_c, mode="raw")[0].T[:z.shape[1]]  # R_C on and above the diagonal, reflectors below
-        for i in range(1, len(r_c)):
-            r_c[i, :i] = 0.0
+        r_c = np.linalg.qr(r_c, mode="r")
     outside = z @ r_c
     return outside - q @ (q.T @ outside) - q[:, w.shape[1]:] @ (tail @ w)
 

@@ -179,9 +179,11 @@ def _rounds_to_shrink(a, factor):
 
 def target_accuracy(a, n_total, n0, c_hat):
     """Target distance eps = c_hat * noise_floor(a, N/n0): c_hat times the contraction
-    bound's fixed point at n = N, not the realized plateau, which fewer clients can reach."""
+    bound's fixed point at n = N, not the realized plateau, which fewer clients can reach.
+    N and n0 are checked as the ladder's are (:func:`participant_ladder`)."""
     check_c_hat(c_hat)
     check_contraction_factor(a)
+    participant_ladder(n_total, n0)
     return c_hat * noise_floor(a, n_total / n0)
 
 

@@ -7,13 +7,13 @@ drawn from counter-based substreams keyed on the seed and a purpose key
 Every purpose key starts with one of the ``TAG_*`` constants below.
 :func:`substream` returns numpy's ``default_rng(SeedSequence(seed,
 spawn_key=key))`` bit for bit without building the ``SeedSequence``: it
-runs that class's published entropy hash itself, memoizing the mixed pool
-of ``(seed, key[:-1])``, and hashes the PCG64 states of the 64 aligned
-values of ``key[-1]`` that share that pool at once, as one array, into a
+runs that class's published entropy hash itself (:func:`_mix_entropy`,
+written once, elementwise, for Python ints and uint64 arrays alike) and
+hashes the PCG64 states of the 64 aligned values of ``key[-1]`` that share
+``seed`` and ``key[:-1]`` at once, their low words as one array, into a
 block table (:func:`_block_states`) that holds a run's live blocks, so a
-round's generator only indexes a row.  The hash is written once,
-elementwise, for Python ints and uint64 arrays alike, and the tests hold
-it to numpy's class as the oracle.
+round's generator only indexes a row.  That table is the only cache of
+hashed words, and the tests hold the hash to numpy's class as the oracle.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
 draws one client's full rows ``(x, y)``; the self-checks and the test oracles use it.
 The warm start and a training round draw their clients' data themselves,
@@ -81,12 +81,13 @@ def substream(seed, *key):
     spawn_key=key))``, with no ``SeedSequence`` built: the seed, zero-padded
     to the pool size, and each key element enter SeedSequence's entropy hash
     as 32-bit little-endian words, and the pool's output hash gives PCG64 its
-    state.  The state words come from :func:`_block_states`, which hashes
-    them for the 64 aligned values of ``key[-1]`` (the round or id that
-    changes from call to call) that share ``seed`` and ``key[:-1]`` at once,
-    so a run's rounds pay one hash per 64 rounds and a call only indexes a
-    row.  Refuses a seed or key element that is not an integer >= 0 (numpy's
-    included) before anything is drawn.
+    state.  For a key, the state words come from :func:`_block_states`, which
+    hashes the whole entropy for the 64 aligned values of ``key[-1]`` (the
+    round or id that changes from call to call) that share ``seed`` and
+    ``key[:-1]`` at once, so a run's rounds pay one hash per 64 rounds and a
+    call only indexes a row; a key-less stream hashes the seed's words on
+    every call.  Refuses a seed or key element that is not an integer >= 0
+    (numpy's included) before anything is drawn.
     """
     check_seed(seed)
     for part in key:
@@ -96,13 +97,13 @@ def substream(seed, *key):
     if key:
         state = _block_states(seed, key[:-1], key[-1] // _BLOCK)[key[-1] % _BLOCK]
     else:
-        state = _pcg64_state(_prefix_pool(seed, ())[0])
+        state = _pcg64_state(_mix_entropy(_words(seed, _POOL_SIZE)))
     return np.random.Generator(np.random.PCG64(_state_sequence()(state)))
 
 
-def _words(n):
-    """The 32-bit words of an integer n >= 0, least significant first; 0 is one word."""
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+def _words(n, size=1):
+    """The 32-bit words of an integer n >= 0, least significant first, zero-padded to ``size``."""
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 32 * size), 32)]
 
 
 # The hash below is elementwise: a word is a Python int or a uint64 array of 32-bit
@@ -124,26 +125,12 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-def _absorb(pool, hash_const, words):
-    """SeedSequence's mix of entropy words beyond the pool size into every pool word,
-    and the hash constant it leaves."""
-    for word in words:
-        mixed = []
-        for value in pool:
-            hashed, hash_const = _hashmix(word, hash_const)
-            mixed.append(_mix(value, hashed))
-        pool = mixed
-    return pool, hash_const
-
-
-@functools.lru_cache(maxsize=64)
-def _prefix_pool(seed, prefix):
-    """SeedSequence's pool, as a tuple, and its hash constant after the seed's words,
-    zero-padded to the pool size, and the words of each element of ``prefix``."""
-    entropy = _words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + [word for part in prefix for word in _words(part)]
+def _mix_entropy(words):
+    """SeedSequence's ``mix_entropy``: the pool of four words hashed from at least four
+    entropy words (the seed's are zero-padded to four).  The first four are hashed into
+    the pool and mixed into each other, then every later word into each pool word."""
     pool, hash_const = [], _INIT_A
-    for word in entropy[:_POOL_SIZE]:
+    for word in words[:_POOL_SIZE]:
         hashed, hash_const = _hashmix(word, hash_const)
         pool.append(hashed)
     for src in range(_POOL_SIZE):  # every word into every other, so late words reach early ones
@@ -151,8 +138,11 @@ def _prefix_pool(seed, prefix):
             if src != dst:
                 hashed, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], hashed)
-    pool, hash_const = _absorb(pool, hash_const, entropy[_POOL_SIZE:])
-    return tuple(pool), hash_const
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], hashed)
+    return pool
 
 
 def _pcg64_state(pool):
@@ -171,14 +161,15 @@ def _block_states(seed, prefix, block):
     array whose row ``value % 64`` is that key's state (PCG64 reads a row's memory
     as it lies, so a strided row would be misread).
 
-    2**32 is a multiple of the block size, so the values of a block share every
-    word but the lowest, which is hashed as one array.
+    The entropy is the seed's words zero-padded to four, the words of each
+    element of ``prefix``, and the block's values' words: 2**32 is a multiple
+    of the block size, so those share every word but the lowest, which is
+    hashed as one array.
     """
-    pool, hash_const = _prefix_pool(seed, prefix)
     first = block * _BLOCK
     low = np.arange(first & _MASK32, (first & _MASK32) + _BLOCK, dtype=np.uint64)
-    pool, _ = _absorb(pool, hash_const, [low] + _words(first)[1:])
-    states = _pcg64_state(pool)
+    prefix_words = [word for part in prefix for word in _words(part)]
+    states = _pcg64_state(_mix_entropy(_words(seed, _POOL_SIZE) + prefix_words + [low] + _words(first)[1:]))
     states.setflags(write=False)
     return states
 

@@ -502,9 +502,17 @@ def test_subset_spectrum_bounds_hold_for_every_subset(k, n0):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: engine.analytic_speedup_bound(1, 1.2, 0.1, 0.0, 1.0), "bounds need N >= 2, got 1"),
+    (lambda: engine.analytic_speedup_bound(256, 1.2, 0.1, 1.0, 0.0), "lam must be positive, got 0.0"),
+    (lambda: engine.analytic_speedup_bound(256, 1.2, 0.1, 1.0, math.nan), "lam must be positive, got nan"),
+    (lambda: engine.analytic_speedup_bound(256, 1.2, 0.1, -5, 1.0), "comm_cost must be >= 0, got -5"),
+    (lambda: engine.analytic_speedup_bound(256.5, 1.2, 0.1, 1.0, 1.0), "need at least one client slot, got 256.5"),
+    (lambda: straggler.target_accuracy(0.1, 8, 0, 1.2), "need 1 <= n0 <= N, got n0=0, N=8"),
+    (lambda: straggler.target_accuracy(0.1, -8, 1, 1.2), "need 1 <= n0 <= N, got n0=1, N=-8"),
+    (lambda: straggler.target_accuracy(0.1, 8, 16, 1.2), "need 1 <= n0 <= N, got n0=16, N=8"),
     (lambda: engine.measure_contraction_rate(synthetic_trace([0.5])),
      "trace too short to measure a contraction rate"),
-], ids=["one_client", "one_record"])
+], ids=["one_client", "zero_lam", "nan_lam", "negative_comm_cost", "fractional_n", "target_n0_zero",
+        "target_negative_n", "target_n0_above_n", "one_record"])
 def test_typed_errors(call, message):
     with pytest.raises(ConfigError, match=message):
         call()

@@ -130,8 +130,9 @@ def test_substream_tags_are_distinct():
 
 
 TAGS = sorted(value for name, value in vars(synthesis).items() if name.startswith("TAG_"))
-ORACLE_SEEDS = [0, 1, 41, 2**32 - 1, 2**32, 2**64 + 5, 10**20]
-# the seed's words are zero-padded before a key, and an element of 2**32 or more is two words;
+ORACLE_SEEDS = [0, 1, 41, 2**32 - 1, 2**32, 2**64 + 5, 10**20, 2**128 - 1, 2**128, 2**200 + 7]
+# the seed's words are zero-padded to four before a key, a seed of four words or more is not,
+# and its words past the pool size are mixed in late; an element of 2**32 or more is two words;
 # the last element's states are hashed in blocks of 64 values, so both sides of each block and
 # word boundary are held to the oracle
 ORACLE_PARTS = ([0, 63, 64, 65, 2**32 - 64, 2**32 - 1, 2**32, 2**40, 2**64 - 1, 2**64, np.int64(7), np.uint64(2**63)]
