@@ -20,7 +20,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import ConfigError, NonConvergence, SrpflError
-from .fedrep import check_batch_size, fedrep_round, method_of_moments_init, random_init
+from .fedrep import check_batch_size, check_step_size, fedrep_round, method_of_moments_init, random_init
 from .linalg import span_basis
 from .straggler import (
     A_MAX,
@@ -39,7 +39,8 @@ from .straggler import (
     select_fastest,
     target_accuracy,
 )
-from .synthesis import TAG_ACTIVE_SET, GroundTruthModel, gen_ground_truth, substream
+from .synthesis import (TAG_ACTIVE_SET, TAG_RANDOM_INIT, TAG_ROUND, TAG_WARM_START, GroundTruthModel,
+                        gen_ground_truth, substream)
 
 ALGO_SRPFL = "srpfl"
 ALGO_FEDREP_FULL = "fedrep_full"
@@ -73,7 +74,8 @@ class RunConfig:
     the ``int`` or ``float`` it equals, a ``str`` subclass as a ``str``.  Any other kind of value,
     a fraction in an int field or a float that is not finite is refused, naming the field.  A
     value a layer reads is refused by that layer's check (``m > k`` by the round's
-    :func:`check_batch_size`), in the words a library call gives.
+    :func:`check_batch_size`, ``eta > 0`` by its :func:`check_step_size`), in the words a
+    library call gives.
     """
 
     d: int
@@ -131,7 +133,6 @@ class RunConfig:
             (self.n_total <= self.population, f"need N <= M, got N={self.n_total}, M={self.population}"),
             # fewer than k heads leave part of B* out of every label
             (self.population >= self.k, f"need M >= k, got M={self.population}, k={self.k}"),
-            (self.eta is None or self.eta > 0, f"eta must be positive, got {self.eta}"),
             (self.epsilon is None or self.epsilon >= 0, f"epsilon must be >= 0, got {self.epsilon}"),
             (self.algorithm in ALGORITHMS, f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"),
             (self.init_mode in INIT_MODES, f"init_mode must be one of {INIT_MODES}, got {self.init_mode!r}"),
@@ -144,6 +145,8 @@ class RunConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        if self.eta is not None:
+            check_step_size(self.eta)
         if self.a is not None:
             check_contraction_factor(self.a)
         check_c_hat(self.c_hat)
@@ -252,10 +255,11 @@ def run(config):
        round that was due, otherwise the run ends with the unreached trace;
     4. otherwise the round runs.
 
-    With the ``per_stage`` resample scope a stage draws its active set
-    when its first round runs.  A failed round or an overflowed clock
-    raises an :class:`SrpflError` naming the stage and round; a failed
-    warm start, one that says so.
+    The start, each round and each active set draw from a stream keyed here
+    (a round's on its 1-based index).  With the ``per_stage`` resample scope
+    a stage draws its active set when its first round runs.  A failed round
+    or an overflowed clock raises an :class:`SrpflError` naming the stage
+    and round; a failed warm start, one that says so.
     """
     gt = gen_ground_truth(config.d, config.k, config.population, config.sigma, config.seed)
     speed = getattr(SpeedModel, config.speed_kind)(config.n_total, config.lam, config.comm_cost, config.seed)
@@ -267,11 +271,11 @@ def run(config):
 
     if config.init_mode == INIT_MOMENTS:
         try:
-            b0 = method_of_moments_init(gt, active, config.m, config.seed)
+            b0 = method_of_moments_init(gt, active, config.m, substream(config.seed, TAG_WARM_START))
         except SrpflError as exc:
             raise type(exc)(f"warm start: {exc}") from exc
     else:
-        b0 = random_init(gt, config.seed)
+        b0 = random_init(gt, substream(config.seed, TAG_RANDOM_INIT))
     q, init_dist = span_basis(b0, gt.b_star)  # the first round's basis
     a = config.a if config.a is not None else contraction_factor(eta, init_dist, s_min)
     epsilon = (
@@ -314,7 +318,7 @@ def run(config):
         slots, elapsed = select_fastest(speed, round_index, n_r)
         ids = active[slots]
         try:
-            q, dist = fedrep_round(q, gt, ids, config.m, eta, config.seed, round_index)
+            q, dist = fedrep_round(q, gt, ids, config.m, eta, substream(config.seed, TAG_ROUND, round_index))
         except SrpflError as exc:
             raise type(exc)(f"stage {stage}, round {round_index}: {exc}") from exc
         cumulative += elapsed

@@ -22,8 +22,8 @@ error a multivariate t (see :func:`_client_statistics`), exact for every m >
 k.  The clients' parts outside ``span(Q)`` sum to one d x min(n, k) Gaussian
 block times the R factor of their rows ``||r_i|| w_i`` (see
 :func:`_summed_move`).  So a round draws seven values per client at d = 20,
-k = 2, plus d k per round (:func:`_draw_round`), all clients last from one
-generator per round, in participant order.
+k = 2, plus d k per round (:func:`_draw_round`), all clients last from the
+round's generator, in participant order.
 
 A round carries ``Q`` itself, not ``b``: ``b`` is ``Q``'s first k columns,
 and the round ends in one Householder QR of ``[step, B*]``
@@ -33,8 +33,8 @@ collapse, measures its distance to ``B*`` and builds the next round's ``Q``.
 Also provides the two starts: the spectral warm start averages the
 per-client second-moment surrogates ``(1/m) sum_j y_j^2 x_j x_j^T`` and
 keeps the top-k eigenspace.  These are fourth moments of the rows, so the
-warm start draws every participant's full rows, all from one generator
-per call, in blocks of at most :data:`WARM_START_ROWS` rows, and adds one
+warm start draws every participant's full rows, all from its generator,
+in blocks of at most :data:`WARM_START_ROWS` rows, and adds one
 weighted Gram product per block (:func:`_moment_sum`).  The random start
 is the thin QR of a Gaussian (:func:`random_init`).
 """
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, SrpflError
 from .linalg import ORTHO_TOL, rank_k_eig, span_basis, thin_qr
-from .synthesis import TAG_RANDOM_INIT, TAG_ROUND, TAG_WARM_START, check_sample_count, substream
+from .synthesis import check_sample_count
 
 GRAM_TOL = 1e-10
 # rows per block of the warm start's draw, about 330 kB at d = 40: blocks of 2**14 rows
@@ -58,6 +58,13 @@ def check_batch_size(m, k):
     residual is left, and below it no head is unique."""
     if not (isinstance(m, Integral) and m > k):
         raise ConfigError(f"need m > k, got m={m}, k={k}")
+
+
+def check_step_size(eta):
+    """Raise :class:`ConfigError` unless the step size eta > 0: a negative one ascends, and a nan
+    would reach the round's finiteness check only after the draw."""
+    if not eta > 0:
+        raise ConfigError(f"eta must be positive, got {eta}")
 
 
 def head_update(b, x, y, m=None):
@@ -104,21 +111,21 @@ def rep_gradient_step(b, w, x, y, eta, m=None):
     return b - (eta / m) * (x.swapaxes(-1, -2) @ (resid[..., :, None] * w[..., None, :]))
 
 
-def random_init(gt, seed):
-    """Random start for the shared representation: the thin QR of a d x k standard Gaussian."""
-    return thin_qr(substream(seed, TAG_RANDOM_INIT).standard_normal((gt.d, gt.k)))[0]
+def random_init(gt, rng):
+    """Random start for the shared representation: the thin QR of a d x k standard Gaussian drawn from ``rng``."""
+    return thin_qr(rng.standard_normal((gt.d, gt.k)))[0]
 
 
-def method_of_moments_init(gt, participants, m, seed):
+def method_of_moments_init(gt, participants, m, rng):
     """Spectral warm start for the shared representation.
 
     Every participant draws m fresh samples and forms ``P_i = (1/m) sum_j
     y_j^2 x_j x_j^T``; the top-k eigenspace of the average of the ``P_i``
-    is returned.  One generator, keyed on ``seed``, draws every
-    participant's rows in participant order (see :func:`_moment_sum`), so a
-    participant listed twice draws two independent batches.  Every id and
-    ``m`` are checked before the first draw, and so are the labels: when
-    sigma is 0 and every participant's head is zero, every label would be.
+    is returned.  ``rng`` draws every participant's rows in participant
+    order (see :func:`_moment_sum`), so a participant listed twice draws two
+    independent batches.  Every id and ``m`` are checked before the first
+    draw, and so are the labels: when sigma is 0 and every participant's
+    head is zero, every label would be.
     A sum that overflows issues no numpy warning; :func:`rank_k_eig`
     refuses it.
     """
@@ -127,7 +134,7 @@ def method_of_moments_init(gt, participants, m, seed):
     if not (gt.sigma > 0 or gt.w_star[parts].any()):
         raise SrpflError("every warm-start label was zero; nothing to estimate")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends at rank_k_eig's finiteness check
-        p_sum = _moment_sum(gt, parts, m, substream(seed, TAG_WARM_START))
+        p_sum = _moment_sum(gt, parts, m, rng)
     return rank_k_eig(p_sum / (m * parts.size), gt.k)
 
 
@@ -263,30 +270,29 @@ def _summed_move(q, w, resid, tail, z):
     return outside - q @ (q.T @ outside) - q[:, w.shape[1]:] @ (tail @ w)
 
 
-def fedrep_round(q, gt, participants, m, eta, seed, round_index):
+def fedrep_round(q, gt, participants, m, eta, rng):
     """Run one communication round from basis ``q``; return the next basis and its distance.
 
     ``q`` is the round's basis as :func:`span_basis` returns it: orthonormal,
     its first k columns spanning the representation and its span holding
-    ``B*``.  ``round_index`` is the 1-based round number.  ``m``, every id
-    and then the basis (see :func:`_overlap`) are checked before the first
-    draw.  One generator, keyed on ``(seed, round_index)``, draws what every
-    participant's step reads (see :func:`_draw_round`), so a participant's
-    draws depend on its place in the round while the trace stays a pure
-    function of the config.  Each participant solves its head afresh in the
-    frame of ``q[:, :k]``; the updates are summed into one d x k move (see
-    :func:`_summed_move`), and the round returns ``span_basis(q[:, :k] -
-    eta/(m*n) move, B*)``: the next round's basis and the distance of the
-    moved representation to ``B*``.
+    ``B*``.  ``m``, ``eta``, every id and then the basis (see
+    :func:`_overlap`) are checked before the first draw.  ``rng`` draws what
+    every participant's step reads (see :func:`_draw_round`), so a
+    participant's draws depend on its place in the round.  Each participant
+    solves its head afresh in the frame of ``q[:, :k]``; the updates are
+    summed into one d x k move (see :func:`_summed_move`), and the round
+    returns ``span_basis(q[:, :k] - eta/(m*n) move, B*)``: the next round's
+    basis and the distance of the moved representation to ``B*``.
     A round draws no Gram matrix, so no local solve can fail.  Raises when the
     moved representation collapses or is not finite (see :func:`span_basis`);
     an overflow on the way there issues no numpy warning.
     """
     check_batch_size(m, gt.k)
+    check_step_size(eta)
     parts = gt.check_participants(participants)
     overlap = _overlap(gt, q)
     with np.errstate(all="ignore"):  # an overflow ends at span_basis's finiteness check
-        draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, substream(seed, TAG_ROUND, round_index))
+        draw = _draw_round(parts.size, gt.k, q.shape[1], gt.d, m, rng)
         move = _summed_move(q, *_client_statistics(gt, overlap, parts, draw), draw[-1])
         step = q[:, :gt.k] - (eta / (m * parts.size)) * move
     return span_basis(step, gt.b_star)

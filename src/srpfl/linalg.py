@@ -29,12 +29,18 @@ def is_orthonormal(b):
     return float(np.linalg.norm(b.T @ b - np.eye(k))) <= ORTHO_TOL
 
 
+def _check_tall(name, a):
+    """Raise :class:`SrpflError`, naming the caller, unless ``a`` is a tall d x k matrix: d >= k >= 1."""
+    if a.ndim != 2 or not 1 <= a.shape[1] <= a.shape[0]:
+        raise SrpflError(f"{name} expects a tall d x k matrix, got shape {a.shape}")
+
+
 def thin_qr(a):
     """Reduced QR factorization ``a = q @ r`` with a positive diagonal on ``r``.
 
     Parameters
     ----------
-    a : (d, k) array with d >= k, full column rank.
+    a : (d, k) array with d >= k >= 1, full column rank.
 
     Returns
     -------
@@ -51,13 +57,11 @@ def thin_qr(a):
         shares them with ``a``.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise SrpflError(f"thin_qr expects a tall d x k matrix, got shape {a.shape}")
+    _check_tall("thin_qr", a)
     q, r = np.linalg.qr(a)
     _checked_svd(r[None])
-    # positive-diagonal convention so repeated runs are bit-identical
+    # positive-diagonal convention so repeated runs are bit-identical; the rank check leaves no zero
     signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
     return q * signs, signs[:, None] * r
 
 
@@ -78,7 +82,8 @@ def _checked_svd(blocks):
 def span_basis(lead, other):
     """Orthonormal basis of ``span(lead) + span(other)`` that starts with ``lead``, and their distance.
 
-    ``lead`` is any d x k full-rank matrix with d >= k, ``other`` a d x k
+    ``lead`` is any d x k full-rank matrix with d >= k >= 1 (refused as
+    :func:`thin_qr` refuses another shape), ``other`` a d x k
     orthonormal basis.  One Householder QR ``[lead, other] = Q R`` does the
     work.  ``R11``, ``lead``'s triangle, gets :func:`thin_qr`'s checks.  The
     left singular vectors of ``R12`` turn ``Q1`` into ``lead``'s principal
@@ -97,6 +102,7 @@ def span_basis(lead, other):
     factors, so it stays orthonormal when ``other`` nearly lies in
     ``span(lead)``.
     """
+    _check_tall("span_basis", lead)
     k = lead.shape[1]
     basis, r = np.linalg.qr(np.concatenate([lead, other], axis=1))
     if r.shape[0] == 2 * k:  # d >= 2k: R22 is k x k, and one call takes [R11, R12, R22]
@@ -154,7 +160,8 @@ def principal_angle_dist(b1, b2):
     of the residual (one ``np.linalg.svd`` call), which is the sine of
     the largest principal angle: 0 iff the spans coincide, 1 iff some
     direction of ``b2`` is orthogonal to ``span(b1)``.  Both inputs must be d x k with
-    orthonormal columns; for equal k the value is symmetric in its
+    orthonormal columns, d >= k >= 1 (refused as :func:`thin_qr` refuses another
+    shape); for equal k the value is symmetric in its
     arguments and invariant to right-multiplication by any orthogonal
     k x k matrix.
     """
@@ -162,5 +169,6 @@ def principal_angle_dist(b1, b2):
     b2 = np.asarray(b2, dtype=float)
     if b1.shape != b2.shape:
         raise SrpflError(f"basis shapes differ: {b1.shape} vs {b2.shape}")
+    _check_tall("principal_angle_dist", b1)
     resid = b2 - b1 @ (b1.T @ b2)
     return min(1.0, float(np.linalg.svd(resid, compute_uv=False)[0]))

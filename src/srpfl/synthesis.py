@@ -17,7 +17,7 @@ hashed words, and the tests hold the hash to numpy's class as the oracle.
 :func:`sample_batch` keys its stream on ``(seed, client, round)`` and
 draws one client's full rows ``(x, y)``; the self-checks and the test oracles use it.
 The warm start and a training round draw their clients' data themselves,
-from one stream per call (see :mod:`srpfl.fedrep`).
+from a stream that :func:`srpfl.engine.run` keys (see :mod:`srpfl.fedrep`).
 """
 
 import functools
@@ -54,8 +54,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _STATE_HASH = np.array([0x8B51F9DD * pow(0x58F38DED, i, 2**32) & _MASK32 for i in range(9)], dtype=np.uint64)
 # substream hashes the PCG64 states of 64 consecutive values of a key's last element at
 # once.  The cache holds a block for each of the four key prefixes a run draws from in
-# turn (single tags, rounds, active sets, timing draws), not a sweep's blocks: the next
-# run's blocks evict them
+# turn: single tags, the rounds and active sets engine.run keys, and the speed law's
+# timing draws.  It does not hold a sweep's blocks: the next run's blocks evict them
 _BLOCK = 64
 _LIVE_BLOCKS = 4
 
@@ -74,30 +74,28 @@ def _is_natural(value):
         return False
 
 
-def substream(seed, *key):
-    """Independent generator for the given purpose key under a master seed.
+def substream(seed, tag, *key):
+    """Independent generator for the purpose key ``(tag, *key)`` under a master seed.
 
     Bit for bit ``np.random.default_rng(np.random.SeedSequence(seed,
-    spawn_key=key))``, with no ``SeedSequence`` built: the seed, zero-padded
-    to the pool size, and each key element enter SeedSequence's entropy hash
-    as 32-bit little-endian words, and the pool's output hash gives PCG64 its
-    state.  For a key, the state words come from :func:`_block_states`, which
-    hashes the whole entropy for the 64 aligned values of ``key[-1]`` (the
-    round or id that changes from call to call) that share ``seed`` and
-    ``key[:-1]`` at once, so a run's rounds pay one hash per 64 rounds and a
-    call only indexes a row; a key-less stream hashes the seed's words on
-    every call.  Refuses a seed or key element that is not an integer >= 0
-    (numpy's included) before anything is drawn.
+    spawn_key=(tag, *key)))``, with no ``SeedSequence`` built: the seed,
+    zero-padded to the pool size, and each key element enter SeedSequence's
+    entropy hash as 32-bit little-endian words, and the pool's output hash
+    gives PCG64 its state.  The state words come from :func:`_block_states`,
+    which hashes the whole entropy for the 64 aligned values of the key's last
+    element (the round or id that changes from call to call, or the tag
+    alone) that share ``seed`` and the elements before it at once, so a run's
+    rounds pay one hash per 64 rounds and a call only indexes a row.  Refuses
+    a seed or key element that is not an integer >= 0 (numpy's included)
+    before anything is drawn.
     """
     check_seed(seed)
+    key = (tag, *key)
     for part in key:
         if not _is_natural(part):
             raise ConfigError(f"substream key must hold integers >= 0, got {part}")
     seed, key = operator.index(seed), tuple(map(operator.index, key))
-    if key:
-        state = _block_states(seed, key[:-1], key[-1] // _BLOCK)[key[-1] % _BLOCK]
-    else:
-        state = _pcg64_state(_mix_entropy(_words(seed, _POOL_SIZE)))
+    state = _block_states(seed, key[:-1], key[-1] // _BLOCK)[key[-1] % _BLOCK]
     return np.random.Generator(np.random.PCG64(_state_sequence()(state)))
 
 
@@ -146,9 +144,9 @@ def _mix_entropy(words):
 
 
 def _pcg64_state(pool):
-    """The pool's state hash as PCG64's four uint64 state words, low word first: a
-    4-vector, or one row of four per element for a pool of word arrays."""
-    words = np.stack([np.asarray(pool[i % _POOL_SIZE], dtype=np.uint64) for i in range(8)], axis=-1)
+    """The pool's state hash as PCG64's four uint64 state words, low word first: one row
+    of four per element of the pool's uint64 word arrays."""
+    words = np.stack([pool[i % _POOL_SIZE] for i in range(8)], axis=-1)
     words = (words ^ _STATE_HASH[:8]) * _STATE_HASH[1:] & _MASK32
     words ^= words >> 16
     return words[..., 0::2] | words[..., 1::2] << 32

@@ -130,11 +130,11 @@ def test_criterion_5b_fedrep_lower_bound(bracket_runs):
 def test_criterion_6_method_of_moments():
     start = time.perf_counter()
     gt_a = synthesis.gen_ground_truth(5, 1, 1, 0.0, seed=42)
-    init_a = fedrep.method_of_moments_init(gt_a, [0], 100_000, seed=42)
+    init_a = fedrep.method_of_moments_init(gt_a, [0], 100_000, synthesis.substream(42, synthesis.TAG_WARM_START))
     dist_a = linalg.principal_angle_dist(init_a, gt_a.b_star)
 
     gt_b = synthesis.gen_ground_truth(10, 2, 50, 0.5, seed=43)
-    init_b = fedrep.method_of_moments_init(gt_b, range(50), 2000, seed=43)
+    init_b = fedrep.method_of_moments_init(gt_b, range(50), 2000, synthesis.substream(43, synthesis.TAG_WARM_START))
     dist_b = linalg.principal_angle_dist(init_b, gt_b.b_star)
 
     ok = dist_a <= 0.1 and dist_b <= 1.0 - 0.05

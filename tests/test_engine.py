@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from srpfl.engine import RunConfig
 from srpfl.errors import ConfigError, NonConvergence, SrpflError
 from srpfl.straggler import participant_ladder
 from srpfl.linalg import span_basis
-from srpfl.synthesis import gen_ground_truth
+from srpfl.synthesis import TAG_RANDOM_INIT, TAG_ROUND, TAG_WARM_START, gen_ground_truth, substream
+
+from test_fedrep import NoDraw
 
 
 def small_config(**kw):
@@ -210,16 +214,22 @@ def test_fixed_plan_cap_returns_unreached_trace():
 
 
 def count_round_calls(monkeypatch):
-    """Round indices passed to ``engine.fedrep_round``, looked up by name as perfbench's clock patches it."""
+    """The state of each generator passed to ``engine.fedrep_round``, before the round draws from it;
+    the round is looked up by name as perfbench's clock patches it."""
     calls = []
     real_round = engine.fedrep_round
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.append(args[-1].bit_generator.state)
         return real_round(*args)
 
     monkeypatch.setattr(engine, "fedrep_round", counted)
     return calls
+
+
+def round_states(round_indexes):
+    """The states of the guard config's round streams, ``substream(seed, TAG_ROUND, r)``, before any draw."""
+    return [substream(GUARD_CONFIG["seed"], TAG_ROUND, r).bit_generator.state for r in round_indexes]
 
 
 @pytest.mark.parametrize("plan_mode, stages, reached", [
@@ -232,9 +242,28 @@ def count_round_calls(monkeypatch):
 def test_one_fedrep_round_call_per_round(monkeypatch, plan_mode, stages, reached):
     calls = count_round_calls(monkeypatch)
     trace = engine.run(RunConfig(**GUARD_CONFIG, plan_mode=plan_mode))
-    assert calls == [r.round_index for r in trace.records]
+    assert calls == round_states(r.round_index for r in trace.records)
     assert sorted({r.stage for r in trace.records}) == stages
     assert trace.reached_target == reached
+
+
+@pytest.mark.parametrize("init_mode, start, tag", [
+    ("moments", "method_of_moments_init", TAG_WARM_START), ("random", "random_init", TAG_RANDOM_INIT),
+])
+def test_the_start_draws_from_its_tags_stream(monkeypatch, init_mode, start, tag):
+    states, real_start = [], getattr(engine, start)
+    monkeypatch.setattr(engine, start, lambda *args: states.append(args[-1].bit_generator.state) or real_start(*args))
+    engine.run(RunConfig(**{**GUARD_CONFIG, "init_mode": init_mode, "plan_mode": "fixed", "max_rounds": 1}))
+    assert states == [substream(GUARD_CONFIG["seed"], tag).bit_generator.state]
+
+
+def test_engine_run_alone_keys_the_rounds_and_the_starts():
+    # fedrep draws from the generator it is given: it binds neither substream nor a tag
+    assert [name for name in vars(fedrep) if name == "substream" or name.startswith("TAG_")] == []
+    package = Path(engine.__file__).parent
+    for tag in ("TAG_ROUND", "TAG_WARM_START", "TAG_RANDOM_INIT"):
+        named = sorted(path.stem for path in package.glob("*.py") if re.search(rf"\b{tag}\b", path.read_text()))
+        assert named == ["engine", "synthesis"], tag
 
 
 @pytest.mark.parametrize("speed_kind", ["fixed", "dynamic"])
@@ -282,7 +311,7 @@ def test_analytic_plan_cap_names_the_stage_it_is_hit_in(monkeypatch, max_rounds,
     calls = count_round_calls(monkeypatch)
     with pytest.raises(NonConvergence, match=rf"round cap {max_rounds} hit at stage {stage} "):
         engine.run(RunConfig(**GUARD_CONFIG, plan_mode="analytic", max_rounds=max_rounds))
-    assert calls == list(range(1, max_rounds + 1))
+    assert calls == round_states(range(1, max_rounds + 1))
 
 
 class TestContractionCheck:
@@ -589,12 +618,15 @@ class TestFrozenConfig:
       lambda: straggler.SpeedModel.dynamic(64, comm_cost=-1.0)]),
     ("m", 2, "need m > k, got m=2, k=2",
      [lambda: fedrep.check_batch_size(2, 2),
-      lambda: fedrep.fedrep_round(np.eye(20, 2), gen_ground_truth(20, 2, 64, 0.1, 0), [0], 2, 0.1, 0, 1)]),
+      lambda: fedrep.fedrep_round(np.eye(20, 2), gen_ground_truth(20, 2, 64, 0.1, 0), [0], 2, 0.1, NoDraw())]),
+    ("eta", -1.0, "eta must be positive, got -1.0",
+     [lambda: fedrep.check_step_size(-1.0),
+      lambda: fedrep.fedrep_round(np.eye(20, 2), gen_ground_truth(20, 2, 64, 0.1, 0), [0], 100, -1.0, NoDraw())]),
     ("plan_mode", "bogus", "plan_mode must be one of ('analytic', 'distance_threshold', 'fixed'), got 'bogus'",
      [lambda: straggler.build_stage_plan(64, 4, 0.2, straggler.SpeedModel.fixed(64), 1.2, "bogus")]),
     ("fixed_rounds", 0, "fixed_rounds must be >= 1, got 0",
      [lambda: straggler.build_stage_plan(64, 4, 0.2, straggler.SpeedModel.fixed(64), 1.2, straggler.MODE_FIXED, 0)]),
-], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost", "m", "plan_mode", "fixed_rounds"])
+], ids=["k", "sigma", "seed", "n0", "lam", "comm_cost", "m", "eta", "plan_mode", "fixed_rounds"])
 def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, layer_calls):
     # each rule is the check of the layer that reads the value; RunConfig calls that check
     def config():
@@ -607,9 +639,9 @@ def test_config_and_layer_refuse_a_value_in_the_same_words(key, value, message, 
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 2.5, 0.1, 1, 1), ConfigError,
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 2.5, 0.1, NoDraw()), ConfigError,
      "need m > k, got m=2.5, k=2"),
-    (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 2.5, 1), ConfigError,
+    (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 2.5, NoDraw()), ConfigError,
      "batch size must be >= 1, got 2.5"),
     (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 2.5, 1, 1), ConfigError, "batch size must be >= 1, got 2.5"),
     (lambda gt, q, speed: straggler.build_stage_plan(8, 2, 0.1, speed, 1.2, straggler.MODE_FIXED, 2.5), ConfigError,
@@ -631,9 +663,9 @@ def test_layer_checks_refuse_a_fractional_count_before_any_draw(monkeypatch, cal
     # a config refused m = 2.5, but the round drew at 1.5 and 0.5 degrees of freedom and the fixed plan
     # ran 2 rounds a stage; the other calls ended in a raw TypeError
     gt = gen_ground_truth(8, 2, 6, 0.3, 1)
-    q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
+    q, _ = span_basis(fedrep.random_init(gt, substream(1, TAG_RANDOM_INIT)), gt.b_star)
     speed = straggler.SpeedModel.dynamic(8, seed=1)  # draws its times in select_fastest
-    for module in (synthesis, fedrep, straggler):
+    for module in (synthesis, straggler):  # the round and the warm start draw from the NoDraw they are given
         monkeypatch.setattr(module, "substream", lambda *key: pytest.fail(f"drew {key}"))
     with pytest.raises(error) as refused:
         call(gt, q, speed)
@@ -647,14 +679,20 @@ FIXED_SPEED = straggler.SpeedModel(lam=1.0, comm_cost=0.0, seed=1, times=np.aran
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, -1, 1), "seed must be >= 0, got -1"),
-    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1.5, 1), "seed must be >= 0, got 1.5"),
-    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, 1.5), KEY_MESSAGE.format(1.5)),
-    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, -1), KEY_MESSAGE.format(-1)),
+    # engine.run keys the round's and the starts' streams, so substream refuses their bad seeds and rounds
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, substream(-1, TAG_ROUND, 1)),
+     "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, substream(1.5, TAG_ROUND, 1)),
+     "seed must be >= 0, got 1.5"),
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, substream(1, TAG_ROUND, 1.5)),
+     KEY_MESSAGE.format(1.5)),
+    (lambda gt, q, speed: fedrep.fedrep_round(q, gt, range(6), 30, 0.1, substream(1, TAG_ROUND, -1)),
+     KEY_MESSAGE.format(-1)),
     (lambda gt, q, speed: straggler.SpeedModel.fixed(8, seed=-1), "seed must be >= 0, got -1"),
     (lambda gt, q, speed: straggler.SpeedModel.dynamic(8, seed=np.int64(-1)), "seed must be >= 0, got -1"),
-    (lambda gt, q, speed: fedrep.random_init(gt, -1), "seed must be >= 0, got -1"),
-    (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 30, -1), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: fedrep.random_init(gt, substream(-1, TAG_RANDOM_INIT)), "seed must be >= 0, got -1"),
+    (lambda gt, q, speed: fedrep.method_of_moments_init(gt, range(6), 30, substream(-1, TAG_WARM_START)),
+     "seed must be >= 0, got -1"),
     (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 5, 1, -1), "seed must be >= 0, got -1"),
     (lambda gt, q, speed: synthesis.sample_batch(gt, 0, 5, np.float64(2.0), 1), KEY_MESSAGE.format(2.0)),
     (lambda gt, q, speed: straggler.draw_round_times(speed, -1), ROUND_MESSAGE.format(-1)),
@@ -670,7 +708,7 @@ FIXED_SPEED = straggler.SpeedModel(lam=1.0, comm_cost=0.0, seed=1, times=np.aran
 def test_draws_refuse_a_bad_seed_or_key_before_any_draw(monkeypatch, call, message):
     # numpy's SeedSequence refused these with its own ValueError or TypeError
     gt = gen_ground_truth(8, 2, 6, 0.3, 1)
-    q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
+    q, _ = span_basis(fedrep.random_init(gt, substream(1, TAG_RANDOM_INIT)), gt.b_star)
     speed = straggler.SpeedModel.dynamic(8, seed=1)  # draws its times in select_fastest
     monkeypatch.setattr(np.random, "PCG64", lambda *args: pytest.fail("built a bit generator"))
     with pytest.raises(ConfigError) as refused:
@@ -711,10 +749,10 @@ def test_layer_checks_take_numpy_integer_counts():
     assert straggler.expected_order_stat(i(8), i(2), 1.0) == straggler.expected_order_stat(8, 2, 1.0)
     gt = gen_ground_truth(i(8), i(2), i(6), 0.3, i(1))
     np.testing.assert_array_equal(gt.w_star, gen_ground_truth(8, 2, 6, 0.3, 1).w_star)
-    q, _ = span_basis(fedrep.random_init(gt, 1), gt.b_star)
-    _, dist = fedrep.fedrep_round(q, gt, range(6), 30, 0.1, 1, 1)
-    assert fedrep.fedrep_round(q, gt, range(6), i(30), 0.1, 1, 1)[1] == dist
-    assert fedrep.fedrep_round(q, gt, range(6), 30, 0.1, i(1), np.uint8(1))[1] == dist
+    q, _ = span_basis(fedrep.random_init(gt, substream(1, TAG_RANDOM_INIT)), gt.b_star)
+    _, dist = fedrep.fedrep_round(q, gt, range(6), 30, 0.1, substream(1, TAG_ROUND, 1))
+    assert fedrep.fedrep_round(q, gt, range(6), i(30), 0.1, substream(1, TAG_ROUND, 1))[1] == dist
+    assert fedrep.fedrep_round(q, gt, range(6), 30, 0.1, substream(i(1), TAG_ROUND, np.uint8(1)))[1] == dist
     speed = straggler.SpeedModel.fixed(i(8), seed=1)
     assert straggler.select_fastest(speed, 1, i(3))[1] == straggler.select_fastest(speed, 1, 3)[1]
     assert straggler.build_stage_plan(8, 2, 0.1, speed, 1.2, straggler.MODE_FIXED, i(4))[0][1] == 4

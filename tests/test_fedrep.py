@@ -8,11 +8,19 @@ from hypothesis import strategies as st
 
 from srpfl import engine, fedrep, linalg, synthesis
 from srpfl.errors import ConfigError, SrpflError
+from srpfl.synthesis import TAG_ROUND, TAG_WARM_START, substream
 
 
 def basis(b, gt):
     """The round's basis for representation ``b``, as ``engine.run`` carries it."""
     return linalg.span_basis(b, gt.b_star)[0]
+
+
+class NoDraw:
+    """A generator that fails the test on any draw, for the checks that must refuse before the first."""
+
+    def __getattr__(self, name):
+        pytest.fail(f"drew from the generator ({name})")
 
 
 def local_loss(b, w, x, y):
@@ -80,26 +88,25 @@ class TestRepGradientStep:
 class TestMethodOfMoments:
     def test_single_client_large_m(self):
         gt = synthesis.gen_ground_truth(5, 1, 1, 0.0, seed=42)
-        init = fedrep.method_of_moments_init(gt, [0], 100_000, seed=42)
+        init = fedrep.method_of_moments_init(gt, [0], 100_000, substream(42, TAG_WARM_START))
         assert linalg.principal_angle_dist(init, gt.b_star) <= 0.1
 
-    def test_all_zero_labels(self, monkeypatch):
+    def test_all_zero_labels(self):
         # sigma = 0 and zero heads: refused before any draw
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
         silent = dataclasses.replace(gt, w_star=np.zeros_like(gt.w_star))
-        monkeypatch.setattr(fedrep, "substream", None)
         with pytest.raises(SrpflError, match="every warm-start label was zero"):
-            fedrep.method_of_moments_init(silent, [0, 1], 10, seed=0)
+            fedrep.method_of_moments_init(silent, [0, 1], 10, NoDraw())
 
     def test_no_participants(self):
         gt = synthesis.gen_ground_truth(4, 1, 2, 0.0, seed=0)
         with pytest.raises(SrpflError, match="need at least one participant"):
-            fedrep.method_of_moments_init(gt, [], 10, seed=0)
+            fedrep.method_of_moments_init(gt, [], 10, substream(0, TAG_WARM_START))
 
     def test_full_dimensional_subspace(self):
         # d = k: any full-rank average spans all of R^d
         gt = synthesis.gen_ground_truth(3, 3, 4, 0.3, seed=6)
-        init = fedrep.method_of_moments_init(gt, range(4), 50, seed=6)
+        init = fedrep.method_of_moments_init(gt, range(4), 50, substream(6, TAG_WARM_START))
         assert linalg.principal_angle_dist(init, gt.b_star) <= 1e-10
 
     @pytest.mark.parametrize("sigma", [1.0, 0.0])
@@ -132,7 +139,7 @@ class TestMethodOfMoments:
     def test_large_labels_pass_the_symmetry_check(self, sigma):
         # the moment matrix's rounding asymmetry grows with sigma^2
         gt = synthesis.gen_ground_truth(10, 2, 8, sigma, seed=0)
-        init = fedrep.method_of_moments_init(gt, range(8), 40, seed=0)
+        init = fedrep.method_of_moments_init(gt, range(8), 40, substream(0, TAG_WARM_START))
         assert init.shape == (10, 2)
         assert linalg.is_orthonormal(init)
 
@@ -140,14 +147,15 @@ class TestMethodOfMoments:
 class TestFedrepRound:
     def test_fixed_point_at_optimum(self):
         gt = synthesis.gen_ground_truth(6, 2, 8, 0.0, seed=10)
-        new, dist = fedrep.fedrep_round(basis(gt.b_star, gt), gt, range(8), m=30, eta=0.1, seed=10, round_index=1)
+        new, dist = fedrep.fedrep_round(basis(gt.b_star, gt), gt, range(8), m=30, eta=0.1, rng=substream(10, TAG_ROUND, 1))
         assert linalg.principal_angle_dist(new[:, :2], gt.b_star) <= 1e-9
         assert dist <= 1e-9
 
     def test_zero_step_preserves_span(self):
+        # eta must be positive; a step of 1e-300 is far below rounding, so the round only rebuilds its basis
         gt = synthesis.gen_ground_truth(6, 2, 8, 0.0, seed=11)
         b, _ = linalg.thin_qr(np.random.default_rng(1).standard_normal((6, 2)))
-        new, _ = fedrep.fedrep_round(basis(b, gt), gt, range(8), m=30, eta=0.0, seed=11, round_index=1)
+        new, _ = fedrep.fedrep_round(basis(b, gt), gt, range(8), m=30, eta=1e-300, rng=substream(11, TAG_ROUND, 1))
         assert linalg.principal_angle_dist(new[:, :2], b) <= 1e-12
 
     def test_monotone_decrease_noiseless_seed9(self):
@@ -155,7 +163,7 @@ class TestFedrepRound:
         b, _ = linalg.thin_qr(np.random.default_rng(2).standard_normal((10, 2)))
         q, dists = basis(b, gt), [linalg.principal_angle_dist(b, gt.b_star)]
         for t in range(1, 6):
-            q, dist = fedrep.fedrep_round(q, gt, range(8), m=60, eta=0.1, seed=9, round_index=t)
+            q, dist = fedrep.fedrep_round(q, gt, range(8), m=60, eta=0.1, rng=substream(9, TAG_ROUND, t))
             assert abs(dist - linalg.principal_angle_dist(q[:, :2], gt.b_star)) <= 1e-13
             dists.append(dist)
         assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -166,16 +174,16 @@ class TestFedrepRound:
         rot, _ = linalg.thin_qr(np.random.default_rng(4).standard_normal((2, 2)))
         s1, s2 = basis(b, gt), basis(b @ rot, gt)
         for t in range(1, 5):
-            s1, d1 = fedrep.fedrep_round(s1, gt, range(6), m=25, eta=0.1, seed=13, round_index=t)
-            s2, d2 = fedrep.fedrep_round(s2, gt, range(6), m=25, eta=0.1, seed=13, round_index=t)
+            s1, d1 = fedrep.fedrep_round(s1, gt, range(6), m=25, eta=0.1, rng=substream(13, TAG_ROUND, t))
+            s2, d2 = fedrep.fedrep_round(s2, gt, range(6), m=25, eta=0.1, rng=substream(13, TAG_ROUND, t))
             assert abs(d1 - d2) <= 1e-8
 
     def test_bad_participant(self):
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
         with pytest.raises(SrpflError, match=r"participant 9 outside 0\.\.3"):
-            fedrep.fedrep_round(gt.b_star, gt, [0, 9], m=20, eta=0.1, seed=14, round_index=1)
+            fedrep.fedrep_round(gt.b_star, gt, [0, 9], m=20, eta=0.1, rng=substream(14, TAG_ROUND, 1))
         with pytest.raises(SrpflError, match="need at least one participant"):
-            fedrep.fedrep_round(gt.b_star, gt, [], m=20, eta=0.1, seed=14, round_index=1)
+            fedrep.fedrep_round(gt.b_star, gt, [], m=20, eta=0.1, rng=substream(14, TAG_ROUND, 1))
 
     def test_planted_zero_rho_ends_at_the_finiteness_check(self, monkeypatch):
         # rho = sqrt(chi2(m - k + 1)) > 0 almost surely, so a zero is planted in
@@ -184,8 +192,8 @@ class TestFedrepRound:
         # at span_basis's finiteness check with no RuntimeWarning (this suite
         # makes one an error); engine.run adds the stage and round
         class Planted:
-            def __init__(self, rng, round_index):
-                self.rng, self.plant = rng, round_index == 3
+            def __init__(self, rng, plant):
+                self.rng, self.plant = rng, plant
 
             def chisquare(self, df, size):
                 roots = self.rng.chisquare(df, size)
@@ -196,12 +204,15 @@ class TestFedrepRound:
             def standard_normal(self, size):
                 return self.rng.standard_normal(size)
 
-        monkeypatch.setattr(fedrep, "substream", lambda *key: Planted(synthesis.substream(*key), key[-1]))
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.3, seed=15)
         not_finite = "QR factor is not finite: the input is not, or its column norms overflow"
         with pytest.raises(SrpflError) as raised:
-            fedrep.fedrep_round(basis(gt.b_star, gt), gt, [0, 2, 3], m=20, eta=0.1, seed=15, round_index=3)
+            fedrep.fedrep_round(basis(gt.b_star, gt), gt, [0, 2, 3], m=20, eta=0.1,
+                                rng=Planted(substream(15, TAG_ROUND, 3), True))
         assert str(raised.value) == not_finite
+        # engine.run keys each round's stream; the plant goes into round 3's
+        monkeypatch.setattr(engine, "substream", lambda seed, *key: Planted(synthesis.substream(seed, *key),
+                                                                            key == (TAG_ROUND, 3)))
         config = engine.RunConfig(
             d=8, k=2, n_total=8, n0=2, m=30, sigma=0.2, seed=1, comm_cost=0.5, lam=1.0, c_hat=1.2,
             plan_mode="fixed", fixed_rounds=8, epsilon=0.0,
@@ -211,26 +222,31 @@ class TestFedrepRound:
         assert str(raised.value) == f"stage 0, round 3: {not_finite}"
 
     @staticmethod
-    def refused_before_any_draw(monkeypatch, gt, b, m, seed):
-        drawn = []
-        monkeypatch.setattr(fedrep, "substream", lambda *key: drawn.append(key))
+    def refused_before_any_draw(gt, b, m):
         with pytest.raises(ConfigError, match=rf"^need m > k, got m={m}, k={gt.k}$"):
-            fedrep.fedrep_round(basis(b, gt), gt, range(gt.n_clients), m=m, eta=0.5, seed=seed, round_index=1)
-        assert drawn == []
+            fedrep.fedrep_round(basis(b, gt), gt, range(gt.n_clients), m=m, eta=0.5, rng=NoDraw())
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_batch_of_k_samples_is_refused_before_any_draw(self, monkeypatch, sigma):
+    def test_batch_of_k_samples_is_refused_before_any_draw(self, sigma):
         # m = k: every head would fit its k samples exactly and leave no residual
         gt = synthesis.gen_ground_truth(7, 3, 6, sigma, seed=16)
         b, _ = linalg.thin_qr(np.random.default_rng(5).standard_normal((7, 3)))
-        self.refused_before_any_draw(monkeypatch, gt, b, m=3, seed=16)
+        self.refused_before_any_draw(gt, b, m=3)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_fewer_samples_than_k_is_refused_before_any_draw(self, monkeypatch, m):
+    def test_fewer_samples_than_k_is_refused_before_any_draw(self, m):
         # m < k: no head is unique
         gt = synthesis.gen_ground_truth(7, 3, 6, 0.3, seed=17)
         b, _ = linalg.thin_qr(np.random.default_rng(6).standard_normal((7, 3)))
-        self.refused_before_any_draw(monkeypatch, gt, b, m=m, seed=17)
+        self.refused_before_any_draw(gt, b, m=m)
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, np.nan, -np.inf])
+    def test_step_size_is_refused_before_any_draw(self, eta):
+        # a negative step ascended, and a nan drew first and then failed the finiteness check
+        gt = synthesis.gen_ground_truth(20, 2, 8, 0.1, seed=18)
+        with pytest.raises(ConfigError) as refused:
+            fedrep.fedrep_round(basis(gt.b_star, gt), gt, [0, 1], m=10, eta=eta, rng=NoDraw())
+        assert str(refused.value) == f"eta must be positive, got {eta}"
 
 
 def row_batches(gt, m, draws, seed):
@@ -301,7 +317,7 @@ class TestBlockedRound:
         else:
             np.testing.assert_allclose(move - inside, 0.0, rtol=0, atol=1e-12)
         expected, expected_dist = linalg.span_basis(b + (row_moves - (0.2 / m) * (move - inside)) / n, gt.b_star)
-        new, dist = fedrep.fedrep_round(q, gt, ids, m, 0.2, seed=21, round_index=1)
+        new, dist = fedrep.fedrep_round(q, gt, ids, m, 0.2, substream(21, TAG_ROUND, 1))
         np.testing.assert_allclose(new, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dist, expected_dist, rtol=0, atol=1e-12)
 
@@ -455,12 +471,12 @@ class TestBlockedRound:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
-        fedrep.fedrep_round(q, gt, range(256), m=100, eta=0.1, seed=27, round_index=1)
+        fedrep.fedrep_round(q, gt, range(256), m=100, eta=0.1, rng=substream(27, TAG_ROUND, 1))
         assert calls["solve"] == calls["eigvalsh"] == calls["eigh"] == 0
         assert calls["qr"] == 2 and calls["svd"] == 1
 
     @pytest.mark.parametrize("n, k, m, d", [(256, 2, 100, 20), (256, 4, 30, 40)])
-    def test_round_draw_budget(self, monkeypatch, n, k, m, d):
+    def test_round_draw_budget(self, n, k, m, d):
         # a round draws two chi-square calls of n, rho and then t, and n(p + 1)
         # + d min(n, k) normals: per client k for the head and p + 1 - k for
         # A^T r, seven values at d=20, k=2 (p=4) and eleven at d=40, k=4
@@ -482,8 +498,7 @@ class TestBlockedRound:
                 drawn.append(("standard_normal", int(np.prod(size))))
                 return self.rng.standard_normal(size)
 
-        monkeypatch.setattr(fedrep, "substream", lambda *key: Counting(synthesis.substream(*key)))
-        fedrep.fedrep_round(basis(b, gt), gt, range(n), m=m, eta=0.1, seed=29, round_index=1)
+        fedrep.fedrep_round(basis(b, gt), gt, range(n), m=m, eta=0.1, rng=Counting(substream(29, TAG_ROUND, 1)))
         assert drawn == [
             ("chisquare", m - k + 1, n), ("chisquare", m - k, n), ("standard_normal", n * (p + 1) + d * min(n, k)),
         ]
@@ -501,35 +516,27 @@ class TestBlockedRound:
         with pytest.raises(SrpflError, match=re.escape(f"(lambda_min={lam:.3e}) for slice 217 at m={m}")):
             fedrep.head_update(b, x, rng.standard_normal((301, m)))
 
-    def test_basis_without_b_star_is_refused_before_any_draw(self, monkeypatch):
+    def test_basis_without_b_star_is_refused_before_any_draw(self):
         # a plain orthonormal b: the round would drop each label's part outside span(b)
         gt = synthesis.gen_ground_truth(20, 2, 8, 0.1, seed=15)
         b, _ = linalg.thin_qr(np.random.default_rng(16).standard_normal((20, 2)))
         held = float(np.linalg.norm(b.T @ gt.b_star) ** 2)
-        monkeypatch.setattr(fedrep, "substream", None)
         with pytest.raises(SrpflError) as refused:
-            fedrep.fedrep_round(b, gt, range(8), m=100, eta=0.1, seed=15, round_index=1)
+            fedrep.fedrep_round(b, gt, range(8), m=100, eta=0.1, rng=NoDraw())
         assert str(refused.value) == f"round basis does not hold B*: ||q^T B*||_F^2 = {held:.6g}, not k = 2"
-        # m and the ids are checked first
+        # m, eta and the ids are checked first
         with pytest.raises(ConfigError, match="need m > k"):
-            fedrep.fedrep_round(b, gt, range(8), m=2, eta=0.1, seed=15, round_index=1)
+            fedrep.fedrep_round(b, gt, range(8), m=2, eta=0.1, rng=NoDraw())
+        with pytest.raises(ConfigError, match="eta must be positive"):
+            fedrep.fedrep_round(b, gt, range(8), m=100, eta=-0.1, rng=NoDraw())
         with pytest.raises(SrpflError, match="participant 9 outside"):
-            fedrep.fedrep_round(b, gt, [0, 9], m=100, eta=0.1, seed=15, round_index=1)
+            fedrep.fedrep_round(b, gt, [0, 9], m=100, eta=0.1, rng=NoDraw())
 
-    def test_bad_participant_raises_before_any_draw(self, monkeypatch):
+    def test_bad_participant_raises_before_any_draw(self):
         gt = synthesis.gen_ground_truth(5, 2, 4, 0.0, seed=14)
-        drawn = []
-
-        def recording(*key):
-            drawn.append(key)
-            return synthesis.substream(*key)
-
-        monkeypatch.setattr(fedrep, "substream", recording)
         with pytest.raises(SrpflError, match="participant 9"):
-            fedrep.fedrep_round(gt.b_star, gt, [0, 1, 9], m=20, eta=0.1, seed=14, round_index=1)
-        assert drawn == []
-        fedrep.fedrep_round(gt.b_star, gt, [0, 1, 3], m=20, eta=0.1, seed=14, round_index=1)
-        assert drawn == [(14, synthesis.TAG_ROUND, 1)]
+            fedrep.fedrep_round(gt.b_star, gt, [0, 1, 9], m=20, eta=0.1, rng=NoDraw())
+        fedrep.fedrep_round(gt.b_star, gt, [0, 1, 3], m=20, eta=0.1, rng=substream(14, TAG_ROUND, 1))
 
 
 def test_warm_start_matches_per_client_loop():
@@ -546,33 +553,31 @@ def test_warm_start_matches_per_client_loop():
         y = x @ (gt.b_star @ gt.w_star[cid]) + gt.sigma * z
         p_bar += (x.T * y**2) @ x / m
     expected = linalg.rank_k_eig(p_bar / len(ids), 3)
-    np.testing.assert_allclose(fedrep.method_of_moments_init(gt, ids, m, seed=23), expected, rtol=0, atol=1e-12)
+    init = fedrep.method_of_moments_init(gt, ids, m, substream(23, TAG_WARM_START))
+    np.testing.assert_allclose(init, expected, rtol=0, atol=1e-12)
 
 
 def test_warm_start_does_not_depend_on_its_block_size(monkeypatch):
     # 280 rows in blocks of 7 rows, which straddle the clients' 8-row batches
     gt = synthesis.gen_ground_truth(12, 3, 40, 0.3, seed=24)
-    default = fedrep.method_of_moments_init(gt, range(35), 8, seed=24)
+    default = fedrep.method_of_moments_init(gt, range(35), 8, substream(24, TAG_WARM_START))
     monkeypatch.setattr(fedrep, "WARM_START_ROWS", 7)
-    np.testing.assert_allclose(fedrep.method_of_moments_init(gt, range(35), 8, seed=24), default, rtol=0, atol=1e-12)
+    blocked = fedrep.method_of_moments_init(gt, range(35), 8, substream(24, TAG_WARM_START))
+    np.testing.assert_allclose(blocked, default, rtol=0, atol=1e-12)
 
 
 def test_warm_start_draws_from_one_stream(monkeypatch):
+    # the generator it is given: it builds no stream of its own and draws no sample_batch
     gt = synthesis.gen_ground_truth(10, 2, 200, 0.1, seed=25)
-    drawn = []
-
-    def recording(*key):
-        drawn.append(key)
-        return synthesis.substream(*key)
+    rng = substream(25, TAG_WARM_START)
 
     def refused(*args, **kwargs):
-        raise AssertionError("the warm start drew a sample_batch")
+        raise AssertionError("the warm start drew a sample_batch or built a stream")
 
-    monkeypatch.setattr(fedrep, "substream", recording)
+    monkeypatch.setattr(synthesis, "substream", refused)
     monkeypatch.setattr(synthesis, "sample_batch", refused)
     monkeypatch.setattr(fedrep, "sample_batch", refused, raising=False)
-    fedrep.method_of_moments_init(gt, range(128), 30, seed=25)
-    assert drawn == [(25, synthesis.TAG_WARM_START)]
+    fedrep.method_of_moments_init(gt, range(128), 30, rng)
 
 
 @st.composite
@@ -596,11 +601,11 @@ def test_round_is_a_pure_function_of_the_span(case):
     rng = np.random.default_rng(seed)
     b, _ = linalg.thin_qr(rng.standard_normal((d, k)))
     rot, _ = linalg.thin_qr(rng.standard_normal((k, k)))
-    new, dist = fedrep.fedrep_round(basis(b, gt), gt, range(n), m, 0.2, seed, round_index=3)
+    new, dist = fedrep.fedrep_round(basis(b, gt), gt, range(n), m, 0.2, substream(seed, TAG_ROUND, 3))
     assert new.shape == (d, 2 * k) and np.isfinite(new).all() and linalg.is_orthonormal(new)
-    again, again_dist = fedrep.fedrep_round(basis(b, gt), gt, range(n), m, 0.2, seed, round_index=3)
+    again, again_dist = fedrep.fedrep_round(basis(b, gt), gt, range(n), m, 0.2, substream(seed, TAG_ROUND, 3))
     assert again.tobytes() == new.tobytes() and again_dist == dist
-    turned, turned_dist = fedrep.fedrep_round(basis(b @ rot, gt), gt, range(n), m, 0.2, seed, round_index=3)
+    turned, turned_dist = fedrep.fedrep_round(basis(b @ rot, gt), gt, range(n), m, 0.2, substream(seed, TAG_ROUND, 3))
     assert linalg.principal_angle_dist(new[:, :k], turned[:, :k]) <= 1e-10
     assert abs(dist - turned_dist) <= 1e-10
 
@@ -615,11 +620,10 @@ def test_round_warm_start_and_batch_refuse_ids_in_the_same_words_before_any_draw
         drawn.append(key)
         return real_substream(*key)
 
-    monkeypatch.setattr(synthesis, "substream", recording)  # the warm start's batches
-    monkeypatch.setattr(fedrep, "substream", recording)     # the round's draw
+    monkeypatch.setattr(synthesis, "substream", recording)  # sample_batch's stream
     calls = [
-        lambda ids: fedrep.fedrep_round(gt.b_star, gt, ids, m=20, eta=0.1, seed=14, round_index=1),
-        lambda ids: fedrep.method_of_moments_init(gt, ids, 20, seed=14),
+        lambda ids: fedrep.fedrep_round(gt.b_star, gt, ids, m=20, eta=0.1, rng=NoDraw()),
+        lambda ids: fedrep.method_of_moments_init(gt, ids, 20, NoDraw()),
     ]
     cases = (
         ([0, 9], "participant 9 outside 0..3"),
@@ -648,8 +652,8 @@ def test_one_id_alone_or_in_a_list_is_one_participant_at_every_draw():
     gt = synthesis.gen_ground_truth(5, 2, 4, 0.3, seed=14)
     q = basis(gt.b_star, gt)
     for draw in (
-        lambda ids: fedrep.fedrep_round(q, gt, ids, m=20, eta=0.1, seed=14, round_index=1)[0],
-        lambda ids: fedrep.method_of_moments_init(gt, ids, 20, seed=14),
+        lambda ids: fedrep.fedrep_round(q, gt, ids, m=20, eta=0.1, rng=substream(14, TAG_ROUND, 1))[0],
+        lambda ids: fedrep.method_of_moments_init(gt, ids, 20, substream(14, TAG_WARM_START)),
         lambda ids: synthesis.sample_batch(gt, ids, 20, 0, seed=14)[1],
     ):
         assert draw(3).tobytes() == draw([3]).tobytes() == draw(np.array([3])).tobytes()

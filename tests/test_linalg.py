@@ -229,3 +229,19 @@ class TestPrincipalAngleDist:
                 b2, _ = np.linalg.qr(b1 + scale * rng.standard_normal((d, k)))
                 expected = min(1.0, float(np.linalg.norm(b2 - b1 @ (b1.T @ b2), 2)))
                 assert linalg.principal_angle_dist(b1, b2) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: linalg.thin_qr(np.zeros((3, 0))), "thin_qr expects a tall d x k matrix, got shape (3, 0)"),
+    (lambda: linalg.span_basis(np.zeros((3, 0)), np.zeros((3, 0))),
+     "span_basis expects a tall d x k matrix, got shape (3, 0)"),
+    (lambda: linalg.span_basis(np.ones((2, 3)), np.ones((2, 3))),
+     "span_basis expects a tall d x k matrix, got shape (2, 3)"),
+    (lambda: linalg.principal_angle_dist(np.zeros((3, 0)), np.zeros((3, 0))),
+     "principal_angle_dist expects a tall d x k matrix, got shape (3, 0)"),
+], ids=["thin_qr", "span_basis", "span_basis_wide", "principal_angle_dist"])
+def test_a_matrix_without_columns_is_refused_as_not_tall(call, message):
+    # numpy's indexing raised a raw IndexError on the empty factors, and a wide lead a reshape ValueError
+    with pytest.raises(SrpflError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -4,9 +4,10 @@ Each mutant replaces one engine step by monkeypatch:
 
 - ``frozen``: the round returns its basis unchanged, with the distance of its
   representation;
-- ``random``: the round returns the basis of a Gaussian seeded by the
-  round index, with its distance;
-- ``wrong_sign``: the round steps with ``-eta``;
+- ``random``: the round returns the basis of a Gaussian drawn from the
+  round's generator, with its distance;
+- ``wrong_sign``: the round steps with ``-eta``, which ``fedrep_round``
+  itself refuses, so the mutant takes the round's steps with the sign flipped;
 - ``slowest_n``: the selection keeps the slowest n slots, slowest first,
   and prices the round by the slowest chosen slot plus C.
 
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srpfl import checks, engine, straggler
+from srpfl import checks, engine, fedrep, straggler
 from srpfl.config import load_config
 from srpfl.errors import NonConvergence
 from srpfl.linalg import span_basis
@@ -34,19 +35,22 @@ from criteria import CRITERION_1, CRITERION_2, mean_speedup_ratio
 
 REFERENCE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "reference.cfg"
 
-real_round = engine.fedrep_round
 
-
-def frozen(q, gt, participants, m, eta, seed, round_index):
+def frozen(q, gt, participants, m, eta, rng):
     return span_basis(q[:, :gt.k], gt.b_star)
 
 
-def random_basis(q, gt, participants, m, eta, seed, round_index):
-    return span_basis(np.random.default_rng(round_index).standard_normal((len(q), gt.k)), gt.b_star)
+def random_basis(q, gt, participants, m, eta, rng):
+    return span_basis(rng.standard_normal((len(q), gt.k)), gt.b_star)
 
 
-def wrong_sign(q, gt, participants, m, eta, seed, round_index):
-    return real_round(q, gt, participants, m, -eta, seed, round_index)
+def wrong_sign(q, gt, participants, m, eta, rng):
+    parts = gt.check_participants(participants)
+    with np.errstate(all="ignore"):
+        draw = fedrep._draw_round(parts.size, gt.k, q.shape[1], gt.d, m, rng)
+        move = fedrep._summed_move(q, *fedrep._client_statistics(gt, fedrep._overlap(gt, q), parts, draw), draw[-1])
+        step = q[:, :gt.k] + (eta / (m * parts.size)) * move
+    return span_basis(step, gt.b_star)
 
 
 def slowest_n(model, round_index, n):
